@@ -25,7 +25,7 @@ from .fixtures import (
     hexagon_points,
 )
 from .geometry import Point, format_rational, make_point
-from .homology import betti_numbers, integer_h1
+from .homology import SmithDecomposition, betti_numbers, integer_h1
 from .lifting import RipsWalk, is_contractible, walk_word
 from .quasi import (
     EdgePolicy,
@@ -164,8 +164,7 @@ def _betti_block(c: SimplicialComplex) -> Dict:
     }
 
 
-def _h1_block(c: SimplicialComplex) -> Dict:
-    h = integer_h1(c)
+def _h1_block(h: SmithDecomposition) -> Dict:
     return {"rank": h.rank, "torsion": [str(d) for d in h.torsion]}
 
 
@@ -194,7 +193,7 @@ def cmd_rips(args) -> int:
         "n_points": len(points),
         "census": _census(c),
         "betti": _betti_block(c),
-        "integer_h1": _h1_block(c),
+        "integer_h1": _h1_block(integer_h1(c)),
     }
     _finish(report, args)
     return EXIT_OK
@@ -232,7 +231,7 @@ def cmd_shadow(args) -> int:
         "dim_cap": args.dim_cap,
         "census": _census(c),
         "betti": _betti_block(c),
-        "integer_h1": _h1_block(c),
+        "integer_h1": _h1_block(h),
         "shadow": {
             "vertices": len(s.points),
             "edges": len(s.edges),

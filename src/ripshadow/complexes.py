@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .geometry import Point, dist2
+from .geometry import Point, dist2, scale_points
 
 Simplex = Tuple[int, ...]
 
@@ -83,24 +83,36 @@ class SimplicialComplex:
         return adj
 
     def components(self) -> List[Set[int]]:
-        adj = self.adjacency()
-        seen: Set[int] = set()
-        out: List[Set[int]] = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            out.append(comp)
-        return out
+        return graph_components(self.vertices, self.edges)
+
+
+def graph_components(
+    vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
+) -> List[Set[int]]:
+    """Vertex sets of a graph's connected components, isolated vertices
+    included, ordered by each component's first vertex in `vertices`."""
+    vertices = list(vertices)
+    adj: Dict[int, Set[int]] = {v: set() for v in vertices}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    seen: Set[int] = set()
+    out: List[Set[int]] = []
+    for v in vertices:
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        out.append(comp)
+    return out
 
 
 def _cliques_from_graph(
@@ -213,13 +225,15 @@ def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> Simp
     if dim_cap < 1:
         raise ValueError("dim_cap must be >= 1")
     check_distinct_points(points)
-    eps2 = Fraction(eps) ** 2
-    n = len(points)
+    # eps is rescaled with the points, so the test below compares integers
+    ipts, _ = scale_points([*points, (eps,)])
+    eps2 = ipts.pop()[0] ** 2
+    n = len(ipts)
     edges = [
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if dist2(points[i], points[j]) <= eps2
+        if dist2(ipts[i], ipts[j]) <= eps2
     ]
     return flag_complex(
         n, edges, dim_cap, coords=points, provenance="rips", epsilon=Fraction(eps)

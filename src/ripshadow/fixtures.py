@@ -187,16 +187,6 @@ def audit_four_d(pts: Sequence[Point]) -> Dict[str, Fraction]:
     return margins
 
 
-def four_d_report() -> FixtureReport:
-    pts = four_d_points()
-    return FixtureReport(
-        name="four_d",
-        points=pts,
-        census={"vertices": 6, "edges": 12, "triangles": 8, "tetrahedra": 0},
-        margins=audit_four_d(pts),
-    )
-
-
 def crossing_triangle_fixture():
     """Three long quasi-edges whose images pairwise cross around a central
     triangle: each component is contractible but the shadow has a hole.
@@ -247,16 +237,6 @@ def audit_crossing_triangle(pts: Sequence[Point]) -> Dict[str, Fraction]:
     if orient(p1, p2, p3) == 0:
         raise AuditError("central triangle is degenerate")
     return margins
-
-
-def crossing_triangle_report() -> FixtureReport:
-    pts, _, _ = crossing_triangle_fixture()
-    return FixtureReport(
-        name="crossing_triangle",
-        points=pts,
-        census={"vertices": 6, "quasi_edges": 3, "crossings": 3},
-        margins=audit_crossing_triangle(pts),
-    )
 
 
 def annulus_ring_points(n: int = 12, radius: Fraction = F(13, 10)) -> Tuple[Point, ...]:

@@ -1,19 +1,30 @@
-"""Exact rational geometry kernel: points, predicates, segment intersection.
+"""Exact geometry: one integer kernel decides every planar predicate.
 
-All coordinates are `fractions.Fraction` (or plain ints, which Fraction
-arithmetic absorbs), so every predicate below is decided exactly.  Nothing
-in this module ever touches floating point.
+A planar point is carried as a reduced integer triple (X, Y, D), meaning
+(X/D, Y/D) with D > 0 and gcd(X, Y, D) = 1, so equal points have equal
+triples.  Orientation, on-segment, point-in-triangle, the meet of two
+segments, angular order and the vertical-ray crossing that winding numbers
+and loop words count are all decided on triples by integer
+cross-multiplication; nothing here touches floating point.
+
+The point functions (`orient`, `on_segment`, `segment_intersection`,
+`point_in_triangle`, `winding_number`) take exact rationals
+(`fractions.Fraction` or int) and convert them onto the kernel.  Callers
+that handle many points rescale them once with `scale_points` and compare
+integers from then on; `dist2` works on rational and integer points alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Scalar = Fraction  # or int; the two mix freely
 Point = Tuple[Scalar, ...]
 Segment = Tuple[Point, Point]
+Triple = Tuple[int, int, int]  # (X, Y, D): the point (X/D, Y/D), D > 0, reduced
 
 
 class DimensionMismatch(ValueError):
@@ -29,10 +40,6 @@ def make_point(coords: Iterable) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
@@ -44,40 +51,205 @@ def dist2(p: Point, q: Point) -> Scalar:
     return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
-def sub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
+def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:
+    """Rescale points by the lcm of all their coordinate denominators.
+
+    Returns the integer points and that common scale; exact comparisons on
+    the rescaled points then need no rational arithmetic.
+    """
+    fracs = [tuple(Fraction(c) for c in p) for p in coords]
+    scale = 1
+    for p in fracs:
+        for c in p:
+            scale = math.lcm(scale, c.denominator)
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in fracs], scale
 
 
-def cross(u: Point, v: Point) -> Scalar:
-    return u[0] * v[1] - u[1] * v[0]
+# ---------------------------------------------------------------------------
+# the integer-triple kernel
+# ---------------------------------------------------------------------------
 
 
-def dot(u: Point, v: Point) -> Scalar:
-    return sum(a * b for a, b in zip(u, v))
+def to_triple(p: Point) -> Triple:
+    """Reduced triple of a planar rational point."""
+    x, y = Fraction(p[0]), Fraction(p[1])
+    d = math.lcm(x.denominator, y.denominator)
+    return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
 
 
-def _sign(x: Scalar) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
+def from_triple(t: Triple, scale: int) -> Point:
+    """The rational point of t, divided by the scale it was built at."""
+    d = t[2] * scale
+    return (Fraction(t[0], d), Fraction(t[1], d))
+
+
+def tr_reduce(x: int, y: int, d: int) -> Triple:
+    if d < 0:
+        x, y, d = -x, -y, -d
+    g = math.gcd(math.gcd(abs(x), abs(y)), d)
+    if g > 1:
+        x, y, d = x // g, y // g, d // g
+    return (x, y, d)
+
+
+def cmp_frac(x1: int, d1: int, x2: int, d2: int) -> int:
+    """sign(x1/d1 - x2/d2) for positive denominators."""
+    s = x1 * d2 - x2 * d1
+    return (s > 0) - (s < 0)
+
+
+def tr_orient(p: Triple, q: Triple, r: Triple) -> int:
+    """Sign of det(q-p, r-p): +1 counterclockwise, 0 collinear, -1 clockwise."""
+    # u = q - p over den dp*dq, v = r - p over den dp*dr; cross(u, v) then
+    # has the single positive denominator dp*dq*dp*dr on both products
+    ux = q[0] * p[2] - p[0] * q[2]
+    uy = q[1] * p[2] - p[1] * q[2]
+    vx = r[0] * p[2] - p[0] * r[2]
+    vy = r[1] * p[2] - p[1] * r[2]
+    s = ux * vy - uy * vx
+    return (s > 0) - (s < 0)
+
+
+def tr_on_segment(x: Triple, a: Triple, b: Triple) -> bool:
+    """True iff x lies on the closed segment [a, b]."""
+    if cmp_frac(a[0], a[2], b[0], b[2]) <= 0:
+        lo, hi = a, b
+    else:
+        lo, hi = b, a
+    if cmp_frac(x[0], x[2], lo[0], lo[2]) < 0 or cmp_frac(x[0], x[2], hi[0], hi[2]) > 0:
+        return False
+    if cmp_frac(a[1], a[2], b[1], b[2]) <= 0:
+        lo, hi = a, b
+    else:
+        lo, hi = b, a
+    if cmp_frac(x[1], x[2], lo[1], lo[2]) < 0 or cmp_frac(x[1], x[2], hi[1], hi[2]) > 0:
+        return False
+    return tr_orient(a, b, x) == 0
+
+
+def tr_point_in_triangle(x: Triple, a: Triple, b: Triple, c: Triple) -> str:
+    """"inside", "boundary" or "outside"; a collinear triangle is the union
+    of its edges."""
+    w = tr_orient(a, b, c)
+    if w == 0:
+        if tr_on_segment(x, a, b) or tr_on_segment(x, b, c) or tr_on_segment(x, a, c):
+            return "boundary"
+        return "outside"
+    s1 = tr_orient(a, b, x) * w
+    s2 = tr_orient(b, c, x) * w
+    s3 = tr_orient(c, a, x) * w
+    if s1 < 0 or s2 < 0 or s3 < 0:
+        return "outside"
+    if s1 == 0 or s2 == 0 or s3 == 0:
+        return "boundary"
+    return "inside"
+
+
+def tr_segment_meet(
+    a: Triple, b: Triple, x: Triple, y: Triple
+) -> Tuple[str, Tuple[Triple, ...]]:
+    """How the closed segments [a, b] and [x, y] meet.
+
+    Returns ("disjoint", ()), ("point", (p,)), ("shared_endpoint", (p,))
+    when p is an endpoint of both, or ("overlap", (lo, hi)) for a collinear
+    overlap ordered along b - a.  A T-junction is an ordinary "point".
+    """
+    o1 = tr_orient(a, b, x)
+    o2 = tr_orient(a, b, y)
+    if o1 * o2 > 0:
+        return ("disjoint", ())
+    o3 = tr_orient(x, y, a)
+    o4 = tr_orient(x, y, b)
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        # collinear: order points by their projection onto b - a
+        dx = b[0] * a[2] - a[0] * b[2]
+        dy = b[1] * a[2] - a[1] * b[2]
+        if dx == 0 and dy == 0:
+            raise ValueError("degenerate segment")
+
+        def cmp(p: Triple, q: Triple) -> int:
+            return cmp_frac(p[0] * dx + p[1] * dy, p[2], q[0] * dx + q[1] * dy, q[2])
+
+        lo_t, hi_t = (x, y) if cmp(x, y) <= 0 else (y, x)
+        lo = lo_t if cmp(lo_t, a) > 0 else a
+        hi = hi_t if cmp(hi_t, b) < 0 else b
+        if cmp(lo, hi) > 0:
+            return ("disjoint", ())
+        if lo == hi:
+            return ("shared_endpoint", (lo,))
+        return ("overlap", (lo, hi))
+    if o3 * o4 > 0:
+        return ("disjoint", ())
+    # the supporting lines are not parallel and meet inside both segments:
+    # intersect them as homogeneous lines a x b and x x y
+    l1 = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    l2 = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+    p = tr_reduce(
+        l1[1] * l2[2] - l1[2] * l2[1],
+        l1[2] * l2[0] - l1[0] * l2[2],
+        l1[0] * l2[1] - l1[1] * l2[0],
+    )
+    kind = "shared_endpoint" if p in (a, b) and p in (x, y) else "point"
+    return (kind, (p,))
+
+
+def dir_cmp(d1: Tuple[int, int], d2: Tuple[int, int]) -> int:
+    """Exact CCW comparison of nonzero integer direction vectors."""
+    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
+    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    crossv = d1[0] * d2[1] - d1[1] * d2[0]
+    return (crossv < 0) - (crossv > 0)
+
+
+def ray_crossing(p: Triple, q: Triple, a: Triple) -> int:
+    """Signed crossing of the directed segment p -> q with the upward
+    vertical ray from a: -1 passing above a rightward, +1 leftward, 0 none.
+
+    Ties at the ray's x resolve as if the ray were nudged infinitesimally
+    to +x (half-open rule), so vertices on the ray need no special casing.
+    """
+    px = p[0] * a[2] - a[0] * p[2]  # sign of p.x - a.x
+    qx = q[0] * a[2] - a[0] * q[2]
+    if px <= 0 < qx:
+        return -1 if tr_orient(p, q, a) < 0 else 0
+    if qx <= 0 < px:
+        return 1 if tr_orient(p, q, a) > 0 else 0
     return 0
+
+
+def closed_segments(points: Sequence[Triple]) -> List[Tuple[Triple, Triple]]:
+    """Directed nonzero segments of the polyline through the points, closed
+    back to its start unless it already ends there."""
+    pts = list(points)
+    if pts and pts[0] != pts[-1]:
+        pts.append(pts[0])
+    return [(p, q) for p, q in zip(pts, pts[1:]) if p != q]
+
+
+def tr_winding(segments: Sequence[Tuple[Triple, Triple]], a: Triple) -> int:
+    """Winding number around a of a closed polyline given by its segments;
+    a must not lie on the polyline."""
+    total = 0
+    for p, q in segments:
+        total += ray_crossing(p, q, a)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# rational points onto the kernel
+# ---------------------------------------------------------------------------
 
 
 def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of det(q-p, r-p): +1 counterclockwise, 0 collinear, -1 clockwise."""
-    return _sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+    return tr_orient(to_triple(p), to_triple(q), to_triple(r))
 
 
 def on_segment(x: Point, a: Point, b: Point) -> bool:
     """True iff x lies on the closed segment [a, b] (2-D, exact)."""
-    lo0, hi0 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
-    if not lo0 <= x[0] <= hi0:
-        return False
-    lo1, hi1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
-    if not lo1 <= x[1] <= hi1:
-        return False
-    return orient(a, b, x) == 0
+    return tr_on_segment(to_triple(x), to_triple(a), to_triple(b))
 
 
 @dataclass(frozen=True)
@@ -93,15 +265,6 @@ class SegmentIntersection:
     segment: Optional[Segment] = None
 
 
-def _line_meet(a: Point, b: Point, x: Point, y: Point) -> Point:
-    """Intersection point of the supporting lines; caller guarantees non-parallel."""
-    r = sub(b, a)
-    s = sub(y, x)
-    denom = cross(r, s)
-    t = Fraction(cross(sub(x, a), s), 1) / denom
-    return (a[0] + t * r[0], a[1] + t * r[1])
-
-
 def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
     """Classify the intersection of two 2-D segments, exactly.
 
@@ -110,40 +273,11 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
     is an ordinary "point".  Collinear overlap is reported with its exact
     overlap segment, never merged into one of the other cases.
     """
-    a, b = s
-    x, y = t
-    o1 = orient(a, b, x)
-    o2 = orient(a, b, y)
-    o3 = orient(x, y, a)
-    o4 = orient(x, y, b)
-
-    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
-        # collinear: order along the line by a dot product with the direction
-        d = sub(b, a)
-        if d == (0, 0):
-            raise ValueError("degenerate segment")
-        pts = sorted({a, b, x, y}, key=lambda p: (dot(p, d), p))
-        lo_s, hi_s = sorted((a, b), key=lambda p: (dot(p, d), p))
-        lo_t, hi_t = sorted((x, y), key=lambda p: (dot(p, d), p))
-        lo = max(lo_s, lo_t, key=lambda p: (dot(p, d), p))
-        hi = min(hi_s, hi_t, key=lambda p: (dot(p, d), p))
-        if dot(lo, d) > dot(hi, d):
-            return SegmentIntersection("disjoint")
-        if lo == hi:
-            return SegmentIntersection("shared_endpoint", point=lo)
-        del pts
-        return SegmentIntersection("overlap", segment=(lo, hi))
-
-    if o1 * o2 > 0 or o3 * o4 > 0:
-        return SegmentIntersection("disjoint")
-
-    # transversal (possibly at endpoints); supporting lines are not parallel
-    p = _line_meet(a, b, x, y)
-    if not (on_segment(p, a, b) and on_segment(p, x, y)):
-        return SegmentIntersection("disjoint")
-    if p in (a, b) and p in (x, y):
-        return SegmentIntersection("shared_endpoint", point=p)
-    return SegmentIntersection("point", point=p)
+    kind, meet = tr_segment_meet(*(to_triple(p) for p in (*s, *t)))
+    pts = tuple(from_triple(p, 1) for p in meet)
+    if kind == "overlap":
+        return SegmentIntersection(kind, segment=pts)
+    return SegmentIntersection(kind, point=pts[0] if pts else None)
 
 
 def point_in_triangle(x: Point, a: Point, b: Point, c: Point) -> str:
@@ -152,19 +286,7 @@ def point_in_triangle(x: Point, a: Point, b: Point, c: Point) -> str:
     A degenerate (collinear) triangle is treated as the union of its edges:
     the answer is "boundary" on it and "outside" elsewhere.
     """
-    w = orient(a, b, c)
-    if w == 0:
-        if on_segment(x, a, b) or on_segment(x, b, c) or on_segment(x, a, c):
-            return "boundary"
-        return "outside"
-    s1 = orient(a, b, x) * w
-    s2 = orient(b, c, x) * w
-    s3 = orient(c, a, x) * w
-    if s1 < 0 or s2 < 0 or s3 < 0:
-        return "outside"
-    if s1 == 0 or s2 == 0 or s3 == 0:
-        return "boundary"
-    return "inside"
+    return tr_point_in_triangle(*(to_triple(p) for p in (x, a, b, c)))
 
 
 def _segment_hits_triangle(p: Point, q: Point, a: Point, b: Point, c: Point) -> bool:
@@ -181,33 +303,14 @@ def _segment_hits_triangle(p: Point, q: Point, a: Point, b: Point, c: Point) -> 
 def winding_number(polyline: Sequence[Point], point: Point) -> int:
     """Winding number of a closed polyline around a point, exactly.
 
-    Crossings are counted against the upward vertical ray from the point,
-    with ties broken as if the ray were nudged infinitesimally to +x
-    (half-open rule), so vertices on the ray need no special casing.
-    Raises if the polyline passes through the point.
+    Crossings are counted against the upward vertical ray from the point
+    by `ray_crossing`.  Raises if the polyline passes through the point.
     """
-    ax, ay = point[0], point[1]
-    total = 0
-    n = len(polyline)
-    closed = polyline[0] == polyline[-1]
-    m = n - 1 if closed else n
-    for idx in range(m):
-        p = polyline[idx]
-        q = polyline[(idx + 1) % n]
-        if p == q:
-            continue
-        if on_segment(point, p, q):
-            raise ValueError("point lies on the polyline")
-        if p[0] <= ax < q[0]:
-            sign = -1
-        elif q[0] <= ax < p[0]:
-            sign = 1
-        else:
-            continue
-        y_at = p[1] + (q[1] - p[1]) * Fraction(ax - p[0], 1) / (q[0] - p[0])
-        if y_at > ay:
-            total += sign
-    return total
+    a = to_triple(point)
+    segments = closed_segments([to_triple(p) for p in polyline])
+    if any(tr_on_segment(a, p, q) for p, q in segments):
+        raise ValueError("point lies on the polyline")
+    return tr_winding(segments, a)
 
 
 def cells_intersect(cell_a: Sequence[Point], cell_b: Sequence[Point]) -> bool:

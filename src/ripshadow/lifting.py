@@ -11,14 +11,19 @@ each ray were nudged by its own infinitesimal, ordered by anchor index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import SimplicialComplex, induced_span
-from .geometry import Point, dot, on_segment, segment_intersection, sub
+from .geometry import (
+    Point,
+    closed_segments,
+    cmp_frac,
+    ray_crossing,
+    segment_intersection,
+    to_triple,
+    tr_on_segment,
+)
 from .shadow import ShadowComplex, hole_anchors
-
-F = Fraction
 
 
 class LiftError(ValueError):
@@ -108,30 +113,20 @@ def loop_word(polyline: Sequence[Point], anchors: Sequence[Point]) -> HoleWord:
     """
     if len(set(map(tuple, anchors))) != len(anchors):
         raise ValueError("anchors must be pairwise distinct")
-    pts = list(polyline)
-    if pts and pts[0] != pts[-1]:
-        pts.append(pts[0])
+    rays = [to_triple(a) for a in anchors]
+    # a segment meets the rays in the order of their x-coordinates
+    rank = {x: r for r, x in enumerate(sorted({a[0] for a in anchors}))}
+    x_rank = [rank[a[0]] for a in anchors]
     letters: List[int] = []
-    for p, q in zip(pts, pts[1:]):
-        if p == q:
-            continue
-        rightward = q[0] > p[0]
-        seg_hits: List[Tuple[Fraction, int, int]] = []
-        for idx, a in enumerate(anchors):
-            if on_segment(a, p, q):
+    for p, q in closed_segments([to_triple(v) for v in polyline]):
+        step = 1 if cmp_frac(q[0], q[2], p[0], p[2]) > 0 else -1
+        seg_hits: List[Tuple[int, int, int]] = []
+        for idx, a in enumerate(rays):
+            if tr_on_segment(a, p, q):
                 raise ValueError("polyline passes through an anchor")
-            ax, ay = a[0], a[1]
-            if p[0] <= ax < q[0]:
-                sign = -1
-            elif q[0] <= ax < p[0]:
-                sign = 1
-            else:
-                continue
-            t = F(ax - p[0], 1) / (q[0] - p[0])
-            y_at = p[1] + (q[1] - p[1]) * t
-            if y_at > ay:
-                tie = idx if rightward else -idx
-                seg_hits.append((t, tie, sign * (idx + 1)))
+            sign = ray_crossing(p, q, a)
+            if sign:
+                seg_hits.append((step * x_rank[idx], step * idx, sign * (idx + 1)))
         for _, _, letter in sorted(seg_hits):
             letters.append(letter)
     return HoleWord(letters=free_reduce(letters))
@@ -158,11 +153,7 @@ def chaining_sequence(
         )
         if res.kind == "disjoint":
             raise LiftError("projections of the two edges are disjoint")
-    span = induced_span(c, {a, b, cc, d})
-    adj: Dict[int, List[int]] = {v: [] for v in span.vertices}
-    for i, j in span.edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = induced_span(c, {a, b, cc, d}).adjacency()
     parent: Dict[int, Optional[int]] = {b: None}
     queue = [b]
     qi = 0
@@ -193,9 +184,10 @@ def _oriented_covering_edge(
     prov = sorted(s.edges[shadow_edge_id].provenance)
     eidx = prov[0] if choice == "min" else prov[-1]
     i, j = s.rips_edges[eidx]
-    d_edge = sub(s.source_coords[j], s.source_coords[i])
-    d_path = sub(s.points[head], s.points[tail])
-    return (i, j) if dot(d_edge, d_path) > 0 else (j, i)
+    # the piece lies on the edge, and shadow vertex ids follow the
+    # lexicographic order of their points, which collinear directions keep
+    forward = (s.source_coords[i] < s.source_coords[j]) == (tail < head)
+    return (i, j) if forward else (j, i)
 
 
 def _directed_vertices(

@@ -30,10 +30,11 @@ from .complexes import (
     check_distinct_points,
     explicit_complex,
     flag_complex,
+    graph_components,
 )
 from .errors import AuditError
 from .fixtures import rational_sqrt
-from .geometry import Point, dist2
+from .geometry import Point, dist2, scale_points
 from .homology import (
     SmithDecomposition,
     betti_numbers,
@@ -119,12 +120,15 @@ def build_quasi(
 ) -> SimplicialComplex:
     """Flag complex of forced edges plus the policy's picks in the band."""
     check_distinct_points(points)
-    n = len(points)
+    # the interval is rescaled with the points, so classify compares integers
+    ipts, _ = scale_points([*points, (interval.eps, interval.eps_prime)])
+    scaled = UncertaintyInterval(*ipts.pop())
+    n = len(ipts)
     forced: List[Tuple[int, int]] = []
     band: List[Tuple[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            cls = interval.classify(dist2(points[i], points[j]))
+            cls = scaled.classify(dist2(ipts[i], ipts[j]))
             if cls == "forced":
                 forced.append((i, j))
             elif cls == "uncertain":
@@ -324,9 +328,6 @@ class BlowupComplex:
     colors: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
 
-    def vertex_count_identity(self) -> bool:
-        return self.n_vertices == len(self.labels)
-
 
 def blowup(k: SimplicialComplex, coloring: VertexColoring) -> BlowupComplex:
     if k.dim() > 2:
@@ -487,27 +488,26 @@ def embed_blowup(
 def _audit_embedding(
     pts: Sequence[Point], colors: Sequence[int], interval: UncertaintyInterval
 ) -> Optional[Fraction]:
-    eps2 = interval.eps * interval.eps
-    eps_p2 = interval.eps_prime * interval.eps_prime
-    margin: Optional[Fraction] = None
-
-    def upd(x: Fraction) -> None:
-        nonlocal margin
-        margin = x if margin is None else min(margin, x)
-
-    n = len(pts)
+    # the interval is rescaled with the points, so the loop runs on integers
+    ipts, scale = scale_points([*pts, (interval.eps, interval.eps_prime)])
+    ieps, ieps_p = ipts.pop()
+    eps2, eps_p2 = ieps * ieps, ieps_p * ieps_p
+    margin: Optional[int] = None
+    n = len(ipts)
     for i in range(n):
         for j in range(i + 1, n):
-            d2 = dist2(pts[i], pts[j])
+            d2 = dist2(ipts[i], ipts[j])
             if colors[i] == colors[j]:
                 if d2 > eps2:
                     return None
-                upd(eps2 - d2)
+                slack = eps2 - d2
             else:
                 if not (eps2 < d2 < eps_p2):
                     return None
-                upd(min(d2 - eps2, eps_p2 - d2))
-    return margin
+                slack = min(d2 - eps2, eps_p2 - d2)
+            if margin is None or slack < margin:
+                margin = slack
+    return None if margin is None else F(margin, scale * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +527,7 @@ def cross_edges_and_triangles(
     for cidx, cls in enumerate(eq.classes):
         for v in cls:
             col[v] = cidx
-    adj: List[Set[int]] = [set() for _ in range(eq.complex.n_vertices)]
-    for i, j in eq.complex.edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = eq.complex.adjacency()
     cross = [e for e in eq.complex.edges if col[e[0]] != col[e[1]]]
     tris: Set[Tuple[int, int, int]] = set()
     for i, j in cross:
@@ -551,7 +548,7 @@ def quasi_integer_h1(eq: EmbeddedQuasi) -> SmithDecomposition:
     difference.
     """
     cross, tris = cross_edges_and_triangles(eq)
-    comp_x = _graph_components(eq.complex.n_vertices, eq.complex.edges)
+    comp_x = len(graph_components(range(eq.complex.n_vertices), eq.complex.edges))
     n_classes = sum(1 for cls in eq.classes if cls)
     shift = n_classes - comp_x
     eidx = {e: i for i, e in enumerate(cross)}
@@ -569,22 +566,6 @@ def quasi_integer_h1(eq: EmbeddedQuasi) -> SmithDecomposition:
     rank_rel = len(cross) - len(diag)
     torsion = tuple(d for d in diag if d > 1)
     return SmithDecomposition(rank=rank_rel - shift, torsion=torsion)
-
-
-def _graph_components(n: int, edges: Sequence[Tuple[int, int]]) -> int:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(v) for v in range(n)})
 
 
 def monochromatic_violations(eq: EmbeddedQuasi, b: BlowupComplex) -> List[Tuple[int, int, int]]:

@@ -4,30 +4,35 @@ The shadow of a planar complex is the image of its 2-skeleton.  We build the
 exact arrangement of the projected edges (crossings, T-junctions, collinear
 overlaps all split exactly), trace its faces by half-edge walking with exact
 angular order, and mark each bounded face covered or uncovered by testing an
-exact interior witness against every projected triangle.
-
-Performance shape: input coordinates are rescaled once to integers, and
-every arrangement vertex is carried as a reduced integer triple (X, Y, D)
-meaning (X/D, Y/D).  All predicates below cross-multiply on integers, so
-the construction is exact end to end without rational-object overhead;
-fractions only appear at the public boundary.
+exact interior witness against every projected triangle.  Arrangement
+vertices are integer triples of the `geometry` kernel, built on the source
+coordinates rescaled once to integers.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, graph_components
 from .errors import ConsistencyError
-from .geometry import Point
+from .geometry import (
+    Point,
+    Triple,
+    closed_segments,
+    dir_cmp,
+    from_triple,
+    scale_points,
+    tr_on_segment,
+    tr_point_in_triangle,
+    tr_reduce,
+    tr_segment_meet,
+    tr_winding,
+)
 
 F = Fraction
-
-Triple = Tuple[int, int, int]  # (X, Y, D): the point (X/D, Y/D), D > 0, reduced
 
 
 @dataclass(frozen=True)
@@ -70,172 +75,41 @@ class ShadowError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# integer-triple predicates
-# ---------------------------------------------------------------------------
-
-
-def _tr_reduce(x: int, y: int, d: int) -> Triple:
-    if d < 0:
-        x, y, d = -x, -y, -d
-    g = math.gcd(math.gcd(abs(x), abs(y)), d)
-    if g > 1:
-        x, y, d = x // g, y // g, d // g
-    return (x, y, d)
-
-
-def _c1(x1: int, d1: int, x2: int, d2: int) -> int:
-    """sign(x1/d1 - x2/d2) for positive denominators."""
-    s = x1 * d2 - x2 * d1
-    return (s > 0) - (s < 0)
-
-
-def _tr_orient(p: Triple, q: Triple, r: Triple) -> int:
-    # u = q - p over den dp*dq, v = r - p over den dp*dr; cross(u, v) then
-    # has the single positive denominator dp*dq*dp*dr on both products
-    ux = q[0] * p[2] - p[0] * q[2]
-    uy = q[1] * p[2] - p[1] * q[2]
-    vx = r[0] * p[2] - p[0] * r[2]
-    vy = r[1] * p[2] - p[1] * r[2]
-    s = ux * vy - uy * vx
-    return (s > 0) - (s < 0)
-
-
-def _tr_on_segment(x: Triple, a: Triple, b: Triple) -> bool:
-    if _c1(a[0], a[2], b[0], b[2]) <= 0:
-        lo, hi = a, b
-    else:
-        lo, hi = b, a
-    if _c1(x[0], x[2], lo[0], lo[2]) < 0 or _c1(x[0], x[2], hi[0], hi[2]) > 0:
-        return False
-    if _c1(a[1], a[2], b[1], b[2]) <= 0:
-        lo, hi = a, b
-    else:
-        lo, hi = b, a
-    if _c1(x[1], x[2], lo[1], lo[2]) < 0 or _c1(x[1], x[2], hi[1], hi[2]) > 0:
-        return False
-    return _tr_orient(a, b, x) == 0
-
-
-def _tr_point_in_triangle(x: Triple, a: Triple, b: Triple, c: Triple) -> str:
-    w = _tr_orient(a, b, c)
-    if w == 0:
-        if (
-            _tr_on_segment(x, a, b)
-            or _tr_on_segment(x, b, c)
-            or _tr_on_segment(x, a, c)
-        ):
-            return "boundary"
-        return "outside"
-    s1 = _tr_orient(a, b, x) * w
-    s2 = _tr_orient(b, c, x) * w
-    s3 = _tr_orient(c, a, x) * w
-    if s1 < 0 or s2 < 0 or s3 < 0:
-        return "outside"
-    if s1 == 0 or s2 == 0 or s3 == 0:
-        return "boundary"
-    return "inside"
-
-
-def _int_orient(p, q, r) -> int:
-    s = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return (s > 0) - (s < 0)
-
-
-def _int_on_segment(x, a, b) -> bool:
-    if not (min(a[0], b[0]) <= x[0] <= max(a[0], b[0])):
-        return False
-    if not (min(a[1], b[1]) <= x[1] <= max(a[1], b[1])):
-        return False
-    return _int_orient(a, b, x) == 0
-
-
-def _scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, int]], int]:
-    """Common-denominator rescale so the arrangement runs on integers."""
-    lcm = 1
-    for p in coords:
-        for c in p:
-            d = F(c).denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-    return [(int(F(p[0]) * lcm), int(F(p[1]) * lcm)) for p in coords], lcm
-
-
-def _dir_cmp(d1, d2) -> int:
-    """Exact CCW comparison of nonzero integer direction vectors."""
-    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    crossv = d1[0] * d2[1] - d1[1] * d2[0]
-    return (crossv < 0) - (crossv > 0)
-
-
 def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     """Exact shadow complex of a planar complex with materialized 2-skeleton."""
     if c.coords is None or any(len(p) != 2 for p in c.coords):
         raise ShadowError("build_shadow needs 2-dimensional coordinates")
     if c.dim_cap < 2:
         raise ShadowError("2-skeleton must be materialized (dim_cap >= 2)")
-    coords, scale = _scale_points(c.coords)
+    coords, scale = scale_points(c.coords)
+    tcoords: List[Triple] = [(x, y, 1) for x, y in coords]
     rips_edges = tuple((i, j) for i, j in c.edges)
     for i, j in rips_edges:
         if coords[i] == coords[j]:
             raise ShadowError(f"degenerate zero-length edge {(i, j)}")
 
     # -- split every projected edge at crossings, junctions, overlaps --
-    splits: List[Set[Triple]] = [
-        {(*coords[i], 1), (*coords[j], 1)} for i, j in rips_edges
-    ]
+    splits: List[Set[Triple]] = [{tcoords[i], tcoords[j]} for i, j in rips_edges]
     crossing_pairs: Dict[Triple, Tuple[int, int]] = {}
     ne = len(rips_edges)
     for a in range(ne):
-        pa, pb = coords[rips_edges[a][0]], coords[rips_edges[a][1]]
+        ends_a = (tcoords[rips_edges[a][0]], tcoords[rips_edges[a][1]])
         for b in range(a + 1, ne):
-            px, py = coords[rips_edges[b][0]], coords[rips_edges[b][1]]
-            o1 = _int_orient(pa, pb, px)
-            o2 = _int_orient(pa, pb, py)
-            o3 = _int_orient(px, py, pa)
-            o4 = _int_orient(px, py, pb)
-            if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
-                # collinear: overlap endpoints are original endpoints
-                d = (pb[0] - pa[0], pb[1] - pa[1])
-                key = lambda p: p[0] * d[0] + p[1] * d[1]
-                lo_s, hi_s = sorted((pa, pb), key=key)
-                lo_t, hi_t = sorted((px, py), key=key)
-                lo = max(lo_s, lo_t, key=key)
-                hi = min(hi_s, hi_t, key=key)
-                if key(lo) > key(hi):
-                    continue
-                pts = {(*lo, 1), (*hi, 1)}
-                splits[a].update(pts)
-                splits[b].update(pts)
+            ends_b = (tcoords[rips_edges[b][0]], tcoords[rips_edges[b][1]])
+            kind, meet = tr_segment_meet(*ends_a, *ends_b)
+            if kind == "disjoint":
                 continue
-            if o1 * o2 > 0 or o3 * o4 > 0:
-                continue
-            r = (pb[0] - pa[0], pb[1] - pa[1])
-            s = (py[0] - px[0], py[1] - px[1])
-            denom = r[0] * s[1] - r[1] * s[0]
-            if denom == 0:
-                # parallel non-collinear with weak orientation signs: no meet
-                continue
-            tn = (px[0] - pa[0]) * s[1] - (px[1] - pa[1]) * s[0]
-            # meeting point must lie in both segments; the sign tests above
-            # already guarantee it for non-parallel segments
-            pt = _tr_reduce(
-                pa[0] * denom + tn * r[0], pa[1] * denom + tn * r[1], denom
-            )
-            splits[a].add(pt)
-            splits[b].add(pt)
-            if pt[2] != 1 or (pt[0], pt[1]) not in (pa, pb, px, py):
-                crossing_pairs.setdefault(pt, (a, b))
-    for v, pv in enumerate(coords):
-        tv = (*pv, 1)
+            splits[a].update(meet)
+            splits[b].update(meet)
+            if kind == "point" and meet[0] not in ends_a + ends_b:
+                crossing_pairs.setdefault(meet[0], (a, b))
+    for v, tv in enumerate(tcoords):
         for a, (i, j) in enumerate(rips_edges):
-            if v not in (i, j) and _int_on_segment(pv, coords[i], coords[j]):
+            if v not in (i, j) and tr_on_segment(tv, tcoords[i], tcoords[j]):
                 splits[a].add(tv)
 
     # -- shadow vertices: deterministic ids in lexicographic point order --
-    all_points: Set[Triple] = {(*p, 1) for p in coords}
+    all_points: Set[Triple] = set(tcoords)
     for s in splits:
         all_points.update(s)
     spoints: List[Triple] = sorted(
@@ -244,8 +118,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     pid = {p: idx for idx, p in enumerate(spoints)}
 
     provenance_of_vertex: Dict[int, Tuple] = {}
-    for v, pv in enumerate(coords):
-        provenance_of_vertex.setdefault(pid[(*pv, 1)], ("original", v))
+    for v, tv in enumerate(tcoords):
+        provenance_of_vertex.setdefault(pid[tv], ("original", v))
     for p, pair in crossing_pairs.items():
         provenance_of_vertex.setdefault(pid[p], ("crossing", pair))
     missing = set(range(len(spoints))) - set(provenance_of_vertex)
@@ -270,19 +144,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     )
 
     # -- connected components of the 1-skeleton (isolated vertices count) --
-    parent = list(range(len(spoints)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in sedges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
-    n_components = len({find(i) for i in range(len(spoints))})
+    n_components = len(
+        graph_components(range(len(spoints)), [(e.u, e.v) for e in sedges])
+    )
 
     # -- half-edge face tracing with exact angular order --
     outgoing: Dict[int, List[int]] = {}
@@ -302,7 +166,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         ordered = sorted(
             eids,
             key=functools.cmp_to_key(
-                lambda e1, e2: _dir_cmp(dart_dir(e1, vtx), dart_dir(e2, vtx))
+                lambda e1, e2: dir_cmp(dart_dir(e1, vtx), dart_dir(e2, vtx))
             ),
         )
         order_at[vtx] = ordered
@@ -317,7 +181,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         nxt = ring[(k - 1) % len(ring)]  # CCW-predecessor of the reversal
         return nxt, head
 
-    walks: List[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction]] = []
+    # each walk: its darts' edges and tails, twice its signed area, and its
+    # closed ring of segments for winding tests
+    walks: List[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction, List]] = []
     seen: Set[Tuple[int, int]] = set()
     for eid, e in enumerate(sedges):
         for tail in (e.u, e.v):
@@ -331,12 +197,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 cyc_edges.append(cur[0])
                 cyc_tails.append(cur[1])
                 cur = next_dart(*cur)
-            area2 = F(0)
-            for idx in range(len(cyc_tails)):
-                p = spoints[cyc_tails[idx]]
-                q = spoints[cyc_tails[(idx + 1) % len(cyc_tails)]]
-                area2 += F(p[0] * q[1] - q[0] * p[1], p[2] * q[2])
-            walks.append((tuple(cyc_edges), tuple(cyc_tails), area2))
+            ring = closed_segments([spoints[v] for v in cyc_tails])
+            area2 = sum(F(p[0] * q[1] - q[0] * p[1], p[2] * q[2]) for p, q in ring)
+            walks.append((tuple(cyc_edges), tuple(cyc_tails), area2, ring))
 
     positive = [w for w in walks if w[2] > 0]
     n_unbounded = len(walks) - len(positive)
@@ -350,38 +213,19 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # Candidates shrink toward a boundary-edge midpoint on the face side;
     # each candidate is itself an exact integer triple.
     triangles = tuple(c.k_simplices(2))
-    tri_tr = [tuple((*coords[v], 1) for v in t) for t in triangles]
-
-    def _winding(tails: Tuple[int, ...], cand: Triple) -> int:
-        total = 0
-        npts = len(tails)
-        for idx in range(npts):
-            p = spoints[tails[idx]]
-            q = spoints[tails[(idx + 1) % npts]]
-            cpx = _c1(p[0], p[2], cand[0], cand[2])
-            cqx = _c1(q[0], q[2], cand[0], cand[2])
-            if cpx <= 0 and cqx > 0:  # rightward crossing of the vertical line
-                if _tr_orient(p, q, cand) < 0:  # candidate below the chord
-                    total -= 1
-            elif cqx <= 0 and cpx > 0:  # leftward
-                if _tr_orient(p, q, cand) > 0:
-                    total += 1
-        return total
+    tri_tr = [tuple(tcoords[v] for v in t) for t in triangles]
 
     def witness_for(walk_idx: int, from_end: bool) -> Triple:
-        cyc_edges, cyc_tails, area2 = positive[walk_idx]
+        cyc_edges, cyc_tails, area2, ring = positive[walk_idx]
         k = -1 if from_end else 0
-        eid, tail = cyc_edges[k], cyc_tails[k]
-        e = sedges[eid]
-        head = e.v if tail == e.u else e.u
-        t, h = spoints[tail], spoints[head]
-        dirv = (h[0] * t[2] - t[0] * h[2], h[1] * t[2] - t[1] * h[2])
+        t, h = ring[k]
+        dirv = dart_dir(cyc_edges[k], cyc_tails[k])
         normal = (-dirv[1], dirv[0])  # left of the dart
         dd = t[2] * h[2]
         midx, midy = t[0] * h[2] + h[0] * t[2], t[1] * h[2] + h[1] * t[2]
         s_shift = 2
         for _ in range(200):
-            cand = _tr_reduce(
+            cand = tr_reduce(
                 midx * s_shift + normal[0],
                 midy * s_shift + normal[1],
                 2 * dd * s_shift,
@@ -390,17 +234,17 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             if cand in pid:
                 continue
             if any(
-                _tr_on_segment(cand, spoints[se.u], spoints[se.v]) for se in sedges
+                tr_on_segment(cand, spoints[se.u], spoints[se.v]) for se in sedges
             ):
                 continue
-            if _winding(cyc_tails, cand) == 0:
+            if tr_winding(ring, cand) == 0:
                 continue
             ok = True
             for other in range(len(positive)):
                 if other == walk_idx:
                     continue
-                if positive[other][2] <= area2 and _winding(
-                    positive[other][1], cand
+                if positive[other][2] <= area2 and tr_winding(
+                    positive[other][3], cand
                 ) != 0:
                     ok = False
                     break
@@ -410,11 +254,11 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
 
     def covered_at(cand: Triple) -> bool:
         return any(
-            _tr_point_in_triangle(cand, *tp) != "outside" for tp in tri_tr
+            tr_point_in_triangle(cand, *tp) != "outside" for tp in tri_tr
         )
 
     faces: List[ShadowFace] = []
-    for idx, (cyc_edges, cyc_tails, area2) in enumerate(positive):
+    for idx, (cyc_edges, cyc_tails, area2, _) in enumerate(positive):
         w1 = witness_for(idx, from_end=False)
         w2 = witness_for(idx, from_end=True)
         cov1 = covered_at(w1)
@@ -427,7 +271,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             ShadowFace(
                 edge_ids=cyc_edges,
                 vertex_ids=cyc_tails,
-                witness=(F(w1[0], w1[2] * scale), F(w1[1], w1[2] * scale)),
+                witness=from_triple(w1, scale),
                 covered=cov1,
                 area2=area2 / (scale * scale),
             )
@@ -435,9 +279,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     faces.sort(key=lambda f: f.witness)
 
     return ShadowComplex(
-        points=tuple(
-            (F(p[0], p[2] * scale), F(p[1], p[2] * scale)) for p in spoints
-        ),
+        points=tuple(from_triple(p, scale) for p in spoints),
         vertex_provenance=tuple(
             provenance_of_vertex[i] for i in range(len(spoints))
         ),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def dense_boundary(simplices_k: Sequence[tuple], simplices_km1: Sequence[tuple]) -> List[List[int]]:
@@ -182,3 +182,153 @@ RP2_TRIANGLES = [
     (2, 3, 4),
     (2, 3, 5),
 ]
+
+
+# ---------------------------------------------------------------------------
+# planar predicates on Fraction points, by direct rational arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def frac_orient(p, q, r) -> int:
+    """Sign of det(q-p, r-p)."""
+    d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (d > 0) - (d < 0)
+
+
+def frac_on_segment(x, a, b) -> bool:
+    lo0, hi0 = (a[0], b[0]) if a[0] <= b[0] else (b[0], a[0])
+    if not lo0 <= x[0] <= hi0:
+        return False
+    lo1, hi1 = (a[1], b[1]) if a[1] <= b[1] else (b[1], a[1])
+    if not lo1 <= x[1] <= hi1:
+        return False
+    return frac_orient(a, b, x) == 0
+
+
+def frac_segment_intersection(s, t) -> Tuple[str, Optional[tuple], Optional[tuple]]:
+    """(kind, point, segment) with the meaning of geometry.SegmentIntersection."""
+    a, b = s
+    x, y = t
+    o1 = frac_orient(a, b, x)
+    o2 = frac_orient(a, b, y)
+    o3 = frac_orient(x, y, a)
+    o4 = frac_orient(x, y, b)
+
+    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
+        # collinear: order along the line by a dot product with the direction
+        d = _sub(b, a)
+        if d == (0, 0):
+            raise ValueError("degenerate segment")
+        lo_s, hi_s = sorted((a, b), key=lambda p: (_dot(p, d), p))
+        lo_t, hi_t = sorted((x, y), key=lambda p: (_dot(p, d), p))
+        lo = max(lo_s, lo_t, key=lambda p: (_dot(p, d), p))
+        hi = min(hi_s, hi_t, key=lambda p: (_dot(p, d), p))
+        if _dot(lo, d) > _dot(hi, d):
+            return ("disjoint", None, None)
+        if lo == hi:
+            return ("shared_endpoint", lo, None)
+        return ("overlap", None, (lo, hi))
+
+    if o1 * o2 > 0 or o3 * o4 > 0:
+        return ("disjoint", None, None)
+
+    # transversal (possibly at endpoints); supporting lines are not parallel
+    r = _sub(b, a)
+    sv = _sub(y, x)
+    t_par = Fraction(_cross(_sub(x, a), sv), 1) / _cross(r, sv)
+    p = (a[0] + t_par * r[0], a[1] + t_par * r[1])
+    if not (frac_on_segment(p, a, b) and frac_on_segment(p, x, y)):
+        return ("disjoint", None, None)
+    if p in (a, b) and p in (x, y):
+        return ("shared_endpoint", p, None)
+    return ("point", p, None)
+
+
+def frac_point_in_triangle(x, a, b, c) -> str:
+    w = frac_orient(a, b, c)
+    if w == 0:
+        if frac_on_segment(x, a, b) or frac_on_segment(x, b, c) or frac_on_segment(x, a, c):
+            return "boundary"
+        return "outside"
+    s1 = frac_orient(a, b, x) * w
+    s2 = frac_orient(b, c, x) * w
+    s3 = frac_orient(c, a, x) * w
+    if s1 < 0 or s2 < 0 or s3 < 0:
+        return "outside"
+    if s1 == 0 or s2 == 0 or s3 == 0:
+        return "boundary"
+    return "inside"
+
+
+def frac_winding_number(polyline, point) -> int:
+    """Crossings of the upward vertical ray from the point, half-open in x;
+    raises ValueError if the polyline passes through the point."""
+    ax, ay = point[0], point[1]
+    total = 0
+    n = len(polyline)
+    closed = polyline[0] == polyline[-1]
+    m = n - 1 if closed else n
+    for idx in range(m):
+        p = polyline[idx]
+        q = polyline[(idx + 1) % n]
+        if p == q:
+            continue
+        if frac_on_segment(point, p, q):
+            raise ValueError("point lies on the polyline")
+        if p[0] <= ax < q[0]:
+            sign = -1
+        elif q[0] <= ax < p[0]:
+            sign = 1
+        else:
+            continue
+        y_at = p[1] + (q[1] - p[1]) * Fraction(ax - p[0], 1) / (q[0] - p[0])
+        if y_at > ay:
+            total += sign
+    return total
+
+
+def frac_loop_word(polyline, anchors) -> Tuple[int, ...]:
+    """Freely reduced signed crossing word of a closed polyline against the
+    anchors' upward rays; crossings on one segment are ordered by their
+    parameter along it, exact ties by the per-anchor nudge."""
+    pts = list(polyline)
+    if pts and pts[0] != pts[-1]:
+        pts.append(pts[0])
+    letters: List[int] = []
+    for p, q in zip(pts, pts[1:]):
+        if p == q:
+            continue
+        rightward = q[0] > p[0]
+        hits = []
+        for idx, a in enumerate(anchors):
+            if frac_on_segment(a, p, q):
+                raise ValueError("polyline passes through an anchor")
+            if p[0] <= a[0] < q[0]:
+                sign = -1
+            elif q[0] <= a[0] < p[0]:
+                sign = 1
+            else:
+                continue
+            t = Fraction(a[0] - p[0], 1) / (q[0] - p[0])
+            if p[1] + (q[1] - p[1]) * t > a[1]:
+                hits.append((t, idx if rightward else -idx, sign * (idx + 1)))
+        letters.extend(letter for _, _, letter in sorted(hits))
+    out: List[int] = []
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)

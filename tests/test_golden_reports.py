@@ -1,0 +1,100 @@
+"""Report bytes pinned across processes and hash seeds.
+
+Every case runs the CLI in a fresh interpreter under each PYTHONHASHSEED
+value below, and the sha256 of every file it writes must equal the digest
+recorded here.  A change to any report's bytes therefore has to update
+this table on purpose; a report that depends on set or dict iteration
+order under string hashing fails on one of the two seeds.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HASH_SEEDS = ("0", "4242")
+
+# fixture -> Rips scale; the crossing fixture's pairs all lie in (1, 3),
+# so it gets a scale inside that band to have edges at all
+FIXTURE_EPS = {
+    "hexagon": "1",
+    "cross4": "1",
+    "fourd": "1",
+    "crossing": "12/5",
+    "ring": "1",
+}
+PLANAR = ("hexagon", "cross4", "crossing", "ring")
+# closed walks whose hole words and SVG overlays are pinned too
+LOOPS = {
+    "hexagon": "0,1,2,3,4,5,0",
+    "ring": ",".join(str(v) for v in list(range(12)) + [0]),
+}
+
+GOLDEN = {
+    "hexagon.json": "2e21715957f22dfea006397f605ddbddcbb841fa9839829564c1a4c391353446",
+    "rips-hexagon.json": "345330e0669b861aab71a0cccc1338abd86faaed1ec92db4b0e07b1249f1270d",
+    "shadow-hexagon.json": "0bb1bfbd20c32c8e8e540fb93f97d63b9c4fae08d0a7817c0da695f2da7661a5",
+    "shadow-hexagon.svg": "c3007bc893b5b6c29853625d6d5089f576457e7aee3c436ea2307a148ccb48c6",
+    "cross4.json": "3400c31da3f61261bb64316d57417ac1651c89d3925185b521b8a2b7892a4761",
+    "rips-cross4.json": "433656e864252ee6995609f084e877ff4b4314c3fecf093d3ba7d461d44b0d1f",
+    "shadow-cross4.json": "b86e91137ddad6efc580ea70f45102790442601b00c0cfc44d7a64fdc00b0cec",
+    "shadow-cross4.svg": "e7e10cf36b1ce42f82a87b7e6fc3f50e45ce471f43adeefc62010b453fa09f98",
+    "fourd.json": "2f29869e76ff035a34d497091be87404673eedb136508142d60965128915ea9e",
+    "rips-fourd.json": "345330e0669b861aab71a0cccc1338abd86faaed1ec92db4b0e07b1249f1270d",
+    "crossing.json": "48c0877d8f7f04cc19fa745dd82e87b29ff7221241b03784a5870c839b8a0c61",
+    "rips-crossing.json": "b14f65d9e9c127453201960da5dd2192197e52a57badd34ae5eef15a053c3678",
+    "shadow-crossing.json": "9da7f5e1b5cbbe8d12184b980a86774128576241eb35676665445f01134cb54d",
+    "shadow-crossing.svg": "57f94d144c06ca63f7624ee4d99c3fd195399de14ba2fe7e37e5352b6e2f986b",
+    "ring.json": "e11be490e1b086fed8652302e6fbd2569216862c37ade75c2ae9234df0017633",
+    "rips-ring.json": "c29d1cf565a37220fb37ad52f4bfe4e2a8f515dfc87d0727acef95ef0a1db6d5",
+    "shadow-ring.json": "cdbc3328cb2c3a9912e89efbea7e6301a78009d737ad9ef2a354a642bc0eb8d7",
+    "shadow-ring.svg": "012104ab694a27b193ac1a78bcae611df21d27fb0d628685d32d4e18b8f80efb",
+    "quasi-rp2.json": "c91474defa21c93c5da2a0dd0654a5cd12f5bad45372c96de1cc764b64aa40eb",
+    "pair-ring.json": "d7f11363c204022d46220246ca158ae648b0bbcdd0016c4d9c4a4884a6d39278",
+}
+
+
+def _cli(args, cwd, hash_seed):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    subprocess.run(
+        [sys.executable, "-m", "ripshadow.cli", *args],
+        cwd=cwd,
+        env=env,
+        check=True,
+        capture_output=True,
+    )
+
+
+def _run_cases(workdir: Path, hash_seed: str):
+    outputs = []
+
+    def run(args, *written):
+        _cli(args, workdir, hash_seed)
+        outputs.extend(written)
+
+    for name, eps in FIXTURE_EPS.items():
+        fx = f"{name}.json"
+        run(["fixture", "--name", name, "--out", fx], fx)
+        run(["rips", "--points", fx, "--epsilon", eps, "--out", f"rips-{name}.json"],
+            f"rips-{name}.json")
+        if name in PLANAR:
+            loop = ["--loop", LOOPS[name]] if name in LOOPS else []
+            run(["shadow", "--points", fx, "--epsilon", eps, *loop,
+                 "--svg", f"shadow-{name}.svg", "--out", f"shadow-{name}.json"],
+                f"shadow-{name}.json", f"shadow-{name}.svg")
+    run(["quasi", "--preset", "rp2", "--interval", "1,3/2", "--seed", "7",
+         "--out", "quasi-rp2.json"], "quasi-rp2.json")
+    run(["pair", "--points", "ring.json", "--lower", "7/10,9/10,none",
+         "--upper", "19/10,11/5,all", "--out", "pair-ring.json"], "pair-ring.json")
+    return {
+        f: hashlib.sha256((workdir / f).read_bytes()).hexdigest() for f in outputs
+    }
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+def test_reports_match_golden_digests(tmp_path, hash_seed):
+    assert _run_cases(tmp_path, hash_seed) == GOLDEN

@@ -1,0 +1,103 @@
+"""The point functions served by the integer kernel agree with the Fraction
+oracles in tests/oracles.py.
+
+Points are snapped to a small half-integer lattice, so collinear overlaps,
+T-junctions, shared endpoints, vertical and zero-length segments, and
+points on the polyline or on a vertex's vertical all occur often.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ripshadow.geometry import (
+    on_segment,
+    orient,
+    point_in_triangle,
+    segment_intersection,
+    winding_number,
+)
+from ripshadow.lifting import loop_word
+
+from oracles import (
+    frac_loop_word,
+    frac_on_segment,
+    frac_orient,
+    frac_point_in_triangle,
+    frac_segment_intersection,
+    frac_winding_number,
+)
+
+coord = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+point = st.tuples(coord, coord)
+segment = st.tuples(point, point)
+# the second segment starts at the first one's midpoint: a T-junction, or
+# a collinear overlap or touch when it runs along the first
+t_junction = st.tuples(segment, point).map(
+    lambda sr: (sr[0], (centroid(sr[0]), sr[1]))
+)
+polyline = st.tuples(st.lists(point, min_size=1, max_size=8), st.booleans()).map(
+    lambda pc: pc[0] + pc[0][:1] if pc[1] else pc[0]
+)
+# a lattice point, or the vertex centroid, which a closed polyline tends
+# to wind around
+polyline_and_point = polyline.flatmap(
+    lambda line: st.tuples(st.just(line), st.one_of(point, st.just(centroid(line))))
+)
+
+examples = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+def centroid(points):
+    n = len(points)
+    return (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def meet(s, t):
+    res = segment_intersection(s, t)
+    return (res.kind, res.point, res.segment)
+
+
+@examples
+@given(point, point, point)
+def test_orient_and_on_segment_match_oracle(p, q, r):
+    assert orient(p, q, r) == frac_orient(p, q, r)
+    assert on_segment(p, q, r) == frac_on_segment(p, q, r)
+
+
+@examples
+@given(st.one_of(st.tuples(segment, segment), t_junction))
+def test_segment_intersection_matches_oracle(st_pair):
+    s, t = st_pair
+    assert outcome(meet, s, t) == outcome(frac_segment_intersection, s, t)
+
+
+@examples
+@given(point, point, point, point)
+def test_point_in_triangle_matches_oracle(x, a, b, c):
+    assert point_in_triangle(x, a, b, c) == frac_point_in_triangle(x, a, b, c)
+
+
+@examples
+@given(polyline_and_point)
+def test_winding_number_matches_oracle(line_x):
+    line, x = line_x
+    assert outcome(winding_number, line, x) == outcome(frac_winding_number, line, x)
+
+
+@examples
+@given(polyline_and_point, st.lists(point, max_size=3))
+def test_loop_word_matches_oracle(line_x, more):
+    line, x = line_x
+    anchors = list(dict.fromkeys([x, *more]))
+    got = outcome(lambda: loop_word(line, anchors).letters)
+    assert got == outcome(frac_loop_word, line, anchors)
