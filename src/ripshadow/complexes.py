@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .geometry import Point, dist2, scale_points
@@ -25,16 +26,6 @@ class NonFlagError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuasiInfo:
-    """Bookkeeping for quasi-Rips builds: the interval and the chosen links."""
-
-    eps: Fraction
-    eps_prime: Fraction
-    uncertain_chosen: Tuple[Tuple[int, int], ...]
-    uncertain_pairs: Tuple[Tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class SimplicialComplex:
     n_vertices: int
     simplices: Tuple[Tuple[Simplex, ...], ...]  # simplices[k] = k-simplices, sorted
@@ -42,8 +33,6 @@ class SimplicialComplex:
     flag: bool
     coords: Optional[Tuple[Point, ...]] = None
     provenance: str = "explicit"  # "rips" | "quasi" | "cech1d" | "explicit"
-    epsilon: Optional[Fraction] = None
-    quasi: Optional[QuasiInfo] = None
 
     def k_simplices(self, k: int) -> Tuple[Simplex, ...]:
         if k < 0 or k >= len(self.simplices):
@@ -64,16 +53,8 @@ class SimplicialComplex:
                 return k
         return -1
 
-    def has_simplex(self, simplex: Sequence[int]) -> bool:
-        s = tuple(sorted(simplex))
-        k = len(s) - 1
-        return s in set(self.k_simplices(k))
-
     def counts(self) -> Tuple[int, ...]:
         return tuple(len(level) for level in self.simplices)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(level) for k, level in enumerate(self.simplices))
 
     def adjacency(self) -> Dict[int, Set[int]]:
         adj: Dict[int, Set[int]] = {v: set() for v in self.vertices}
@@ -155,22 +136,15 @@ def flag_complex(
     dim_cap: int,
     coords: Optional[Sequence[Point]] = None,
     provenance: str = "explicit",
-    epsilon: Optional[Fraction] = None,
-    quasi: Optional[QuasiInfo] = None,
-    vertices: Optional[Sequence[int]] = None,
 ) -> SimplicialComplex:
     """Clique completion of a graph up to dim_cap."""
-    verts = list(vertices) if vertices is not None else list(range(n_vertices))
-    simplices = _cliques_from_graph(verts, edges, dim_cap)
     return SimplicialComplex(
         n_vertices=n_vertices,
-        simplices=simplices,
+        simplices=_cliques_from_graph(range(n_vertices), edges, dim_cap),
         dim_cap=dim_cap,
         flag=True,
         coords=tuple(coords) if coords is not None else None,
         provenance=provenance,
-        epsilon=epsilon,
-        quasi=quasi,
     )
 
 
@@ -235,9 +209,7 @@ def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> Simp
         for j in range(i + 1, n)
         if dist2(ipts[i], ipts[j]) <= eps2
     ]
-    return flag_complex(
-        n, edges, dim_cap, coords=points, provenance="rips", epsilon=Fraction(eps)
-    )
+    return flag_complex(n, edges, dim_cap, coords=points, provenance="rips")
 
 
 def build_cech_1d(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> SimplicialComplex:
@@ -256,8 +228,6 @@ def build_cech_1d(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> S
         set() for _ in range(dim_cap)
     ]
     # every valid simplex lies in the maximal window starting at its minimum
-    from itertools import combinations
-
     for a in range(n):
         b = a
         while b + 1 < n and points[order[b + 1]][0] - points[order[a]][0] <= eps:
@@ -274,7 +244,6 @@ def build_cech_1d(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> S
         flag=True,
         coords=tuple(points),
         provenance="cech1d",
-        epsilon=eps,
     )
 
 
@@ -297,8 +266,6 @@ def induced_span(c: SimplicialComplex, verts: Iterable[int]) -> SimplicialComple
         flag=c.flag,
         coords=c.coords,
         provenance=c.provenance,
-        epsilon=c.epsilon,
-        quasi=c.quasi,
     )
 
 

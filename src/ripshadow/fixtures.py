@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import AuditError
-from .geometry import Point, dist2, orient, segment_intersection
+from .geometry import Point, dist2, orient, rational_sqrt, segment_intersection
+from .quasi import EdgePolicy, UncertaintyInterval
 
 F = Fraction
 
@@ -28,15 +28,6 @@ class FixtureReport:
     points: Tuple[Point, ...]
     census: Dict[str, int]
     margins: Dict[str, Fraction]  # positive slack of each audited comparison
-
-
-def rational_sqrt(x: Fraction, bits: int = 32) -> Fraction:
-    """Rational approximation of sqrt(x) with error below 2**-bits-ish."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    scale = 1 << bits
-    n = isqrt((x.numerator * scale * scale) // x.denominator)
-    return F(n, scale)
 
 
 def _approx(value: float, max_den: int = 10**6) -> Fraction:
@@ -167,19 +158,7 @@ def four_d_points(
 
 
 def audit_four_d(pts: Sequence[Point]) -> Dict[str, Fraction]:
-    margins: Dict[str, Fraction] = {}
-    for i, j in combinations(range(6), 2):
-        d2 = dist2(pts[i], pts[j])
-        gap = (j - i) % 6 if (j - i) % 6 <= 3 else 6 - (j - i) % 6
-        label = f"d2({i},{j})"
-        if gap == 3:
-            if d2 <= 1:
-                raise AuditError(f"long diagonal {i},{j} has d2={d2} <= 1 in R^4")
-            margins[label] = d2 - 1
-        else:
-            if d2 > 1:
-                raise AuditError(f"pair {i},{j} has d2={d2} > 1 in R^4")
-            margins[label] = 1 - d2
+    margins = audit_hexagon(pts)
     for tri in ((0, 2, 4), (1, 3, 5)):
         sums = tuple(sum(pts[v][c] for v in tri) for c in range(4))
         if any(x != 0 for x in sums):
@@ -200,8 +179,6 @@ def crossing_triangle_fixture():
 
     Returns (points, interval, policy) ready for build_quasi.
     """
-    from .quasi import EdgePolicy, UncertaintyInterval
-
     pts = [
         (F(-36, 25), F(0)),
         (F(36, 25), F(0)),

@@ -65,6 +65,15 @@ def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:
     return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in fracs], scale
 
 
+def rational_sqrt(x: Fraction, bits: int = 32) -> Fraction:
+    """Rational approximation of sqrt(x) with error below 2**-bits-ish."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    scale = 1 << bits
+    n = math.isqrt((x.numerator * scale * scale) // x.denominator)
+    return Fraction(n, scale)
+
+
 # ---------------------------------------------------------------------------
 # the integer-triple kernel
 # ---------------------------------------------------------------------------
@@ -289,17 +298,6 @@ def point_in_triangle(x: Point, a: Point, b: Point, c: Point) -> str:
     return tr_point_in_triangle(*(to_triple(p) for p in (x, a, b, c)))
 
 
-def _segment_hits_triangle(p: Point, q: Point, a: Point, b: Point, c: Point) -> bool:
-    if point_in_triangle(p, a, b, c) != "outside":
-        return True
-    if point_in_triangle(q, a, b, c) != "outside":
-        return True
-    for e in ((a, b), (b, c), (a, c)):
-        if segment_intersection((p, q), e).kind != "disjoint":
-            return True
-    return False
-
-
 def winding_number(polyline: Sequence[Point], point: Point) -> int:
     """Winding number of a closed polyline around a point, exactly.
 
@@ -311,36 +309,3 @@ def winding_number(polyline: Sequence[Point], point: Point) -> int:
     if any(tr_on_segment(a, p, q) for p, q in segments):
         raise ValueError("point lies on the polyline")
     return tr_winding(segments, a)
-
-
-def cells_intersect(cell_a: Sequence[Point], cell_b: Sequence[Point]) -> bool:
-    """Do the convex hulls of two simplex vertex lists (0/1/2-dim) meet?
-
-    Cells are given by 1, 2, or 3 points in the plane.  Exact.
-    """
-    if len(cell_a) > len(cell_b):
-        cell_a, cell_b = cell_b, cell_a
-    na, nb = len(cell_a), len(cell_b)
-    if na == 1 and nb == 1:
-        return cell_a[0] == cell_b[0]
-    if na == 1 and nb == 2:
-        return on_segment(cell_a[0], *cell_b)
-    if na == 1 and nb == 3:
-        return point_in_triangle(cell_a[0], *cell_b) != "outside"
-    if na == 2 and nb == 2:
-        return segment_intersection(tuple(cell_a), tuple(cell_b)).kind != "disjoint"
-    if na == 2 and nb == 3:
-        return _segment_hits_triangle(cell_a[0], cell_a[1], *cell_b)
-    if na == 3 and nb == 3:
-        for x in cell_a:
-            if point_in_triangle(x, *cell_b) != "outside":
-                return True
-        for x in cell_b:
-            if point_in_triangle(x, *cell_a) != "outside":
-                return True
-        ea = [(cell_a[0], cell_a[1]), (cell_a[1], cell_a[2]), (cell_a[0], cell_a[2])]
-        eb = [(cell_b[0], cell_b[1]), (cell_b[1], cell_b[2]), (cell_b[0], cell_b[2])]
-        return any(
-            segment_intersection(u, v).kind != "disjoint" for u in ea for v in eb
-        )
-    raise ValueError("cells must have 1, 2, or 3 vertices")

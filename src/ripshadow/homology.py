@@ -10,6 +10,7 @@ fill-in modest at desk scale.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -221,8 +222,6 @@ class _SparseIntMatrix:
             self._drop_col(c)
             self.rows.pop(r, None)
         if need_divisibility and len(diag) > 1:
-            import math
-
             changed = True
             while changed:
                 changed = False
@@ -265,13 +264,6 @@ class BettiProfile:
     field: str  # "GF2" or "Q"
 
 
-def _graph_rank_and_components(c: SimplicialComplex) -> Tuple[int, int]:
-    comps = c.components()
-    n_active = len(c.vertices)
-    rank_d1 = n_active - len(comps)
-    return rank_d1, len(comps)
-
-
 def betti_numbers(c: SimplicialComplex, field: str = "Q", top_dim: int = 1) -> BettiProfile:
     """Betti numbers b_0..b_top_dim over GF(2) or the rationals, exactly.
 
@@ -290,15 +282,13 @@ def betti_numbers(c: SimplicialComplex, field: str = "Q", top_dim: int = 1) -> B
     for k in range(1, top_dim + 2):
         if not c.k_simplices(k):
             ranks[k] = 0
-            continue
-        if k == 1 and field == "Q":
-            ranks[k] = _graph_rank_and_components(c)[0]
-            continue
-        bm = boundary_matrix(c, k)
-        if field == "GF2":
-            ranks[k] = rank_gf2(bm.mod2_columns())
+        elif k == 1:
+            # a graph's d1 has rank |V| - b0 over every field
+            ranks[k] = len(c.vertices) - len(c.components())
+        elif field == "GF2":
+            ranks[k] = rank_gf2(boundary_matrix(c, k).mod2_columns())
         else:
-            ranks[k] = rank_int(bm.columns)
+            ranks[k] = rank_int(boundary_matrix(c, k).columns)
     b = tuple(
         len(c.k_simplices(k)) - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)
     )
@@ -310,7 +300,7 @@ def integer_h1(c: SimplicialComplex) -> SmithDecomposition:
     if c.dim_cap < 2:
         raise InsufficientDimCap("integer_h1 needs dim_cap >= 2")
     n1 = len(c.k_simplices(1))
-    rank_d1, _ = _graph_rank_and_components(c)
+    rank_d1 = len(c.vertices) - len(c.components())
     if c.k_simplices(2):
         diag = snf_diagonal(boundary_matrix(c, 2).columns)
     else:

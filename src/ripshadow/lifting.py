@@ -61,21 +61,6 @@ def free_reduce(letters: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def word_inverse(word: Sequence[int]) -> Word:
-    return tuple(-x for x in reversed(word))
-
-
-def word_concat(a: Sequence[int], b: Sequence[int]) -> Word:
-    return free_reduce(tuple(a) + tuple(b))
-
-
-def cyclic_reduce(word: Sequence[int]) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
 def abelianization(word: Sequence[int], n_letters: int) -> Tuple[int, ...]:
     counts = [0] * n_letters
     for letter in word:

@@ -23,7 +23,6 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (
-    QuasiInfo,
     SimplicialComplex,
     VertexColoring,
     build_rips,
@@ -33,8 +32,7 @@ from .complexes import (
     graph_components,
 )
 from .errors import AuditError
-from .fixtures import rational_sqrt
-from .geometry import Point, dist2, scale_points
+from .geometry import Point, dist2, rational_sqrt, scale_points
 from .homology import (
     SmithDecomposition,
     betti_numbers,
@@ -42,8 +40,12 @@ from .homology import (
     integer_h1,
     snf_diagonal,
 )
+from .shadow import build_shadow, shadow_betti
 
 F = Fraction
+
+# placement seeds tried by embed_blowup before it gives up
+EMBED_ATTEMPTS = 32
 
 
 @dataclass(frozen=True)
@@ -133,20 +135,8 @@ def build_quasi(
                 forced.append((i, j))
             elif cls == "uncertain":
                 band.append((i, j))
-    chosen = policy.select(band)
-    info = QuasiInfo(
-        eps=interval.eps,
-        eps_prime=interval.eps_prime,
-        uncertain_chosen=tuple(sorted(chosen)),
-        uncertain_pairs=tuple(band),
-    )
     return flag_complex(
-        n,
-        forced + list(chosen),
-        dim_cap,
-        coords=points,
-        provenance="quasi",
-        quasi=info,
+        n, forced + policy.select(band), dim_cap, coords=points, provenance="quasi"
     )
 
 
@@ -387,7 +377,6 @@ class EmbeddedQuasi:
     points: Tuple[Point, ...]
     complex: SimplicialComplex
     classes: Tuple[Tuple[int, ...], ...]
-    interval: UncertaintyInterval
     audit_margin: Fraction  # smallest slack of any band/forced comparison
 
 
@@ -395,7 +384,6 @@ def embed_blowup(
     b: BlowupComplex,
     interval: UncertaintyInterval,
     seed: int = 0,
-    max_retries: int = 32,
 ) -> EmbeddedQuasi:
     """Place blowup vertices in three small balls at the corners of a
     near-equilateral rational triangle of side (eps+eps')/2.
@@ -422,7 +410,7 @@ def embed_blowup(
     ]
     grid = 1 << 16
     last_error: Optional[str] = None
-    for attempt in range(max_retries):
+    for attempt in range(EMBED_ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
         pts: List[Point] = []
         used: Set[Point] = set()
@@ -453,36 +441,14 @@ def embed_blowup(
             for cls in classes:
                 for i, j in combinations(cls, 2):
                     edge_set.add((min(i, j), max(i, j)))
-            band = tuple(
-                (i, j)
-                for i in range(b.n_vertices)
-                for j in range(i + 1, b.n_vertices)
-                if b.colors[i] != b.colors[j]
-            )
-            chosen = tuple(e for e in sorted(edge_set) if b.colors[e[0]] != b.colors[e[1]])
-            info = QuasiInfo(
-                eps=eps,
-                eps_prime=eps_p,
-                uncertain_chosen=chosen,
-                uncertain_pairs=band,
-            )
             rq = flag_complex(
-                b.n_vertices,
-                sorted(edge_set),
-                dim_cap=1,
-                coords=pts,
-                provenance="quasi",
-                quasi=info,
+                b.n_vertices, sorted(edge_set), dim_cap=1, coords=pts, provenance="quasi"
             )
             return EmbeddedQuasi(
-                points=tuple(pts),
-                complex=rq,
-                classes=classes,
-                interval=interval,
-                audit_margin=margin,
+                points=tuple(pts), complex=rq, classes=classes, audit_margin=margin
             )
         last_error = "distance audit failed"
-    raise AuditError(f"embedding failed after {max_retries} seeds: {last_error}")
+    raise AuditError(f"embedding failed after {EMBED_ATTEMPTS} seeds: {last_error}")
 
 
 def _audit_embedding(
@@ -604,9 +570,7 @@ def preset_presentation(name: str) -> GroupPresentation:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    presentation: GroupPresentation
     k: SimplicialComplex
-    coloring: VertexColoring
     h1_k: SmithDecomposition
     blowup: BlowupComplex
     betti_k: Tuple[int, ...]
@@ -639,9 +603,7 @@ def run_pipeline(
     h1_rq = quasi_integer_h1(eq)
     bad = monochromatic_violations(eq, b)
     return PipelineResult(
-        presentation=p,
         k=k,
-        coloring=coloring,
         h1_k=h1_k,
         blowup=b,
         betti_k=betti_k,
@@ -694,8 +656,6 @@ def pair_image_analysis(
     mid_b1 = betti_numbers(mid, "Q", 1).b[1]
     shadow_mid = None
     if all(len(p) == 2 for p in points):
-        from .shadow import build_shadow, shadow_betti
-
         shadow_mid = shadow_betti(build_shadow(mid))
     forced_only = build_rips(points, li.eps, 1)
     return PairReport(

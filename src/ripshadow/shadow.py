@@ -48,7 +48,6 @@ class ShadowFace:
     vertex_ids: Tuple[int, ...]  # walk tails, same order and length
     witness: Point
     covered: bool
-    area2: Fraction  # twice the signed walk area (positive for bounded faces)
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,9 @@ class ShadowComplex:
     edges: Tuple[ShadowEdge, ...]
     faces: Tuple[ShadowFace, ...]  # bounded faces only
     rips_edges: Tuple[Tuple[int, int], ...]  # source edges by index
-    triangles: Tuple[Tuple[int, int, int], ...]  # source 2-simplices
     source_coords: Tuple[Point, ...]
     n_components: int  # components of the 1-skeleton, isolated vertices included
     n_unbounded_walks: int  # one per component with edges; the outer face
-    provenance: str  # provenance tag of the source complex
 
     def covered_faces(self) -> Tuple[ShadowFace, ...]:
         return tuple(f for f in self.faces if f.covered)
@@ -127,14 +124,11 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         raise ConsistencyError(f"shadow vertices without provenance: {missing}")
 
     # -- shadow edges with multi-edge provenance --
+    # Ids follow lexicographic point order, which runs monotonically along
+    # any one segment, so consecutive ids are consecutive split points.
     edge_prov: Dict[Tuple[int, int], Set[int]] = {}
-    for a, (i, j) in enumerate(rips_edges):
-        d = (coords[j][0] - coords[i][0], coords[j][1] - coords[i][1])
-        ax, ay = coords[i]
-        pts = sorted(
-            splits[a],
-            key=lambda t: F((t[0] - ax * t[2]) * d[0] + (t[1] - ay * t[2]) * d[1], t[2]),
-        )
+    for a in range(ne):
+        pts = sorted(splits[a], key=pid.__getitem__)
         for p, q in zip(pts, pts[1:]):
             key = (pid[p], pid[q]) if pid[p] < pid[q] else (pid[q], pid[p])
             edge_prov.setdefault(key, set()).add(a)
@@ -198,8 +192,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 cyc_tails.append(cur[1])
                 cur = next_dart(*cur)
             ring = closed_segments([spoints[v] for v in cyc_tails])
-            area2 = sum(F(p[0] * q[1] - q[0] * p[1], p[2] * q[2]) for p, q in ring)
-            walks.append((tuple(cyc_edges), tuple(cyc_tails), area2, ring))
+            twice_area = sum(F(p[0] * q[1] - q[0] * p[1], p[2] * q[2]) for p, q in ring)
+            walks.append((tuple(cyc_edges), tuple(cyc_tails), twice_area, ring))
 
     positive = [w for w in walks if w[2] > 0]
     n_unbounded = len(walks) - len(positive)
@@ -212,11 +206,10 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # -- witnesses and coverage --
     # Candidates shrink toward a boundary-edge midpoint on the face side;
     # each candidate is itself an exact integer triple.
-    triangles = tuple(c.k_simplices(2))
-    tri_tr = [tuple(tcoords[v] for v in t) for t in triangles]
+    tri_tr = [tuple(tcoords[v] for v in t) for t in c.k_simplices(2)]
 
     def witness_for(walk_idx: int, from_end: bool) -> Triple:
-        cyc_edges, cyc_tails, area2, ring = positive[walk_idx]
+        cyc_edges, cyc_tails, twice_area, ring = positive[walk_idx]
         k = -1 if from_end else 0
         t, h = ring[k]
         dirv = dart_dir(cyc_edges[k], cyc_tails[k])
@@ -243,7 +236,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             for other in range(len(positive)):
                 if other == walk_idx:
                     continue
-                if positive[other][2] <= area2 and tr_winding(
+                if positive[other][2] <= twice_area and tr_winding(
                     positive[other][3], cand
                 ) != 0:
                     ok = False
@@ -258,7 +251,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         )
 
     faces: List[ShadowFace] = []
-    for idx, (cyc_edges, cyc_tails, area2, _) in enumerate(positive):
+    for idx, (cyc_edges, cyc_tails, _, _) in enumerate(positive):
         w1 = witness_for(idx, from_end=False)
         w2 = witness_for(idx, from_end=True)
         cov1 = covered_at(w1)
@@ -273,7 +266,6 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 vertex_ids=cyc_tails,
                 witness=from_triple(w1, scale),
                 covered=cov1,
-                area2=area2 / (scale * scale),
             )
         )
     faces.sort(key=lambda f: f.witness)
@@ -286,11 +278,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         edges=sedges,
         faces=tuple(faces),
         rips_edges=rips_edges,
-        triangles=triangles,
         source_coords=tuple(c.coords),
         n_components=n_components,
         n_unbounded_walks=n_unbounded,
-        provenance=c.provenance,
     )
 
 

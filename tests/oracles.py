@@ -325,6 +325,59 @@ def frac_loop_word(polyline, anchors) -> Tuple[int, ...]:
             if p[1] + (q[1] - p[1]) * t > a[1]:
                 hits.append((t, idx if rightward else -idx, sign * (idx + 1)))
         letters.extend(letter for _, _, letter in sorted(hits))
+    return _free_reduce(letters)
+
+
+def _segment_hits_triangle(p, q, a, b, c) -> bool:
+    if frac_point_in_triangle(p, a, b, c) != "outside":
+        return True
+    if frac_point_in_triangle(q, a, b, c) != "outside":
+        return True
+    for e in ((a, b), (b, c), (a, c)):
+        if frac_segment_intersection((p, q), e)[0] != "disjoint":
+            return True
+    return False
+
+
+def cells_intersect(cell_a, cell_b) -> bool:
+    """Do the convex hulls of two simplex vertex lists (0/1/2-dim) meet?
+
+    Cells are given by 1, 2, or 3 points in the plane.  Exact.
+    """
+    if len(cell_a) > len(cell_b):
+        cell_a, cell_b = cell_b, cell_a
+    na, nb = len(cell_a), len(cell_b)
+    if na == 1 and nb == 1:
+        return cell_a[0] == cell_b[0]
+    if na == 1 and nb == 2:
+        return frac_on_segment(cell_a[0], *cell_b)
+    if na == 1 and nb == 3:
+        return frac_point_in_triangle(cell_a[0], *cell_b) != "outside"
+    if na == 2 and nb == 2:
+        return frac_segment_intersection(tuple(cell_a), tuple(cell_b))[0] != "disjoint"
+    if na == 2 and nb == 3:
+        return _segment_hits_triangle(cell_a[0], cell_a[1], *cell_b)
+    if na == 3 and nb == 3:
+        for x in cell_a:
+            if frac_point_in_triangle(x, *cell_b) != "outside":
+                return True
+        for x in cell_b:
+            if frac_point_in_triangle(x, *cell_a) != "outside":
+                return True
+        ea = [(cell_a[0], cell_a[1]), (cell_a[1], cell_a[2]), (cell_a[0], cell_a[2])]
+        eb = [(cell_b[0], cell_b[1]), (cell_b[1], cell_b[2]), (cell_b[0], cell_b[2])]
+        return any(
+            frac_segment_intersection(u, v)[0] != "disjoint" for u in ea for v in eb
+        )
+    raise ValueError("cells must have 1, 2, or 3 vertices")
+
+
+# ---------------------------------------------------------------------------
+# free-group words over the hole alphabet
+# ---------------------------------------------------------------------------
+
+
+def _free_reduce(letters) -> Tuple[int, ...]:
     out: List[int] = []
     for letter in letters:
         if out and out[-1] == -letter:
@@ -332,3 +385,32 @@ def frac_loop_word(polyline, anchors) -> Tuple[int, ...]:
         else:
             out.append(letter)
     return tuple(out)
+
+
+def word_inverse(word) -> Tuple[int, ...]:
+    return tuple(-x for x in reversed(word))
+
+
+def word_concat(a, b) -> Tuple[int, ...]:
+    return _free_reduce(tuple(a) + tuple(b))
+
+
+def cyclic_reduce(word) -> Tuple[int, ...]:
+    w = list(_free_reduce(word))
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return tuple(w)
+
+
+# ---------------------------------------------------------------------------
+# simplex queries on a SimplicialComplex
+# ---------------------------------------------------------------------------
+
+
+def has_simplex(c, simplex) -> bool:
+    s = tuple(sorted(simplex))
+    return s in set(c.k_simplices(len(s) - 1))
+
+
+def euler_characteristic(c) -> int:
+    return sum((-1) ** k * len(level) for k, level in enumerate(c.simplices))

@@ -18,7 +18,7 @@ from ripshadow.fixtures import (
     four_d_points,
     hexagon_points,
 )
-from ripshadow.geometry import cells_intersect, dist2, segment_intersection
+from ripshadow.geometry import dist2, segment_intersection
 from ripshadow.homology import (
     betti_numbers,
     integer_h1,
@@ -34,6 +34,8 @@ from ripshadow.quasi import (
     run_pipeline,
 )
 from ripshadow.shadow import build_shadow, hole_anchors, shadow_betti
+
+from oracles import cells_intersect, euler_characteristic, has_simplex
 
 F = Fraction
 
@@ -190,7 +192,7 @@ def test_criterion_3_prop_and_lemma_properties():
         if not cells_intersect([a, b], tri):
             continue
         c = build_rips(pts, F(1))
-        if not c.has_simplex((2, 3, 4)):
+        if not has_simplex(c, (2, 3, 4)):
             continue
         assert cone_apex(c) is not None, pts
         done += 1
@@ -244,7 +246,7 @@ def test_criterion_3_prop_and_lemma_properties():
         if cells_intersect([a, cpt], tri) or cells_intersect([b, cpt], tri):
             continue
         c = build_rips(pts, F(1))
-        if not (c.has_simplex((0, 1, 2)) and c.has_simplex((3, 4, 5))):
+        if not (has_simplex(c, (0, 1, 2)) and has_simplex(c, (3, 4, 5))):
             continue
         assert cone_apex(c) is not None, pts
         done += 1
@@ -285,7 +287,7 @@ def test_criterion_3_prop_and_lemma_properties():
         if any(point_in_triangle(p, *tri) == "inside" for p in segs):
             continue
         c = build_rips(pts, F(1))
-        if not c.has_simplex((4, 5, 6)):
+        if not has_simplex(c, (4, 5, 6)):
             continue
         assert betti_numbers(c, "Q", 1).b[1] == 0, pts
         assert betti_numbers(c, "GF2", 1).b[1] == 0, pts
@@ -460,7 +462,7 @@ def test_criterion_10_internal_consistency():
         top = c.dim()
         b = betti_numbers(c, "Q", top).b
         chi = sum((-1) ** k * bk for k, bk in enumerate(b))
-        assert chi == c.euler_characteristic()
+        assert chi == euler_characteristic(c)
     # shadow Euler formula vs uncovered-face count on varied inputs
     # (shadow_betti itself raises on mismatch; assert it runs everywhere)
     cases = [grid_points(rng, rng.randrange(5, 20)) for _ in range(60)]

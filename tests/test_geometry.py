@@ -5,7 +5,6 @@ import pytest
 
 from ripshadow.geometry import (
     DimensionMismatch,
-    cells_intersect,
     dist2,
     make_point,
     on_segment,
@@ -13,6 +12,8 @@ from ripshadow.geometry import (
     point_in_triangle,
     segment_intersection,
 )
+
+from oracles import cells_intersect
 
 F = Fraction
 

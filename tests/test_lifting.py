@@ -11,7 +11,6 @@ from ripshadow.lifting import (
     RipsWalk,
     abelianization,
     chaining_sequence,
-    cyclic_reduce,
     free_reduce,
     is_contractible,
     is_null_homologous,
@@ -19,12 +18,10 @@ from ripshadow.lifting import (
     lift_path,
     loop_word,
     walk_word,
-    word_concat,
-    word_inverse,
 )
 from ripshadow.shadow import build_shadow, hole_anchors
 
-from oracles import frac_winding_number
+from oracles import cyclic_reduce, frac_winding_number, word_concat, word_inverse
 
 F = Fraction
 
