@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .geometry import Point, dist2, scale_points
+from .geometry import Point, pair_bands
 
 Simplex = Tuple[int, ...]
 
@@ -57,14 +57,21 @@ class SimplicialComplex:
         return tuple(len(level) for level in self.simplices)
 
     def adjacency(self) -> Dict[int, Set[int]]:
-        adj: Dict[int, Set[int]] = {v: set() for v in self.vertices}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        return graph_adjacency(self.vertices, self.edges)
 
     def components(self) -> List[Set[int]]:
         return graph_components(self.vertices, self.edges)
+
+
+def graph_adjacency(
+    vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
+) -> Dict[int, Set[int]]:
+    """Neighbour set of every vertex, isolated vertices included."""
+    adj: Dict[int, Set[int]] = {v: set() for v in vertices}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
 
 
 def graph_components(
@@ -73,10 +80,7 @@ def graph_components(
     """Vertex sets of a graph's connected components, isolated vertices
     included, ordered by each component's first vertex in `vertices`."""
     vertices = list(vertices)
-    adj: Dict[int, Set[int]] = {v: set() for v in vertices}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = graph_adjacency(vertices, edges)
     seen: Set[int] = set()
     out: List[Set[int]] = []
     for v in vertices:
@@ -105,10 +109,7 @@ def _cliques_from_graph(
     maximum, so each clique is produced exactly once and the output order is
     deterministic.
     """
-    adj: Dict[int, Set[int]] = {v: set() for v in vertices}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = graph_adjacency(vertices, edges)
     levels: List[List[Simplex]] = [[(v,) for v in sorted(vertices)]]
     if dim_cap >= 1:
         level1 = sorted((i, j) if i < j else (j, i) for i, j in edges)
@@ -191,7 +192,7 @@ def check_distinct_points(points: Sequence[Point]) -> None:
 def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> SimplicialComplex:
     """Vietoris-Rips complex at scale eps (closed threshold: d <= eps).
 
-    Edges join points with dist2 <= eps**2; simplices are exactly the
+    Edges are the pairs in band 0 of `pair_bands`; simplices are exactly the
     cliques of the proximity graph up to dim_cap.
     """
     if eps <= 0:
@@ -199,17 +200,9 @@ def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> Simp
     if dim_cap < 1:
         raise ValueError("dim_cap must be >= 1")
     check_distinct_points(points)
-    # eps is rescaled with the points, so the test below compares integers
-    ipts, _ = scale_points([*points, (eps,)])
-    eps2 = ipts.pop()[0] ** 2
-    n = len(ipts)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if dist2(ipts[i], ipts[j]) <= eps2
-    ]
-    return flag_complex(n, edges, dim_cap, coords=points, provenance="rips")
+    bands, _ = pair_bands(points, eps, eps)
+    edges = [(i, j) for i, j, band, _ in bands if band == 0]
+    return flag_complex(len(points), edges, dim_cap, coords=points, provenance="rips")
 
 
 def build_cech_1d(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> SimplicialComplex:

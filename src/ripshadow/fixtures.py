@@ -10,24 +10,29 @@ raises AuditError; nothing drifts silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import AuditError
-from .geometry import Point, dist2, orient, rational_sqrt, segment_intersection
+from .geometry import Point, orient, pair_bands, rational_sqrt, segment_intersection
 from .quasi import EdgePolicy, UncertaintyInterval
 
 F = Fraction
 
 
-@dataclass(frozen=True)
-class FixtureReport:
-    name: str
-    points: Tuple[Point, ...]
-    census: Dict[str, int]
-    margins: Dict[str, Fraction]  # positive slack of each audited comparison
+def _audit_bands(
+    pts: Sequence[Point], lo: Fraction, hi: Fraction, want: Callable[[int, int], int]
+) -> Dict[str, Fraction]:
+    """Check that every pair i < j lies in `pair_bands` band want(i, j) of
+    the radii (lo, hi); return each pair's exact slack, keyed d2(i,j)."""
+    bands, den = pair_bands(pts, lo, hi)
+    margins: Dict[str, Fraction] = {}
+    for i, j, band, slack in bands:
+        if band != want(i, j):
+            raise AuditError(f"pair {i},{j} is in band {band} of ({lo}, {hi}), want {want(i, j)}")
+        margins[f"d2({i},{j})"] = F(slack, den)
+    return margins
 
 
 def _approx(value: float, max_den: int = 10**6) -> Fraction:
@@ -55,30 +60,8 @@ def hexagon_points(r: Fraction) -> Tuple[Point, ...]:
 
 
 def audit_hexagon(pts: Sequence[Point]) -> Dict[str, Fraction]:
-    margins: Dict[str, Fraction] = {}
-    for i, j in combinations(range(6), 2):
-        d2 = dist2(pts[i], pts[j])
-        gap = (j - i) % 6 if (j - i) % 6 <= 3 else 6 - (j - i) % 6
-        label = f"d2({i},{j})"
-        if gap == 3:  # long diagonal: strictly outside
-            if d2 <= 1:
-                raise AuditError(f"long diagonal {i},{j} has d2={d2} <= 1")
-            margins[label] = d2 - 1
-        else:  # side or short diagonal: inside (closed)
-            if d2 > 1:
-                raise AuditError(f"pair {i},{j} has d2={d2} > 1")
-            margins[label] = 1 - d2
-    return margins
-
-
-def hexagon_report(r: Fraction = F(11, 20)) -> FixtureReport:
-    pts = hexagon_points(r)
-    return FixtureReport(
-        name="hexagon",
-        points=pts,
-        census={"vertices": 6, "edges": 12, "triangles": 8, "tetrahedra": 0},
-        margins=audit_hexagon(pts),
-    )
+    """Sides and short diagonals at d <= 1, long diagonals at d > 1."""
+    return _audit_bands(pts, F(1), F(1), lambda i, j: 2 if j - i == 3 else 0)
 
 
 def _default_cross_polytope_radius(k: int) -> Fraction:
@@ -108,31 +91,8 @@ def cross_polytope_points(k: int, r: Fraction | None = None) -> Tuple[Point, ...
 
 
 def audit_cross_polytope(pts: Sequence[Point], k: int) -> Dict[str, Fraction]:
-    margins: Dict[str, Fraction] = {}
-    n = 2 * k
-    for i, j in combinations(range(n), 2):
-        d2 = dist2(pts[i], pts[j])
-        label = f"d2({i},{j})"
-        if j - i == k:  # antipodal
-            if d2 <= 1:
-                raise AuditError(f"antipodal pair {i},{j} has d2={d2} <= 1")
-            margins[label] = d2 - 1
-        else:
-            if d2 > 1:
-                raise AuditError(f"pair {i},{j} has d2={d2} > 1")
-            margins[label] = 1 - d2
-    return margins
-
-
-def cross_polytope_report(k: int, r: Fraction | None = None) -> FixtureReport:
-    pts = cross_polytope_points(k, r)
-    n = 2 * k
-    return FixtureReport(
-        name=f"cross_polytope_{k}",
-        points=pts,
-        census={"vertices": n, "edges": n * (n - 1) // 2 - k},
-        margins=audit_cross_polytope(pts, k),
-    )
+    """Antipodal pairs at d > 1, every other pair at d <= 1."""
+    return _audit_bands(pts, F(1), F(1), lambda i, j: 2 if j - i == k else 0)
 
 
 def four_d_points(
@@ -194,14 +154,10 @@ def crossing_triangle_fixture():
 
 
 def audit_crossing_triangle(pts: Sequence[Point]) -> Dict[str, Fraction]:
-    margins: Dict[str, Fraction] = {}
+    """Every pair strictly inside the band 1 < d < 3, and the three segments
+    pairwise crossing around a nondegenerate central triangle."""
+    margins = _audit_bands(pts, F(1), F(3), lambda i, j: 1)
     segments = [(0, 1), (2, 3), (4, 5)]
-    for i, j in combinations(range(6), 2):
-        d2 = dist2(pts[i], pts[j])
-        label = f"d2({i},{j})"
-        if not (1 < d2 < 9):
-            raise AuditError(f"pair {i},{j} has d2={d2}, not in the open band (1,9)")
-        margins[label] = min(d2 - 1, 9 - d2)
     crossings = set()
     for (a, b), (x, y) in combinations(segments, 2):
         res = segment_intersection((pts[a], pts[b]), (pts[x], pts[y]))
@@ -238,21 +194,8 @@ def annulus_ring_points(n: int = 12, radius: Fraction = F(13, 10)) -> Tuple[Poin
 
 
 def audit_annulus_ring(pts: Sequence[Point]) -> Dict[str, Fraction]:
-    """Adjacent chords <= 7/10 and every other pair >= 9/10 (squared)."""
-    margins: Dict[str, Fraction] = {}
+    """Adjacent chords <= 7/10 and every other chord >= 9/10."""
     n = len(pts)
-    lo2 = F(49, 100)
-    hi2 = F(81, 100)
-    for i, j in combinations(range(n), 2):
-        d2 = dist2(pts[i], pts[j])
-        adjacent = (j - i) % n in (1, n - 1)
-        label = f"d2({i},{j})"
-        if adjacent:
-            if d2 > lo2:
-                raise AuditError(f"adjacent pair {i},{j} has d2={d2} > 49/100")
-            margins[label] = lo2 - d2
-        else:
-            if d2 < hi2:
-                raise AuditError(f"chord {i},{j} has d2={d2} < 81/100")
-            margins[label] = d2 - hi2
-    return margins
+    return _audit_bands(
+        pts, F(7, 10), F(9, 10), lambda i, j: 0 if (j - i) % n in (1, n - 1) else 2
+    )

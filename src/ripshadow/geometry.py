@@ -9,9 +9,10 @@ cross-multiplication; nothing here touches floating point.
 
 The point functions (`orient`, `on_segment`, `segment_intersection`,
 `point_in_triangle`, `winding_number`) take exact rationals
-(`fractions.Fraction` or int) and convert them onto the kernel.  Callers
-that handle many points rescale them once with `scale_points` and compare
-integers from then on; `dist2` works on rational and integer points alike.
+(`fractions.Fraction` or int) and convert them onto the kernel.
+`pair_bands` is the one proximity decision, in any dimension: Rips and
+quasi-Rips links, the quasi embedding audit and the fixture audits all
+read the band it puts each pair in.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Scalar = Fraction  # or int; the two mix freely
 Point = Tuple[Scalar, ...]
@@ -63,6 +64,36 @@ def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:
         for c in p:
             scale = math.lcm(scale, c.denominator)
     return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in fracs], scale
+
+
+def pair_bands(
+    points: Sequence[Point], lo: Scalar, hi: Scalar
+) -> Tuple[Iterator[Tuple[int, int, int, int]], int]:
+    """Where the distance d of every pair falls against radii lo <= hi.
+
+    Returns an iterator over (i, j, band, slack) for every pair i < j in
+    lexicographic order, and the common denominator of the slacks.  Band 0
+    is d <= lo, band 2 is d >= hi (and not band 0), band 1 the open band
+    between.  slack / denominator is the squared-distance gap to the radius
+    bounding the band: lo^2 - d^2, d^2 - hi^2, or the nearer of the two.
+    """
+    # the radii are rescaled with the points, so every comparison is on integers
+    ipts, scale = scale_points([*points, (lo, hi)])
+    ilo, ihi = ipts.pop()
+    lo2, hi2 = ilo * ilo, ihi * ihi
+
+    def bands() -> Iterator[Tuple[int, int, int, int]]:
+        for i, p in enumerate(ipts):
+            for j in range(i + 1, len(ipts)):
+                d2 = dist2(p, ipts[j])
+                if d2 <= lo2:
+                    yield i, j, 0, lo2 - d2
+                elif d2 >= hi2:
+                    yield i, j, 2, d2 - hi2
+                else:
+                    yield i, j, 1, min(d2 - lo2, hi2 - d2)
+
+    return bands(), scale * scale
 
 
 def rational_sqrt(x: Fraction, bits: int = 32) -> Fraction:

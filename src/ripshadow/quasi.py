@@ -32,7 +32,7 @@ from .complexes import (
     graph_components,
 )
 from .errors import AuditError
-from .geometry import Point, dist2, rational_sqrt, scale_points
+from .geometry import Point, pair_bands, rational_sqrt
 from .homology import (
     SmithDecomposition,
     betti_numbers,
@@ -58,13 +58,6 @@ class UncertaintyInterval:
     def __post_init__(self):
         if not (0 < self.eps < self.eps_prime):
             raise ValueError("need 0 < eps < eps'")
-
-    def classify(self, d2: Fraction) -> str:
-        if d2 <= self.eps * self.eps:
-            return "forced"
-        if d2 >= self.eps_prime * self.eps_prime:
-            return "forbidden"
-        return "uncertain"
 
 
 @dataclass(frozen=True)
@@ -122,21 +115,16 @@ def build_quasi(
 ) -> SimplicialComplex:
     """Flag complex of forced edges plus the policy's picks in the band."""
     check_distinct_points(points)
-    # the interval is rescaled with the points, so classify compares integers
-    ipts, _ = scale_points([*points, (interval.eps, interval.eps_prime)])
-    scaled = UncertaintyInterval(*ipts.pop())
-    n = len(ipts)
+    bands, _ = pair_bands(points, interval.eps, interval.eps_prime)
     forced: List[Tuple[int, int]] = []
-    band: List[Tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cls = scaled.classify(dist2(ipts[i], ipts[j]))
-            if cls == "forced":
-                forced.append((i, j))
-            elif cls == "uncertain":
-                band.append((i, j))
+    band: List[Tuple[int, int]] = []  # (i, j) order: seeded_random draws a coin per pair
+    for i, j, b, _ in bands:
+        if b == 0:
+            forced.append((i, j))
+        elif b == 1:
+            band.append((i, j))
     return flag_complex(
-        n, forced + policy.select(band), dim_cap, coords=points, provenance="quasi"
+        len(points), forced + policy.select(band), dim_cap, coords=points, provenance="quasi"
     )
 
 
@@ -454,26 +442,15 @@ def embed_blowup(
 def _audit_embedding(
     pts: Sequence[Point], colors: Sequence[int], interval: UncertaintyInterval
 ) -> Optional[Fraction]:
-    # the interval is rescaled with the points, so the loop runs on integers
-    ipts, scale = scale_points([*pts, (interval.eps, interval.eps_prime)])
-    ieps, ieps_p = ipts.pop()
-    eps2, eps_p2 = ieps * ieps, ieps_p * ieps_p
+    """Smallest slack, or None unless same-colour pairs are in band 0 and the rest in band 1."""
+    bands, den = pair_bands(pts, interval.eps, interval.eps_prime)
     margin: Optional[int] = None
-    n = len(ipts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2 = dist2(ipts[i], ipts[j])
-            if colors[i] == colors[j]:
-                if d2 > eps2:
-                    return None
-                slack = eps2 - d2
-            else:
-                if not (eps2 < d2 < eps_p2):
-                    return None
-                slack = min(d2 - eps2, eps_p2 - d2)
-            if margin is None or slack < margin:
-                margin = slack
-    return None if margin is None else F(margin, scale * scale)
+    for i, j, band, slack in bands:
+        if band != (0 if colors[i] == colors[j] else 1):
+            return None
+        if margin is None or slack < margin:
+            margin = slack
+    return None if margin is None else F(margin, den)
 
 
 # ---------------------------------------------------------------------------

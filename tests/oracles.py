@@ -185,8 +185,25 @@ RP2_TRIANGLES = [
 
 
 # ---------------------------------------------------------------------------
-# planar predicates on Fraction points, by direct rational arithmetic
+# distance bands and planar predicates on Fraction points, by direct
+# rational arithmetic
 # ---------------------------------------------------------------------------
+
+
+def frac_pair_bands(points, lo, hi) -> List[Tuple[int, int, int, Fraction]]:
+    """(i, j, band, slack) per pair i < j: squared Fraction distances
+    compared against lo^2 and hi^2, slack a Fraction."""
+    lo2, hi2 = Fraction(lo) ** 2, Fraction(hi) ** 2
+    out = []
+    for i, j in combinations(range(len(points)), 2):
+        d2 = sum((Fraction(a) - b) ** 2 for a, b in zip(points[i], points[j]))
+        if d2 <= lo2:
+            out.append((i, j, 0, lo2 - d2))
+        elif d2 >= hi2:
+            out.append((i, j, 2, d2 - hi2))
+        else:
+            out.append((i, j, 1, min(d2 - lo2, hi2 - d2)))
+    return out
 
 
 def _sub(p, q):

@@ -7,12 +7,11 @@ from ripshadow.errors import AuditError
 from ripshadow.fixtures import (
     annulus_ring_points,
     audit_crossing_triangle,
+    audit_hexagon,
     cross_polytope_points,
-    cross_polytope_report,
     crossing_triangle_fixture,
     four_d_points,
     hexagon_points,
-    hexagon_report,
     rational_sqrt,
 )
 from ripshadow.geometry import dist2
@@ -55,9 +54,9 @@ def test_hexagon_precondition():
 
 
 def test_hexagon_report_margins_positive():
-    rep = hexagon_report()
-    assert all(m > 0 for m in rep.margins.values())
-    assert rep.census["edges"] == 12
+    pts = hexagon_points(F(11, 20))
+    assert all(m > 0 for m in audit_hexagon(pts).values())
+    assert build_rips(pts, F(1)).counts()[1] == 12
 
 
 def test_cross_polytope_k3_matches_hexagon_combinatorics():
@@ -81,9 +80,43 @@ def test_cross_polytope_antipodal_sums():
             assert (pts[i][0] + pts[i + k][0], pts[i][1] + pts[i + k][1]) == (0, 0)
 
 
-def test_cross_polytope_bad_radius_audits():
-    with pytest.raises(AuditError):
-        cross_polytope_points(4, F(3, 5))  # too wide: non-antipodal pair exceeds 1
+def _hexagon_unchecked(r):
+    """hexagon_points(r) without its radius precondition or audit."""
+    x1, x3 = (r, F(0)), (-r / 2, rational_sqrt(3 * r * r / 4))
+    x2 = (x1[0] + x3[0], x1[1] + x3[1])
+    return [x1, x2, x3] + [(-x, -y) for x, y in (x1, x2, x3)]
+
+
+def _crossing_with_second_point(p):
+    pts, _, _ = crossing_triangle_fixture()
+    return [pts[0], p, *pts[2:]]
+
+
+@pytest.mark.parametrize(
+    "build, pair",
+    [
+        # too wide: a non-antipodal pair exceeds 1
+        pytest.param(lambda: cross_polytope_points(4, F(3, 5)), "0,3", id="cross_polytope"),
+        # the long diagonal is exactly 1, inside the closed ball
+        pytest.param(lambda: audit_hexagon(_hexagon_unchecked(F(1, 2))), "0,3", id="hexagon"),
+        # the second chord is about 4/5, below 9/10
+        pytest.param(lambda: annulus_ring_points(12, F(4, 5)), "0,2", id="ring"),
+        # the band (1, 3) is open at both ends
+        pytest.param(
+            lambda: audit_crossing_triangle(_crossing_with_second_point((F(-11, 25), F(0)))),
+            "0,1",
+            id="crossing_at_1",
+        ),
+        pytest.param(
+            lambda: audit_crossing_triangle(_crossing_with_second_point((F(39, 25), F(0)))),
+            "0,1",
+            id="crossing_at_3",
+        ),
+    ],
+)
+def test_fixture_audits_reject_band_violations(build, pair):
+    with pytest.raises(AuditError, match=rf"\b{pair}\b"):
+        build()
 
 
 def test_four_d_rips_census_and_betti():

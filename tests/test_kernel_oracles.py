@@ -2,8 +2,9 @@
 oracles in tests/oracles.py.
 
 Points are snapped to a small half-integer lattice, so collinear overlaps,
-T-junctions, shared endpoints, vertical and zero-length segments, and
-points on the polyline or on a vertex's vertical all occur often.
+T-junctions, shared endpoints, vertical and zero-length segments, points
+on the polyline or on a vertex's vertical, and distances exactly equal to
+a half-integer radius all occur often.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from ripshadow.geometry import (
     on_segment,
     orient,
+    pair_bands,
     point_in_triangle,
     segment_intersection,
     winding_number,
@@ -24,6 +26,7 @@ from oracles import (
     frac_loop_word,
     frac_on_segment,
     frac_orient,
+    frac_pair_bands,
     frac_point_in_triangle,
     frac_segment_intersection,
     frac_winding_number,
@@ -45,6 +48,13 @@ polyline = st.tuples(st.lists(point, min_size=1, max_size=8), st.booleans()).map
 polyline_and_point = polyline.flatmap(
     lambda line: st.tuples(st.just(line), st.one_of(point, st.just(centroid(line))))
 )
+
+# 1-, 2- and 4-D point sets (the 4-D fixture is audited through pair_bands)
+# and half-integer radii, which lattice distances often hit exactly
+point_set = st.sampled_from([1, 2, 4]).flatmap(
+    lambda dim: st.lists(st.tuples(*[coord] * dim), max_size=8)
+)
+radius = st.sampled_from([Fraction(k, 2) for k in range(1, 6)])
 
 examples = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -101,3 +111,12 @@ def test_loop_word_matches_oracle(line_x, more):
     anchors = list(dict.fromkeys([x, *more]))
     got = outcome(lambda: loop_word(line, anchors).letters)
     assert got == outcome(frac_loop_word, line, anchors)
+
+
+@examples
+@given(point_set, radius, radius)
+def test_pair_bands_matches_oracle(points, r1, r2):
+    lo, hi = min(r1, r2), max(r1, r2)  # lo == hi comes up too
+    bands, den = pair_bands(points, lo, hi)
+    got = [(i, j, band, Fraction(slack, den)) for i, j, band, slack in bands]
+    assert got == frac_pair_bands(points, lo, hi)

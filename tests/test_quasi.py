@@ -7,7 +7,7 @@ import pytest
 from ripshadow.complexes import VertexColoring, build_rips, explicit_complex, flag_complex
 from ripshadow.errors import AuditError
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
-from ripshadow.geometry import dist2
+from ripshadow.geometry import dist2, pair_bands
 from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.quasi import (
     EdgePolicy,
@@ -49,10 +49,11 @@ def test_interval_validation():
 
 
 def test_quasi_band_conventions():
-    iv = UncertaintyInterval(F(1), F(2))
-    assert iv.classify(F(1)) == "forced"  # d = 1 exactly: closed
-    assert iv.classify(F(4)) == "forbidden"  # d = 2 exactly: no edge
-    assert iv.classify(F(2)) == "uncertain"  # strictly inside
+    bands, den = pair_bands([P(0, 0), P(1, 0), P(0, 2), P(1, 1)], F(1), F(2))
+    got = {(i, j): (band, F(slack, den)) for i, j, band, slack in bands}
+    assert got[0, 1] == (0, 0)  # d = 1 exactly: closed, forced
+    assert got[0, 2] == (2, 0)  # d = 2 exactly: no edge
+    assert got[0, 3] == (1, 1)  # d^2 = 2 strictly inside: min(2 - 1, 4 - 2)
 
 
 def test_quasi_all_below_eps_ignores_policy():
