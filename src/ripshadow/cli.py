@@ -68,13 +68,23 @@ def points_to_document(points: Sequence[Point], labels: Optional[Sequence[str]] 
 
 
 def document_to_points(doc: Dict) -> List[Point]:
-    if doc.get("schema") != SCHEMA:
-        raise CLIError(EXIT_PARSE, f"unsupported schema {doc.get('schema')!r}")
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        raise CLIError(EXIT_PARSE, f"not a {SCHEMA} point document")
     dim = doc.get("dimension")
+    rows = doc.get("points", [])
+    if not isinstance(rows, list):
+        raise CLIError(EXIT_PARSE, "points must be a list of coordinate lists")
     pts = []
-    for row in doc.get("points", []):
-        if len(row) != dim:
-            raise CLIError(EXIT_PARSE, f"point {row} does not have dimension {dim}")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != dim:
+            raise CLIError(EXIT_PARSE, f"point {row!r} is not a list of {dim} coordinates")
+        # JSON floats are binary (0.1 is not 1/10) and bools are not numbers
+        bad = [x for x in row if isinstance(x, bool) or not isinstance(x, (str, int))]
+        if bad:
+            hint = "; quote decimals as strings" if isinstance(bad[0], float) else ""
+            raise CLIError(
+                EXIT_PARSE, f"coordinate {bad[0]!r} is not a string or an integer{hint}"
+            )
         try:
             pts.append(make_point(row))
         except (ValueError, ZeroDivisionError) as exc:

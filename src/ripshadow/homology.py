@@ -102,8 +102,8 @@ class _SparseIntMatrix:
     Diagonalizes by Euclidean pivoting (always reducing toward the smallest
     nonzero magnitude), which stays in the integers and needs no fraction
     arithmetic.  `eliminate` returns the diagonal values pulled off; their
-    count is the rank and, after a divisibility fix-up, their absolute
-    values are the invariant factors.
+    count is the rank and, after a divisibility fix-up, they are the
+    invariant factors.
     """
 
     def __init__(self, columns: Sequence[SparseCol]):
@@ -179,7 +179,7 @@ class _SparseIntMatrix:
             return (r, j)
         return None
 
-    def eliminate(self, need_divisibility: bool) -> List[int]:
+    def eliminate(self) -> List[int]:
         diag: List[int] = []
         while True:
             piv = self._pick_pivot()
@@ -221,29 +221,24 @@ class _SparseIntMatrix:
             diag.append(abs(self.cols[c][r]))
             self._drop_col(c)
             self.rows.pop(r, None)
-        if need_divisibility and len(diag) > 1:
-            changed = True
-            while changed:
-                changed = False
-                for i in range(len(diag)):
-                    for j in range(i + 1, len(diag)):
-                        if diag[j] % diag[i] != 0:
-                            g = math.gcd(diag[i], diag[j])
-                            l = diag[i] // g * diag[j]
-                            diag[i], diag[j] = g, l
-                            changed = True
-            diag.sort()
-        return diag
-
-
-def rank_int(columns: Sequence[SparseCol]) -> int:
-    """Exact rank over the rationals of an integer column-sparse matrix."""
-    return len(_SparseIntMatrix(columns).eliminate(need_divisibility=False))
+        # divisibility fix-up; units divide everything, so only entries > 1
+        big = [d for d in diag if d > 1]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(big)):
+                for j in range(i + 1, len(big)):
+                    if big[j] % big[i] != 0:
+                        g = math.gcd(big[i], big[j])
+                        big[i], big[j] = g, big[i] // g * big[j]
+                        changed = True
+        return [1] * (len(diag) - len(big)) + big
 
 
 def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
-    """Invariant factors (ascending, divisibility chain) of an integer matrix."""
-    return _SparseIntMatrix(columns).eliminate(need_divisibility=True)
+    """Invariant factors (ascending, divisibility chain) of an integer
+    matrix; their count is its rank over the rationals."""
+    return _SparseIntMatrix(columns).eliminate()
 
 
 @dataclass(frozen=True)
@@ -288,7 +283,7 @@ def betti_numbers(c: SimplicialComplex, field: str = "Q", top_dim: int = 1) -> B
         elif field == "GF2":
             ranks[k] = rank_gf2(boundary_matrix(c, k).mod2_columns())
         else:
-            ranks[k] = rank_int(boundary_matrix(c, k).columns)
+            ranks[k] = len(snf_diagonal(boundary_matrix(c, k).columns))
     b = tuple(
         len(c.k_simplices(k)) - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)
     )
@@ -384,6 +379,4 @@ def induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> int:
     edge_index = {e: i for i, e in enumerate(sup.edges)}
     cycles = cycle_basis_columns(sub, edge_index)
     d2_cols = list(boundary_matrix(sup, 2).columns) if sup.k_simplices(2) else []
-    r_d2 = rank_int(d2_cols)
-    r_all = rank_int(cycles + d2_cols)
-    return r_all - r_d2
+    return len(snf_diagonal(cycles + d2_cols)) - len(snf_diagonal(d2_cols))

@@ -4,7 +4,10 @@ The shadow of a planar complex is the image of its 2-skeleton.  We build the
 exact arrangement of the projected edges (crossings, T-junctions, collinear
 overlaps all split exactly), trace its faces by half-edge walking with exact
 angular order, and mark each bounded face covered or uncovered by testing an
-exact interior witness against every projected triangle.  Arrangement
+exact interior witness against every projected triangle.  A witness is
+decided locally: it must lie inside the face's own ring, on none of its
+segments, and outside (and off) the outer walk of every component that
+could nest in the face, that is, every one enclosing less area.  Arrangement
 vertices are integer triples of the `geometry` kernel, built on the source
 coordinates rescaled once to integers.
 """
@@ -63,9 +66,6 @@ class ShadowComplex:
 
     def covered_faces(self) -> Tuple[ShadowFace, ...]:
         return tuple(f for f in self.faces if f.covered)
-
-    def uncovered_faces(self) -> Tuple[ShadowFace, ...]:
-        return tuple(f for f in self.faces if not f.covered)
 
 
 class ShadowError(ValueError):
@@ -207,9 +207,11 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # Candidates shrink toward a boundary-edge midpoint on the face side;
     # each candidate is itself an exact integer triple.
     tri_tr = [tuple(tcoords[v] for v in t) for t in c.k_simplices(2)]
+    outer_walks = [(-w[2], w[3]) for w in walks if w[2] <= 0]
 
     def witness_for(walk_idx: int, from_end: bool) -> Triple:
         cyc_edges, cyc_tails, twice_area, ring = positive[walk_idx]
+        nested = [r for area, r in outer_walks if area < twice_area]
         k = -1 if from_end else 0
         t, h = ring[k]
         dirv = dart_dir(cyc_edges[k], cyc_tails[k])
@@ -224,24 +226,14 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 2 * dd * s_shift,
             )
             s_shift *= 4
-            if cand in pid:
+            # Inside the ring and off every edge is in the face unless inside a
+            # nested component: its outer walk winds around the point and encloses
+            # less area, while the face's own and enclosing ones enclose no less.
+            if cand in pid or tr_winding(ring, cand) == 0:
                 continue
-            if any(
-                tr_on_segment(cand, spoints[se.u], spoints[se.v]) for se in sedges
-            ):
+            if any(tr_on_segment(cand, p, q) for r in [ring, *nested] for p, q in r):
                 continue
-            if tr_winding(ring, cand) == 0:
-                continue
-            ok = True
-            for other in range(len(positive)):
-                if other == walk_idx:
-                    continue
-                if positive[other][2] <= twice_area and tr_winding(
-                    positive[other][3], cand
-                ) != 0:
-                    ok = False
-                    break
-            if ok:
+            if all(tr_winding(r, cand) == 0 for r in nested):
                 return cand
         raise ConsistencyError("no interior witness found for a bounded face")
 

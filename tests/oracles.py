@@ -389,6 +389,43 @@ def cells_intersect(cell_a, cell_b) -> bool:
     raise ValueError("cells must have 1, 2, or 3 vertices")
 
 
+def _twice_area(ring) -> Fraction:
+    return sum(
+        (p[0] * q[1] - q[0] * p[1] for p, q in zip(ring, ring[1:] + ring[:1])),
+        Fraction(0),
+    )
+
+
+def frac_face_witness(s, face):
+    """The witness of a bounded shadow face by the global rule: shrink from
+    the first dart's midpoint toward its left, mid + rot90(h - t) / 4^(k+1),
+    and take the first candidate that is no shadow vertex, on no shadow
+    edge, inside the face's ring and outside every other face's ring of no
+    larger area.  Fractions throughout; None if none of 200 passes."""
+    ring = [s.points[v] for v in face.vertex_ids]
+    area = _twice_area(ring)
+    smaller = [
+        [s.points[v] for v in f.vertex_ids]
+        for f in s.faces
+        if f is not face and _twice_area([s.points[v] for v in f.vertex_ids]) <= area
+    ]
+    t, h = ring[0], ring[1]
+    mid = ((t[0] + h[0]) / 2, (t[1] + h[1]) / 2)
+    left = (t[1] - h[1], h[0] - t[0])
+    for k in range(200):
+        step = Fraction(1, 4 ** (k + 1))
+        cand = (mid[0] + left[0] * step, mid[1] + left[1] * step)
+        if cand in s.points:
+            continue
+        if any(frac_on_segment(cand, s.points[e.u], s.points[e.v]) for e in s.edges):
+            continue
+        if frac_winding_number(ring, cand) == 0:
+            continue
+        if all(frac_winding_number(other, cand) == 0 for other in smaller):
+            return cand
+    return None
+
+
 # ---------------------------------------------------------------------------
 # free-group words over the hole alphabet
 # ---------------------------------------------------------------------------

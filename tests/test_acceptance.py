@@ -470,10 +470,10 @@ def test_criterion_10_internal_consistency():
         c = build_rips(pts, F(1))
         s = build_shadow(c)
         b0, b1 = shadow_betti(s)
-        assert b1 == len(s.uncovered_faces())
+        assert b1 == len(hole_anchors(s))
     pts, interval, policy = crossing_triangle_fixture()
     rq = build_quasi(pts, interval, policy, dim_cap=2)
     s = build_shadow(rq)
-    assert shadow_betti(s)[1] == len(s.uncovered_faces())
+    assert shadow_betti(s)[1] == len(hole_anchors(s))
     print("\nACCEPTANCE 10: PASS - boundary-squared zero, Euler-Poincare "
           "identity, and shadow Euler/uncovered-face agreement")

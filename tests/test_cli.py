@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from ripshadow.cli import main, points_to_document, document_to_points
 from ripshadow.complexes import build_rips
 from ripshadow.fixtures import hexagon_points
@@ -145,3 +147,28 @@ def test_bad_loop_exit_2(tmp_path):
                 "--loop", "0,1,2"]) == 2  # not closed
     assert run(["shadow", "--points", str(fx), "--epsilon", "1",
                 "--loop", "0,3,0"]) == 2  # long diagonal is not an edge
+
+
+def _points_doc(points):
+    return {"schema": "rips-shadow/1", "dimension": 2, "points": points}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "not a rips-shadow/1 point document"),
+        (_points_doc(5), "points must be a list"),
+        (_points_doc([3]), "point 3 is not a list"),
+        (_points_doc(["12"]), "point '12' is not a list"),
+        (_points_doc([[True, False]]), "coordinate True is not a string or an integer"),
+        (_points_doc([[0.1, "0"]]), "quote decimals as strings"),
+        (_points_doc([[None, "0"]]), "coordinate None is not a string or an integer"),
+    ],
+    ids=["top_level_list", "points_not_list", "row_int", "row_string", "bools",
+         "float", "null"],
+)
+def test_malformed_point_document_exit_2(tmp_path, capsys, doc, message):
+    fx = tmp_path / "bad.json"
+    fx.write_text(json.dumps(doc))
+    assert run(["rips", "--points", str(fx), "--epsilon", "1"]) == 2
+    assert message in capsys.readouterr().err

@@ -14,7 +14,6 @@ from ripshadow.homology import (
     induced_h1_rank,
     integer_h1,
     rank_gf2,
-    rank_int,
     snf_diagonal,
     verify_chain_property,
 )
@@ -59,7 +58,6 @@ def test_rank_engines_match_dense_random():
             }
             cols.append({r: v for r, v in col.items() if v})
         dense = cols_to_dense(cols, nrows)
-        assert rank_int(cols) == dense_rank_q(dense)
         masks = [
             sum(1 << r for r, v in col.items() if v % 2) for col in cols
         ]

@@ -3,9 +3,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripshadow.complexes import build_rips, flag_complex
-from ripshadow.fixtures import hexagon_points
+from ripshadow.fixtures import annulus_ring_points, hexagon_points
 from ripshadow.geometry import dist2, on_segment, point_in_triangle
 from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.shadow import (
@@ -15,6 +17,8 @@ from ripshadow.shadow import (
     render_svg,
     shadow_betti,
 )
+
+from oracles import frac_face_witness
 
 F = Fraction
 
@@ -123,20 +127,69 @@ def test_two_disjoint_square_outlines():
     assert len(hole_anchors(s)) == 2
 
 
-def test_nested_component_inside_hole():
-    # a 12-gon ring with a tiny separate edge inside its hole: the inner
+@pytest.mark.parametrize(
+    "inner, b1",
+    [
+        ([P("-1/10", 0), P("1/10", 0)], 1),  # a single edge
+        ([P("-1/10", 0), P("1/10", 0), P(0, "1/10")], 1),  # a covered triangle
+        # a square ring with its own hole: sides 3/5, diagonals about 0.85
+        ([P("-3/10", "-3/10"), P("3/10", "-3/10"), P("3/10", "3/10"),
+          P("-3/10", "3/10")], 2),
+        ([P(0, 0)], 1),  # an isolated point
+    ],
+    ids=["edge", "triangle", "ring", "point"],
+)
+def test_nested_component_inside_hole(inner, b1):
+    # a 12-gon ring with a separate component inside its hole: the inner
     # component must not confuse face coverage or the Euler cross-check
-    from ripshadow.fixtures import annulus_ring_points
-
-    ring = list(annulus_ring_points())
-    pts = ring + [P("-1/10", 0), P("1/10", 0)]
+    pts = list(annulus_ring_points()) + inner
     c = build_rips(pts, F("7/10"))
     s = build_shadow(c)
-    b0, b1 = shadow_betti(s)
-    assert b0 == 2
-    assert b1 == 1
+    assert shadow_betti(s) == (2, b1)
+    assert len(hole_anchors(s)) == b1
     rb = betti_numbers(c, "Q", 1).b
-    assert (rb[0], rb[1]) == (b0, b1)
+    assert (rb[0], rb[1]) == (2, b1)
+
+
+# lattice sets at half-integer scales, and the annulus ring with lattice
+# points inside its hole (at scale 7/10 they never reach the ring)
+lattice_case = st.tuples(
+    st.sets(st.tuples(*[st.integers(0, 6).map(lambda k: F(k, 2))] * 2),
+            min_size=1, max_size=12),
+    st.sampled_from([F(1, 2), F(1), F(3, 2)]),
+)
+ring_case = st.sets(
+    st.tuples(*[st.integers(-2, 2).map(lambda k: F(k, 5))] * 2), min_size=1, max_size=10
+).map(lambda inner: (set(annulus_ring_points()) | inner, F(7, 10)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(lattice_case, ring_case))
+def test_witnesses_match_global_oracle(case):
+    pts, eps = case
+    s = build_shadow(build_rips(sorted(pts), eps))
+    for f in s.faces:
+        assert f.witness == frac_face_witness(s, f)
+
+
+@pytest.mark.parametrize(
+    "inner, inner_edges",
+    [
+        ([P(1, 1), P(1, 3)], [(4, 5)]),
+        ([P("1/2", 1), P("3/2", 1), P("3/2", 3), P("1/2", 3)],
+         [(4, 5), (5, 6), (6, 7), (4, 7)]),
+    ],
+    ids=["edge", "square"],
+)
+def test_witness_skips_nested_component_at_first_candidate(inner, inner_edges):
+    # the outer square's first candidate (1, 2) lies on the nested edge, or
+    # inside the nested square; its witness is the next one, (1/4, 2)
+    pts = [P(0, 0), P(4, 0), P(4, 4), P(0, 4)] + inner
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + inner_edges
+    s = build_shadow(flag_complex(len(pts), edges, dim_cap=2, coords=pts))
+    assert P("1/4", 2) in [f.witness for f in s.faces]
+    for f in s.faces:
+        assert f.witness == frac_face_witness(s, f)
 
 
 def test_witness_interiority():
