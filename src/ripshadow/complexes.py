@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .geometry import Point, pair_bands
@@ -19,10 +18,6 @@ Simplex = Tuple[int, ...]
 
 class DuplicatePointError(ValueError):
     """Two identical points make the shadow projection degenerate on an edge."""
-
-
-class NonFlagError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -205,41 +200,6 @@ def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> Simp
     return flag_complex(len(points), edges, dim_cap, coords=points, provenance="rips")
 
 
-def build_cech_1d(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> SimplicialComplex:
-    """Cech complex of 1-D points: a simplex iff the subset spans at most eps.
-
-    Implemented by direct window enumeration (max - min <= eps), independent
-    of the clique machinery, so it can cross-check build_rips in 1-D.
-    """
-    if any(len(p) != 1 for p in points):
-        raise ValueError("build_cech_1d requires 1-dimensional points")
-    check_distinct_points(points)
-    eps = Fraction(eps)
-    n = len(points)
-    order = sorted(range(n), key=lambda i: points[i][0])
-    levels: List[Set[Simplex]] = [set((i,) for i in range(n))] + [
-        set() for _ in range(dim_cap)
-    ]
-    # every valid simplex lies in the maximal window starting at its minimum
-    for a in range(n):
-        b = a
-        while b + 1 < n and points[order[b + 1]][0] - points[order[a]][0] <= eps:
-            b += 1
-        window = [order[i] for i in range(a + 1, b + 1)]
-        for size in range(1, min(len(window), dim_cap) + 1):
-            for rest in combinations(window, size):
-                levels[size].add(tuple(sorted((order[a],) + rest)))
-    out = [tuple(sorted(level)) for level in levels]
-    return SimplicialComplex(
-        n_vertices=n,
-        simplices=tuple(out),
-        dim_cap=dim_cap,
-        flag=True,
-        coords=tuple(points),
-        provenance="cech1d",
-    )
-
-
 def induced_span(c: SimplicialComplex, verts: Iterable[int]) -> SimplicialComplex:
     """Smallest subcomplex of c on a vertex subset (all simplices inside it).
 
@@ -260,25 +220,6 @@ def induced_span(c: SimplicialComplex, verts: Iterable[int]) -> SimplicialComple
         coords=c.coords,
         provenance=c.provenance,
     )
-
-
-def cone_apex(c: SimplicialComplex) -> Optional[int]:
-    """Smallest vertex adjacent to every other vertex, or None.
-
-    For a flag complex this is exactly the cone condition: a maximal clique
-    missing such a vertex could be extended by it.
-    """
-    if not c.flag:
-        raise NonFlagError("cone_apex is only meaningful on flag complexes")
-    verts = c.vertices
-    if len(verts) == 1:
-        return verts[0]
-    adj = c.adjacency()
-    want = len(verts) - 1
-    for v in verts:
-        if len(adj[v]) == want:
-            return v
-    return None
 
 
 @dataclass(frozen=True)

@@ -63,21 +63,6 @@ def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     return BoundaryMatrix(k=k, rows=rows, cols=cols, columns=tuple(columns))
 
 
-def verify_chain_property(c: SimplicialComplex) -> bool:
-    """Exactly check boundary-of-boundary = 0 in every materialized degree."""
-    for k in range(2, len(c.simplices)):
-        dk = boundary_matrix(c, k)
-        dk1 = boundary_matrix(c, k - 1)
-        for col in dk.columns:
-            acc: SparseCol = {}
-            for r, v in col.items():
-                for r2, v2 in dk1.columns[r].items():
-                    acc[r2] = acc.get(r2, 0) + v * v2
-            if any(val != 0 for val in acc.values()):
-                return False
-    return True
-
-
 def rank_gf2(columns: Sequence[int]) -> int:
     """Rank over GF(2) of bitmask columns."""
     pivots: Dict[int, int] = {}

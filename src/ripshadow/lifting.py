@@ -298,18 +298,3 @@ def is_contractible(
     if not loop.is_valid(c):
         raise LiftError("loop is not a walk in the complex")
     return walk_word(loop, c, s).is_identity
-
-
-def is_null_homologous(
-    loop: RipsWalk, c: SimplicialComplex, s: ShadowComplex
-) -> bool:
-    """Weaker necessary condition: the abelianized hole word vanishes.
-
-    Commutator loops are null-homologous without being contractible; use
-    is_contractible for the full decision.
-    """
-    if not loop.closed:
-        raise LiftError("loop must be closed")
-    anchors = hole_anchors(s)
-    word = loop_word([c.coords[v] for v in loop.vertices], anchors)
-    return all(x == 0 for x in abelianization(word.letters, len(anchors)))

@@ -4,17 +4,27 @@ The shadow of a planar complex is the image of its 2-skeleton.  We build the
 exact arrangement of the projected edges (crossings, T-junctions, collinear
 overlaps all split exactly), trace its faces by half-edge walking with exact
 angular order, and mark each bounded face covered or uncovered by testing an
-exact interior witness against every projected triangle.  A witness is
+exact interior witness against the projected triangles.  A witness is
 decided locally: it must lie inside the face's own ring, on none of its
 segments, and outside (and off) the outer walk of every component that
 could nest in the face, that is, every one enclosing less area.  Arrangement
 vertices are integer triples of the `geometry` kernel, built on the source
 coordinates rescaled once to integers.
+
+Edge pairs, vertices against edges and witnesses against triangles are
+tested only where they share a cell of one uniform grid, whose side is the
+largest |dx| or |dy| of any edge (at most eps for a Rips complex).  Each
+edge and triangle is filed under every cell its closed bounding box meets,
+a point under the one cell that holds it.  Nothing is lost: two closed sets
+that meet share a point, and since floor division is monotone, that point's
+cell lies in the cell range of both boxes.  The grid only picks candidates;
+the kernel decides every predicate exactly.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -25,6 +35,7 @@ from .geometry import (
     Point,
     Triple,
     closed_segments,
+    cmp_frac,
     dir_cmp,
     from_triple,
     scale_points,
@@ -72,6 +83,40 @@ class ShadowError(ValueError):
     pass
 
 
+def _cell(t: Triple, side: int) -> Tuple[int, int]:
+    """The grid cell of the point t: floor of its coordinates over side."""
+    k = t[2] * side
+    return (t[0] // k, t[1] // k)
+
+
+def _box_cells(pts: Sequence[Triple], side: int) -> List[Tuple[int, int]]:
+    """Every grid cell the closed bounding box of the points meets."""
+    cells = [_cell(p, side) for p in pts]
+    xs = [cx for cx, _ in cells]
+    ys = [cy for _, cy in cells]
+    return [
+        (cx, cy)
+        for cx in range(min(xs), max(xs) + 1)
+        for cy in range(min(ys), max(ys) + 1)
+    ]
+
+
+def _lex_cmp(p: Triple, q: Triple) -> int:
+    """Lexicographic order of two points, x then y."""
+    return cmp_frac(p[0], p[2], q[0], q[2]) or cmp_frac(p[1], p[2], q[1], q[2])
+
+
+_lex_key = functools.cmp_to_key(_lex_cmp)
+
+
+def _twice_area(ring: Sequence[Tuple[Triple, Triple]]) -> Tuple[int, int]:
+    """Twice the signed area a closed ring encloses, as (numerator,
+    denominator): every point is put over the lcm of the ring's D."""
+    d = math.lcm(*(p[2] for p, _ in ring))
+    num = sum((p[0] * q[1] - q[0] * p[1]) * (d // p[2]) * (d // q[2]) for p, q in ring)
+    return num, d * d
+
+
 def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     """Exact shadow complex of a planar complex with materialized 2-skeleton."""
     if c.coords is None or any(len(p) != 2 for p in c.coords):
@@ -85,13 +130,25 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         if coords[i] == coords[j]:
             raise ShadowError(f"degenerate zero-length edge {(i, j)}")
 
+    # -- one uniform grid: cell side the largest |dx| or |dy| of any edge --
+    side = max(
+        (max(abs(coords[i][0] - coords[j][0]), abs(coords[i][1] - coords[j][1]))
+         for i, j in rips_edges),
+        default=1,
+    )
+    edge_cells = [_box_cells((tcoords[i], tcoords[j]), side) for i, j in rips_edges]
+    edges_in: Dict[Tuple[int, int], List[int]] = {}
+    for a, cells in enumerate(edge_cells):
+        for cell in cells:
+            edges_in.setdefault(cell, []).append(a)
+
     # -- split every projected edge at crossings, junctions, overlaps --
+    # Pairs go in (a, b) order, so each crossing keeps its first pair.
     splits: List[Set[Triple]] = [{tcoords[i], tcoords[j]} for i, j in rips_edges]
     crossing_pairs: Dict[Triple, Tuple[int, int]] = {}
-    ne = len(rips_edges)
-    for a in range(ne):
+    for a, cells in enumerate(edge_cells):
         ends_a = (tcoords[rips_edges[a][0]], tcoords[rips_edges[a][1]])
-        for b in range(a + 1, ne):
+        for b in sorted({b for cell in cells for b in edges_in[cell] if b > a}):
             ends_b = (tcoords[rips_edges[b][0]], tcoords[rips_edges[b][1]])
             kind, meet = tr_segment_meet(*ends_a, *ends_b)
             if kind == "disjoint":
@@ -101,7 +158,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             if kind == "point" and meet[0] not in ends_a + ends_b:
                 crossing_pairs.setdefault(meet[0], (a, b))
     for v, tv in enumerate(tcoords):
-        for a, (i, j) in enumerate(rips_edges):
+        for a in edges_in.get(_cell(tv, side), ()):
+            i, j = rips_edges[a]
             if v not in (i, j) and tr_on_segment(tv, tcoords[i], tcoords[j]):
                 splits[a].add(tv)
 
@@ -109,9 +167,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     all_points: Set[Triple] = set(tcoords)
     for s in splits:
         all_points.update(s)
-    spoints: List[Triple] = sorted(
-        all_points, key=lambda t: (F(t[0], t[2]), F(t[1], t[2]))
-    )
+    spoints: List[Triple] = sorted(all_points, key=_lex_key)
     pid = {p: idx for idx, p in enumerate(spoints)}
 
     provenance_of_vertex: Dict[int, Tuple] = {}
@@ -127,8 +183,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # Ids follow lexicographic point order, which runs monotonically along
     # any one segment, so consecutive ids are consecutive split points.
     edge_prov: Dict[Tuple[int, int], Set[int]] = {}
-    for a in range(ne):
-        pts = sorted(splits[a], key=pid.__getitem__)
+    for a, split in enumerate(splits):
+        pts = sorted(split, key=pid.__getitem__)
         for p, q in zip(pts, pts[1:]):
             key = (pid[p], pid[q]) if pid[p] < pid[q] else (pid[q], pid[p])
             edge_prov.setdefault(key, set()).add(a)
@@ -177,7 +233,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
 
     # each walk: its darts' edges and tails, twice its signed area, and its
     # closed ring of segments for winding tests
-    walks: List[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction, List]] = []
+    walks: List[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, int], List]] = []
     seen: Set[Tuple[int, int]] = set()
     for eid, e in enumerate(sedges):
         for tail in (e.u, e.v):
@@ -192,10 +248,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 cyc_tails.append(cur[1])
                 cur = next_dart(*cur)
             ring = closed_segments([spoints[v] for v in cyc_tails])
-            twice_area = sum(F(p[0] * q[1] - q[0] * p[1], p[2] * q[2]) for p, q in ring)
-            walks.append((tuple(cyc_edges), tuple(cyc_tails), twice_area, ring))
+            walks.append((tuple(cyc_edges), tuple(cyc_tails), _twice_area(ring), ring))
 
-    positive = [w for w in walks if w[2] > 0]
+    positive = [w for w in walks if w[2][0] > 0]
     n_unbounded = len(walks) - len(positive)
     expected = len(edge_prov) - len(spoints) + n_components
     if len(positive) != expected:
@@ -206,12 +261,11 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # -- witnesses and coverage --
     # Candidates shrink toward a boundary-edge midpoint on the face side;
     # each candidate is itself an exact integer triple.
-    tri_tr = [tuple(tcoords[v] for v in t) for t in c.k_simplices(2)]
-    outer_walks = [(-w[2], w[3]) for w in walks if w[2] <= 0]
+    outer_walks = [(-w[2][0], w[2][1], w[3]) for w in walks if w[2][0] <= 0]
 
     def witness_for(walk_idx: int, from_end: bool) -> Triple:
-        cyc_edges, cyc_tails, twice_area, ring = positive[walk_idx]
-        nested = [r for area, r in outer_walks if area < twice_area]
+        cyc_edges, cyc_tails, (num, den), ring = positive[walk_idx]
+        nested = [r for n, d, r in outer_walks if cmp_frac(n, d, num, den) < 0]
         k = -1 if from_end else 0
         t, h = ring[k]
         dirv = dart_dir(cyc_edges[k], cyc_tails[k])
@@ -237,12 +291,26 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 return cand
         raise ConsistencyError("no interior witness found for a bounded face")
 
+    # A witness is tested against the triangles in its cell whose closed
+    # bounding box holds it; the box test spares most kernel calls.
+    tris_in: Dict[Tuple[int, int], List[Tuple]] = {}
+    for t in c.k_simplices(2):
+        tri = tuple(tcoords[v] for v in t)
+        xs = [p[0] for p in tri]
+        ys = [p[1] for p in tri]
+        box = (min(xs), max(xs), min(ys), max(ys), tri)
+        for cell in _box_cells(tri, side):
+            tris_in.setdefault(cell, []).append(box)
+
     def covered_at(cand: Triple) -> bool:
+        x, y, d = cand
         return any(
-            tr_point_in_triangle(cand, *tp) != "outside" for tp in tri_tr
+            tr_point_in_triangle(cand, *tri) != "outside"
+            for x0, x1, y0, y1, tri in tris_in.get(_cell(cand, side), ())
+            if x0 * d <= x <= x1 * d and y0 * d <= y <= y1 * d
         )
 
-    faces: List[ShadowFace] = []
+    faces: List[Tuple[Triple, ShadowFace]] = []
     for idx, (cyc_edges, cyc_tails, _, _) in enumerate(positive):
         w1 = witness_for(idx, from_end=False)
         w2 = witness_for(idx, from_end=True)
@@ -252,15 +320,14 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             raise ConsistencyError(
                 "coverage flag depends on the witness; arrangement is inconsistent"
             )
-        faces.append(
-            ShadowFace(
-                edge_ids=cyc_edges,
-                vertex_ids=cyc_tails,
-                witness=from_triple(w1, scale),
-                covered=cov1,
-            )
+        face = ShadowFace(
+            edge_ids=cyc_edges,
+            vertex_ids=cyc_tails,
+            witness=from_triple(w1, scale),
+            covered=cov1,
         )
-    faces.sort(key=lambda f: f.witness)
+        faces.append((w1, face))
+    faces.sort(key=lambda wf: _lex_key(wf[0]))
 
     return ShadowComplex(
         points=tuple(from_triple(p, scale) for p in spoints),
@@ -268,7 +335,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             provenance_of_vertex[i] for i in range(len(spoints))
         ),
         edges=sedges,
-        faces=tuple(faces),
+        faces=tuple(f for _, f in faces),
         rips_edges=rips_edges,
         source_coords=tuple(c.coords),
         n_components=n_components,

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to freeze expected values.
 
 These stay deliberately naive and dense (textbook row/column reduction on
-full matrices, brute-force enumeration) so they share no code path with the
-production algorithms they check.
+full matrices, brute-force enumeration, all-pairs loops) so they share no
+code path with the production algorithms they check.  The last section
+holds checks on package objects that only tests call.
 """
 
 from __future__ import annotations
@@ -10,6 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from ripshadow.complexes import SimplicialComplex, check_distinct_points
+from ripshadow.homology import boundary_matrix
+from ripshadow.lifting import LiftError, abelianization, loop_word
+from ripshadow.shadow import hole_anchors
 
 
 def dense_boundary(simplices_k: Sequence[tuple], simplices_km1: Sequence[tuple]) -> List[List[int]]:
@@ -426,6 +432,55 @@ def frac_face_witness(s, face):
     return None
 
 
+def frac_arrangement(c):
+    """The shadow arrangement by all-pairs loops on Fraction points: every
+    pair of edges, every vertex against every edge.  Returns the points in
+    lexicographic order, their provenance (first crossing pair in (a, b)
+    order) and the edges as (u, v, provenance) triples."""
+    pts = [tuple(Fraction(x) for x in p) for p in c.coords]
+    edges = list(c.edges)
+    splits = [{pts[i], pts[j]} for i, j in edges]
+    crossings = {}
+    for a, b in combinations(range(len(edges)), 2):
+        ends_a = (pts[edges[a][0]], pts[edges[a][1]])
+        ends_b = (pts[edges[b][0]], pts[edges[b][1]])
+        kind, point, segment = frac_segment_intersection(ends_a, ends_b)
+        meet = segment if kind == "overlap" else (point,) if point else ()
+        splits[a].update(meet)
+        splits[b].update(meet)
+        if kind == "point" and point not in ends_a + ends_b:
+            crossings.setdefault(point, (a, b))
+    for v, p in enumerate(pts):
+        for a, (i, j) in enumerate(edges):
+            if v not in (i, j) and frac_on_segment(p, pts[i], pts[j]):
+                splits[a].add(p)
+    points = sorted(set(pts).union(*splits))
+    pid = {p: k for k, p in enumerate(points)}
+    provenance = {}
+    for v, p in enumerate(pts):
+        provenance.setdefault(pid[p], ("original", v))
+    for p, pair in crossings.items():
+        provenance.setdefault(pid[p], ("crossing", pair))
+    pieces: Dict[Tuple[int, int], set] = {}
+    for a, split in enumerate(splits):
+        ids = sorted(pid[p] for p in split)
+        for u, w in zip(ids, ids[1:]):
+            pieces.setdefault((u, w), set()).add(a)
+    return (
+        tuple(points),
+        tuple(provenance[k] for k in range(len(points))),
+        tuple((u, w, frozenset(pieces[(u, w)])) for u, w in sorted(pieces)),
+    )
+
+
+def frac_covered(c, point) -> bool:
+    """Is the point in some triangle of c?  Tests every triangle."""
+    return any(
+        frac_point_in_triangle(point, *(c.coords[v] for v in t)) != "outside"
+        for t in c.k_simplices(2)
+    )
+
+
 # ---------------------------------------------------------------------------
 # free-group words over the hole alphabet
 # ---------------------------------------------------------------------------
@@ -468,3 +523,92 @@ def has_simplex(c, simplex) -> bool:
 
 def euler_characteristic(c) -> int:
     return sum((-1) ** k * len(level) for k, level in enumerate(c.simplices))
+
+
+# ---------------------------------------------------------------------------
+# checks on package objects that only tests call
+# ---------------------------------------------------------------------------
+
+
+class NonFlagError(ValueError):
+    pass
+
+
+def verify_chain_property(c) -> bool:
+    """Exactly check boundary-of-boundary = 0 in every materialized degree."""
+    for k in range(2, len(c.simplices)):
+        dk = boundary_matrix(c, k)
+        dk1 = boundary_matrix(c, k - 1)
+        for col in dk.columns:
+            acc: Dict[int, int] = {}
+            for r, v in col.items():
+                for r2, v2 in dk1.columns[r].items():
+                    acc[r2] = acc.get(r2, 0) + v * v2
+            if any(val != 0 for val in acc.values()):
+                return False
+    return True
+
+
+def build_cech_1d(points, eps, dim_cap: int = 3):
+    """Cech complex of 1-D points: a simplex iff the subset spans at most eps.
+
+    Implemented by direct window enumeration (max - min <= eps), independent
+    of the clique machinery, so it can cross-check build_rips in 1-D.
+    """
+    if any(len(p) != 1 for p in points):
+        raise ValueError("build_cech_1d requires 1-dimensional points")
+    check_distinct_points(points)
+    eps = Fraction(eps)
+    n = len(points)
+    order = sorted(range(n), key=lambda i: points[i][0])
+    levels: List[set] = [set((i,) for i in range(n))] + [set() for _ in range(dim_cap)]
+    # every valid simplex lies in the maximal window starting at its minimum
+    for a in range(n):
+        b = a
+        while b + 1 < n and points[order[b + 1]][0] - points[order[a]][0] <= eps:
+            b += 1
+        window = [order[i] for i in range(a + 1, b + 1)]
+        for size in range(1, min(len(window), dim_cap) + 1):
+            for rest in combinations(window, size):
+                levels[size].add(tuple(sorted((order[a],) + rest)))
+    out = [tuple(sorted(level)) for level in levels]
+    return SimplicialComplex(
+        n_vertices=n,
+        simplices=tuple(out),
+        dim_cap=dim_cap,
+        flag=True,
+        coords=tuple(points),
+        provenance="cech1d",
+    )
+
+
+def cone_apex(c) -> Optional[int]:
+    """Smallest vertex adjacent to every other vertex, or None.
+
+    For a flag complex this is exactly the cone condition: a maximal clique
+    missing such a vertex could be extended by it.
+    """
+    if not c.flag:
+        raise NonFlagError("cone_apex is only meaningful on flag complexes")
+    verts = c.vertices
+    if len(verts) == 1:
+        return verts[0]
+    adj = c.adjacency()
+    want = len(verts) - 1
+    for v in verts:
+        if len(adj[v]) == want:
+            return v
+    return None
+
+
+def is_null_homologous(loop, c, s) -> bool:
+    """Weaker necessary condition: the abelianized hole word vanishes.
+
+    Commutator loops are null-homologous without being contractible; use
+    is_contractible for the full decision.
+    """
+    if not loop.closed:
+        raise LiftError("loop must be closed")
+    anchors = hole_anchors(s)
+    word = loop_word([c.coords[v] for v in loop.vertices], anchors)
+    return all(x == 0 for x in abelianization(word.letters, len(anchors)))

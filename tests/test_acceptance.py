@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from ripshadow.complexes import build_cech_1d, build_rips, cone_apex, induced_span
+from ripshadow.complexes import build_rips, induced_span
 from ripshadow.fixtures import (
     annulus_ring_points,
     cross_polytope_points,
@@ -19,11 +19,7 @@ from ripshadow.fixtures import (
     hexagon_points,
 )
 from ripshadow.geometry import dist2, segment_intersection
-from ripshadow.homology import (
-    betti_numbers,
-    integer_h1,
-    verify_chain_property,
-)
+from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.lifting import lift_loop, lift_path, is_contractible, walk_word
 from ripshadow.quasi import (
     EdgePolicy,
@@ -35,7 +31,14 @@ from ripshadow.quasi import (
 )
 from ripshadow.shadow import build_shadow, hole_anchors, shadow_betti
 
-from oracles import cells_intersect, euler_characteristic, has_simplex
+from oracles import (
+    build_cech_1d,
+    cells_intersect,
+    cone_apex,
+    euler_characteristic,
+    has_simplex,
+    verify_chain_property,
+)
 
 F = Fraction
 

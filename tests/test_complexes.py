@@ -6,17 +6,14 @@ import pytest
 
 from ripshadow.complexes import (
     DuplicatePointError,
-    NonFlagError,
-    build_cech_1d,
     build_rips,
-    cone_apex,
     explicit_complex,
     flag_complex,
     induced_span,
 )
 from ripshadow.geometry import dist2, make_point
 
-from oracles import brute_force_cliques
+from oracles import NonFlagError, brute_force_cliques, build_cech_1d, cone_apex
 
 F = Fraction
 

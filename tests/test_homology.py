@@ -15,7 +15,6 @@ from ripshadow.homology import (
     integer_h1,
     rank_gf2,
     snf_diagonal,
-    verify_chain_property,
 )
 
 from oracles import (
@@ -25,6 +24,7 @@ from oracles import (
     dense_snf,
     euler_characteristic,
     homology_profile,
+    verify_chain_property,
 )
 
 F = Fraction

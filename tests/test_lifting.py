@@ -13,7 +13,6 @@ from ripshadow.lifting import (
     chaining_sequence,
     free_reduce,
     is_contractible,
-    is_null_homologous,
     lift_loop,
     lift_path,
     loop_word,
@@ -21,7 +20,13 @@ from ripshadow.lifting import (
 )
 from ripshadow.shadow import build_shadow, hole_anchors
 
-from oracles import cyclic_reduce, frac_winding_number, word_concat, word_inverse
+from oracles import (
+    cyclic_reduce,
+    frac_winding_number,
+    is_null_homologous,
+    word_concat,
+    word_inverse,
+)
 
 F = Fraction
 

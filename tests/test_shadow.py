@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ripshadow.shadow
 from ripshadow.complexes import build_rips, flag_complex
 from ripshadow.fixtures import annulus_ring_points, hexagon_points
 from ripshadow.geometry import dist2, on_segment, point_in_triangle
@@ -18,7 +20,7 @@ from ripshadow.shadow import (
     shadow_betti,
 )
 
-from oracles import frac_face_witness
+from oracles import frac_arrangement, frac_covered, frac_face_witness
 
 F = Fraction
 
@@ -170,6 +172,90 @@ def test_witnesses_match_global_oracle(case):
     s = build_shadow(build_rips(sorted(pts), eps))
     for f in s.faces:
         assert f.witness == frac_face_witness(s, f)
+
+
+# Inputs for the grid, whose cell side is the largest |dx| or |dy| of an
+# edge (at most eps for the Rips sets).  Points at multiples of the side, and
+# crossings such as (0, 0) of the segments (-1/2, 0)-(1/2, 0) and
+# (0, -1/2)-(0, 1/2), lie on cell boundaries.
+lattice = st.integers(-4, 4).map(F)
+half_lattice = st.integers(-4, 4).map(lambda k: F(k, 2))
+rips_on_lattice = st.builds(
+    lambda pts, eps: build_rips(sorted(pts), eps),
+    st.sets(st.tuples(half_lattice, half_lattice), min_size=1, max_size=16),
+    st.sampled_from([F(1), F(3, 2), F(2)]),
+)
+# collinear points: overlapping edges chain across several cells
+collinear_rips = st.builds(
+    lambda ks, d, eps: build_rips([(k * d[0], k * d[1]) for k in sorted(ks)], eps),
+    st.sets(st.integers(-6, 6).map(F), min_size=2, max_size=10),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]),
+    st.sampled_from([F(1), F(2), F(3), F(9, 2)]),
+)
+
+
+@st.composite
+def explicit_complexes(draw):
+    """Any edges on lattice points: T-junctions, long edges, isolated
+    points (one of them maybe on an edge's midpoint), or no edge at all."""
+    pts = sorted(draw(st.sets(st.tuples(lattice, lattice), min_size=1, max_size=9)))
+    pairs = list(combinations(range(len(pts)), 2))
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))) if pairs else []
+    if edges and draw(st.booleans()):
+        i, j = edges[0]
+        mid = ((pts[i][0] + pts[j][0]) / 2, (pts[i][1] + pts[j][1]) / 2)
+        if mid not in pts:
+            pts.append(mid)
+    return flag_complex(len(pts), edges, dim_cap=2, coords=pts)
+
+
+@st.composite
+def rips_plus_long_edge(draw):
+    """A Rips complex at eps 1 and one long edge, which sets the side."""
+    pts = sorted(draw(st.sets(st.tuples(lattice, lattice), min_size=2, max_size=14)))
+    i, j = draw(st.sampled_from(list(combinations(range(len(pts)), 2))))
+    edges = set(build_rips(pts, F(1)).edges) | {(i, j)}
+    return flag_complex(len(pts), sorted(edges), dim_cap=2, coords=pts)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.one_of(rips_on_lattice, collinear_rips, explicit_complexes(), rips_plus_long_edge()))
+def test_grid_arrangement_matches_all_pairs_oracle(c):
+    s = build_shadow(c)
+    points, provenance, edges = frac_arrangement(c)
+    assert s.points == points
+    assert s.vertex_provenance == provenance
+    assert tuple((e.u, e.v, e.provenance) for e in s.edges) == edges
+    for f in s.faces:
+        ring = f.vertex_ids[1:] + f.vertex_ids[:1]
+        for eid, u, v in zip(f.edge_ids, f.vertex_ids, ring):
+            assert edges[eid][:2] == (min(u, v), max(u, v))
+        assert f.covered == frac_covered(c, f.witness)
+    shadow_betti(s)  # Euler count against uncovered faces
+
+
+def test_grid_bounds_kernel_calls(monkeypatch):
+    # the 200-point quarter-lattice set at eps 1: all-pairs loops would make
+    # E(E-1)/2 segment meets and about F*T triangle tests
+    calls = Counter()
+    for name in ("tr_segment_meet", "tr_point_in_triangle"):
+        fn = getattr(ripshadow.shadow, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(ripshadow.shadow, name, counted)
+    rng = random.Random(7)
+    pts = set()
+    while len(pts) < 200:
+        pts.add((F(rng.randrange(0, 33), 4), F(rng.randrange(0, 33), 4)))
+    c = build_rips(sorted(pts), F(1))
+    s = build_shadow(c)
+    n_edges, n_tris = len(c.edges), len(c.k_simplices(2))
+    assert (n_edges, n_tris, len(s.faces)) == (785, 1184, 1105)
+    assert calls["tr_segment_meet"] <= n_edges * n_edges // 16
+    assert calls["tr_point_in_triangle"] <= len(s.faces) * n_tris // 8
 
 
 @pytest.mark.parametrize(
