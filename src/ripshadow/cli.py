@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -147,6 +146,12 @@ def _parse_bound_spec(text: str, seed: int) -> Tuple[UncertaintyInterval, EdgePo
     return interval, _parse_policy(parts[2], seed)
 
 
+def _check_dim_cap(dim_cap: int) -> None:
+    # the H1 and shadow decisions all read the 2-skeleton
+    if dim_cap < 2:
+        raise CLIError(EXIT_PARSE, f"--dim-cap must be at least 2, got {dim_cap}")
+
+
 def _parse_loop(text: str) -> Tuple[int, ...]:
     try:
         verts = tuple(int(x) for x in text.split(","))
@@ -193,6 +198,7 @@ def _write_report(report: Dict, path: Optional[str]) -> None:
 
 
 def cmd_rips(args) -> int:
+    _check_dim_cap(args.dim_cap)
     points = load_points(args.points)
     c = build_rips(points, _parse_rational(args.epsilon, "epsilon"), args.dim_cap)
     report = {
@@ -205,11 +211,12 @@ def cmd_rips(args) -> int:
         "betti": _betti_block(c),
         "integer_h1": _h1_block(integer_h1(c)),
     }
-    _finish(report, args)
+    _write_report(report, args.out)
     return EXIT_OK
 
 
 def cmd_shadow(args) -> int:
+    _check_dim_cap(args.dim_cap)
     points = load_points(args.points)
     if any(len(p) != 2 for p in points):
         raise CLIError(EXIT_DIMENSION, "shadow analysis needs 2-dimensional points")
@@ -275,7 +282,7 @@ def cmd_shadow(args) -> int:
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(render_svg(s, overlay=overlay))
-    _finish(report, args)
+    _write_report(report, args.out)
     return EXIT_OK
 
 
@@ -319,11 +326,12 @@ def cmd_quasi(args) -> int:
         "monochromatic_violations": res.mono_violations,
         "distance_audit_margin": format_rational(res.embedded.audit_margin),
     }
-    _finish(report, args)
+    _write_report(report, args.out)
     return EXIT_OK
 
 
 def cmd_pair(args) -> int:
+    _check_dim_cap(args.dim_cap)
     points = load_points(args.points)
     lower = _parse_bound_spec(args.lower, args.seed)
     upper = _parse_bound_spec(args.upper, args.seed + 1)
@@ -347,7 +355,7 @@ def cmd_pair(args) -> int:
     }
     if rep.shadow_mid_betti is not None:
         report["shadow_mid_betti"] = list(rep.shadow_mid_betti)
-    _finish(report, args)
+    _write_report(report, args.out)
     return EXIT_OK
 
 
@@ -364,12 +372,6 @@ def cmd_fixture(args) -> int:
     pts = FIXTURES[args.name]()
     _write_report(points_to_document(pts), args.out)
     return EXIT_OK
-
-
-def _finish(report: Dict, args) -> None:
-    if getattr(args, "timing", False):
-        report["timing_seconds"] = round(time.perf_counter() - args._t0, 3)
-    _write_report(report, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True)
     p.add_argument("--dim-cap", dest="dim_cap", type=int, default=3)
     p.add_argument("--out", default="-")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_rips)
 
     p = sub.add_parser("shadow", help="build the planar shadow and verify the certificate")
@@ -399,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.add_argument("--loop", help="closed vertex walk, e.g. 0,1,2,0")
     p.add_argument("--out", default="-")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_shadow)
 
     p = sub.add_parser("quasi", help="run the presentation-to-quasi-Rips pipeline")
@@ -408,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", required=True, help="eps,eps_prime")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_quasi)
 
     p = sub.add_parser("pair", help="persistence-style analysis of two quasi complexes")
@@ -418,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-cap", dest="dim_cap", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("fixture", help="export a named fixture as a point-set document")
@@ -431,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    args._t0 = time.perf_counter()
     try:
         return args.func(args)
     except CLIError as exc:

@@ -1,15 +1,16 @@
 """Boundary matrices, Betti numbers, integer Smith normal form, induced maps.
 
 Everything is exact: GF(2) ranks use bitmask elimination, rational ranks and
-torsion use integer elimination with Euclidean pivoting (arbitrary precision,
-no modular shortcuts).  Matrices are stored column-sparse; boundary matrices
-have three or fewer entries per column, and smallest-pivot selection keeps
-fill-in modest at desk scale.
+torsion use the integer Smith normal form (arbitrary precision, no modular
+shortcuts).  Matrices are stored column-sparse.  The Smith form runs in two
+phases: one sweep splits off every +-1 pivot it meets, then a dense
+Euclidean reduction diagonalizes the small remainder.  Both use only
+integer unimodular row and column operations, which keep the invariant
+factors, so the result is exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -81,149 +82,96 @@ def rank_gf2(columns: Sequence[int]) -> int:
     return rank
 
 
-class _SparseIntMatrix:
-    """Column-sparse integer matrix supporting exact elimination.
-
-    Diagonalizes by Euclidean pivoting (always reducing toward the smallest
-    nonzero magnitude), which stays in the integers and needs no fraction
-    arithmetic.  `eliminate` returns the diagonal values pulled off; their
-    count is the rank and, after a divisibility fix-up, they are the
-    invariant factors.
-    """
-
-    def __init__(self, columns: Sequence[SparseCol]):
-        self.cols: Dict[int, SparseCol] = {
-            j: dict(col) for j, col in enumerate(columns) if col
-        }
-        self.rows: Dict[int, Set[int]] = {}
-        for j, col in self.cols.items():
-            for r in col:
-                self.rows.setdefault(r, set()).add(j)
-        self._heap: List[Tuple[int, int]] = []
-        for j, col in self.cols.items():
-            self._push(j)
-
-    def _push(self, j: int) -> None:
-        col = self.cols.get(j)
-        if col:
-            heapq.heappush(self._heap, (min(abs(v) for v in col.values()), j))
-
-    def _set(self, j: int, r: int, v: int) -> None:
-        col = self.cols[j]
-        if v == 0:
-            if r in col:
-                del col[r]
-                self.rows[r].discard(j)
-        else:
-            if r not in col:
-                self.rows.setdefault(r, set()).add(j)
-            col[r] = v
-
-    def _axpy(self, dst: int, src: int, q: int) -> None:
-        """column[dst] -= q * column[src]"""
-        if q == 0:
-            return
-        src_col = self.cols[src]
-        for r, v in list(src_col.items()):
-            cur = self.cols[dst].get(r, 0) - q * v
-            self._set(dst, r, cur)
-        self._push(dst)
-
-    def _swap_cols(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        ca, cb = self.cols[a], self.cols[b]
-        for r in set(ca) | set(cb):
-            self.rows[r].discard(a)
-            self.rows[r].discard(b)
-        self.cols[a], self.cols[b] = cb, ca
-        for r in self.cols[a]:
-            self.rows[r].add(a)
-        for r in self.cols[b]:
-            self.rows[r].add(b)
-        self._push(a)
-        self._push(b)
-
-    def _drop_col(self, j: int) -> None:
-        for r in self.cols[j]:
-            self.rows[r].discard(j)
-        del self.cols[j]
-
-    def _pick_pivot(self) -> Optional[Tuple[int, int]]:
-        while self._heap:
-            key, j = heapq.heappop(self._heap)
-            col = self.cols.get(j)
-            if not col:
-                continue
-            cur = min(abs(v) for v in col.values())
-            if cur != key:
-                heapq.heappush(self._heap, (cur, j))
-                continue
-            r = min(rr for rr, vv in col.items() if abs(vv) == cur)
-            heapq.heappush(self._heap, (key, j))  # stays until dropped
-            return (r, j)
-        return None
-
-    def eliminate(self) -> List[int]:
-        diag: List[int] = []
-        while True:
-            piv = self._pick_pivot()
-            if piv is None:
-                break
-            r, c = piv
-            while True:
-                # clear pivot row across other columns (Euclid on remainders)
-                moved = False
-                for j in list(self.rows.get(r, ())):
-                    if j == c:
-                        continue
-                    p = self.cols[c][r]
-                    q = self.cols[j][r] // p
-                    self._axpy(j, c, q)
-                    if self.cols.get(j, {}).get(r, 0) != 0:
-                        self._swap_cols(c, j)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                # pivot row now lives only in column c; clear the column.
-                # Row ops on other rows only touch column c here, because
-                # row r has a single nonzero.
-                p = self.cols[c][r]
-                col = self.cols[c]
-                again = False
-                for r2 in list(col.keys()):
-                    if r2 == r:
-                        continue
-                    q = col[r2] // p
-                    self._set(c, r2, col[r2] - q * p)
-                    if self.cols[c].get(r2, 0) != 0:
-                        r = r2  # smaller remainder becomes the pivot entry
-                        again = True
-                        break
-                if not again:
-                    break
-            diag.append(abs(self.cols[c][r]))
-            self._drop_col(c)
-            self.rows.pop(r, None)
-        # divisibility fix-up; units divide everything, so only entries > 1
-        big = [d for d in diag if d > 1]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(big)):
-                for j in range(i + 1, len(big)):
-                    if big[j] % big[i] != 0:
-                        g = math.gcd(big[i], big[j])
-                        big[i], big[j] = g, big[i] // g * big[j]
-                        changed = True
-        return [1] * (len(diag) - len(big)) + big
-
-
 def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
     """Invariant factors (ascending, divisibility chain) of an integer
-    matrix; their count is its rank over the rationals."""
-    return _SparseIntMatrix(columns).eliminate()
+    matrix; their count is its rank over the rationals.
+
+    Unit sweep: each column, visited once in index order, that holds a +-1
+    pivots on its smallest such row.  Column operations clear that row from
+    every other column, after which row operations would clear the pivot's
+    column without touching anything else, so the pivot row and column
+    split off as a factor 1.  Columns without a unit when visited stay, and
+    later pivots keep operating on them; what is left after the sweep goes
+    to a dense Euclidean finish.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    rows: Dict[int, Set[int]] = {}
+    for j, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    units = 0
+    for c in range(len(columns)):
+        col = cols.get(c)
+        unit_rows = [r for r, v in col.items() if v == 1 or v == -1] if col else ()
+        if not unit_rows:
+            continue
+        r = min(unit_rows)
+        p = col.pop(r)
+        for j in rows.pop(r):
+            if j == c:
+                continue
+            other = cols[j]
+            q = other.pop(r) * p  # p is a unit, so this is other[r] / p
+            for rr, v in col.items():
+                w = other.get(rr, 0) - q * v
+                if w:
+                    if rr not in other:
+                        rows[rr].add(j)
+                    other[rr] = w
+                else:
+                    del other[rr]
+                    rows[rr].discard(j)
+        for rr in col:
+            rows[rr].discard(c)
+        del cols[c]
+        units += 1
+    return [1] * units + _dense_snf([col for col in cols.values() if col])
+
+
+def _dense_snf(columns: List[SparseCol]) -> List[int]:
+    """Invariant factors of a small matrix, diagonalized densely by
+    Euclidean row and column operations on its smallest entry."""
+    index = {r: i for i, r in enumerate(sorted({r for col in columns for r in col}))}
+    m = [[0] * len(columns) for _ in index]
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            m[index[r]][j] = v
+    diag: List[int] = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        prow = m[i]
+        p = prow[j]
+        for k, v in enumerate(prow):  # column operations on row i
+            q = v // p
+            if k != j and q:
+                for row in m:
+                    row[k] -= q * row[j]
+        for row in m:  # row operations on column j
+            q = row[j] // p
+            if row is not prow and q:
+                for k, v in enumerate(prow):
+                    row[k] -= q * v
+        # a nonzero remainder is smaller than p and becomes the next pivot
+        if sum(1 for v in prow if v) == 1 and sum(1 for row in m if row[j]) == 1:
+            diag.append(abs(p))
+            del m[i]
+            for row in m:
+                del row[j]
+    # divisibility fix-up; units divide everything, so only entries > 1
+    big = [d for d in diag if d > 1]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(big)):
+            for j in range(i + 1, len(big)):
+                if big[j] % big[i] != 0:
+                    g = math.gcd(big[i], big[j])
+                    big[i], big[j] = g, big[i] // g * big[j]
+                    changed = True
+    return [1] * (len(diag) - len(big)) + big
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,6 @@ def free_reduce(letters: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def abelianization(word: Sequence[int], n_letters: int) -> Tuple[int, ...]:
-    counts = [0] * n_letters
-    for letter in word:
-        counts[abs(letter) - 1] += 1 if letter > 0 else -1
-    return tuple(counts)
-
-
 @dataclass(frozen=True)
 class HoleWord:
     """Freely reduced word over the hole-anchor alphabet."""

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ripshadow.complexes import SimplicialComplex, check_distinct_points
 from ripshadow.homology import boundary_matrix
-from ripshadow.lifting import LiftError, abelianization, loop_word
+from ripshadow.lifting import LiftError, loop_word
 from ripshadow.shadow import hole_anchors
 
 
@@ -509,6 +509,13 @@ def cyclic_reduce(word) -> Tuple[int, ...]:
     while len(w) >= 2 and w[0] == -w[-1]:
         w = w[1:-1]
     return tuple(w)
+
+
+def abelianization(word: Sequence[int], n_letters: int) -> Tuple[int, ...]:
+    counts = [0] * n_letters
+    for letter in word:
+        counts[abs(letter) - 1] += 1 if letter > 0 else -1
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------

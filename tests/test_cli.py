@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ripshadow import cli
 from ripshadow.cli import main, points_to_document, document_to_points
 from ripshadow.complexes import build_rips
 from ripshadow.fixtures import hexagon_points
@@ -78,6 +79,27 @@ def test_shadow_wrong_dimension_exit_4(tmp_path):
     fx.write_text(json.dumps({"schema": "rips-shadow/1", "dimension": 1,
                               "points": [["0"], ["1"]]}))
     assert run(["shadow", "--points", str(fx), "--epsilon", "1"]) == 4
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["rips", "--epsilon", "1"],
+        ["shadow", "--epsilon", "1"],
+        ["pair", "--lower", "7/10,9/10,none", "--upper", "19/10,11/5,all"],
+    ],
+)
+def test_dim_cap_below_two_exit_2_before_building(tmp_path, capsys, monkeypatch, command):
+    fx = tmp_path / "ring.json"
+    assert run(["fixture", "--name", "ring", "--out", str(fx)]) == 0
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(cli, "build_rips", no_build)
+    monkeypatch.setattr(cli, "pair_image_analysis", no_build)
+    assert run([*command, "--points", str(fx), "--dim-cap", "1"]) == 2
+    assert "--dim-cap" in capsys.readouterr().err
 
 
 def test_quasi_presets(tmp_path):

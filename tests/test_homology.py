@@ -65,8 +65,32 @@ def test_rank_engines_match_dense_random():
         assert len(snf_diagonal(cols)) == dense_rank_q(dense)
 
 
+def rp2_plus_cells_d2(rng):
+    """d2 of RP2 plus random extra triangles, each meeting RP2 in at most one
+    vertex so that its Z/2 survives: +-1 columns whose Z/2 is left to the
+    dense finish."""
+    n = rng.randrange(10, 13)
+    free = [t for t in combinations(range(n), 3) if t[1] >= 6]
+    extra = rng.sample(free, rng.randrange(5, 31))
+    c = explicit_complex(n, [[], [], sorted(RP2_TRIANGLES + extra)])
+    d2 = boundary_matrix(c, 2)
+    return list(d2.columns), len(d2.rows)
+
+
+def unimodular_column_mix(rng, cols):
+    """The same lattice after random column additions, which create fill."""
+    for _ in range(2 * len(cols)):
+        a, b = rng.sample(range(len(cols)), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for r, v in cols[b].items():
+            cols[a][r] = cols[a].get(r, 0) + k * v
+        cols[a] = {r: v for r, v in cols[a].items() if v}
+    return cols
+
+
 def test_snf_matches_dense_oracle_random():
     rng = random.Random(32)
+    cases = []
     for _ in range(30):
         nrows = rng.randrange(1, 6)
         ncols = rng.randrange(1, 6)
@@ -74,6 +98,13 @@ def test_snf_matches_dense_oracle_random():
         for _ in range(ncols):
             col = {r: rng.randrange(-6, 7) for r in range(nrows)}
             cols.append({r: v for r, v in col.items() if v})
+        cases.append((cols, nrows))
+    # larger sparse inputs where both the unit sweep and the dense finish run
+    for _ in range(15):
+        cols, nrows = rp2_plus_cells_d2(rng)
+        cases.append((cols, nrows))
+        cases.append((unimodular_column_mix(rng, [dict(c) for c in cols]), nrows))
+    for cols, nrows in cases:
         dense = cols_to_dense(cols, nrows)
         assert snf_diagonal(cols) == dense_snf(dense)
 

@@ -9,7 +9,6 @@ from ripshadow.lifting import (
     HoleWord,
     LiftError,
     RipsWalk,
-    abelianization,
     chaining_sequence,
     free_reduce,
     is_contractible,
@@ -21,6 +20,7 @@ from ripshadow.lifting import (
 from ripshadow.shadow import build_shadow, hole_anchors
 
 from oracles import (
+    abelianization,
     cyclic_reduce,
     frac_winding_number,
     is_null_homologous,
