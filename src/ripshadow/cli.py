@@ -9,6 +9,7 @@ validation error, 3 audit/consistency failure, 4 wrong ambient dimension.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -183,13 +184,20 @@ def _h1_block(h: SmithDecomposition) -> Dict:
     return {"rank": h.rank, "torsion": [str(d) for d in h.torsion]}
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CLIError(EXIT_PARSE, f"cannot write {path}: {exc}")
+
+
 def _write_report(report: Dict, path: Optional[str]) -> None:
     text = json.dumps(report, indent=2) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +288,7 @@ def cmd_shadow(args) -> int:
         }
         overlay = [c.coords[v] for v in verts]
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(s, overlay=overlay))
+        _write_text(args.svg, render_svg(s, overlay=overlay))
     _write_report(report, args.out)
     return EXIT_OK
 
@@ -379,6 +386,7 @@ def cmd_fixture(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing does not change a parser
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rips-shadow",

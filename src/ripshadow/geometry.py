@@ -3,9 +3,13 @@
 A planar point is carried as a reduced integer triple (X, Y, D), meaning
 (X/D, Y/D) with D > 0 and gcd(X, Y, D) = 1, so equal points have equal
 triples.  Orientation, on-segment, point-in-triangle, the meet of two
-segments, angular order and the vertical-ray crossing that winding numbers
-and loop words count are all decided on triples by integer
-cross-multiplication; nothing here touches floating point.
+segments, angular order and the vertical-ray crossing are all decided on
+triples by integer cross-multiplication; nothing here touches floating
+point.  `ray_hit` is the one crossing rule: winding numbers, the shadow's
+witness tests (through `tr_locate`) and loop words all count it.  It settles
+a segment whose x-range misses the ray by an exact x comparison, and returns
+None for a point on the segment, so one pass over a ring both finds a point
+on it and winds around a point off it.
 
 The point functions (`orient`, `on_segment`, `segment_intersection`,
 `point_in_triangle`, `winding_number`) take exact rationals
@@ -243,19 +247,30 @@ def dir_cmp(d1: Tuple[int, int], d2: Tuple[int, int]) -> int:
     return (crossv < 0) - (crossv > 0)
 
 
-def ray_crossing(p: Triple, q: Triple, a: Triple) -> int:
+def ray_hit(p: Triple, q: Triple, a: Triple) -> Optional[int]:
     """Signed crossing of the directed segment p -> q with the upward
-    vertical ray from a: -1 passing above a rightward, +1 leftward, 0 none.
+    vertical ray from a: -1 passing above a rightward, +1 leftward, 0 none;
+    None when a lies on the closed segment [p, q].
 
     Ties at the ray's x resolve as if the ray were nudged infinitesimally
     to +x (half-open rule), so vertices on the ray need no special casing.
+    A segment whose x-range misses a's x is settled without an orientation.
     """
     px = p[0] * a[2] - a[0] * p[2]  # sign of p.x - a.x
     qx = q[0] * a[2] - a[0] * q[2]
+    if (px > 0 and qx > 0) or (px < 0 and qx < 0):
+        return 0
+    if px == 0 and qx == 0:  # vertical, on the ray's line: a on it or not
+        py = p[1] * a[2] - a[1] * p[2]
+        qy = q[1] * a[2] - a[1] * q[2]
+        return None if py * qy <= 0 else 0
+    o = tr_orient(p, q, a)
+    if o == 0:
+        return None
     if px <= 0 < qx:
-        return -1 if tr_orient(p, q, a) < 0 else 0
+        return -1 if o < 0 else 0
     if qx <= 0 < px:
-        return 1 if tr_orient(p, q, a) > 0 else 0
+        return 1 if o > 0 else 0
     return 0
 
 
@@ -268,12 +283,15 @@ def closed_segments(points: Sequence[Triple]) -> List[Tuple[Triple, Triple]]:
     return [(p, q) for p, q in zip(pts, pts[1:]) if p != q]
 
 
-def tr_winding(segments: Sequence[Tuple[Triple, Triple]], a: Triple) -> int:
-    """Winding number around a of a closed polyline given by its segments;
-    a must not lie on the polyline."""
+def tr_locate(segments: Sequence[Tuple[Triple, Triple]], a: Triple) -> Optional[int]:
+    """Winding number around a of a closed polyline given by its segments,
+    or None when a lies on the polyline."""
     total = 0
     for p, q in segments:
-        total += ray_crossing(p, q, a)
+        hit = ray_hit(p, q, a)
+        if hit is None:
+            return None
+        total += hit
     return total
 
 
@@ -333,10 +351,9 @@ def winding_number(polyline: Sequence[Point], point: Point) -> int:
     """Winding number of a closed polyline around a point, exactly.
 
     Crossings are counted against the upward vertical ray from the point
-    by `ray_crossing`.  Raises if the polyline passes through the point.
+    by `ray_hit`.  Raises if the polyline passes through the point.
     """
-    a = to_triple(point)
-    segments = closed_segments([to_triple(p) for p in polyline])
-    if any(tr_on_segment(a, p, q) for p, q in segments):
+    w = tr_locate(closed_segments([to_triple(p) for p in polyline]), to_triple(point))
+    if w is None:
         raise ValueError("point lies on the polyline")
-    return tr_winding(segments, a)
+    return w

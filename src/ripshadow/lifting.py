@@ -18,10 +18,9 @@ from .geometry import (
     Point,
     closed_segments,
     cmp_frac,
-    ray_crossing,
+    ray_hit,
     segment_intersection,
     to_triple,
-    tr_on_segment,
 )
 from .shadow import ShadowComplex, hole_anchors
 
@@ -100,9 +99,9 @@ def loop_word(polyline: Sequence[Point], anchors: Sequence[Point]) -> HoleWord:
         step = 1 if cmp_frac(q[0], q[2], p[0], p[2]) > 0 else -1
         seg_hits: List[Tuple[int, int, int]] = []
         for idx, a in enumerate(rays):
-            if tr_on_segment(a, p, q):
+            sign = ray_hit(p, q, a)
+            if sign is None:
                 raise ValueError("polyline passes through an anchor")
-            sign = ray_crossing(p, q, a)
             if sign:
                 seg_hits.append((step * x_rank[idx], step * idx, sign * (idx + 1)))
         for _, _, letter in sorted(seg_hits):

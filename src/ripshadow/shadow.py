@@ -19,6 +19,16 @@ a point under the one cell that holds it.  Nothing is lost: two closed sets
 that meet share a point, and since floor division is monotone, that point's
 cell lies in the cell range of both boxes.  The grid only picks candidates;
 the kernel decides every predicate exactly.
+
+Cheaper exact tests settle most candidates first.  Edges whose integer
+bounding boxes are apart cannot meet.  Edges sharing a vertex meet only
+there, or overlap up to the nearer other endpoint, a vertex the T-junction
+scan adds; so neither pair goes to the kernel.  A witness is tried first on
+the triangles through a Rips edge under the dart it was built from, with
+their third vertex left of it: their edges are arrangement edges, so each
+holds the whole face.  The grid scan runs only when none holds the witness,
+and the kernel still decides every test made.  Each ring a witness is
+tested against costs one `tr_locate` pass.
 """
 
 from __future__ import annotations
@@ -39,11 +49,12 @@ from .geometry import (
     dir_cmp,
     from_triple,
     scale_points,
+    tr_locate,
     tr_on_segment,
+    tr_orient,
     tr_point_in_triangle,
     tr_reduce,
     tr_segment_meet,
-    tr_winding,
 )
 
 F = Fraction
@@ -143,13 +154,26 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             edges_in.setdefault(cell, []).append(a)
 
     # -- split every projected edge at crossings, junctions, overlaps --
-    # Pairs go in (a, b) order, so each crossing keeps its first pair.
+    # Pairs go in (a, b) order, so each crossing keeps its first pair.  Pairs
+    # sharing a vertex meet only there, or overlap up to the nearer other
+    # endpoint, which is a vertex on the other edge: the T-junction scan adds it.
     splits: List[Set[Triple]] = [{tcoords[i], tcoords[j]} for i, j in rips_edges]
     crossing_pairs: Dict[Triple, Tuple[int, int]] = {}
+    boxes = [
+        (min(coords[i][0], coords[j][0]), max(coords[i][0], coords[j][0]),
+         min(coords[i][1], coords[j][1]), max(coords[i][1], coords[j][1]))
+        for i, j in rips_edges
+    ]
     for a, cells in enumerate(edge_cells):
-        ends_a = (tcoords[rips_edges[a][0]], tcoords[rips_edges[a][1]])
+        i, j = rips_edges[a]
+        x0, x1, y0, y1 = boxes[a]
+        ends_a = (tcoords[i], tcoords[j])
         for b in sorted({b for cell in cells for b in edges_in[cell] if b > a}):
-            ends_b = (tcoords[rips_edges[b][0]], tcoords[rips_edges[b][1]])
+            k, m = rips_edges[b]
+            bx0, bx1, by0, by1 = boxes[b]
+            if bx1 < x0 or x1 < bx0 or by1 < y0 or y1 < by0 or i in (k, m) or j in (k, m):
+                continue
+            ends_b = (tcoords[k], tcoords[m])
             kind, meet = tr_segment_meet(*ends_a, *ends_b)
             if kind == "disjoint":
                 continue
@@ -212,13 +236,10 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
 
     order_at: Dict[int, List[int]] = {}
     pos_at: Dict[Tuple[int, int], int] = {}
+    dart_key = functools.cmp_to_key(lambda d1, d2: dir_cmp(d1[0], d2[0]))
     for vtx, eids in outgoing.items():
-        ordered = sorted(
-            eids,
-            key=functools.cmp_to_key(
-                lambda e1, e2: dir_cmp(dart_dir(e1, vtx), dart_dir(e2, vtx))
-            ),
-        )
+        darts = sorted(((dart_dir(e, vtx), e) for e in eids), key=dart_key)
+        ordered = [eid for _, eid in darts]
         order_at[vtx] = ordered
         for k, eid in enumerate(ordered):
             pos_at[(vtx, eid)] = k
@@ -283,18 +304,22 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             # Inside the ring and off every edge is in the face unless inside a
             # nested component: its outer walk winds around the point and encloses
             # less area, while the face's own and enclosing ones enclose no less.
-            if cand in pid or tr_winding(ring, cand) == 0:
+            # tr_locate is None on the ring, so one pass per ring decides both.
+            if cand in pid or not tr_locate(ring, cand):
                 continue
-            if any(tr_on_segment(cand, p, q) for r in [ring, *nested] for p, q in r):
-                continue
-            if all(tr_winding(r, cand) == 0 for r in nested):
+            if all(tr_locate(r, cand) == 0 for r in nested):
                 return cand
         raise ConsistencyError("no interior witness found for a bounded face")
 
-    # A witness is tested against the triangles in its cell whose closed
-    # bounding box holds it; the box test spares most kernel calls.
+    # A witness is first tested against the triangles on its dart, which hold
+    # the whole face (module docstring).  Otherwise it is tested against the
+    # triangles in its cell whose closed bounding box holds it; the box test
+    # spares most kernel calls.
+    third: Dict[Tuple[int, int], List[int]] = {}
     tris_in: Dict[Tuple[int, int], List[Tuple]] = {}
     for t in c.k_simplices(2):
+        for k in range(3):
+            third.setdefault(t[:k] + t[k + 1:], []).append(t[k])
         tri = tuple(tcoords[v] for v in t)
         xs = [p[0] for p in tri]
         ys = [p[1] for p in tri]
@@ -302,7 +327,13 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         for cell in _box_cells(tri, side):
             tris_in.setdefault(cell, []).append(box)
 
-    def covered_at(cand: Triple) -> bool:
+    def covered_at(cand: Triple, eid: int, dart: Tuple[Triple, Triple]) -> bool:
+        for a in sedges[eid].provenance:
+            i, j = rips_edges[a]
+            for v in third.get((i, j), ()):
+                tri = (tcoords[i], tcoords[j], tcoords[v])
+                if tr_orient(*dart, tri[2]) > 0 and tr_point_in_triangle(cand, *tri) != "outside":
+                    return True
         x, y, d = cand
         return any(
             tr_point_in_triangle(cand, *tri) != "outside"
@@ -311,11 +342,11 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         )
 
     faces: List[Tuple[Triple, ShadowFace]] = []
-    for idx, (cyc_edges, cyc_tails, _, _) in enumerate(positive):
+    for idx, (cyc_edges, cyc_tails, _, ring) in enumerate(positive):
         w1 = witness_for(idx, from_end=False)
         w2 = witness_for(idx, from_end=True)
-        cov1 = covered_at(w1)
-        cov2 = covered_at(w2)
+        cov1 = covered_at(w1, cyc_edges[0], ring[0])
+        cov2 = covered_at(w2, cyc_edges[-1], ring[-1])
         if cov1 != cov2:
             raise ConsistencyError(
                 "coverage flag depends on the witness; arrangement is inconsistent"

@@ -84,6 +84,23 @@ def test_shadow_wrong_dimension_exit_4(tmp_path):
 @pytest.mark.parametrize(
     "command",
     [
+        ["fixture", "--name", "ring", "--out"],
+        ["shadow", "--points", "RING", "--epsilon", "1", "--out"],
+        ["shadow", "--points", "RING", "--epsilon", "1", "--svg"],
+    ],
+    ids=["fixture_out", "shadow_out", "shadow_svg"],
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    fx = tmp_path / "ring.json"
+    assert run(["fixture", "--name", "ring", "--out", str(fx)]) == 0
+    bad = tmp_path / "missing" / "out"
+    assert run([str(fx) if a == "RING" else a for a in command] + [str(bad)]) == 2
+    assert f"cannot write {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
         ["rips", "--epsilon", "1"],
         ["shadow", "--epsilon", "1"],
         ["pair", "--lower", "7/10,9/10,none", "--upper", "19/10,11/5,all"],

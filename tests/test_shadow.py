@@ -82,12 +82,20 @@ def test_three_crossing_segments_central_hole():
     assert len(hole_anchors(s)) == 1
 
 
-def test_collinear_overlap_multiprovenance():
-    pts = [P(0, 0), P(2, 0), P(1, 0), P(3, 0)]
-    c = flag_complex(4, [(0, 1), (2, 3)], dim_cap=2, coords=pts)
+@pytest.mark.parametrize(
+    "pts, edges, expected",
+    [
+        ([P(0, 0), P(2, 0), P(1, 0), P(3, 0)], [(0, 1), (2, 3)], [(0,), (0, 1), (1,)]),
+        # the edges share vertex 0; the overlap ends at vertex 2, a T-junction
+        ([P(0, 0), P(2, 0), P(1, 0)], [(0, 1), (0, 2)], [(0,), (0, 1)]),
+    ],
+    ids=["disjoint_ends", "shared_vertex"],
+)
+def test_collinear_overlap_multiprovenance(pts, edges, expected):
+    c = flag_complex(len(pts), edges, dim_cap=2, coords=pts)
     s = build_shadow(c)
     provs = sorted(tuple(sorted(e.provenance)) for e in s.edges)
-    assert provs == [(0,), (0, 1), (1,)]
+    assert provs == expected
     assert shadow_betti(s) == (1, 0)
 
 
