@@ -14,9 +14,9 @@ on it and winds around a point off it.
 The point functions (`orient`, `on_segment`, `segment_intersection`,
 `point_in_triangle`, `winding_number`) take exact rationals
 (`fractions.Fraction` or int) and convert them onto the kernel.
-`pair_bands` is the one proximity decision, in any dimension: Rips and
-quasi-Rips links, the quasi embedding audit and the fixture audits all
-read the band it puts each pair in.
+`pair_distances` is the one proximity pass, in any dimension, and
+`classify_pairs` the one band rule on it: Rips and quasi-Rips links and the
+embedding and fixture audits all read the band a pair falls in.
 """
 
 from __future__ import annotations
@@ -70,34 +70,49 @@ def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:
     return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in fracs], scale
 
 
+def pair_distances(
+    points: Sequence[Point], radii: Sequence[Scalar]
+) -> Tuple[Iterator[Tuple[int, int, int]], List[int], int]:
+    """An iterator over (i, j, d2) for every pair i < j in lexicographic
+    order, the squared radii, and the common denominator den of both:
+    d2 / den and r2 / den are the true squares."""
+    # the radii are rescaled with the points, so every comparison is on integers
+    ipts, scale = scale_points([*points, tuple(radii)])
+    iradii = ipts.pop()
+
+    def pairs() -> Iterator[Tuple[int, int, int]]:
+        for i, p in enumerate(ipts):
+            for j in range(i + 1, len(ipts)):
+                yield i, j, dist2(p, ipts[j])
+
+    return pairs(), [r * r for r in iradii], scale * scale
+
+
+def classify_pairs(
+    pairs: Iterable[Tuple[int, int, int]], lo2: int, hi2: int
+) -> Iterator[Tuple[int, int, int, int]]:
+    """(i, j, band, slack) of every (i, j, d2) against squared radii lo2 <= hi2.
+
+    Band 0 is d <= lo, band 2 is d >= hi (and not band 0), band 1 the open
+    band between.  The slack is the squared-distance gap to the radius
+    bounding the band: lo^2 - d^2, d^2 - hi^2, or the nearer of the two.
+    """
+    for i, j, d2 in pairs:
+        if d2 <= lo2:
+            yield i, j, 0, lo2 - d2
+        elif d2 < hi2:
+            yield i, j, 1, min(d2 - lo2, hi2 - d2)
+        else:
+            yield i, j, 2, d2 - hi2
+
+
 def pair_bands(
     points: Sequence[Point], lo: Scalar, hi: Scalar
 ) -> Tuple[Iterator[Tuple[int, int, int, int]], int]:
-    """Where the distance d of every pair falls against radii lo <= hi.
-
-    Returns an iterator over (i, j, band, slack) for every pair i < j in
-    lexicographic order, and the common denominator of the slacks.  Band 0
-    is d <= lo, band 2 is d >= hi (and not band 0), band 1 the open band
-    between.  slack / denominator is the squared-distance gap to the radius
-    bounding the band: lo^2 - d^2, d^2 - hi^2, or the nearer of the two.
-    """
-    # the radii are rescaled with the points, so every comparison is on integers
-    ipts, scale = scale_points([*points, (lo, hi)])
-    ilo, ihi = ipts.pop()
-    lo2, hi2 = ilo * ilo, ihi * ihi
-
-    def bands() -> Iterator[Tuple[int, int, int, int]]:
-        for i, p in enumerate(ipts):
-            for j in range(i + 1, len(ipts)):
-                d2 = dist2(p, ipts[j])
-                if d2 <= lo2:
-                    yield i, j, 0, lo2 - d2
-                elif d2 >= hi2:
-                    yield i, j, 2, d2 - hi2
-                else:
-                    yield i, j, 1, min(d2 - lo2, hi2 - d2)
-
-    return bands(), scale * scale
+    """`classify_pairs` of every pair against radii lo <= hi, and the
+    common denominator of the slacks."""
+    pairs, (lo2, hi2), den = pair_distances(points, (lo, hi))
+    return classify_pairs(pairs, lo2, hi2), den
 
 
 def rational_sqrt(x: Fraction, bits: int = 32) -> Fraction:

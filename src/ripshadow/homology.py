@@ -306,10 +306,17 @@ def induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> int:
     dim image = dim(Z1(sub) + B1(sup)) - dim B1(sup), computed with exact
     integer elimination on [cycle basis | d2 of sup].
     """
+    return _induced_h1(sub, sup)[0]
+
+
+def _induced_h1(sub: SimplicialComplex, sup: SimplicialComplex) -> Tuple[int, int]:
+    """`induced_h1_rank` and b1(sup) over Q, from one reduction of d2(sup)."""
     _check_containment(sub, sup)
     if sup.dim_cap < 2:
         raise InsufficientDimCap("sup needs its 2-skeleton materialized")
     edge_index = {e: i for i, e in enumerate(sup.edges)}
     cycles = cycle_basis_columns(sub, edge_index)
     d2_cols = list(boundary_matrix(sup, 2).columns) if sup.k_simplices(2) else []
-    return len(snf_diagonal(cycles + d2_cols)) - len(snf_diagonal(d2_cols))
+    rank_d2 = len(snf_diagonal(d2_cols))
+    rank_d1 = len(sup.vertices) - len(sup.components())
+    return len(snf_diagonal(cycles + d2_cols)) - rank_d2, len(sup.edges) - rank_d1 - rank_d2

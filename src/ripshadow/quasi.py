@@ -1,7 +1,8 @@
 """Quasi-Rips complexes and the arbitrary-group pipeline.
 
 A quasi-Rips complex forces links below eps, forbids them at eps' and
-beyond, and lets a policy decide inside the open band.  The pipeline turns
+beyond, and lets a policy decide inside the open band; a pair analysis
+builds its four complexes from one proximity pass.  The pipeline turns
 a finite group presentation into a properly 3-colored 2-complex, blows it
 up so gluings become joins, and embeds the blowup in the plane with one
 small ball per color; the quasi-Rips complex of that embedding carries the
@@ -20,26 +21,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .complexes import (
     SimplicialComplex,
     VertexColoring,
-    build_rips,
     check_distinct_points,
     explicit_complex,
     flag_complex,
     graph_components,
 )
 from .errors import AuditError
-from .geometry import Point, pair_bands, rational_sqrt
-from .homology import (
-    SmithDecomposition,
-    betti_numbers,
-    induced_h1_rank,
-    integer_h1,
-    snf_diagonal,
-)
+from .geometry import Point, classify_pairs, pair_bands, pair_distances, rational_sqrt
+from .homology import SmithDecomposition, _induced_h1, betti_numbers, integer_h1, snf_diagonal
 from .shadow import build_shadow, shadow_betti
 
 F = Fraction
@@ -76,7 +70,10 @@ class EdgePolicy:
 
     @classmethod
     def seeded_random(cls, seed: int, probability) -> "EdgePolicy":
-        return cls(mode="seeded_random", seed=seed, probability=F(probability))
+        p = F(probability)
+        if not 0 <= p <= 1:
+            raise ValueError(f"coin probability must lie in [0, 1], got {p}")
+        return cls(mode="seeded_random", seed=seed, probability=p)
 
     @classmethod
     def all(cls) -> "EdgePolicy":
@@ -116,6 +113,13 @@ def build_quasi(
     """Flag complex of forced edges plus the policy's picks in the band."""
     check_distinct_points(points)
     bands, _ = pair_bands(points, interval.eps, interval.eps_prime)
+    return _quasi_complex(points, bands, policy, dim_cap)[0]
+
+
+def _quasi_complex(
+    points: Sequence[Point], bands: Iterable[Tuple[int, ...]], policy: EdgePolicy, dim_cap: int
+) -> Tuple[SimplicialComplex, List[Tuple[int, int]]]:
+    """Quasi complex of classified pairs (the policy decides band 1), and its band-0 edges."""
     forced: List[Tuple[int, int]] = []
     band: List[Tuple[int, int]] = []  # (i, j) order: seeded_random draws a coin per pair
     for i, j, b, _ in bands:
@@ -123,9 +127,8 @@ def build_quasi(
             forced.append((i, j))
         elif b == 1:
             band.append((i, j))
-    return flag_complex(
-        len(points), forced + policy.select(band), dim_cap, coords=points, provenance="quasi"
-    )
+    edges = forced + policy.select(band)
+    return flag_complex(len(points), edges, dim_cap, coords=points, provenance="quasi"), forced
 
 
 # ---------------------------------------------------------------------------
@@ -619,29 +622,34 @@ def pair_image_analysis(
 
     Disjointness gives R_Q subset R_eps'' subset R_Q' for any eps'' between
     the intervals, so the image rank is bounded by b1 at the midpoint; the
-    report carries the verified bound.
+    report carries the verified bound.  One proximity pass serves R_Q, R_Q',
+    R_eps'' and the forced R_eps; one reduction of d2(R_Q') serves two ranks.
     """
     li, lp = lower
     ui, up = upper
     if li.eps_prime > ui.eps:
         raise ValueError("uncertainty intervals overlap")
-    low = build_quasi(points, li, lp, dim_cap)
-    high = build_quasi(points, ui, up, dim_cap)
-    rank = induced_h1_rank(low, high)
+    check_distinct_points(points)
     mid_eps = (li.eps_prime + ui.eps) / 2
-    mid = build_rips(points, mid_eps, dim_cap)
+    radii = (li.eps, li.eps_prime, ui.eps, ui.eps_prime, mid_eps)
+    pairs, (l2, lp2, u2, up2, m2), _ = pair_distances(points, radii)
+    pairs = list(pairs)
+    low, forced = _quasi_complex(points, classify_pairs(pairs, l2, lp2), lp, dim_cap)
+    high, _ = _quasi_complex(points, classify_pairs(pairs, u2, up2), up, dim_cap)
+    rank, upper_b1 = _induced_h1(low, high)
+    mid_edges = [(i, j) for i, j, b, _ in classify_pairs(pairs, m2, m2) if b == 0]
+    mid = flag_complex(len(points), mid_edges, dim_cap, coords=points, provenance="rips")
     mid_b1 = betti_numbers(mid, "Q", 1).b[1]
     shadow_mid = None
     if all(len(p) == 2 for p in points):
         shadow_mid = shadow_betti(build_shadow(mid))
-    forced_only = build_rips(points, li.eps, 1)
     return PairReport(
         image_rank=rank,
         mid_eps=mid_eps,
         mid_b1=mid_b1,
         bound_ok=rank <= mid_b1,
         lower_b1=betti_numbers(low, "Q", 1).b[1],
-        upper_b1=betti_numbers(high, "Q", 1).b[1],
-        lower_forced_components=len(forced_only.components()),
+        upper_b1=upper_b1,
+        lower_forced_components=len(graph_components(range(len(points)), forced)),
         shadow_mid_betti=shadow_mid,
     )

@@ -12,10 +12,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ripshadow.complexes import SimplicialComplex, check_distinct_points
-from ripshadow.homology import boundary_matrix
+from ripshadow.complexes import SimplicialComplex, check_distinct_points, flag_complex
+from ripshadow.homology import betti_numbers, boundary_matrix, induced_h1_rank
 from ripshadow.lifting import LiftError, loop_word
-from ripshadow.shadow import hole_anchors
+from ripshadow.quasi import EdgePolicy, PairReport
+from ripshadow.shadow import build_shadow, hole_anchors, shadow_betti
 
 
 def dense_boundary(simplices_k: Sequence[tuple], simplices_km1: Sequence[tuple]) -> List[List[int]]:
@@ -606,6 +607,47 @@ def cone_apex(c) -> Optional[int]:
         if len(adj[v]) == want:
             return v
     return None
+
+
+def oracle_pair_report(points, lower, upper, dim_cap: int = 3) -> PairReport:
+    """`pair_image_analysis` composed from single-complex functions, one
+    proximity pass per complex: both quasi complexes, the midpoint Rips
+    complex and the forced Rips complex at the lower eps, with d2 of the
+    upper complex reduced by `induced_h1_rank` and `betti_numbers` alike.
+
+    Links are decided by `frac_pair_bands`, not by the package's band rule,
+    so a change to that rule shows here as well.
+    """
+    (li, lp), (ui, up) = lower, upper
+    if li.eps_prime > ui.eps:
+        raise ValueError("uncertainty intervals overlap")
+
+    def complex_at(lo, hi, policy, cap, provenance):
+        bands = frac_pair_bands(points, lo, hi)
+        forced = [(i, j) for i, j, band, _ in bands if band == 0]
+        picks = policy.select([(i, j) for i, j, band, _ in bands if band == 1])
+        return flag_complex(len(points), forced + picks, cap, points, provenance)
+
+    low = complex_at(li.eps, li.eps_prime, lp, dim_cap, "quasi")
+    high = complex_at(ui.eps, ui.eps_prime, up, dim_cap, "quasi")
+    rank = induced_h1_rank(low, high)
+    mid_eps = (li.eps_prime + ui.eps) / 2
+    mid = complex_at(mid_eps, mid_eps, EdgePolicy.none(), dim_cap, "rips")
+    mid_b1 = betti_numbers(mid, "Q", 1).b[1]
+    shadow_mid = None
+    if all(len(p) == 2 for p in points):
+        shadow_mid = shadow_betti(build_shadow(mid))
+    forced_only = complex_at(li.eps, li.eps, EdgePolicy.none(), 1, "rips")
+    return PairReport(
+        image_rank=rank,
+        mid_eps=mid_eps,
+        mid_b1=mid_b1,
+        bound_ok=rank <= mid_b1,
+        lower_b1=betti_numbers(low, "Q", 1).b[1],
+        upper_b1=betti_numbers(high, "Q", 1).b[1],
+        lower_forced_components=len(forced_only.components()),
+        shadow_mid_betti=shadow_mid,
+    )
 
 
 def is_null_homologous(loop, c, s) -> bool:

@@ -158,6 +158,27 @@ def test_pair_ring_and_overlap_exit(tmp_path):
                 "--upper", "3/2,3,all", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize(
+    "lower, code, message",
+    [
+        ("7/10,9/10,random:0", 0, ""),
+        ("7/10,9/10,random:1", 0, ""),
+        ("7/10,9/10,random:3/2", 2, "coin probability"),
+        ("7/10,9/10,random:-1", 2, "coin probability"),
+        ("7/10,9/10,coin", 2, "unknown policy"),
+        ("9/10,7/10,none", 2, "need 0 < eps < eps'"),
+    ],
+    ids=["p_zero", "p_one", "p_above_one", "p_negative", "unknown_policy", "reversed_interval"],
+)
+def test_pair_bound_spec_exit_code(tmp_path, capsys, lower, code, message):
+    fx = tmp_path / "ring.json"
+    assert run(["fixture", "--name", "ring", "--out", str(fx)]) == 0
+    out = tmp_path / "p.json"
+    assert run(["pair", "--points", str(fx), "--lower", lower,
+                "--upper", "19/10,11/5,all", "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+
+
 def test_reports_byte_deterministic(tmp_path):
     fx = tmp_path / "hex.json"
     run(["fixture", "--name", "hexagon", "--out", str(fx)])

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from ripshadow import geometry
 from ripshadow.complexes import VertexColoring, build_rips, explicit_complex, flag_complex
 from ripshadow.errors import AuditError
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
@@ -25,6 +27,8 @@ from ripshadow.quasi import (
     quasi_integer_h1,
     run_pipeline,
 )
+
+from oracles import oracle_pair_report
 
 F = Fraction
 
@@ -274,21 +278,62 @@ def test_pair_rejects_overlapping_intervals():
         )
 
 
+def realised_distances(pts):
+    """The rational distances between pairs of pts, ascending."""
+    out = set()
+    for p, q in combinations(pts, 2):
+        d2 = dist2(p, q)
+        num, den = math.isqrt(d2.numerator), math.isqrt(d2.denominator)
+        if num * num == d2.numerator and den * den == d2.denominator:
+            out.add(F(num, den))
+    return sorted(out)
+
+
 def test_pair_bound_random():
     rng = random.Random(73)
+    cases = []
     for t in range(12):
         pts = grid_points(rng, rng.randrange(5, 10))
         e1 = F(rng.randrange(6, 10), 10)
         e1p = e1 + F(rng.randrange(1, 4), 10)
         e2 = e1p + F(rng.randrange(0, 3), 10)
         e2p = e2 + F(rng.randrange(1, 4), 10)
-        rep = pair_image_analysis(
-            pts,
-            (UncertaintyInterval(e1, e1p), EdgePolicy.seeded_random(t, F(1, 2))),
-            (UncertaintyInterval(e2, e2p), EdgePolicy.seeded_random(t + 99, F(1, 2))),
-        )
+        cases.append((pts, e1, e1p, e2, e2p, t))
+    # radii that pairs realise: d == eps, d == mid, and, on touching
+    # intervals (ui.eps == li.eps' == mid), d == eps'
+    for t in range(12, 24):
+        pts, radii = [], []
+        while len(radii) < 3:
+            pts = grid_points(rng, rng.randrange(6, 10), den=2)
+            radii = realised_distances(pts)
+        a, b, c = sorted(rng.sample(radii, 3))
+        h = 0 if t % 2 else (b - a) / 2
+        cases.append((pts, a, b - h, b + h, c + h, t))
+    for pts, e1, e1p, e2, e2p, t in cases:
+        lower = (UncertaintyInterval(e1, e1p), EdgePolicy.seeded_random(t, F(1, 2)))
+        upper = (UncertaintyInterval(e2, e2p), EdgePolicy.seeded_random(t + 99, F(1, 2)))
+        rep = pair_image_analysis(pts, lower, upper)
+        assert rep == oracle_pair_report(pts, lower, upper)
         assert rep.bound_ok
         assert rep.image_rank <= min(rep.lower_b1, rep.upper_b1)
+
+
+def test_pair_analysis_measures_each_pair_once(monkeypatch):
+    calls = []  # one proximity pass serves all four complexes of the analysis
+
+    def counting_dist2(p, q):
+        calls.append((p, q))
+        return dist2(p, q)
+
+    ring = annulus_ring_points()  # the fixture audits its own distances
+    monkeypatch.setattr(geometry, "dist2", counting_dist2)
+    pair_image_analysis(
+        ring,
+        (UncertaintyInterval(F(7, 10), F(9, 10)), EdgePolicy.none()),
+        (UncertaintyInterval(F(19, 10), F(11, 5)), EdgePolicy.all()),
+    )
+    n = len(ring)
+    assert len(calls) == n * (n - 1) // 2
 
 
 def test_mono_claim_on_presets():
