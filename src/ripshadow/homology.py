@@ -7,13 +7,17 @@ phases: one sweep splits off every +-1 pivot it meets, then a dense
 Euclidean reduction diagonalizes the small remainder.  Both use only
 integer unimodular row and column operations, which keep the invariant
 factors, so the result is exact.
+
+The rank of H1(sub) -> H1(sup) induced by an inclusion is a persistent Betti
+number and needs only d2(sup): its rank, and the rank of its restriction to
+the rows of the edges of sup that are not in sub.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .complexes import Simplex, SimplicialComplex
 
@@ -238,60 +242,6 @@ def integer_h1(c: SimplicialComplex) -> SmithDecomposition:
     return SmithDecomposition(rank=n1 - rank_d1 - rank_d2, torsion=torsion)
 
 
-def cycle_basis_columns(
-    c: SimplicialComplex, edge_index: Dict[Simplex, int]
-) -> List[SparseCol]:
-    """Integer basis of the cycle space Z1(c), one fundamental cycle per
-    non-forest edge, expressed in the given edge coordinates.
-
-    Edge (i, j) with i < j contributes +1 when traversed from i to j.
-    """
-    adj: Dict[int, List[Tuple[int, Simplex]]] = {v: [] for v in c.vertices}
-    for e in c.edges:
-        i, j = e
-        adj[i].append((j, e))
-        adj[j].append((i, e))
-    parent: Dict[int, Optional[Tuple[int, Simplex]]] = {}
-    tree_edges: Set[Simplex] = set()
-    for root in c.vertices:
-        if root in parent:
-            continue
-        parent[root] = None
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w, e in sorted(adj[u]):
-                if w not in parent:
-                    parent[w] = (u, e)
-                    tree_edges.add(e)
-                    queue.append(w)
-
-    def path_to_root(v: int) -> List[Tuple[int, Simplex, int]]:
-        """(edge_row, edge, sign) steps from v up to its root, as traversed."""
-        out = []
-        while parent[v] is not None:
-            u, e = parent[v]  # type: ignore[misc]
-            sign = 1 if v == e[0] else -1  # e = (min, max); +1 means min -> max
-            out.append((edge_index[e], e, sign))
-            v = u
-        return out
-
-    basis: List[SparseCol] = []
-    for e in c.edges:
-        if e in tree_edges:
-            continue
-        i, j = e
-        col: SparseCol = {edge_index[e]: 1}  # traverse i -> j
-        for row, _, sgn in path_to_root(j):  # j up to root: adds j->root
-            col[row] = col.get(row, 0) + sgn
-        for row, _, sgn in path_to_root(i):  # minus (i up to root)
-            col[row] = col.get(row, 0) - sgn
-        basis.append({r: v for r, v in col.items() if v != 0})
-    return basis
-
-
 def _check_containment(sub: SimplicialComplex, sup: SimplicialComplex) -> None:
     for k in range(len(sub.simplices)):
         sup_level = set(sup.k_simplices(k))
@@ -303,20 +253,26 @@ def _check_containment(sub: SimplicialComplex, sup: SimplicialComplex) -> None:
 def induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> int:
     """Rank over Q of H1(sub) -> H1(sup) induced by inclusion.
 
-    dim image = dim(Z1(sub) + B1(sup)) - dim B1(sup), computed with exact
-    integer elimination on [cycle basis | d2 of sup].
+    dim image = dim Z1(sub) - dim I, with I the intersection of B1(sup) and
+    Z1(sub).  Every boundary of sup is a cycle, so it lies in Z1(sub)
+    exactly when it vanishes on the edges of sup outside sub: I is the
+    kernel of restricting B1(sup) to those rows, of dimension
+    rank d2(sup) - rank(d2(sup) restricted to those rows).
     """
     return _induced_h1(sub, sup)[0]
 
 
 def _induced_h1(sub: SimplicialComplex, sup: SimplicialComplex) -> Tuple[int, int]:
-    """`induced_h1_rank` and b1(sup) over Q, from one reduction of d2(sup)."""
+    """`induced_h1_rank` and b1(sup) over Q, from d2(sup) alone."""
     _check_containment(sub, sup)
     if sup.dim_cap < 2:
         raise InsufficientDimCap("sup needs its 2-skeleton materialized")
-    edge_index = {e: i for i, e in enumerate(sup.edges)}
-    cycles = cycle_basis_columns(sub, edge_index)
-    d2_cols = list(boundary_matrix(sup, 2).columns) if sup.k_simplices(2) else []
+    d2_cols = boundary_matrix(sup, 2).columns if sup.k_simplices(2) else ()
     rank_d2 = len(snf_diagonal(d2_cols))
-    rank_d1 = len(sup.vertices) - len(sup.components())
-    return len(snf_diagonal(cycles + d2_cols)) - rank_d2, len(sup.edges) - rank_d1 - rank_d2
+    in_sub = set(sub.edges)
+    outside = {i for i, e in enumerate(sup.edges) if e not in in_sub}
+    restricted = ({r: v for r, v in col.items() if r in outside} for col in d2_cols)
+    rank_restricted = len(snf_diagonal([col for col in restricted if col]))
+    z1_sub = len(sub.edges) - len(sub.vertices) + len(sub.components())
+    z1_sup = len(sup.edges) - len(sup.vertices) + len(sup.components())
+    return z1_sub - rank_d2 + rank_restricted, z1_sup - rank_d2

@@ -144,6 +144,8 @@ class GroupPresentation:
     relators: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.n_generators) is not int or self.n_generators < 1:
+            raise ValueError(f"generators must be an int >= 1, not {self.n_generators!r}")
         for rel in self.relators:
             if not rel:
                 raise ValueError("relators must be nonempty")
@@ -156,6 +158,10 @@ class GroupPresentation:
     @classmethod
     def parse(cls, generators: int, relator_words: Sequence[str]) -> "GroupPresentation":
         """Parse words like "aba'b'": letters a..z, apostrophe for inverse."""
+        if not isinstance(relator_words, (list, tuple)) or not all(
+            isinstance(word, str) for word in relator_words
+        ):
+            raise ValueError(f"relators must be a list of strings, not {relator_words!r}")
         rels = []
         for word in relator_words:
             rel: List[int] = []
@@ -623,7 +629,8 @@ def pair_image_analysis(
     Disjointness gives R_Q subset R_eps'' subset R_Q' for any eps'' between
     the intervals, so the image rank is bounded by b1 at the midpoint; the
     report carries the verified bound.  One proximity pass serves R_Q, R_Q',
-    R_eps'' and the forced R_eps; one reduction of d2(R_Q') serves two ranks.
+    R_eps'' and the forced R_eps; d2(R_Q') alone gives both the image rank
+    and b1(R_Q').
     """
     li, lp = lower
     ui, up = upper

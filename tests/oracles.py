@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ripshadow.complexes import SimplicialComplex, check_distinct_points, flag_complex
-from ripshadow.homology import betti_numbers, boundary_matrix, induced_h1_rank
+from ripshadow.complexes import Simplex, SimplicialComplex, check_distinct_points, flag_complex
+from ripshadow.homology import SparseCol, betti_numbers, boundary_matrix
 from ripshadow.lifting import LiftError, loop_word
 from ripshadow.quasi import EdgePolicy, PairReport
 from ripshadow.shadow import build_shadow, hole_anchors, shadow_betti
@@ -173,6 +173,71 @@ def homology_profile(
             ranks[k] = dense_rank_gf2(mat)
     counts = [len(simplices[k]) if k < len(simplices) else 0 for k in range(top_dim + 1)]
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(top_dim + 1))
+
+
+def cycle_basis_columns(
+    c: SimplicialComplex, edge_index: Dict[Simplex, int]
+) -> List[SparseCol]:
+    """Integer basis of the cycle space Z1(c), one fundamental cycle per
+    non-forest edge, expressed in the given edge coordinates.
+
+    Edge (i, j) with i < j contributes +1 when traversed from i to j.
+    """
+    adj: Dict[int, List[Tuple[int, Simplex]]] = {v: [] for v in c.vertices}
+    for e in c.edges:
+        i, j = e
+        adj[i].append((j, e))
+        adj[j].append((i, e))
+    parent: Dict[int, Optional[Tuple[int, Simplex]]] = {}
+    tree_edges: Set[Simplex] = set()
+    for root in c.vertices:
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for w, e in sorted(adj[u]):
+                if w not in parent:
+                    parent[w] = (u, e)
+                    tree_edges.add(e)
+                    queue.append(w)
+
+    def path_to_root(v: int) -> List[Tuple[int, Simplex, int]]:
+        """(edge_row, edge, sign) steps from v up to its root, as traversed."""
+        out = []
+        while parent[v] is not None:
+            u, e = parent[v]  # type: ignore[misc]
+            sign = 1 if v == e[0] else -1  # e = (min, max); +1 means min -> max
+            out.append((edge_index[e], e, sign))
+            v = u
+        return out
+
+    basis: List[SparseCol] = []
+    for e in c.edges:
+        if e in tree_edges:
+            continue
+        i, j = e
+        col: SparseCol = {edge_index[e]: 1}  # traverse i -> j
+        for row, _, sgn in path_to_root(j):  # j up to root: adds j->root
+            col[row] = col.get(row, 0) + sgn
+        for row, _, sgn in path_to_root(i):  # minus (i up to root)
+            col[row] = col.get(row, 0) - sgn
+        basis.append({r: v for r, v in col.items() if v != 0})
+    return basis
+
+
+def oracle_induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> int:
+    """Rank over Q of H1(sub) -> H1(sup) as rank [cycles of sub | d2(sup)]
+    minus rank d2(sup), on dense matrices over sup's edges: the image is
+    (Z1(sub) + B1(sup)) / B1(sup)."""
+    edge_index = {e: i for i, e in enumerate(sup.edges)}
+    cycles = cycle_basis_columns(sub, edge_index)
+    d2 = dense_boundary(sup.k_simplices(2), sup.edges)
+    rows = [[col.get(r, 0) for col in cycles] + d2[r] for r in range(len(sup.edges))]
+    return dense_rank_q(rows) - dense_rank_q(d2)
 
 
 # Minimal 6-vertex triangulation of the projective plane: 10 triangles on
@@ -612,8 +677,8 @@ def cone_apex(c) -> Optional[int]:
 def oracle_pair_report(points, lower, upper, dim_cap: int = 3) -> PairReport:
     """`pair_image_analysis` composed from single-complex functions, one
     proximity pass per complex: both quasi complexes, the midpoint Rips
-    complex and the forced Rips complex at the lower eps, with d2 of the
-    upper complex reduced by `induced_h1_rank` and `betti_numbers` alike.
+    complex and the forced Rips complex at the lower eps.  The image rank
+    comes from the dense cycle-basis route, `oracle_induced_h1_rank`.
 
     Links are decided by `frac_pair_bands`, not by the package's band rule,
     so a change to that rule shows here as well.
@@ -630,7 +695,7 @@ def oracle_pair_report(points, lower, upper, dim_cap: int = 3) -> PairReport:
 
     low = complex_at(li.eps, li.eps_prime, lp, dim_cap, "quasi")
     high = complex_at(ui.eps, ui.eps_prime, up, dim_cap, "quasi")
-    rank = induced_h1_rank(low, high)
+    rank = oracle_induced_h1_rank(low, high)
     mid_eps = (li.eps_prime + ui.eps) / 2
     mid = complex_at(mid_eps, mid_eps, EdgePolicy.none(), dim_cap, "rips")
     mid_b1 = betti_numbers(mid, "Q", 1).b[1]

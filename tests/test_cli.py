@@ -179,6 +179,25 @@ def test_pair_bound_spec_exit_code(tmp_path, capsys, lower, code, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"generators": 2.5, "relators": ["ab"]}, "generators must be an int >= 1"),
+        ({"generators": 0, "relators": []}, "generators must be an int >= 1"),
+        ({"generators": True, "relators": ["a"]}, "generators must be an int >= 1"),
+        ({"generators": 2, "relators": "ab"}, "relators must be a list of strings"),
+        ({"generators": 2, "relators": ["ab", 3]}, "relators must be a list of strings"),
+    ],
+    ids=["float_generators", "no_generators", "bool_generators", "relator_string",
+         "relator_int"],
+)
+def test_quasi_bad_presentation_exit_2(tmp_path, capsys, doc, message):
+    pf = tmp_path / "pres.json"
+    pf.write_text(json.dumps(doc))
+    assert run(["quasi", "--presentation", str(pf), "--interval", "1,3/2"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_reports_byte_deterministic(tmp_path):
     fx = tmp_path / "hex.json"
     run(["fixture", "--name", "hexagon", "--out", str(fx)])

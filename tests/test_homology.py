@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,7 @@ from ripshadow.homology import (
     ContainmentError,
     betti_numbers,
     boundary_matrix,
-    cycle_basis_columns,
+    _induced_h1,
     induced_h1_rank,
     integer_h1,
     rank_gf2,
@@ -19,11 +20,13 @@ from ripshadow.homology import (
 
 from oracles import (
     RP2_TRIANGLES,
+    cycle_basis_columns,
     dense_rank_gf2,
     dense_rank_q,
     dense_snf,
     euler_characteristic,
     homology_profile,
+    oracle_induced_h1_rank,
     verify_chain_property,
 )
 
@@ -283,3 +286,80 @@ def test_induced_rank_torsion_class_dies_in_cone():
     cone = explicit_complex(7, [[], [], cone_tris])
     assert integer_h1(cone).rank == 0 and integer_h1(cone).torsion == ()
     assert induced_h1_rank(rp2, cone) == 0
+
+
+def _random_flag_pairs(rng):
+    for _ in range(25):
+        n = rng.randrange(3, 9)
+        edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.5]
+        rng.shuffle(edges)
+        cut = rng.randrange(len(edges) + 1)
+        yield flag_complex(n, edges[:cut], dim_cap=2), flag_complex(n, edges, dim_cap=2)
+
+
+def _torsion_pairs(rng):
+    rp2 = explicit_complex(6, [[], [], RP2_TRIANGLES])
+    cone = explicit_complex(7, [[], [], list(RP2_TRIANGLES) + [
+        (i, j, 6) for i, j in combinations(range(6), 2)
+    ]])
+    moebius = explicit_complex(6, [[], [], RP2_TRIANGLES[1:]])
+    graph = explicit_complex(6, [[], rp2.edges], dim_cap=2)
+    return [(rp2, cone), (rp2, rp2), (moebius, rp2), (moebius, moebius), (graph, moebius),
+            (graph, rp2), (graph, cone)]
+
+
+def _fewer_vertex_pairs(rng):
+    for _ in range(20):
+        n = rng.randrange(4, 9)
+        k = rng.randrange(1, n)
+        edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.6]
+        inner = [(i, j) for i, j in edges if j < k and rng.random() < 0.8]
+        yield flag_complex(k, inner, dim_cap=2), flag_complex(n, edges, dim_cap=2)
+
+
+def _triangle_free_pairs(rng):
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    yield flag_complex(6, hexagon[:5], dim_cap=2), flag_complex(6, hexagon, dim_cap=2)
+    for _ in range(15):
+        n = rng.randrange(4, 9)
+        a = rng.randrange(1, n)
+        edges = [(i, j) for i in range(a) for j in range(a, n) if rng.random() < 0.6]
+        sub = [e for e in edges if rng.random() < 0.7]
+        yield flag_complex(n, sub, dim_cap=2), flag_complex(n, edges, dim_cap=2)
+
+
+def _lattice_pairs(rng):
+    # the boundary of [0, 3]^2 has a hole at scales 1 and 2
+    ring = [(F(x), F(y)) for x in range(4) for y in range(4) if {x, y} & {0, 3}]
+    inside = [(F(x), F(y)) for x in (1, 2) for y in (1, 2)]
+    for _ in range(4):
+        pts = sorted(rng.sample(ring, rng.randrange(10, 13)) + rng.sample(inside, rng.randrange(3)))
+        # scales that some pair realises exactly, so d == eps is on the boundary
+        scales = sorted({
+            F(math.isqrt(d2)) for p, q in combinations(pts, 2)
+            for d2 in [int((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)]
+            if math.isqrt(d2) ** 2 == d2
+        })
+        for lo, hi in combinations(scales, 2):
+            yield build_rips(pts, lo, dim_cap=2), build_rips(pts, hi, dim_cap=2)
+
+
+@pytest.mark.parametrize(
+    "pairs, seed",
+    [
+        (_random_flag_pairs, 41),
+        (_torsion_pairs, 42),
+        (_fewer_vertex_pairs, 43),
+        (_triangle_free_pairs, 44),
+        (_lattice_pairs, 45),
+    ],
+    ids=["random_flag", "torsion", "fewer_vertices", "no_triangles", "lattice_rips"],
+)
+def test_induced_rank_matches_cycle_basis_oracle(pairs, seed):
+    ranks = []
+    for sub, sup in pairs(random.Random(seed)):
+        rank, b1 = _induced_h1(sub, sup)
+        assert induced_h1_rank(sub, sup) == rank == oracle_induced_h1_rank(sub, sup)
+        assert b1 == oracle_induced_h1_rank(sup, sup)
+        ranks.append(rank)
+    assert any(ranks)

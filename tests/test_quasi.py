@@ -318,6 +318,52 @@ def test_pair_bound_random():
         assert rep.image_rank <= min(rep.lower_b1, rep.upper_b1)
 
 
+def _pair_numbers(points, radii, policies):
+    e1, e1p, e2, e2p = radii
+    lp, up = policies
+    rep = pair_image_analysis(
+        points, (UncertaintyInterval(e1, e1p), lp), (UncertaintyInterval(e2, e2p), up)
+    )
+    return (rep.image_rank, rep.mid_b1, rep.lower_b1, rep.upper_b1,
+            rep.lower_forced_components, rep.shadow_mid_betti, rep.bound_ok)
+
+
+def _metamorphic_pair_cases(rng):
+    yield list(annulus_ring_points()), (F(7, 10), F(9, 10), F(19, 10), F(11, 5))
+    # lattice sets, half of them around the hole of the square [0, 4]^2
+    square = [P(x, y) for x in range(5) for y in range(5) if {x, y} & {0, 4}]
+    for t in range(6):
+        pts, radii = [], []
+        while len(radii) < 4:
+            pts = grid_points(rng, rng.randrange(6, 10), den=2)
+            if t % 2:
+                pts = sorted(set(rng.sample(square, 14) + pts[:2]))
+            radii = realised_distances(pts)
+        # every radius is a distance some pair realises
+        yield pts, tuple(sorted(rng.sample(radii, 4)))
+
+
+def test_pair_report_metamorphic():
+    """Translating the points, or scaling them with all four radii, keeps
+    every number of the report; so does relabelling them when the
+    uncertain pairs resolve without coins."""
+    rng = random.Random(74)
+    none, every = EdgePolicy.none(), EdgePolicy.all()
+    for t, (pts, radii) in enumerate(_metamorphic_pair_cases(rng)):
+        coins = (EdgePolicy.seeded_random(t, F(1, 2)), EdgePolicy.seeded_random(t + 99, F(1, 2)))
+        for policies in [(none, every), (every, none), coins]:
+            numbers = _pair_numbers(pts, radii, policies)
+            dx, dy = F(rng.randrange(-9, 10), 7), F(rng.randrange(-9, 10), 3)
+            moved = [(x + dx, y + dy) for x, y in pts]
+            assert _pair_numbers(moved, radii, policies) == numbers
+            k = F(rng.randrange(1, 9), rng.randrange(1, 9))
+            scaled = [(k * x, k * y) for x, y in pts]
+            assert _pair_numbers(scaled, tuple(k * r for r in radii), policies) == numbers
+            if policies is not coins:  # coins are drawn in (i, j) order
+                shuffled = rng.sample(pts, len(pts))
+                assert _pair_numbers(shuffled, radii, policies) == numbers
+
+
 def test_pair_analysis_measures_each_pair_once(monkeypatch):
     calls = []  # one proximity pass serves all four complexes of the analysis
 
