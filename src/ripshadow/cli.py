@@ -338,12 +338,11 @@ def cmd_quasi(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    _check_dim_cap(args.dim_cap)
     points = load_points(args.points)
     lower = _parse_bound_spec(args.lower, args.seed)
     upper = _parse_bound_spec(args.upper, args.seed + 1)
     try:
-        rep = pair_image_analysis(points, lower, upper, dim_cap=args.dim_cap)
+        rep = pair_image_analysis(points, lower, upper)
     except ValueError as exc:
         raise CLIError(EXIT_PARSE, str(exc))
     report = {
@@ -422,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True)
     p.add_argument("--lower", required=True, help="eps,eps_prime,policy")
     p.add_argument("--upper", required=True, help="eps,eps_prime,policy")
-    p.add_argument("--dim-cap", dest="dim_cap", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_pair)
@@ -436,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return exc.code
     try:
         return args.func(args)
     except CLIError as exc:

@@ -45,10 +45,6 @@ class BoundaryMatrix:
     cols: Tuple[Simplex, ...]
     columns: Tuple[SparseCol, ...]
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
     def mod2_columns(self) -> List[int]:
         """Columns as GF(2) bitmasks over row indices."""
         return [sum(1 << r for r, v in col.items() if v % 2) for col in self.columns]
@@ -91,12 +87,13 @@ def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
     matrix; their count is its rank over the rationals.
 
     Unit sweep: each column, visited once in index order, that holds a +-1
-    pivots on its smallest such row.  Column operations clear that row from
-    every other column, after which row operations would clear the pivot's
-    column without touching anything else, so the pivot row and column
-    split off as a factor 1.  Columns without a unit when visited stay, and
-    later pivots keep operating on them; what is left after the sweep goes
-    to a dense Euclidean finish.
+    pivots on such a row, the one in fewest columns (smallest index on a
+    tie).  Column operations clear that row from every other column, after
+    which row operations would clear the pivot's column without touching
+    anything else, so the pivot row and column split off as a factor 1.
+    Columns without a unit when visited stay, and later pivots keep
+    operating on them; what is left after the sweep goes to a dense
+    Euclidean finish.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows: Dict[int, Set[int]] = {}
@@ -109,7 +106,11 @@ def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
         unit_rows = [r for r, v in col.items() if v == 1 or v == -1] if col else ()
         if not unit_rows:
             continue
-        r = min(unit_rows)
+        # the unit row in fewest columns: its elimination touches the
+        # fewest other columns and makes the least fill-in
+        r = unit_rows[0] if len(unit_rows) == 1 else min(
+            unit_rows, key=lambda r: (len(rows[r]), r)
+        )
         p = col.pop(r)
         for j in rows.pop(r):
             if j == c:

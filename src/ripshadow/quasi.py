@@ -621,7 +621,6 @@ def pair_image_analysis(
     points: Sequence[Point],
     lower: Tuple[UncertaintyInterval, EdgePolicy],
     upper: Tuple[UncertaintyInterval, EdgePolicy],
-    dim_cap: int = 3,
 ) -> PairReport:
     """Rank of H1(R_Q) -> H1(R_Q') for disjoint uncertainty intervals,
     against the b1 of the intermediate genuine Rips complex.
@@ -630,7 +629,8 @@ def pair_image_analysis(
     the intervals, so the image rank is bounded by b1 at the midpoint; the
     report carries the verified bound.  One proximity pass serves R_Q, R_Q',
     R_eps'' and the forced R_eps; d2(R_Q') alone gives both the image rank
-    and b1(R_Q').
+    and b1(R_Q').  Nothing here reads a 3-simplex, so every complex is built
+    at dim_cap 2.
     """
     li, lp = lower
     ui, up = upper
@@ -641,11 +641,11 @@ def pair_image_analysis(
     radii = (li.eps, li.eps_prime, ui.eps, ui.eps_prime, mid_eps)
     pairs, (l2, lp2, u2, up2, m2), _ = pair_distances(points, radii)
     pairs = list(pairs)
-    low, forced = _quasi_complex(points, classify_pairs(pairs, l2, lp2), lp, dim_cap)
-    high, _ = _quasi_complex(points, classify_pairs(pairs, u2, up2), up, dim_cap)
+    low, forced = _quasi_complex(points, classify_pairs(pairs, l2, lp2), lp, 2)
+    high, _ = _quasi_complex(points, classify_pairs(pairs, u2, up2), up, 2)
     rank, upper_b1 = _induced_h1(low, high)
     mid_edges = [(i, j) for i, j, b, _ in classify_pairs(pairs, m2, m2) if b == 0]
-    mid = flag_complex(len(points), mid_edges, dim_cap, coords=points, provenance="rips")
+    mid = flag_complex(len(points), mid_edges, 2, coords=points, provenance="rips")
     mid_b1 = betti_numbers(mid, "Q", 1).b[1]
     shadow_mid = None
     if all(len(p) == 2 for p in points):

@@ -11,24 +11,33 @@ could nest in the face, that is, every one enclosing less area.  Arrangement
 vertices are integer triples of the `geometry` kernel, built on the source
 coordinates rescaled once to integers.
 
-Edge pairs, vertices against edges and witnesses against triangles are
-tested only where they share a cell of one uniform grid, whose side is the
-largest |dx| or |dy| of any edge (at most eps for a Rips complex).  Each
-edge and triangle is filed under every cell its closed bounding box meets,
-a point under the one cell that holds it.  Nothing is lost: two closed sets
-that meet share a point, and since floor division is monotone, that point's
-cell lies in the cell range of both boxes.  The grid only picks candidates;
-the kernel decides every predicate exactly.
+Edge pairs and vertices against edges are tested only where they share a
+cell of one uniform grid, whose side is the largest |dx| or |dy| of any edge
+(at most eps for a Rips complex).  Each edge is filed under every cell its
+closed bounding box meets, a point under the one cell that holds it.
+Nothing is lost: two closed sets that meet share a point, and since floor
+division is monotone, that point's cell lies in the cell range of both
+boxes.  The grid only picks candidates; the kernel decides every predicate
+exactly.
 
 Cheaper exact tests settle most candidates first.  Edges whose integer
 bounding boxes are apart cannot meet.  Edges sharing a vertex meet only
 there, or overlap up to the nearer other endpoint, a vertex the T-junction
-scan adds; so neither pair goes to the kernel.  A witness is tried first on
-the triangles through a Rips edge under the dart it was built from, with
-their third vertex left of it: their edges are arrangement edges, so each
-holds the whole face.  The grid scan runs only when none holds the witness,
-and the kernel still decides every test made.  Each ring a witness is
-tested against costs one `tr_locate` pass.
+scan adds; so neither pair goes to the kernel.  A vertex goes to the kernel
+only against the edges whose box holds it.
+
+A witness is covered iff some triangle holds it.  Both witnesses of a face
+are first tested against one inward triangle: a triangle on the Rips edge
+under any dart of the face's ring, with its third vertex left of the dart.
+Its sides are unions of arrangement edges, which no face crosses, and the
+face lies left of the dart, inside it; so it holds the whole face.  A
+witness it does not hold, or of a face without one, goes to the complete
+search: each triangle is filed under the cell of its lowest vertex only,
+and the triangles filed in the 3 x 3 cells around the witness's cell are
+tested.  That search is exact: the side bounds every edge's |dx| and |dy|,
+so each vertex of a triangle holding w lies within one side of w in x and
+in y, and floor division puts it in w's cell or a cell next to it.  Each
+ring a witness is tested against costs one `tr_locate` pass.
 """
 
 from __future__ import annotations
@@ -112,6 +121,21 @@ def _box_cells(pts: Sequence[Triple], side: int) -> List[Tuple[int, int]]:
     ]
 
 
+def _grid_holds(w: Triple, tris_in: Dict[Tuple[int, int], List[Tuple]], side: int) -> bool:
+    """Does some triangle hold the point w?  tris_in files each triangle,
+    with its integer bounding box, under the cell of its lowest vertex.
+    Every vertex of a triangle that holds w lies within side of w in x and
+    in y, so in one of the 3 x 3 cells around w's."""
+    cx, cy = _cell(w, side)
+    x, y, d = w
+    return any(
+        tr_point_in_triangle(w, *tri) != "outside"
+        for cell in [(cx + i, cy + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+        for x0, x1, y0, y1, tri in tris_in.get(cell, ())
+        if x0 * d <= x <= x1 * d and y0 * d <= y <= y1 * d
+    )
+
+
 def _lex_cmp(p: Triple, q: Triple) -> int:
     """Lexicographic order of two points, x then y."""
     return cmp_frac(p[0], p[2], q[0], q[2]) or cmp_frac(p[1], p[2], q[1], q[2])
@@ -182,9 +206,12 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             if kind == "point" and meet[0] not in ends_a + ends_b:
                 crossing_pairs.setdefault(meet[0], (a, b))
     for v, tv in enumerate(tcoords):
+        x, y = coords[v]
         for a in edges_in.get(_cell(tv, side), ()):
             i, j = rips_edges[a]
-            if v not in (i, j) and tr_on_segment(tv, tcoords[i], tcoords[j]):
+            x0, x1, y0, y1 = boxes[a]
+            if (x0 <= x <= x1 and y0 <= y <= y1 and v not in (i, j)
+                    and tr_on_segment(tv, tcoords[i], tcoords[j])):
                 splits[a].add(tv)
 
     # -- shadow vertices: deterministic ids in lexicographic point order --
@@ -208,9 +235,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # any one segment, so consecutive ids are consecutive split points.
     edge_prov: Dict[Tuple[int, int], Set[int]] = {}
     for a, split in enumerate(splits):
-        pts = sorted(split, key=pid.__getitem__)
-        for p, q in zip(pts, pts[1:]):
-            key = (pid[p], pid[q]) if pid[p] < pid[q] else (pid[q], pid[p])
+        ids = sorted([pid[p] for p in split])
+        for key in zip(ids, ids[1:]):
             edge_prov.setdefault(key, set()).add(a)
     sedges = tuple(
         ShadowEdge(u=u, v=v, provenance=frozenset(edge_prov[(u, v)]))
@@ -222,56 +248,44 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         graph_components(range(len(spoints)), [(e.u, e.v) for e in sedges])
     )
 
-    # -- half-edge face tracing with exact angular order --
-    outgoing: Dict[int, List[int]] = {}
+    # -- per-dart tables: dart 2e runs u -> v along edge e, dart 2e + 1 back --
+    # Around each vertex its outgoing darts sorted CCW; a walk leaves the
+    # head of dart d by the CCW-predecessor of d's reversal there.
+    n_darts = 2 * len(sedges)
+    tail = [0] * n_darts
+    dirs: List[Tuple[int, int]] = [(0, 0)] * n_darts
+    out_at: List[List[int]] = [[] for _ in spoints]
     for eid, e in enumerate(sedges):
-        outgoing.setdefault(e.u, []).append(eid)
-        outgoing.setdefault(e.v, []).append(eid)
+        t, h = spoints[e.u], spoints[e.v]
+        dx, dy = h[0] * t[2] - t[0] * h[2], h[1] * t[2] - t[1] * h[2]
+        tail[2 * eid], tail[2 * eid + 1] = e.u, e.v
+        dirs[2 * eid], dirs[2 * eid + 1] = (dx, dy), (-dx, -dy)
+        out_at[e.u].append(2 * eid)
+        out_at[e.v].append(2 * eid + 1)
+    nxt = [0] * n_darts
+    dart_key = functools.cmp_to_key(lambda d1, d2: dir_cmp(dirs[d1], dirs[d2]))
+    for darts in out_at:
+        darts.sort(key=dart_key)
+        for k, d in enumerate(darts):
+            nxt[d ^ 1] = darts[k - 1]
 
-    def dart_dir(eid: int, tail: int) -> Tuple[int, int]:
-        e = sedges[eid]
-        head = e.v if tail == e.u else e.u
-        t, h = spoints[tail], spoints[head]
-        return (h[0] * t[2] - t[0] * h[2], h[1] * t[2] - t[1] * h[2])
+    # each walk: its darts, twice its signed area, and its closed ring of
+    # segments for winding tests (segment k runs along dart k)
+    walks: List[Tuple[List[int], Tuple[int, int], List]] = []
+    seen = bytearray(n_darts)
+    for start in range(n_darts):
+        if seen[start]:
+            continue
+        darts = []
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            darts.append(d)
+            d = nxt[d]
+        ring = closed_segments([spoints[tail[d]] for d in darts])
+        walks.append((darts, _twice_area(ring), ring))
 
-    order_at: Dict[int, List[int]] = {}
-    pos_at: Dict[Tuple[int, int], int] = {}
-    dart_key = functools.cmp_to_key(lambda d1, d2: dir_cmp(d1[0], d2[0]))
-    for vtx, eids in outgoing.items():
-        darts = sorted(((dart_dir(e, vtx), e) for e in eids), key=dart_key)
-        ordered = [eid for _, eid in darts]
-        order_at[vtx] = ordered
-        for k, eid in enumerate(ordered):
-            pos_at[(vtx, eid)] = k
-
-    def next_dart(eid: int, tail: int) -> Tuple[int, int]:
-        e = sedges[eid]
-        head = e.v if tail == e.u else e.u
-        ring = order_at[head]
-        k = pos_at[(head, eid)]
-        nxt = ring[(k - 1) % len(ring)]  # CCW-predecessor of the reversal
-        return nxt, head
-
-    # each walk: its darts' edges and tails, twice its signed area, and its
-    # closed ring of segments for winding tests
-    walks: List[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, int], List]] = []
-    seen: Set[Tuple[int, int]] = set()
-    for eid, e in enumerate(sedges):
-        for tail in (e.u, e.v):
-            if (eid, tail) in seen:
-                continue
-            cyc_edges: List[int] = []
-            cyc_tails: List[int] = []
-            cur = (eid, tail)
-            while cur not in seen:
-                seen.add(cur)
-                cyc_edges.append(cur[0])
-                cyc_tails.append(cur[1])
-                cur = next_dart(*cur)
-            ring = closed_segments([spoints[v] for v in cyc_tails])
-            walks.append((tuple(cyc_edges), tuple(cyc_tails), _twice_area(ring), ring))
-
-    positive = [w for w in walks if w[2][0] > 0]
+    positive = [w for w in walks if w[1][0] > 0]
     n_unbounded = len(walks) - len(positive)
     expected = len(edge_prov) - len(spoints) + n_components
     if len(positive) != expected:
@@ -282,14 +296,11 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # -- witnesses and coverage --
     # Candidates shrink toward a boundary-edge midpoint on the face side;
     # each candidate is itself an exact integer triple.
-    outer_walks = [(-w[2][0], w[2][1], w[3]) for w in walks if w[2][0] <= 0]
+    outer_walks = [(-w[1][0], w[1][1], w[2]) for w in walks if w[1][0] <= 0]
 
-    def witness_for(walk_idx: int, from_end: bool) -> Triple:
-        cyc_edges, cyc_tails, (num, den), ring = positive[walk_idx]
-        nested = [r for n, d, r in outer_walks if cmp_frac(n, d, num, den) < 0]
-        k = -1 if from_end else 0
-        t, h = ring[k]
-        dirv = dart_dir(cyc_edges[k], cyc_tails[k])
+    def witness(d: int, seg: Tuple[Triple, Triple], ring: List, nested: List) -> Triple:
+        t, h = seg
+        dirv = dirs[d]
         normal = (-dirv[1], dirv[0])  # left of the dart
         dd = t[2] * h[2]
         midx, midy = t[0] * h[2] + h[0] * t[2], t[1] * h[2] + h[1] * t[2]
@@ -311,49 +322,53 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 return cand
         raise ConsistencyError("no interior witness found for a bounded face")
 
-    # A witness is first tested against the triangles on its dart, which hold
-    # the whole face (module docstring).  Otherwise it is tested against the
-    # triangles in its cell whose closed bounding box holds it; the box test
-    # spares most kernel calls.
+    # A witness is covered iff some triangle holds it.  An inward triangle
+    # holds the whole face (module docstring), so it settles most witnesses;
+    # the rest go to the grid search over each triangle's lowest vertex.
+    triangles = c.k_simplices(2)
     third: Dict[Tuple[int, int], List[int]] = {}
-    tris_in: Dict[Tuple[int, int], List[Tuple]] = {}
-    for t in c.k_simplices(2):
+    for t in triangles:
         for k in range(3):
             third.setdefault(t[:k] + t[k + 1:], []).append(t[k])
-        tri = tuple(tcoords[v] for v in t)
-        xs = [p[0] for p in tri]
-        ys = [p[1] for p in tri]
-        box = (min(xs), max(xs), min(ys), max(ys), tri)
-        for cell in _box_cells(tri, side):
-            tris_in.setdefault(cell, []).append(box)
 
-    def covered_at(cand: Triple, eid: int, dart: Tuple[Triple, Triple]) -> bool:
-        for a in sedges[eid].provenance:
-            i, j = rips_edges[a]
-            for v in third.get((i, j), ()):
-                tri = (tcoords[i], tcoords[j], tcoords[v])
-                if tr_orient(*dart, tri[2]) > 0 and tr_point_in_triangle(cand, *tri) != "outside":
-                    return True
-        x, y, d = cand
-        return any(
-            tr_point_in_triangle(cand, *tri) != "outside"
-            for x0, x1, y0, y1, tri in tris_in.get(_cell(cand, side), ())
-            if x0 * d <= x <= x1 * d and y0 * d <= y <= y1 * d
-        )
+    @functools.cache  # filed once, on the first witness no inward triangle holds
+    def tris_in() -> Dict[Tuple[int, int], List[Tuple]]:
+        grid: Dict[Tuple[int, int], List[Tuple]] = {}
+        for t in triangles:
+            tri = tuple(tcoords[v] for v in t)
+            xs = [p[0] for p in tri]
+            ys = [p[1] for p in tri]
+            box = (min(xs), max(xs), min(ys), max(ys), tri)
+            grid.setdefault(_cell(tri[0], side), []).append(box)
+        return grid
+
+    def inward_triangle(darts: List[int], ring: List) -> Optional[Tuple[Triple, ...]]:
+        for d, seg in zip(darts, ring):
+            for a in sedges[d >> 1].provenance:
+                i, j = rips_edges[a]
+                for v in third.get((i, j), ()):
+                    if tr_orient(*seg, tcoords[v]) > 0:
+                        return (tcoords[i], tcoords[j], tcoords[v])
+        return None
 
     faces: List[Tuple[Triple, ShadowFace]] = []
-    for idx, (cyc_edges, cyc_tails, _, ring) in enumerate(positive):
-        w1 = witness_for(idx, from_end=False)
-        w2 = witness_for(idx, from_end=True)
-        cov1 = covered_at(w1, cyc_edges[0], ring[0])
-        cov2 = covered_at(w2, cyc_edges[-1], ring[-1])
+    for darts, (num, den), ring in positive:
+        nested = [r for n, d, r in outer_walks if cmp_frac(n, d, num, den) < 0]
+        w1 = witness(darts[0], ring[0], ring, nested)
+        w2 = witness(darts[-1], ring[-1], ring, nested)
+        tri = inward_triangle(darts, ring)
+        cov1, cov2 = (
+            (tri is not None and tr_point_in_triangle(w, *tri) != "outside")
+            or _grid_holds(w, tris_in(), side)
+            for w in (w1, w2)
+        )
         if cov1 != cov2:
             raise ConsistencyError(
                 "coverage flag depends on the witness; arrangement is inconsistent"
             )
         face = ShadowFace(
-            edge_ids=cyc_edges,
-            vertex_ids=cyc_tails,
+            edge_ids=tuple(d >> 1 for d in darts),
+            vertex_ids=tuple(tail[d] for d in darts),
             witness=from_triple(w1, scale),
             covered=cov1,
         )

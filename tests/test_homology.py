@@ -112,6 +112,42 @@ def test_snf_matches_dense_oracle_random():
         assert snf_diagonal(cols) == dense_snf(dense)
 
 
+def test_snf_planted_torsion_matches_dense_oracle_random():
+    # a planted divisibility chain hidden by random unimodular row and column
+    # additions: columns then hold several units, in rows of different
+    # weights, so the pivot choice is exercised, and the torsion stays
+    rng = random.Random(33)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(2, 6), rng.randrange(2, 6)
+        planted, d = [], 1
+        for _ in range(rng.randrange(1, min(nrows, ncols) + 1)):
+            d *= rng.choice((1, 1, 2, 3))
+            planted.append(d)
+        m = [[0] * ncols for _ in range(nrows)]
+        for i, d in enumerate(planted):
+            m[i][i] = d
+        for _ in range(2 * nrows):
+            a, b = rng.sample(range(nrows), 2)
+            k = rng.choice((-1, 1))
+            m[a] = [x + k * y for x, y in zip(m[a], m[b])]
+        for _ in range(2 * ncols):
+            a, b = rng.sample(range(ncols), 2)
+            k = rng.choice((-1, 1))
+            for row in m:
+                row[a] += k * row[b]
+        cols = [{r: m[r][j] for r in range(nrows) if m[r][j]} for j in range(ncols)]
+        assert snf_diagonal(cols) == dense_snf(m) == planted
+
+
+def test_snf_clique_d2_is_all_units():
+    # d2 of the full simplex on n vertices has rank C(n-1, 2) and no torsion.
+    # Every triangle (0, 1, k) holds the row (0, 1), the smallest row of its
+    # column: pivoting on the smallest unit row filled the other columns in.
+    n = 50
+    c = flag_complex(n, list(combinations(range(n), 2)), dim_cap=2)
+    assert snf_diagonal(boundary_matrix(c, 2).columns) == [1] * math.comb(n - 1, 2)
+
+
 def test_chain_property_random_complexes():
     rng = random.Random(33)
     for _ in range(15):

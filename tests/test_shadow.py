@@ -266,6 +266,42 @@ def test_grid_bounds_kernel_calls(monkeypatch):
     assert calls["tr_point_in_triangle"] <= len(s.faces) * n_tris // 8
 
 
+@pytest.mark.parametrize("shift", [0, -16], ids=["positive", "negative"])
+@pytest.mark.parametrize(
+    "square, covered",
+    [([(5, 5), (7, 5), (7, 7), (5, 7)], True), ([(1, 1), (3, 1), (3, 3), (1, 3)], False)],
+    ids=["inside", "beside"],
+)
+def test_complete_coverage_search(monkeypatch, square, covered, shift):
+    # One triangle and a square of bare edges: no diagonal, no edge to the
+    # triangle.  No dart of the square's face has an inward triangle, so both
+    # its witnesses go to the complete search.  Inside the triangle it finds
+    # the triangle; beside it, it tests the triangle and finds a hole.  The
+    # side is 8 and the triangle's vertices lie on multiples of it; its
+    # lowest vertex, (8, 8) shifted, lies in the cell diagonal to the
+    # witnesses' cell.
+    searches = Counter()
+    search = ripshadow.shadow._grid_holds
+
+    def counted(w, *args):
+        found = search(w, *args)
+        searches[found] += 1
+        return found
+
+    monkeypatch.setattr(ripshadow.shadow, "_grid_holds", counted)
+    pts = [P(x + shift, y + shift) for x, y in [(8, 8), (8, 0), (0, 8)] + square]
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+    c = flag_complex(len(pts), edges, dim_cap=2, coords=pts)
+    s = build_shadow(c)
+    assert c.k_simplices(2) == ((0, 1, 2),)
+    for f in s.faces:
+        assert f.covered == frac_covered(c, f.witness)
+    (inner,) = [f for f in s.faces if {s.points[v] for v in f.vertex_ids} == set(pts[3:])]
+    assert inner.covered == covered
+    assert searches == Counter({covered: 2})
+    assert shadow_betti(s) == (2, 0 if covered else 1)
+
+
 @pytest.mark.parametrize(
     "inner, inner_edges",
     [
