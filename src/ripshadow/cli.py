@@ -173,11 +173,8 @@ def _census(c: SimplicialComplex) -> Dict[str, int]:
 
 
 def _betti_block(c: SimplicialComplex) -> Dict:
-    top = max(0, min(c.dim(), c.dim_cap - 1))
-    return {
-        "Q": list(betti_numbers(c, "Q", top).b),
-        "GF2": list(betti_numbers(c, "GF2", top).b),
-    }
+    b = betti_numbers(c, max(0, min(c.dim(), c.dim_cap - 1)))
+    return {"Q": list(b.q), "GF2": list(b.gf2)}
 
 
 def _h1_block(h: SmithDecomposition) -> Dict:

@@ -11,9 +11,8 @@ a segment whose x-range misses the ray by an exact x comparison, and returns
 None for a point on the segment, so one pass over a ring both finds a point
 on it and winds around a point off it.
 
-The point functions (`orient`, `on_segment`, `segment_intersection`,
-`point_in_triangle`, `winding_number`) take exact rationals
-(`fractions.Fraction` or int) and convert them onto the kernel.
+The point functions `orient` and `segment_intersection` take exact
+rationals (`fractions.Fraction` or int) and convert them onto the kernel.
 `pair_distances` is the one proximity pass, in any dimension, and
 `classify_pairs` the one band rule on it: Rips and quasi-Rips links and the
 embedding and fixture audits all read the band a pair falls in.
@@ -320,11 +319,6 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return tr_orient(to_triple(p), to_triple(q), to_triple(r))
 
 
-def on_segment(x: Point, a: Point, b: Point) -> bool:
-    """True iff x lies on the closed segment [a, b] (2-D, exact)."""
-    return tr_on_segment(to_triple(x), to_triple(a), to_triple(b))
-
-
 @dataclass(frozen=True)
 class SegmentIntersection:
     """Exact classification of how two segments meet.
@@ -351,24 +345,3 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
     if kind == "overlap":
         return SegmentIntersection(kind, segment=pts)
     return SegmentIntersection(kind, point=pts[0] if pts else None)
-
-
-def point_in_triangle(x: Point, a: Point, b: Point, c: Point) -> str:
-    """Classify x against triangle abc: "inside", "boundary", or "outside".
-
-    A degenerate (collinear) triangle is treated as the union of its edges:
-    the answer is "boundary" on it and "outside" elsewhere.
-    """
-    return tr_point_in_triangle(*(to_triple(p) for p in (x, a, b, c)))
-
-
-def winding_number(polyline: Sequence[Point], point: Point) -> int:
-    """Winding number of a closed polyline around a point, exactly.
-
-    Crossings are counted against the upward vertical ray from the point
-    by `ray_hit`.  Raises if the polyline passes through the point.
-    """
-    w = tr_locate(closed_segments([to_triple(p) for p in polyline]), to_triple(point))
-    if w is None:
-        raise ValueError("point lies on the polyline")
-    return w

@@ -1,9 +1,11 @@
 """Boundary matrices, Betti numbers, integer Smith normal form, induced maps.
 
-Everything is exact: GF(2) ranks use bitmask elimination, rational ranks and
-torsion use the integer Smith normal form (arbitrary precision, no modular
-shortcuts).  Matrices are stored column-sparse.  The Smith form runs in two
-phases: one sweep splits off every +-1 pivot it meets, then a dense
+Everything is exact: ranks and torsion come from the integer Smith normal
+form (arbitrary precision, no modular shortcuts).  One diagonal gives both
+fields: the rank over Q is its length, the rank over GF(2) its count of odd
+invariant factors, because unimodular operations stay invertible mod 2.
+Matrices are stored column-sparse.  The Smith form runs in two phases: one
+sweep splits off every +-1 pivot it meets, then a dense
 Euclidean reduction diagonalizes the small remainder.  Both use only
 integer unimodular row and column operations, which keep the invariant
 factors, so the result is exact.
@@ -45,10 +47,6 @@ class BoundaryMatrix:
     cols: Tuple[Simplex, ...]
     columns: Tuple[SparseCol, ...]
 
-    def mod2_columns(self) -> List[int]:
-        """Columns as GF(2) bitmasks over row indices."""
-        return [sum(1 << r for r, v in col.items() if v % 2) for col in self.columns]
-
 
 def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     rows = c.k_simplices(k - 1)
@@ -62,24 +60,6 @@ def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
             col[index[face]] = 1 if i % 2 == 0 else -1
         columns.append(col)
     return BoundaryMatrix(k=k, rows=rows, cols=cols, columns=tuple(columns))
-
-
-def rank_gf2(columns: Sequence[int]) -> int:
-    """Rank over GF(2) of bitmask columns."""
-    pivots: Dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        v = col
-        while v:
-            low = v & -v
-            row = low.bit_length() - 1
-            piv = pivots.get(row)
-            if piv is None:
-                pivots[row] = v
-                rank += 1
-                break
-            v ^= piv
-    return rank
 
 
 def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
@@ -193,39 +173,38 @@ class SmithDecomposition:
 
 @dataclass(frozen=True)
 class BettiProfile:
-    b: Tuple[int, ...]
-    field: str  # "GF2" or "Q"
+    q: Tuple[int, ...]
+    gf2: Tuple[int, ...]
 
 
-def betti_numbers(c: SimplicialComplex, field: str = "Q", top_dim: int = 1) -> BettiProfile:
-    """Betti numbers b_0..b_top_dim over GF(2) or the rationals, exactly.
+def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
+    """Betti numbers b_0..b_top_dim over the rationals and over GF(2),
+    exactly, from one Smith diagonal per boundary matrix.
 
     Requires the complex to be materialized one dimension above top_dim so
     that the last image rank is honest.
     """
-    if field not in ("Q", "GF2"):
-        raise ValueError("field must be 'Q' or 'GF2'")
     if c.flag and top_dim + 1 > c.dim_cap:
         # a flag complex may truncate real cliques at dim_cap; an explicit
         # complex has nothing above its stored levels
         raise InsufficientDimCap(
             f"need dim_cap >= {top_dim + 1}, complex has {c.dim_cap}"
         )
-    ranks: Dict[int, int] = {0: 0}
-    for k in range(1, top_dim + 2):
-        if not c.k_simplices(k):
-            ranks[k] = 0
-        elif k == 1:
-            # a graph's d1 has rank |V| - b0 over every field
-            ranks[k] = len(c.vertices) - len(c.components())
-        elif field == "GF2":
-            ranks[k] = rank_gf2(boundary_matrix(c, k).mod2_columns())
-        else:
-            ranks[k] = len(snf_diagonal(boundary_matrix(c, k).columns))
-    b = tuple(
-        len(c.k_simplices(k)) - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)
-    )
-    return BettiProfile(b=b, field=field)
+    # a graph's d1 has rank |V| - b0 over every field
+    rank_d1 = len(c.vertices) - len(c.components()) if c.k_simplices(1) else 0
+    q: List[int] = [0, rank_d1]
+    gf2: List[int] = [0, rank_d1]
+    for k in range(2, top_dim + 2):
+        diag = snf_diagonal(boundary_matrix(c, k).columns) if c.k_simplices(k) else []
+        q.append(len(diag))
+        gf2.append(sum(d % 2 for d in diag))
+
+    def betti(ranks: List[int]) -> Tuple[int, ...]:
+        return tuple(
+            len(c.k_simplices(k)) - ranks[k] - ranks[k + 1] for k in range(top_dim + 1)
+        )
+
+    return BettiProfile(q=betti(q), gf2=betti(gf2))
 
 
 def integer_h1(c: SimplicialComplex) -> SmithDecomposition:

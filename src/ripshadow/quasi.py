@@ -583,8 +583,8 @@ def run_pipeline(
     h1_k = integer_h1(k)
     b = blowup(k, coloring)
     fb = flag_blowup(b, dim_cap=3)
-    betti_k = betti_numbers(k, "GF2", 2).b
-    betti_fb = betti_numbers(fb, "GF2", 2).b
+    betti_k = betti_numbers(k, 2).gf2
+    betti_fb = betti_numbers(fb, 2).gf2
     eq = embed_blowup(b, interval, seed)
     h1_rq = quasi_integer_h1(eq)
     bad = monochromatic_violations(eq, b)
@@ -646,7 +646,7 @@ def pair_image_analysis(
     rank, upper_b1 = _induced_h1(low, high)
     mid_edges = [(i, j) for i, j, b, _ in classify_pairs(pairs, m2, m2) if b == 0]
     mid = flag_complex(len(points), mid_edges, 2, coords=points, provenance="rips")
-    mid_b1 = betti_numbers(mid, "Q", 1).b[1]
+    mid_b1 = betti_numbers(mid, 1).q[1]
     shadow_mid = None
     if all(len(p) == 2 for p in points):
         shadow_mid = shadow_betti(build_shadow(mid))
@@ -655,7 +655,7 @@ def pair_image_analysis(
         mid_eps=mid_eps,
         mid_b1=mid_b1,
         bound_ok=rank <= mid_b1,
-        lower_b1=betti_numbers(low, "Q", 1).b[1],
+        lower_b1=betti_numbers(low, 1).q[1],
         upper_b1=upper_b1,
         lower_forced_components=len(graph_components(range(len(points)), forced)),
         shadow_mid_betti=shadow_mid,

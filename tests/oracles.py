@@ -105,26 +105,28 @@ def dense_snf(mat: Sequence[Sequence[int]]) -> List[int]:
         m[top], m[bi] = m[bi], m[top]
         for row in m:
             row[top], row[bj] = row[bj], row[top]
-        dirty = True
-        while dirty:
-            dirty = False
+        while True:
+            # reduce the pivot's column and row by the pivot, then re-pick
+            # the smallest nonzero entry of that row and column; a remainder
+            # is smaller than the pivot, so the pivot shrinks every pass
+            p = m[top][top]
             for i in range(top + 1, nrows):
-                if m[i][top] != 0:
-                    q = m[i][top] // m[top][top]
-                    for j in range(ncols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top] != 0:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
+                q = m[i][top] // p
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
             for j in range(top + 1, ncols):
-                if m[top][j] != 0:
-                    q = m[top][j] // m[top][top]
-                    for i in range(nrows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j] != 0:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
+                q = m[top][j] // p
+                if q:
+                    for row in m:
+                        row[j] -= q * row[top]
+            line = [(abs(m[i][top]), i, top) for i in range(top + 1, nrows) if m[i][top]]
+            line += [(abs(m[top][j]), top, j) for j in range(top + 1, ncols) if m[top][j]]
+            if not line:
+                break
+            _, bi, bj = min(line)
+            m[top], m[bi] = m[bi], m[top]
+            for row in m:
+                row[top], row[bj] = row[bj], row[top]
         diag.append(abs(m[top][top]))
         top += 1
     # enforce the divisibility chain
@@ -698,7 +700,7 @@ def oracle_pair_report(points, lower, upper, dim_cap: int = 3) -> PairReport:
     rank = oracle_induced_h1_rank(low, high)
     mid_eps = (li.eps_prime + ui.eps) / 2
     mid = complex_at(mid_eps, mid_eps, EdgePolicy.none(), dim_cap, "rips")
-    mid_b1 = betti_numbers(mid, "Q", 1).b[1]
+    mid_b1 = betti_numbers(mid, 1).q[1]
     shadow_mid = None
     if all(len(p) == 2 for p in points):
         shadow_mid = shadow_betti(build_shadow(mid))
@@ -708,8 +710,8 @@ def oracle_pair_report(points, lower, upper, dim_cap: int = 3) -> PairReport:
         mid_eps=mid_eps,
         mid_b1=mid_b1,
         bound_ok=rank <= mid_b1,
-        lower_b1=betti_numbers(low, "Q", 1).b[1],
-        upper_b1=betti_numbers(high, "Q", 1).b[1],
+        lower_b1=betti_numbers(low, 1).q[1],
+        upper_b1=betti_numbers(high, 1).q[1],
         lower_forced_components=len(forced_only.components()),
         shadow_mid_betti=shadow_mid,
     )

@@ -19,12 +19,13 @@ from ripshadow.fixtures import (
     hexagon_points,
 )
 from ripshadow.geometry import dist2, segment_intersection
-from ripshadow.homology import betti_numbers, integer_h1
+from ripshadow.homology import _induced_h1, betti_numbers, integer_h1
 from ripshadow.lifting import lift_loop, lift_path, is_contractible, walk_word
 from ripshadow.quasi import (
     EdgePolicy,
     UncertaintyInterval,
     build_quasi,
+    cross_edges_and_triangles,
     pair_image_analysis,
     preset_presentation,
     run_pipeline,
@@ -36,6 +37,7 @@ from oracles import (
     cells_intersect,
     cone_apex,
     euler_characteristic,
+    frac_point_in_triangle,
     has_simplex,
     verify_chain_property,
 )
@@ -63,7 +65,7 @@ def test_criterion_1_theorem_certificate():
         pts = grid_points(rng, rng.randrange(5, 26))
         c = build_rips(pts, F(1))
         s = build_shadow(c)
-        rb = betti_numbers(c, "Q", 1).b
+        rb = betti_numbers(c, 1).q
         sb = shadow_betti(s)
         assert (rb[0], rb[1]) == sb, (trial, pts)
         assert integer_h1(c).torsion == (), (trial, pts)
@@ -263,9 +265,7 @@ def test_criterion_3_prop_and_lemma_properties():
         tri = _make_triangle_near(rng, (mx, my), radius_num=4, den=40)
         if tri is None:
             continue
-        from ripshadow.geometry import point_in_triangle
-
-        if point_in_triangle((mx, my), *tri) == "outside":
+        if frac_point_in_triangle((mx, my), *tri) == "outside":
             continue
         segs = []
         ok = True
@@ -287,13 +287,13 @@ def test_criterion_3_prop_and_lemma_properties():
         pts = segs + tri
         if len(set(pts)) != 7:
             continue
-        if any(point_in_triangle(p, *tri) == "inside" for p in segs):
+        if any(frac_point_in_triangle(p, *tri) == "inside" for p in segs):
             continue
         c = build_rips(pts, F(1))
         if not has_simplex(c, (4, 5, 6)):
             continue
-        assert betti_numbers(c, "Q", 1).b[1] == 0, pts
-        assert betti_numbers(c, "GF2", 1).b[1] == 0, pts
+        assert betti_numbers(c, 1).q[1] == 0, pts
+        assert betti_numbers(c, 1).gf2[1] == 0, pts
         done += 1
 
     print(f"\nACCEPTANCE 3: PASS - abyz/abxyz/bxyz/abcxyz conclusions and "
@@ -316,7 +316,7 @@ def test_criterion_4_one_dimensional():
         svals = sorted(v[0] for v in pts)
         comps = 1 + sum(1 for a, b in zip(svals, svals[1:]) if b - a > 1)
         top = max(0, min(cech.dim(), cech.dim_cap - 1))
-        b = betti_numbers(cech, "Q", top).b
+        b = betti_numbers(cech, top).q
         assert b[0] == comps
         assert all(x == 0 for x in b[1:])
     print(f"\nACCEPTANCE 4: PASS - Cech/Rips identity and component counts on "
@@ -325,10 +325,10 @@ def test_criterion_4_one_dimensional():
 
 def test_criterion_5_planar_fixtures():
     hexc = build_rips(hexagon_points(F(11, 20)), F(1), dim_cap=3)
-    assert betti_numbers(hexc, "Q", 2).b == (1, 0, 1)
+    assert betti_numbers(hexc, 2).q == (1, 0, 1)
     assert shadow_betti(build_shadow(hexc)) == (1, 0)
     cross = build_rips(cross_polytope_points(4), F(1), dim_cap=4)
-    assert betti_numbers(cross, "Q", 3).b == (1, 0, 0, 1)
+    assert betti_numbers(cross, 3).q == (1, 0, 0, 1)
     print("\nACCEPTANCE 5: PASS - hexagon Betti (1,0,1)/shadow (1,0); "
           "cross-polytope k=4 Betti (1,0,0,1)")
 
@@ -336,7 +336,7 @@ def test_criterion_5_planar_fixtures():
 def test_criterion_6_four_d_fixture():
     pts = four_d_points()
     c = build_rips(pts, F(1), dim_cap=3)
-    b = betti_numbers(c, "Q", 2).b
+    b = betti_numbers(c, 2).q
     assert b == (1, 0, 1)
     b_odd = tuple(sum(pts[v][k] for v in (0, 2, 4)) for k in range(4))
     b_even = tuple(sum(pts[v][k] for v in (1, 3, 5)) for k in range(4))
@@ -463,7 +463,7 @@ def test_criterion_10_internal_consistency():
         c = build_rips(pts, F(1), dim_cap=n)
         assert verify_chain_property(c)
         top = c.dim()
-        b = betti_numbers(c, "Q", top).b
+        b = betti_numbers(c, top).q
         chi = sum((-1) ** k * bk for k, bk in enumerate(b))
         assert chi == euler_characteristic(c)
     # shadow Euler formula vs uncovered-face count on varied inputs
@@ -480,3 +480,28 @@ def test_criterion_10_internal_consistency():
     assert shadow_betti(s)[1] == len(hole_anchors(s))
     print("\nACCEPTANCE 10: PASS - boundary-squared zero, Euler-Poincare "
           "identity, and shadow Euler/uncovered-face agreement")
+
+
+def test_criterion_11_pair_filters_quasi_noise():
+    # the rp2 pipeline's quasi-Rips complex plants a Z/2 and free noise
+    # classes; a distant ring adds one genuine loop
+    iv = UncertaintyInterval(F(1), F(3, 2))
+    eq = run_pipeline(preset_presentation("rp2"), iv, seed=7).embedded
+    pts = eq.points + tuple((x + 10, y) for x, y in annulus_ring_points())
+    cross, _ = cross_edges_and_triangles(eq)
+    low = build_quasi(pts, iv, EdgePolicy.explicit(cross), dim_cap=2)
+    high = build_quasi(
+        pts, UncertaintyInterval(F(19, 10), F(11, 5)), EdgePolicy.all(), dim_cap=2
+    )
+    # a genuine Rips complex between the intervals: R_Q in R_mid in R_Q'
+    mid = build_rips(pts, F(17, 10), dim_cap=2)
+    h_low = integer_h1(low)
+    rank, _ = _induced_h1(low, high)
+    h_mid = integer_h1(mid)
+    assert h_low.torsion != ()
+    # planar Rips H1 is torsion-free, and the inclusion factors through it,
+    # so the planted torsion dies; only the ring's loop survives
+    assert h_mid.torsion == ()
+    assert h_low.rank > rank == h_mid.rank >= 1
+    print(f"\nACCEPTANCE 11: PASS - pair filter: H1(R_Q) = {h_low} maps with "
+          f"rank {rank} = b1(R_mid), H1(R_mid) = {h_mid} torsion-free")

@@ -7,13 +7,13 @@ from ripshadow.geometry import (
     DimensionMismatch,
     dist2,
     make_point,
-    on_segment,
     orient,
-    point_in_triangle,
     segment_intersection,
+    to_triple,
+    tr_point_in_triangle,
 )
 
-from oracles import cells_intersect
+from oracles import cells_intersect, frac_on_segment
 
 F = Fraction
 
@@ -130,8 +130,12 @@ def test_transversal_point_on_both_lines_random():
         p = res.point
         assert orient(s[0], s[1], p) == 0
         assert orient(t[0], t[1], p) == 0
-        assert on_segment(p, *s) and on_segment(p, *t)
+        assert frac_on_segment(p, *s) and frac_on_segment(p, *t)
         checked += 1
+
+
+def point_in_triangle(x, a, b, c):
+    return tr_point_in_triangle(*map(to_triple, (x, a, b, c)))
 
 
 def test_point_in_triangle_cases():

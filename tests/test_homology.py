@@ -14,7 +14,6 @@ from ripshadow.homology import (
     _induced_h1,
     induced_h1_rank,
     integer_h1,
-    rank_gf2,
     snf_diagonal,
 )
 
@@ -61,11 +60,9 @@ def test_rank_engines_match_dense_random():
             }
             cols.append({r: v for r, v in col.items() if v})
         dense = cols_to_dense(cols, nrows)
-        masks = [
-            sum(1 << r for r, v in col.items() if v % 2) for col in cols
-        ]
-        assert rank_gf2(masks) == dense_rank_gf2(dense)
-        assert len(snf_diagonal(cols)) == dense_rank_q(dense)
+        diag = snf_diagonal(cols)
+        assert sum(d % 2 for d in diag) == dense_rank_gf2(dense)
+        assert len(diag) == dense_rank_q(dense)
 
 
 def rp2_plus_cells_d2(rng):
@@ -112,31 +109,62 @@ def test_snf_matches_dense_oracle_random():
         assert snf_diagonal(cols) == dense_snf(dense)
 
 
+def planted_torsion(rng, nrows, ncols):
+    """A matrix whose Smith diagonal is a random divisibility chain, hidden
+    by random unimodular row and column additions; returns it and the chain."""
+    planted, d = [], 1
+    for _ in range(rng.randrange(1, min(nrows, ncols) + 1)):
+        d *= rng.choice((1, 1, 2, 3))
+        planted.append(d)
+    m = [[0] * ncols for _ in range(nrows)]
+    for i, d in enumerate(planted):
+        m[i][i] = d
+    for _ in range(2 * nrows):
+        a, b = rng.sample(range(nrows), 2)
+        k = rng.choice((-1, 1))
+        m[a] = [x + k * y for x, y in zip(m[a], m[b])]
+    for _ in range(2 * ncols):
+        a, b = rng.sample(range(ncols), 2)
+        k = rng.choice((-1, 1))
+        for row in m:
+            row[a] += k * row[b]
+    return m, planted
+
+
+def assert_planted_snf(m, planted):
+    cols = [{r: v for r, v in enumerate(row) if v} for row in zip(*m)]
+    diag = snf_diagonal(cols)
+    assert diag == dense_snf(m) == planted
+    # even planted factors make GF(2) and Q disagree: over GF(2) only the
+    # odd invariant factors count
+    assert sum(d % 2 for d in diag) == dense_rank_gf2(m)
+
+
+# the chain [2, 6, 6, 18, 36] after 14 row and 10 column additions; the dense
+# oracle's Euclidean loop used to grow its entries past 4,000 digits here
+PLANTED_7X5 = [
+    [-58, 30, -34, -20, -54],
+    [-6, 6, 0, 0, -6],
+    [42, -18, 36, 0, 78],
+    [24, -30, 0, 18, -12],
+    [36, 0, 36, 0, 72],
+    [-6, 12, 0, 0, -6],
+    [-18, 0, -36, 18, -90],
+]
+
+
 def test_snf_planted_torsion_matches_dense_oracle_random():
-    # a planted divisibility chain hidden by random unimodular row and column
-    # additions: columns then hold several units, in rows of different
-    # weights, so the pivot choice is exercised, and the torsion stays
+    # columns then hold several units, in rows of different weights, so the
+    # pivot choice is exercised, and the torsion stays
     rng = random.Random(33)
     for _ in range(60):
         nrows, ncols = rng.randrange(2, 6), rng.randrange(2, 6)
-        planted, d = [], 1
-        for _ in range(rng.randrange(1, min(nrows, ncols) + 1)):
-            d *= rng.choice((1, 1, 2, 3))
-            planted.append(d)
-        m = [[0] * ncols for _ in range(nrows)]
-        for i, d in enumerate(planted):
-            m[i][i] = d
-        for _ in range(2 * nrows):
-            a, b = rng.sample(range(nrows), 2)
-            k = rng.choice((-1, 1))
-            m[a] = [x + k * y for x, y in zip(m[a], m[b])]
-        for _ in range(2 * ncols):
-            a, b = rng.sample(range(ncols), 2)
-            k = rng.choice((-1, 1))
-            for row in m:
-                row[a] += k * row[b]
-        cols = [{r: m[r][j] for r in range(nrows) if m[r][j]} for j in range(ncols)]
-        assert snf_diagonal(cols) == dense_snf(m) == planted
+        assert_planted_snf(*planted_torsion(rng, nrows, ncols))
+    assert_planted_snf(PLANTED_7X5, [2, 6, 6, 18, 36])
+    rng = random.Random(46)
+    for _ in range(30):
+        nrows, ncols = rng.randrange(6, 8), rng.randrange(6, 8)
+        assert_planted_snf(*planted_torsion(rng, nrows, ncols))
 
 
 def test_snf_clique_d2_is_all_units():
@@ -157,19 +185,19 @@ def test_chain_property_random_complexes():
 
 def test_betti_four_cycle():
     c = flag_complex(4, [(0, 1), (1, 2), (2, 3), (0, 3)], dim_cap=2)
-    assert betti_numbers(c, "Q", 1).b == (1, 1)
-    assert betti_numbers(c, "GF2", 1).b == (1, 1)
+    assert betti_numbers(c, 1).q == (1, 1)
+    assert betti_numbers(c, 1).gf2 == (1, 1)
 
 
 def test_betti_single_simplex_is_cone():
     c = flag_complex(5, list(combinations(range(5), 2)), dim_cap=5)
-    assert betti_numbers(c, "Q", 3).b == (1, 0, 0, 0)
+    assert betti_numbers(c, 3).q == (1, 0, 0, 0)
 
 
 def test_betti_insufficient_cap():
     c = flag_complex(3, [(0, 1), (1, 2), (0, 2)], dim_cap=2)
     with pytest.raises(InsufficientDimCap):
-        betti_numbers(c, "Q", 2)
+        betti_numbers(c, 2)
 
 
 def test_betti_matches_dense_oracle_random():
@@ -177,8 +205,8 @@ def test_betti_matches_dense_oracle_random():
     for _ in range(20):
         c = random_flag(rng, dim_cap=4)
         top = min(2, c.dim_cap - 1)
-        for field in ("Q", "GF2"):
-            got = betti_numbers(c, field, top).b
+        b = betti_numbers(c, top)
+        for field, got in (("Q", b.q), ("GF2", b.gf2)):
             want = homology_profile(c.simplices, top, field)
             assert got == want, (c.counts(), field)
 
@@ -187,8 +215,8 @@ def test_gf2_betti_dominates_rational_random():
     rng = random.Random(35)
     for _ in range(20):
         c = random_flag(rng, dim_cap=4)
-        q = betti_numbers(c, "Q", 2).b
-        g = betti_numbers(c, "GF2", 2).b
+        q = betti_numbers(c, 2).q
+        g = betti_numbers(c, 2).gf2
         assert all(gk >= qk for gk, qk in zip(g, q))
 
 
@@ -199,7 +227,7 @@ def test_euler_poincare_identity_random():
         edges = {(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.5}
         c = flag_complex(n, edges, dim_cap=n)  # fully materialized
         top = c.dim()
-        b = betti_numbers(c, "Q", top if top + 1 <= c.dim_cap else top).b
+        b = betti_numbers(c, top if top + 1 <= c.dim_cap else top).q
         chi = sum((-1) ** k * bk for k, bk in enumerate(b))
         assert chi == euler_characteristic(c)
 
@@ -225,6 +253,11 @@ def test_integer_h1_projective_plane():
     h = integer_h1(c)
     assert h.rank == 0
     assert h.torsion == (2,)
+    # the invariant factor 2 is a unit over Q and zero over GF(2), which
+    # leaves H1 = H2 = GF(2)
+    b = betti_numbers(c, 2)
+    assert b.q == (1, 0, 0)
+    assert b.gf2 == (1, 1, 1)
 
 
 def test_integer_h1_matches_snf_oracle_random():
@@ -271,7 +304,7 @@ def test_induced_rank_identity_is_b1():
     rng = random.Random(39)
     for _ in range(10):
         c = random_flag(rng)
-        assert induced_h1_rank(c, c) == betti_numbers(c, "Q", 1).b[1]
+        assert induced_h1_rank(c, c) == betti_numbers(c, 1).q[1]
 
 
 def test_induced_rank_containment_error():
@@ -295,8 +328,8 @@ def test_induced_rank_bound_and_monotone_random():
         mid = flag_complex(n, all_edges[:cut2], dim_cap=3)
         sup = flag_complex(n, all_edges, dim_cap=3)
         r_sub_sup = induced_h1_rank(sub, sup)
-        b1s = betti_numbers(sub, "Q", 1).b[1]
-        b1t = betti_numbers(sup, "Q", 1).b[1]
+        b1s = betti_numbers(sub, 1).q[1]
+        b1t = betti_numbers(sup, 1).q[1]
         assert r_sub_sup <= min(b1s, b1t)
         assert r_sub_sup <= induced_h1_rank(sub, mid)
         assert r_sub_sup <= induced_h1_rank(mid, sup)
@@ -308,8 +341,8 @@ def test_induced_rank_ring_hole_survives():
     ring = annulus_ring_points()
     low = build_rips(ring, F(7, 10), dim_cap=3)
     high = build_rips(ring, F(19, 10), dim_cap=3)
-    assert betti_numbers(low, "Q", 1).b[1] == 1
-    assert betti_numbers(high, "Q", 1).b[1] == 1
+    assert betti_numbers(low, 1).q[1] == 1
+    assert betti_numbers(high, 1).q[1] == 1
     assert induced_h1_rank(low, high) == 1
 
 

@@ -148,14 +148,14 @@ def test_blowup_vertex_count_single_triangle():
     b = blowup(tri, VertexColoring((0, 1, 2)))
     assert b.n_vertices == 12  # 3 vertex copies + 6 edge copies + 3 triangle copy
     fb = flag_blowup(b, 3)
-    assert betti_numbers(fb, "GF2", 2).b == (1, 0, 0)
+    assert betti_numbers(fb, 2).gf2 == (1, 0, 0)
 
 
 def test_blowup_single_edge_contractible():
     edge = explicit_complex(2, [[(0,), (1,)], [(0, 1)]], dim_cap=1)
     b = blowup(edge, VertexColoring((0, 1)))
     fb = flag_blowup(b, 2)
-    assert betti_numbers(fb, "GF2", 1).b == (1, 0)
+    assert betti_numbers(fb, 1).gf2 == (1, 0)
 
 
 def test_blowup_rejects_improper_coloring():
@@ -169,7 +169,7 @@ def test_blowup_betti_agreement_torus():
     k, coloring = presentation_to_colored_complex(p)
     b = blowup(k, coloring)
     fb = flag_blowup(b, 3)
-    assert betti_numbers(fb, "GF2", 2).b == betti_numbers(k, "GF2", 2).b == (1, 2, 1)
+    assert betti_numbers(fb, 2).gf2 == betti_numbers(k, 2).gf2 == (1, 2, 1)
 
 
 def test_embed_blowup_audit_and_determinism():

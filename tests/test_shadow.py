@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ripshadow.shadow
 from ripshadow.complexes import build_rips, flag_complex
 from ripshadow.fixtures import annulus_ring_points, hexagon_points
-from ripshadow.geometry import dist2, on_segment, point_in_triangle
+from ripshadow.geometry import dist2
 from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.shadow import (
     ShadowError,
@@ -20,7 +20,7 @@ from ripshadow.shadow import (
     shadow_betti,
 )
 
-from oracles import frac_arrangement, frac_covered, frac_face_witness
+from oracles import frac_arrangement, frac_covered, frac_face_witness, frac_on_segment
 
 F = Fraction
 
@@ -157,7 +157,7 @@ def test_nested_component_inside_hole(inner, b1):
     s = build_shadow(c)
     assert shadow_betti(s) == (2, b1)
     assert len(hole_anchors(s)) == b1
-    rb = betti_numbers(c, "Q", 1).b
+    rb = betti_numbers(c, 1).q
     assert (rb[0], rb[1]) == (2, b1)
 
 
@@ -331,7 +331,7 @@ def test_witness_interiority():
         for f in s.faces:
             # witness on no shadow edge, strictly inside the walk polygon
             assert all(
-                not on_segment(f.witness, s.points[e.u], s.points[e.v])
+                not frac_on_segment(f.witness, s.points[e.u], s.points[e.v])
                 for e in s.edges
             )
 
@@ -375,7 +375,7 @@ def test_theorem_certificate_random_planar():
         pts = grid_points(rng, rng.randrange(5, 14))
         c = build_rips(pts, F(1))
         s = build_shadow(c)
-        rb = betti_numbers(c, "Q", 1).b
+        rb = betti_numbers(c, 1).q
         sb = shadow_betti(s)
         assert (rb[0], rb[1]) == sb
         assert integer_h1(c).torsion == ()
