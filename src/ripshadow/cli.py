@@ -118,10 +118,7 @@ def _parse_interval(text: str) -> UncertaintyInterval:
         raise CLIError(EXIT_PARSE, f"interval must be 'eps,eps_prime', got {text!r}")
     eps = _parse_rational(parts[0], "eps")
     eps_p = _parse_rational(parts[1], "eps_prime")
-    try:
-        return UncertaintyInterval(eps, eps_p)
-    except ValueError as exc:
-        raise CLIError(EXIT_PARSE, str(exc))
+    return UncertaintyInterval(eps, eps_p)
 
 
 def _parse_policy(text: str, seed: int) -> EdgePolicy:
@@ -294,10 +291,7 @@ def cmd_quasi(args) -> int:
     if bool(args.preset) == bool(args.presentation):
         raise CLIError(EXIT_PARSE, "give exactly one of --preset / --presentation")
     if args.preset:
-        try:
-            pres = preset_presentation(args.preset)
-        except ValueError as exc:
-            raise CLIError(EXIT_PARSE, str(exc))
+        pres = preset_presentation(args.preset)
         source = {"preset": args.preset}
     else:
         try:
@@ -338,10 +332,7 @@ def cmd_pair(args) -> int:
     points = load_points(args.points)
     lower = _parse_bound_spec(args.lower, args.seed)
     upper = _parse_bound_spec(args.upper, args.seed + 1)
-    try:
-        rep = pair_image_analysis(points, lower, upper)
-    except ValueError as exc:
-        raise CLIError(EXIT_PARSE, str(exc))
+    rep = pair_image_analysis(points, lower, upper)
     report = {
         "schema": SCHEMA,
         "command": "pair",

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import AuditError
-from .geometry import Point, orient, pair_bands, rational_sqrt, segment_intersection
+from .geometry import Point, pair_bands, rational_sqrt, to_triple, tr_orient, tr_segment_meet
 from .quasi import EdgePolicy, UncertaintyInterval
 
 F = Fraction
@@ -160,14 +160,13 @@ def audit_crossing_triangle(pts: Sequence[Point]) -> Dict[str, Fraction]:
     segments = [(0, 1), (2, 3), (4, 5)]
     crossings = set()
     for (a, b), (x, y) in combinations(segments, 2):
-        res = segment_intersection((pts[a], pts[b]), (pts[x], pts[y]))
-        if res.kind != "point":
-            raise AuditError(f"segments {(a,b)} and {(x,y)} do not cross: {res.kind}")
-        crossings.add(res.point)
+        kind, meet = tr_segment_meet(*(to_triple(pts[v]) for v in (a, b, x, y)))
+        if kind != "point":
+            raise AuditError(f"segments {(a,b)} and {(x,y)} do not cross: {kind}")
+        crossings.update(meet)
     if len(crossings) != 3:
         raise AuditError("crossings are not three distinct points")
-    p1, p2, p3 = sorted(crossings)
-    if orient(p1, p2, p3) == 0:
+    if tr_orient(*crossings) == 0:
         raise AuditError("central triangle is degenerate")
     return margins
 

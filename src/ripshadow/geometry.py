@@ -9,10 +9,9 @@ point.  `ray_hit` is the one crossing rule: winding numbers, the shadow's
 witness tests (through `tr_locate`) and loop words all count it.  It settles
 a segment whose x-range misses the ray by an exact x comparison, and returns
 None for a point on the segment, so one pass over a ring both finds a point
-on it and winds around a point off it.
+on it and winds around a point off it.  Callers map rational points onto
+the kernel with `to_triple` and back with `from_triple`.
 
-The point functions `orient` and `segment_intersection` take exact
-rationals (`fractions.Fraction` or int) and convert them onto the kernel.
 `pair_distances` is the one proximity pass, in any dimension, and
 `classify_pairs` the one band rule on it: Rips and quasi-Rips links and the
 embedding and fixture audits all read the band a pair falls in.
@@ -21,13 +20,11 @@ embedding and fixture audits all read the band a pair falls in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Scalar = Fraction  # or int; the two mix freely
 Point = Tuple[Scalar, ...]
-Segment = Tuple[Point, Point]
 Triple = Tuple[int, int, int]  # (X, Y, D): the point (X/D, Y/D), D > 0, reduced
 
 
@@ -307,41 +304,3 @@ def tr_locate(segments: Sequence[Tuple[Triple, Triple]], a: Triple) -> Optional[
             return None
         total += hit
     return total
-
-
-# ---------------------------------------------------------------------------
-# rational points onto the kernel
-# ---------------------------------------------------------------------------
-
-
-def orient(p: Point, q: Point, r: Point) -> int:
-    """Sign of det(q-p, r-p): +1 counterclockwise, 0 collinear, -1 clockwise."""
-    return tr_orient(to_triple(p), to_triple(q), to_triple(r))
-
-
-@dataclass(frozen=True)
-class SegmentIntersection:
-    """Exact classification of how two segments meet.
-
-    kind is one of "disjoint", "point", "shared_endpoint", "overlap".
-    `point` is set for point/shared_endpoint, `segment` for overlap.
-    """
-
-    kind: str
-    point: Optional[Point] = None
-    segment: Optional[Segment] = None
-
-
-def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
-    """Classify the intersection of two 2-D segments, exactly.
-
-    shared_endpoint is reported only when the meeting point is an endpoint
-    of both segments; a T-junction (endpoint of one interior to the other)
-    is an ordinary "point".  Collinear overlap is reported with its exact
-    overlap segment, never merged into one of the other cases.
-    """
-    kind, meet = tr_segment_meet(*(to_triple(p) for p in (*s, *t)))
-    pts = tuple(from_triple(p, 1) for p in meet)
-    if kind == "overlap":
-        return SegmentIntersection(kind, segment=pts)
-    return SegmentIntersection(kind, point=pts[0] if pts else None)

@@ -19,8 +19,8 @@ from .geometry import (
     closed_segments,
     cmp_frac,
     ray_hit,
-    segment_intersection,
     to_triple,
+    tr_segment_meet,
 )
 from .shadow import ShadowComplex, hole_anchors
 
@@ -125,10 +125,8 @@ def chaining_sequence(
         if (min(e), max(e)) not in edges:
             raise LiftError(f"{e} is not an edge of the complex")
     if c.coords is not None:
-        res = segment_intersection(
-            (c.coords[a], c.coords[b]), (c.coords[cc], c.coords[d])
-        )
-        if res.kind == "disjoint":
+        kind, _ = tr_segment_meet(*(to_triple(c.coords[v]) for v in (a, b, cc, d)))
+        if kind == "disjoint":
             raise LiftError("projections of the two edges are disjoint")
     adj = induced_span(c, {a, b, cc, d}).adjacency()
     parent: Dict[int, Optional[int]] = {b: None}
@@ -245,22 +243,13 @@ def lift_loop(
     directed = _directed_vertices(s, path)
     if directed[0][0] != directed[-1][1]:
         raise LiftError("shadow path is not closed")
-    open_walk = lift_path(path, s, c, edge_choice)
-    first = _oriented_covering_edge(
-        s, path[0], directed[0][0], directed[0][1], edge_choice
-    )
-    last = _oriented_covering_edge(
-        s, path[-1], directed[-1][0], directed[-1][1], edge_choice
-    )
-    verts = list(open_walk.vertices)
-    if first != last:
-        seq = chaining_sequence(last, first, c).vertices
-        verts.extend(seq[2:])
-    # the walk now ends with the oriented start edge; drop its head to close
-    if verts[-2:] != list(first):
+    # repeating the first shadow edge chains the last covering edge back to
+    # the first, so the walk ends with the oriented start edge
+    verts = lift_path([*path, path[0]], s, c, edge_choice).vertices
+    if verts[-2:] != verts[:2]:
         raise LiftError("loop closure failed to reproduce the start edge")
-    verts = verts[:-1]
-    return RipsWalk(vertices=tuple(verts))
+    # drop the start edge's head to close the walk at its tail
+    return RipsWalk(vertices=verts[:-1])
 
 
 def walk_word(walk: RipsWalk, c: SimplicialComplex, s: ShadowComplex) -> HoleWord:

@@ -324,12 +324,10 @@ def blowup(k: SimplicialComplex, coloring: VertexColoring) -> BlowupComplex:
     simplices: List[Tuple[int, ...]] = []
     for level in k.simplices:
         simplices.extend(level)
-    vid: Dict[Tuple[Tuple[int, ...], int], int] = {}
     labels: List[Tuple[Tuple[int, ...], int]] = []
     colors: List[int] = []
     for s in simplices:
         for v in s:
-            vid[(s, v)] = len(labels)
             labels.append((s, v))
             colors.append(coloring.of(v))
     members = [frozenset(s) for s in simplices]

@@ -309,7 +309,8 @@ def frac_on_segment(x, a, b) -> bool:
 
 
 def frac_segment_intersection(s, t) -> Tuple[str, Optional[tuple], Optional[tuple]]:
-    """(kind, point, segment) with the meaning of geometry.SegmentIntersection."""
+    """(kind, point, segment) of two segments: kind as in geometry.tr_segment_meet,
+    point set for "point"/"shared_endpoint", segment for "overlap"."""
     a, b = s
     x, y = t
     o1 = frac_orient(a, b, x)

@@ -18,7 +18,7 @@ from ripshadow.fixtures import (
     four_d_points,
     hexagon_points,
 )
-from ripshadow.geometry import dist2, segment_intersection
+from ripshadow.geometry import dist2, to_triple, tr_orient, tr_segment_meet
 from ripshadow.homology import _induced_h1, betti_numbers, integer_h1
 from ripshadow.lifting import lift_loop, lift_path, is_contractible, walk_word
 from ripshadow.quasi import (
@@ -137,7 +137,7 @@ def _make_abyz(rng):
         return None
     if dist2(y, z) > 1:
         return None
-    if segment_intersection((pts[0], pts[1]), (y, z)).kind == "disjoint":
+    if tr_segment_meet(*map(to_triple, (pts[0], pts[1], y, z)))[0] == "disjoint":
         return None
     return pts
 
@@ -153,9 +153,7 @@ def _make_triangle_near(rng, center, radius_num=5, den=40):
         ]
         if len(set(tri)) != 3:
             continue
-        from ripshadow.geometry import orient
-
-        if orient(*tri) == 0:
+        if tr_orient(*map(to_triple, tri)) == 0:
             continue
         if all(dist2(a, b) <= 1 for a, b in combinations(tri, 2)):
             return tri

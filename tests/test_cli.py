@@ -198,21 +198,6 @@ def test_quasi_bad_presentation_exit_2(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
-def test_reports_byte_deterministic(tmp_path):
-    fx = tmp_path / "hex.json"
-    run(["fixture", "--name", "hexagon", "--out", str(fx)])
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    run(["shadow", "--points", str(fx), "--epsilon", "1", "--out", str(a)])
-    run(["shadow", "--points", str(fx), "--epsilon", "1", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-    qa = tmp_path / "qa.json"
-    qb = tmp_path / "qb.json"
-    run(["quasi", "--preset", "rp2", "--interval", "1,3/2", "--seed", "3", "--out", str(qa)])
-    run(["quasi", "--preset", "rp2", "--interval", "1,3/2", "--seed", "3", "--out", str(qb)])
-    assert qa.read_bytes() == qb.read_bytes()
-
-
 def test_bad_epsilon_exit_2(tmp_path):
     fx = tmp_path / "hex.json"
     run(["fixture", "--name", "hexagon", "--out", str(fx)])

@@ -6,11 +6,12 @@ import pytest
 from ripshadow.geometry import (
     DimensionMismatch,
     dist2,
+    from_triple,
     make_point,
-    orient,
-    segment_intersection,
     to_triple,
+    tr_orient,
     tr_point_in_triangle,
+    tr_segment_meet,
 )
 
 from oracles import cells_intersect, frac_on_segment
@@ -20,6 +21,15 @@ F = Fraction
 
 def P(*coords):
     return make_point(coords)
+
+
+def orient(p, q, r):
+    return tr_orient(*map(to_triple, (p, q, r)))
+
+
+def segment_meet(s, t):
+    kind, meet = tr_segment_meet(*map(to_triple, (*s, *t)))
+    return kind, tuple(from_triple(p, 1) for p in meet)
 
 
 def rand_point(rng, span=4, den=12):
@@ -67,38 +77,39 @@ def test_dist2_symmetry_random():
 
 
 def test_segment_intersection_cross():
-    res = segment_intersection((P(0, 0), P(1, 1)), (P(0, 1), P(1, 0)))
-    assert res.kind == "point"
-    assert res.point == (F(1, 2), F(1, 2))
+    kind, meet = segment_meet((P(0, 0), P(1, 1)), (P(0, 1), P(1, 0)))
+    assert kind == "point"
+    assert meet == ((F(1, 2), F(1, 2)),)
 
 
 def test_segment_intersection_disjoint():
-    res = segment_intersection((P(0, 0), P(1, 0)), (P(0, 1), P(1, 1)))
-    assert res.kind == "disjoint"
+    kind, meet = segment_meet((P(0, 0), P(1, 0)), (P(0, 1), P(1, 1)))
+    assert kind == "disjoint"
+    assert meet == ()
 
 
 def test_segment_intersection_collinear_overlap():
-    res = segment_intersection((P(0, 0), P(2, 0)), (P(1, 0), P(3, 0)))
-    assert res.kind == "overlap"
-    assert res.segment == ((F(1), F(0)), (F(2), F(0)))
+    kind, meet = segment_meet((P(0, 0), P(2, 0)), (P(1, 0), P(3, 0)))
+    assert kind == "overlap"
+    assert meet == ((F(1), F(0)), (F(2), F(0)))
 
 
 def test_segment_intersection_shared_endpoint():
-    res = segment_intersection((P(0, 0), P(1, 0)), (P(1, 0), P(1, 1)))
-    assert res.kind == "shared_endpoint"
-    assert res.point == (F(1), F(0))
+    kind, meet = segment_meet((P(0, 0), P(1, 0)), (P(1, 0), P(1, 1)))
+    assert kind == "shared_endpoint"
+    assert meet == ((F(1), F(0)),)
 
 
 def test_segment_intersection_t_junction_is_point():
-    res = segment_intersection((P(0, 0), P(2, 0)), (P(1, 0), P(1, 1)))
-    assert res.kind == "point"
-    assert res.point == (F(1), F(0))
+    kind, meet = segment_meet((P(0, 0), P(2, 0)), (P(1, 0), P(1, 1)))
+    assert kind == "point"
+    assert meet == ((F(1), F(0)),)
 
 
 def test_segment_intersection_collinear_touch_is_shared_endpoint():
-    res = segment_intersection((P(0, 0), P(1, 0)), (P(1, 0), P(2, 0)))
-    assert res.kind == "shared_endpoint"
-    assert res.point == (F(1), F(0))
+    kind, meet = segment_meet((P(0, 0), P(1, 0)), (P(1, 0), P(2, 0)))
+    assert kind == "shared_endpoint"
+    assert meet == ((F(1), F(0)),)
 
 
 def test_segment_intersection_symmetric_random():
@@ -108,12 +119,13 @@ def test_segment_intersection_symmetric_random():
         t = (rand_point(rng, 2, 6), rand_point(rng, 2, 6))
         if s[0] == s[1] or t[0] == t[1]:
             continue
-        a = segment_intersection(s, t)
-        b = segment_intersection(t, s)
-        assert a.kind == b.kind
-        assert a.point == b.point
-        if a.segment is not None:
-            assert set(a.segment) == set(b.segment)
+        kind_a, meet_a = segment_meet(s, t)
+        kind_b, meet_b = segment_meet(t, s)
+        assert kind_a == kind_b
+        # an overlap is ordered along each segment's own direction
+        assert set(meet_a) == set(meet_b)
+        if kind_a != "overlap":
+            assert meet_a == meet_b
 
 
 def test_transversal_point_on_both_lines_random():
@@ -124,10 +136,10 @@ def test_transversal_point_on_both_lines_random():
         t = (rand_point(rng, 2, 6), rand_point(rng, 2, 6))
         if s[0] == s[1] or t[0] == t[1]:
             continue
-        res = segment_intersection(s, t)
-        if res.kind != "point":
+        kind, meet = segment_meet(s, t)
+        if kind != "point":
             continue
-        p = res.point
+        (p,) = meet
         assert orient(s[0], s[1], p) == 0
         assert orient(t[0], t[1], p) == 0
         assert frac_on_segment(p, *s) and frac_on_segment(p, *t)

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from ripshadow.geometry import (
     closed_segments,
-    orient,
+    from_triple,
     pair_bands,
-    segment_intersection,
     to_triple,
     tr_locate,
     tr_on_segment,
+    tr_orient,
     tr_point_in_triangle,
+    tr_segment_meet,
 )
 from ripshadow.lifting import loop_word
 
@@ -75,14 +76,16 @@ def outcome(fn, *args):
 
 
 def meet(s, t):
-    res = segment_intersection(s, t)
-    return (res.kind, res.point, res.segment)
+    """tr_segment_meet as the oracle's (kind, point, segment)."""
+    kind, pts = tr_segment_meet(*map(to_triple, (*s, *t)))
+    pts = tuple(from_triple(p, 1) for p in pts)
+    return (kind, pts[0] if len(pts) == 1 else None, pts if len(pts) == 2 else None)
 
 
 @examples
 @given(point, point, point)
 def test_orient_and_on_segment_match_oracle(p, q, r):
-    assert orient(p, q, r) == frac_orient(p, q, r)
+    assert tr_orient(*map(to_triple, (p, q, r))) == frac_orient(p, q, r)
     assert tr_on_segment(*map(to_triple, (p, q, r))) == frac_on_segment(p, q, r)
 
 

@@ -22,6 +22,7 @@ from ripshadow.shadow import build_shadow, hole_anchors
 from oracles import (
     abelianization,
     cyclic_reduce,
+    frac_segment_intersection,
     frac_winding_number,
     is_null_homologous,
     word_concat,
@@ -127,6 +128,24 @@ def test_chaining_requires_edges_and_intersection():
         chaining_sequence((0, 2), (1, 3), c)  # diagonals are not edges
     with pytest.raises(LiftError):
         chaining_sequence((0, 1), (2, 3), c)  # opposite sides do not meet
+    sides = ((SQUARE[0], SQUARE[1]), (SQUARE[2], SQUARE[3]))
+    assert frac_segment_intersection(*sides)[0] == "disjoint"
+    # projections meeting only at a shared endpoint, a T-junction or along a
+    # collinear overlap still chain
+    t_pts = [P(0, 0), P(1, 0), P("1/2", 0), P("1/2", "1/2")]
+    line_pts = [P(0, 0), P(1, 0), P("1/2", 0), P("3/2", 0)]
+    for pts, ab, cd, kind in (
+        (SQUARE, (0, 1), (1, 2), "shared_endpoint"),
+        (t_pts, (0, 1), (2, 3), "point"),
+        (line_pts, (0, 1), (2, 3), "overlap"),
+    ):
+        c = build_rips(pts, F(1))
+        ends = [(pts[u], pts[v]) for u, v in (ab, cd)]
+        assert frac_segment_intersection(*ends)[0] == kind
+        walk = chaining_sequence(ab, cd, c)
+        assert walk.is_valid(c)
+        assert walk.vertices[:2] == ab
+        assert walk.vertices[-2:] == cd
 
 
 def test_chaining_bc_absent_detours():
@@ -137,12 +156,12 @@ def test_chaining_bc_absent_detours():
     pts = [P(0, 0), P(1, 0), P("3/20", "-11/20"), P("-1/10", "2/5")]
     c = build_rips(pts, F(1))
     a, b, cc, d = 0, 1, 2, 3
-    from ripshadow.geometry import dist2, segment_intersection
+    from ripshadow.geometry import dist2
 
     assert dist2(pts[b], pts[cc]) > 1  # BC missing
     assert dist2(pts[b], pts[d]) > 1  # BD missing too
     assert dist2(pts[a], pts[d]) <= 1  # AD present
-    assert segment_intersection((pts[a], pts[b]), (pts[cc], pts[d])).kind == "point"
+    assert frac_segment_intersection((pts[a], pts[b]), (pts[cc], pts[d]))[0] == "point"
     walk = chaining_sequence((a, b), (cc, d), c)
     assert walk.is_valid(c)
     assert walk.vertices[:2] == (a, b)

@@ -337,7 +337,7 @@ def test_witness_interiority():
 
 
 def test_arrangement_edges_interior_disjoint_random():
-    from ripshadow.geometry import segment_intersection
+    from ripshadow.geometry import to_triple, tr_segment_meet
 
     rng = random.Random(51)
     for _ in range(8):
@@ -346,8 +346,8 @@ def test_arrangement_edges_interior_disjoint_random():
         s = build_shadow(c)
         segs = [(s.points[e.u], s.points[e.v]) for e in s.edges]
         for (i, a), (j, b) in combinations(enumerate(segs), 2):
-            res = segment_intersection(a, b)
-            assert res.kind in ("disjoint", "shared_endpoint"), (i, j, res.kind)
+            kind, _ = tr_segment_meet(*map(to_triple, (*a, *b)))
+            assert kind in ("disjoint", "shared_endpoint"), (i, j, kind)
 
 
 def test_rips_edges_concatenate_from_shadow_edges_random():
