@@ -134,6 +134,8 @@ def flag_complex(
     provenance: str = "explicit",
 ) -> SimplicialComplex:
     """Clique completion of a graph up to dim_cap."""
+    if dim_cap < 1:
+        raise ValueError("dim_cap must be >= 1")
     return SimplicialComplex(
         n_vertices=n_vertices,
         simplices=_cliques_from_graph(range(n_vertices), edges, dim_cap),
@@ -192,8 +194,6 @@ def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> Simp
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if dim_cap < 1:
-        raise ValueError("dim_cap must be >= 1")
     check_distinct_points(points)
     bands, _ = pair_bands(points, eps, eps)
     edges = [(i, j) for i, j, band, _ in bands if band == 0]

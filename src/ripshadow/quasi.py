@@ -5,7 +5,10 @@ beyond, and lets a policy decide inside the open band; a pair analysis
 builds its four complexes from one proximity pass.  The pipeline turns
 a finite group presentation into a properly 3-colored 2-complex, blows it
 up so gluings become joins, and embeds the blowup in the plane with one
-small ball per color; the quasi-Rips complex of that embedding carries the
+small ball per color.  One proximity pass over that embedding is both
+audited (same-colour pairs forced, the rest inside the band) and turned
+into the quasi-Rips complex by the same rule `build_quasi` uses, with the
+bichromatic blowup edges as the explicit policy; that complex carries the
 group's H1 (plus free rank), which integer Smith normal form certifies.
 
 H1 of an embedded quasi complex is computed relative to the three color
@@ -172,7 +175,7 @@ class GroupPresentation:
                     rel[-1] = -rel[-1]
                 else:
                     idx = ord(ch) - ord("a") + 1
-                    if not (1 <= idx <= generators):
+                    if not ("a" <= ch <= "z" and idx <= generators):
                         raise ValueError(f"unknown generator {ch!r} in {word!r}")
                     rel.append(idx)
             rels.append(tuple(rel))
@@ -311,7 +314,6 @@ class BlowupComplex:
     """
 
     n_vertices: int
-    labels: Tuple[Tuple[Tuple[int, ...], int], ...]
     colors: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
 
@@ -321,32 +323,17 @@ def blowup(k: SimplicialComplex, coloring: VertexColoring) -> BlowupComplex:
         raise ValueError("blowup expects a 2-dimensional complex")
     if not coloring.is_proper(k):
         raise ValueError("coloring is not proper on the complex")
-    simplices: List[Tuple[int, ...]] = []
-    for level in k.simplices:
-        simplices.extend(level)
-    labels: List[Tuple[Tuple[int, ...], int]] = []
-    colors: List[int] = []
-    for s in simplices:
-        for v in s:
-            labels.append((s, v))
-            colors.append(coloring.of(v))
-    members = [frozenset(s) for s in simplices]
-    edges: Set[Tuple[int, int]] = set()
-    n = len(labels)
-    owner = []  # simplex index of each blowup vertex
-    for si, s in enumerate(simplices):
-        owner.extend([si] * len(s))
-    for a in range(n):
-        s1, v = labels[a]
-        for b in range(a + 1, n):
-            s2, w = labels[b]
-            if v in members[owner[b]] and w in members[owner[a]]:
-                edges.add((a, b))
+    copies = [(s, v) for level in k.simplices for s in level for v in s]
+    edges: List[Tuple[int, int]] = []
+    for a, (s1, v) in enumerate(copies):
+        for b in range(a + 1, len(copies)):
+            s2, w = copies[b]
+            if v in s2 and w in s1:
+                edges.append((a, b))
     return BlowupComplex(
-        n_vertices=len(labels),
-        labels=tuple(labels),
-        colors=tuple(colors),
-        edges=tuple(sorted(edges)),
+        n_vertices=len(copies),
+        colors=tuple(coloring.of(v) for _, v in copies),
+        edges=tuple(edges),
     )
 
 
@@ -366,12 +353,13 @@ class EmbeddedQuasi:
 
     `complex` holds the 1-skeleton (its flag completion is the quasi-Rips
     complex; monochromatic cliques are huge, so higher skeleta stay
-    implicit).  `classes` are the three color classes of vertex ids.
+    implicit), built by `_quasi_complex` from the proximity pass the
+    distance audit read.  `colors` is the blowup's color of each vertex.
     """
 
     points: Tuple[Point, ...]
     complex: SimplicialComplex
-    classes: Tuple[Tuple[int, ...], ...]
+    colors: Tuple[int, ...]
     audit_margin: Fraction  # smallest slack of any band/forced comparison
 
 
@@ -386,18 +374,20 @@ def embed_blowup(
     Ball radius is (eps'-eps)/8, half the construction's upper bound, so
     different-color distances land strictly inside the open band; the audit
     checks every pair exactly and the placement retries with derived seeds
-    on the (theoretically impossible) failure.
+    on the (theoretically impossible) failure.  An interval too wide for
+    that radius, or too narrow for the rational height, is a ValueError
+    before any point is placed.
     """
     eps, eps_p = interval.eps, interval.eps_prime
     rho = (eps_p - eps) / 8
     if 2 * rho > eps:
-        raise AuditError(
+        raise ValueError(
             "ball radius too large for the interval: need (eps'-eps)/4 <= eps"
         )
     side = (eps + eps_p) / 2
     height = rational_sqrt(3 * side * side / 4, bits=40)
     if abs(height * height - 3 * side * side / 4) > rho * rho / 16:
-        raise AuditError("rational height approximation too coarse")
+        raise ValueError("rational height approximation too coarse")
     corners = [
         (F(0), F(0)),
         (side, F(0)),
@@ -426,31 +416,23 @@ def embed_blowup(
         if not ok:
             last_error = "could not place distinct points"
             continue
-        margin = _audit_embedding(pts, b.colors, interval)
+        pairs, den = pair_bands(pts, eps, eps_p)
+        bands = list(pairs)
+        margin = _audit_embedding(bands, den, b.colors)
         if margin is not None:
-            classes = tuple(
-                tuple(v for v in range(b.n_vertices) if b.colors[v] == c)
-                for c in range(3)
-            )
-            edge_set = set(b.edges)
-            for cls in classes:
-                for i, j in combinations(cls, 2):
-                    edge_set.add((min(i, j), max(i, j)))
-            rq = flag_complex(
-                b.n_vertices, sorted(edge_set), dim_cap=1, coords=pts, provenance="quasi"
-            )
+            cross = EdgePolicy.explicit(e for e in b.edges if b.colors[e[0]] != b.colors[e[1]])
+            rq, _ = _quasi_complex(pts, bands, cross, 1)
             return EmbeddedQuasi(
-                points=tuple(pts), complex=rq, classes=classes, audit_margin=margin
+                points=tuple(pts), complex=rq, colors=b.colors, audit_margin=margin
             )
         last_error = "distance audit failed"
     raise AuditError(f"embedding failed after {EMBED_ATTEMPTS} seeds: {last_error}")
 
 
 def _audit_embedding(
-    pts: Sequence[Point], colors: Sequence[int], interval: UncertaintyInterval
+    bands: Iterable[Tuple[int, ...]], den: int, colors: Sequence[int]
 ) -> Optional[Fraction]:
     """Smallest slack, or None unless same-colour pairs are in band 0 and the rest in band 1."""
-    bands, den = pair_bands(pts, interval.eps, interval.eps_prime)
     margin: Optional[int] = None
     for i, j, band, slack in bands:
         if band != (0 if colors[i] == colors[j] else 1):
@@ -473,12 +455,8 @@ def cross_edges_and_triangles(
     Those triangles are exactly the non-monochromatic 2-simplices of the
     quasi-Rips flag complex.
     """
-    col: List[Optional[int]] = [None] * eq.complex.n_vertices
-    for cidx, cls in enumerate(eq.classes):
-        for v in cls:
-            col[v] = cidx
     adj = eq.complex.adjacency()
-    cross = [e for e in eq.complex.edges if col[e[0]] != col[e[1]]]
+    cross = [e for e in eq.complex.edges if eq.colors[e[0]] != eq.colors[e[1]]]
     tris: Set[Tuple[int, int, int]] = set()
     for i, j in cross:
         for w in adj[i] & adj[j]:
@@ -498,9 +476,7 @@ def quasi_integer_h1(eq: EmbeddedQuasi) -> SmithDecomposition:
     difference.
     """
     cross, tris = cross_edges_and_triangles(eq)
-    comp_x = len(graph_components(range(eq.complex.n_vertices), eq.complex.edges))
-    n_classes = sum(1 for cls in eq.classes if cls)
-    shift = n_classes - comp_x
+    shift = len(set(eq.colors)) - len(eq.complex.components())
     eidx = {e: i for i, e in enumerate(cross)}
     cols: List[Dict[int, int]] = []
     for t in tris:

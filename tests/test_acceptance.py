@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from ripshadow.complexes import build_rips, induced_span
+from ripshadow.complexes import build_rips
 from ripshadow.fixtures import (
     annulus_ring_points,
     cross_polytope_points,

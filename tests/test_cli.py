@@ -187,15 +187,32 @@ def test_pair_bound_spec_exit_code(tmp_path, capsys, lower, code, message):
         ({"generators": True, "relators": ["a"]}, "generators must be an int >= 1"),
         ({"generators": 2, "relators": "ab"}, "relators must be a list of strings"),
         ({"generators": 2, "relators": ["ab", 3]}, "relators must be a list of strings"),
+        ({"generators": 30, "relators": ["{|"]}, "unknown generator"),
     ],
     ids=["float_generators", "no_generators", "bool_generators", "relator_string",
-         "relator_int"],
+         "relator_int", "non_letter"],
 )
 def test_quasi_bad_presentation_exit_2(tmp_path, capsys, doc, message):
     pf = tmp_path / "pres.json"
     pf.write_text(json.dumps(doc))
     assert run(["quasi", "--presentation", str(pf), "--interval", "1,3/2"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "interval, message",
+    [
+        ("1,6", "ball radius too large"),
+        ("1,1.000000000000000000000001", "height approximation too coarse"),
+    ],
+    ids=["radius_too_large", "height_too_coarse"],
+)
+def test_quasi_unsupported_interval_exit_2(tmp_path, capsys, interval, message):
+    # both are decided from the interval alone, before any point is placed
+    out = tmp_path / "q.json"
+    assert run(["quasi", "--preset", "rp2", "--interval", interval, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_epsilon_exit_2(tmp_path):

@@ -6,12 +6,20 @@ import pytest
 
 from ripshadow.complexes import (
     DuplicatePointError,
+    VertexColoring,
     build_rips,
     explicit_complex,
     flag_complex,
     induced_span,
 )
 from ripshadow.geometry import dist2, make_point
+from ripshadow.quasi import (
+    EdgePolicy,
+    UncertaintyInterval,
+    blowup,
+    build_quasi,
+    flag_blowup,
+)
 
 from oracles import NonFlagError, brute_force_cliques, build_cech_1d, cone_apex
 
@@ -44,6 +52,26 @@ def test_rips_unit_triangle():
 def test_rips_duplicate_points_rejected():
     with pytest.raises(DuplicatePointError):
         build_rips([P(0, 0), P(1, 0), P(0, 0)], F(1))
+
+
+# one edge, which every constructor below keeps at dim_cap >= 1
+HALF = [P(0, 0), P("1/2", 0)]
+EDGE = explicit_complex(2, [[(0,), (1,)], [(0, 1)]], dim_cap=1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: flag_complex(2, [(0, 1)], 0),
+        lambda: build_rips(HALF, F(1), dim_cap=0),
+        lambda: build_quasi(HALF, UncertaintyInterval(F(1), F(2)), EdgePolicy.all(), dim_cap=0),
+        lambda: flag_blowup(blowup(EDGE, VertexColoring((0, 1))), 0),
+    ],
+    ids=["flag_complex", "build_rips", "build_quasi", "flag_blowup"],
+)
+def test_dim_cap_zero_rejected(build):
+    with pytest.raises(ValueError, match="dim_cap must be >= 1"):
+        build()
 
 
 def test_rips_edge_criterion_random():

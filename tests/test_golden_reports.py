@@ -56,6 +56,7 @@ GOLDEN = {
     "quasi-rp2.json": "c91474defa21c93c5da2a0dd0654a5cd12f5bad45372c96de1cc764b64aa40eb",
     "quasi-klein.json": "f1132e50fcc57ee66b08a7143cf29387e59584ee20a4f9e79fb385197fa9b28e",
     "quasi-rp2-seed3.json": "6f59feca151792690653f16c0f0e66ee7b56351f3c2a0f02dbb039a2b03f9053",
+    "quasi-z3.json": "27a80aca6f554a770a24cd1a0f606616cce97372d7c4376db9eab539e6102cd7",
     "pair-ring.json": "d7f11363c204022d46220246ca158ae648b0bbcdd0016c4d9c4a4884a6d39278",
     "pair-ring-random.json": "2b3a4ade99342313fa54207b9eba0d35c9ed3656988c99bd9a12767c53193e8b",
 }
@@ -95,6 +96,10 @@ def _run_cases(workdir: Path, hash_seed: str):
          "--out", "quasi-klein.json"], "quasi-klein.json")
     run(["quasi", "--preset", "rp2", "--interval", "1,3/2", "--seed", "3",
          "--out", "quasi-rp2-seed3.json"], "quasi-rp2-seed3.json")
+    # Z/3 read from a presentation file; its relative path is in the report
+    (workdir / "z3.json").write_text('{"generators": 1, "relators": ["aaa"]}')
+    run(["quasi", "--presentation", "z3.json", "--interval", "1,3/2", "--seed", "7",
+         "--out", "quasi-z3.json"], "quasi-z3.json")
     run(["pair", "--points", "ring.json", "--lower", "7/10,9/10,none",
          "--upper", "19/10,11/5,all", "--out", "pair-ring.json"], "pair-ring.json")
     run(["pair", "--points", "ring.json", "--lower", "7/10,9/10,random:1/2",

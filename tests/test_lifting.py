@@ -6,7 +6,6 @@ import pytest
 from ripshadow.complexes import build_rips
 from ripshadow.fixtures import hexagon_points
 from ripshadow.lifting import (
-    HoleWord,
     LiftError,
     RipsWalk,
     chaining_sequence,

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +8,6 @@ import pytest
 
 from ripshadow import geometry
 from ripshadow.complexes import VertexColoring, build_rips, explicit_complex, flag_complex
-from ripshadow.errors import AuditError
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
 from ripshadow.geometry import dist2, pair_bands
 from ripshadow.homology import betti_numbers, integer_h1
@@ -118,6 +118,10 @@ def test_presentation_parsing_and_validation():
     assert p.relators == ((1, 2, -1, -2),)
     with pytest.raises(ValueError):
         GroupPresentation.parse(1, ["b"])
+    # only the letters a..z name generators, however many there are
+    for word in ["{|", "a{", "A", "a1", "a b", "`"]:
+        with pytest.raises(ValueError, match="unknown generator"):
+            GroupPresentation.parse(30, [word])
     with pytest.raises(ValueError):
         GroupPresentation(1, ((1, -1),))  # not freely reduced
     with pytest.raises(ValueError):
@@ -181,14 +185,55 @@ def test_embed_blowup_audit_and_determinism():
     e2 = embed_blowup(b, iv, seed=11)
     assert e1.points == e2.points
     assert e1.audit_margin > 0
-    # every same-color pair forced, every cross pair strictly in the band
+    # every same-color pair forced, every cross pair strictly in the band;
+    # R_Q links exactly the same-color pairs and the blowup's edges
+    edges, blow = set(e1.complex.edges), set(b.edges)
     for i in range(b.n_vertices):
         for j in range(i + 1, b.n_vertices):
             d2 = dist2(e1.points[i], e1.points[j])
-            if b.colors[i] == b.colors[j]:
+            same = b.colors[i] == b.colors[j]
+            if same:
                 assert d2 <= iv.eps**2
             else:
                 assert iv.eps**2 < d2 < iv.eps_prime**2
+            assert ((i, j) in edges) == (same or (i, j) in blow), (i, j)
+
+
+def _rebuilt_quasi(eq, points, interval, relabel):
+    """R_Q of moved points, rebuilt by build_quasi with the relabelled cross
+    edges as the explicit policy, as an EmbeddedQuasi."""
+    colors = [0] * len(eq.colors)
+    for v, c in enumerate(eq.colors):
+        colors[relabel[v]] = c
+    cross = [(relabel[i], relabel[j]) for i, j in eq.complex.edges if eq.colors[i] != eq.colors[j]]
+    rq = build_quasi(points, interval, EdgePolicy.explicit(cross), dim_cap=1)
+    return replace(eq, points=tuple(points), complex=rq, colors=tuple(colors))
+
+
+@pytest.mark.parametrize("name", ["rp2", "klein"])
+def test_embedded_quasi_metamorphic(name):
+    """Translating, rotating by (3/5, 4/5), scaling with the interval and
+    relabelling the embedded points map R_Q's edges and keep H1(R_Q; Z)."""
+    k, coloring = presentation_to_colored_complex(preset_presentation(name))
+    iv = UncertaintyInterval(F(1), F(3, 2))
+    eq = embed_blowup(blowup(k, coloring), iv, seed=7)
+    h1 = quasi_integer_h1(eq)
+    n = len(eq.points)
+    same = list(range(n))
+    perm = random.Random(75).sample(same, n)
+    c, s, t = F(3, 5), F(4, 5), F(7, 3)
+    cases = [
+        ([(x + F(-5, 7), y + F(2, 3)) for x, y in eq.points], iv, same),
+        ([(c * x - s * y, s * x + c * y) for x, y in eq.points], iv, same),
+        ([(t * x, t * y) for x, y in eq.points],
+         UncertaintyInterval(t * iv.eps, t * iv.eps_prime), same),
+        ([eq.points[v] for v in sorted(same, key=perm.__getitem__)], iv, perm),
+    ]
+    for points, interval, relabel in cases:
+        moved = _rebuilt_quasi(eq, points, interval, relabel)
+        mapped = sorted(tuple(sorted((relabel[i], relabel[j]))) for i, j in eq.complex.edges)
+        assert list(moved.complex.edges) == mapped
+        assert quasi_integer_h1(moved) == h1
 
 
 def test_relative_h1_matches_literal_small():
