@@ -254,7 +254,7 @@ def cmd_shadow(args) -> int:
         "betti": betti,
         "integer_h1": _h1_block(h),
         "shadow": {
-            "vertices": len(s.points),
+            "vertices": len(s.triples),
             "edges": len(s.edges),
             "bounded_faces": len(s.faces),
             "covered_faces": len(s.covered_faces()),

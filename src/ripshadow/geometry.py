@@ -49,7 +49,7 @@ def dist2(p: Point, q: Point) -> Scalar:
     """Exact squared Euclidean distance."""
     if len(p) != len(q):
         raise DimensionMismatch(f"dimension mismatch: {len(p)} vs {len(q)}")
-    return sum((a - b) * (a - b) for a, b in zip(p, q))
+    return sum([(a - b) * (a - b) for a, b in zip(p, q)])
 
 
 def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:

@@ -11,6 +11,12 @@ could nest in the face, that is, every one enclosing less area.  Arrangement
 vertices are integer triples of the `geometry` kernel, built on the source
 coordinates rescaled once to integers.
 
+A `ShadowComplex` keeps those triples and the one `scale` of `scale_points`,
+and a `ShadowFace` its witness triple and that scale; a triple over the scale
+is the rational point.  `ShadowComplex.points` and `ShadowFace.witness` are
+views that build the rational points only when read, so the counts, Betti
+numbers and coverage flags never build a `Fraction`.
+
 Edge pairs and vertices against edges are tested only where they share a
 cell of one uniform grid, whose side is the largest |dx| or |dy| of any edge
 (at most eps for a Rips complex).  Each edge is filed under every cell its
@@ -32,12 +38,13 @@ under any dart of the face's ring, with its third vertex left of the dart.
 Its sides are unions of arrangement edges, which no face crosses, and the
 face lies left of the dart, inside it; so it holds the whole face.  A
 witness it does not hold, or of a face without one, goes to the complete
-search: each triangle is filed under the cell of its lowest vertex only,
-and the triangles filed in the 3 x 3 cells around the witness's cell are
-tested.  That search is exact: the side bounds every edge's |dx| and |dy|,
-so each vertex of a triangle holding w lies within one side of w in x and
-in y, and floor division puts it in w's cell or a cell next to it.  Each
-ring a witness is tested against costs one `tr_locate` pass.
+search: each triangle is filed only under the cell of its first vertex, the
+one of lowest index, and the triangles filed in the 3 x 3 cells around the
+witness's cell are tested.  That search is exact: the side bounds every
+edge's |dx| and |dy|, so each vertex of a triangle holding w lies within one
+side of w in x and in y, and floor division puts it in w's cell or a cell
+next to it.  Each ring a witness is tested against costs one `tr_locate`
+pass.
 """
 
 from __future__ import annotations
@@ -46,14 +53,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .complexes import SimplicialComplex, graph_components
 from .errors import ConsistencyError
 from .geometry import (
     Point,
     Triple,
-    closed_segments,
     cmp_frac,
     dir_cmp,
     from_triple,
@@ -69,24 +75,29 @@ from .geometry import (
 F = Fraction
 
 
-@dataclass(frozen=True)
-class ShadowEdge:
+class ShadowEdge(NamedTuple):
     u: int  # shadow vertex ids, u < v
     v: int
     provenance: FrozenSet[int]  # indices of the Rips edges containing this piece
 
 
-@dataclass(frozen=True)
-class ShadowFace:
+class ShadowFace(NamedTuple):
     edge_ids: Tuple[int, ...]  # boundary walk, face on the left (CCW)
     vertex_ids: Tuple[int, ...]  # walk tails, same order and length
-    witness: Point
+    witness_triple: Triple  # interior point on the complex's integer scale
+    scale: int  # the complex's scale: witness_triple / scale is the witness
     covered: bool
+
+    @property
+    def witness(self) -> Point:
+        """The witness as a rational point, built on each read."""
+        return from_triple(self.witness_triple, self.scale)
 
 
 @dataclass(frozen=True)
 class ShadowComplex:
-    points: Tuple[Point, ...]  # shadow vertex coordinates
+    triples: Tuple[Triple, ...]  # shadow vertices, kernel triples on the integer scale
+    scale: int  # from scale_points: a triple over this scale is the source point
     vertex_provenance: Tuple[Tuple, ...]  # ("original", i) | ("crossing", (e, f))
     edges: Tuple[ShadowEdge, ...]
     faces: Tuple[ShadowFace, ...]  # bounded faces only
@@ -94,6 +105,11 @@ class ShadowComplex:
     source_coords: Tuple[Point, ...]
     n_components: int  # components of the 1-skeleton, isolated vertices included
     n_unbounded_walks: int  # one per component with edges; the outer face
+
+    @functools.cached_property
+    def points(self) -> Tuple[Point, ...]:
+        """Shadow vertex coordinates as rational points, built on first read."""
+        return tuple(from_triple(p, self.scale) for p in self.triples)
 
     def covered_faces(self) -> Tuple[ShadowFace, ...]:
         return tuple(f for f in self.faces if f.covered)
@@ -123,9 +139,9 @@ def _box_cells(pts: Sequence[Triple], side: int) -> List[Tuple[int, int]]:
 
 def _grid_holds(w: Triple, tris_in: Dict[Tuple[int, int], List[Tuple]], side: int) -> bool:
     """Does some triangle hold the point w?  tris_in files each triangle,
-    with its integer bounding box, under the cell of its lowest vertex.
-    Every vertex of a triangle that holds w lies within side of w in x and
-    in y, so in one of the 3 x 3 cells around w's."""
+    with its integer bounding box, under the cell of tri[0], its vertex of
+    lowest index.  Every vertex of a triangle that holds w lies within side
+    of w in x and in y, so in one of the 3 x 3 cells around w's."""
     cx, cy = _cell(w, side)
     x, y, d = w
     return any(
@@ -239,7 +255,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         for key in zip(ids, ids[1:]):
             edge_prov.setdefault(key, set()).add(a)
     sedges = tuple(
-        ShadowEdge(u=u, v=v, provenance=frozenset(edge_prov[(u, v)]))
+        ShadowEdge(u, v, frozenset(edge_prov[(u, v)]))
         for u, v in sorted(edge_prov)
     )
 
@@ -270,7 +286,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             nxt[d ^ 1] = darts[k - 1]
 
     # each walk: its darts, twice its signed area, and its closed ring of
-    # segments for winding tests (segment k runs along dart k)
+    # segments for winding tests (segment k runs along dart k, tail to head)
     walks: List[Tuple[List[int], Tuple[int, int], List]] = []
     seen = bytearray(n_darts)
     for start in range(n_darts):
@@ -282,7 +298,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             seen[d] = 1
             darts.append(d)
             d = nxt[d]
-        ring = closed_segments([spoints[tail[d]] for d in darts])
+        ring = [(spoints[tail[d]], spoints[tail[d ^ 1]]) for d in darts]
         walks.append((darts, _twice_area(ring), ring))
 
     positive = [w for w in walks if w[1][0] > 0]
@@ -318,13 +334,13 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             # tr_locate is None on the ring, so one pass per ring decides both.
             if cand in pid or not tr_locate(ring, cand):
                 continue
-            if all(tr_locate(r, cand) == 0 for r in nested):
+            if not nested or all(tr_locate(r, cand) == 0 for r in nested):
                 return cand
         raise ConsistencyError("no interior witness found for a bounded face")
 
     # A witness is covered iff some triangle holds it.  An inward triangle
     # holds the whole face (module docstring), so it settles most witnesses;
-    # the rest go to the grid search over each triangle's lowest vertex.
+    # the rest go to the grid search over each triangle's first vertex.
     triangles = c.k_simplices(2)
     third: Dict[Tuple[int, int], List[int]] = {}
     for t in triangles:
@@ -351,37 +367,33 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                         return (tcoords[i], tcoords[j], tcoords[v])
         return None
 
-    faces: List[Tuple[Triple, ShadowFace]] = []
+    faces: List[ShadowFace] = []
     for darts, (num, den), ring in positive:
         nested = [r for n, d, r in outer_walks if cmp_frac(n, d, num, den) < 0]
         w1 = witness(darts[0], ring[0], ring, nested)
         w2 = witness(darts[-1], ring[-1], ring, nested)
         tri = inward_triangle(darts, ring)
-        cov1, cov2 = (
-            (tri is not None and tr_point_in_triangle(w, *tri) != "outside")
-            or _grid_holds(w, tris_in(), side)
-            for w in (w1, w2)
-        )
+        cov1 = ((tri is not None and tr_point_in_triangle(w1, *tri) != "outside")
+                or _grid_holds(w1, tris_in(), side))
+        cov2 = ((tri is not None and tr_point_in_triangle(w2, *tri) != "outside")
+                or _grid_holds(w2, tris_in(), side))
         if cov1 != cov2:
             raise ConsistencyError(
                 "coverage flag depends on the witness; arrangement is inconsistent"
             )
-        face = ShadowFace(
-            edge_ids=tuple(d >> 1 for d in darts),
-            vertex_ids=tuple(tail[d] for d in darts),
-            witness=from_triple(w1, scale),
-            covered=cov1,
-        )
-        faces.append((w1, face))
-    faces.sort(key=lambda wf: _lex_key(wf[0]))
+        faces.append(ShadowFace(
+            tuple(d >> 1 for d in darts), tuple(tail[d] for d in darts), w1, scale, cov1
+        ))
+    faces.sort(key=lambda f: _lex_key(f.witness_triple))
 
     return ShadowComplex(
-        points=tuple(from_triple(p, scale) for p in spoints),
+        triples=tuple(spoints),
+        scale=scale,
         vertex_provenance=tuple(
             provenance_of_vertex[i] for i in range(len(spoints))
         ),
         edges=sedges,
-        faces=tuple(f for _, f in faces),
+        faces=tuple(faces),
         rips_edges=rips_edges,
         source_coords=tuple(c.coords),
         n_components=n_components,
@@ -398,7 +410,7 @@ def shadow_betti(s: ShadowComplex) -> Tuple[int, int]:
     """
     b0 = s.n_components
     f_cov = sum(1 for f in s.faces if f.covered)
-    b1 = b0 - len(s.points) + len(s.edges) - f_cov
+    b1 = b0 - len(s.triples) + len(s.edges) - f_cov
     uncovered = sum(1 for f in s.faces if not f.covered)
     if b1 != uncovered:
         raise ConsistencyError(

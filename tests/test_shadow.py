@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import ripshadow.shadow
 from ripshadow.complexes import build_rips, flag_complex
-from ripshadow.fixtures import annulus_ring_points, hexagon_points
+from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture, hexagon_points
 from ripshadow.geometry import dist2
 from ripshadow.homology import betti_numbers, integer_h1
+from ripshadow.lifting import RipsWalk, is_contractible, lift_loop
 from ripshadow.shadow import (
     ShadowError,
     build_shadow,
@@ -20,7 +21,13 @@ from ripshadow.shadow import (
     shadow_betti,
 )
 
-from oracles import frac_arrangement, frac_covered, frac_face_witness, frac_on_segment
+from oracles import (
+    frac_arrangement,
+    frac_covered,
+    frac_face_witness,
+    frac_on_segment,
+    frac_orient,
+)
 
 F = Fraction
 
@@ -278,8 +285,8 @@ def test_complete_coverage_search(monkeypatch, square, covered, shift):
     # its witnesses go to the complete search.  Inside the triangle it finds
     # the triangle; beside it, it tests the triangle and finds a hole.  The
     # side is 8 and the triangle's vertices lie on multiples of it; its
-    # lowest vertex, (8, 8) shifted, lies in the cell diagonal to the
-    # witnesses' cell.
+    # first vertex, (8, 8) shifted, under whose cell it is filed, lies in the
+    # cell diagonal to the witnesses' cell.
     searches = Counter()
     search = ripshadow.shadow._grid_holds
 
@@ -405,3 +412,110 @@ def test_render_svg_element_counts():
     assert svg.count("<polyline") == 1
     # determinism
     assert svg == render_svg(sh, overlay=[hexc.coords[v] for v in (0, 1, 2, 3, 4, 5, 0)])
+
+
+@pytest.mark.parametrize("name", ["ring", "crossing"])
+def test_shadow_decisions_build_no_fractions(monkeypatch, name):
+    """The arrangement, its counts, Betti numbers and coverage come from the
+    integer triples alone; only the points and hole anchors, read after,
+    build rational points, and they equal the Fraction oracles'."""
+    pts, eps = {
+        "ring": (annulus_ring_points(), F(1)),
+        "crossing": (crossing_triangle_fixture()[0], F(12, 5)),
+    }[name]
+    c = build_rips(pts, eps, dim_cap=2)
+
+    def refuse(*args):
+        raise AssertionError("from_triple called")
+
+    monkeypatch.setattr(ripshadow.shadow, "from_triple", refuse)
+    s = build_shadow(c)
+    betti = shadow_betti(s)
+    n_edges, n_covered = len(s.edges), len(s.covered_faces())
+    monkeypatch.undo()
+    points, _, edges = frac_arrangement(c)
+    assert (n_edges, betti) == (len(edges), tuple(betti_numbers(c, 1).q))
+    assert n_covered == sum(frac_covered(c, f.witness) for f in s.faces)
+    assert s.points == points
+    anchors = hole_anchors(s)
+    assert len(anchors) == betti[1]
+    assert anchors == sorted(frac_face_witness(s, f) for f in s.faces if not f.covered)
+
+
+def _lattice_shadow_cases(rng):
+    """Sets on the 1/5 lattice at a realised distance eps >= 1.  Each holds a
+    3 x 2 block whose long diagonals (length 1) and middle column cross at
+    (2/5, 3/10), no point of the set; the block's rows are collinear
+    overlaps, their middle points T-junctions under the column.  An 8-point
+    outline of a 2 x 2 square adds a hole; a few lattice points vary both."""
+    for _ in range(5):
+        ox, oy = F(rng.randrange(3), 5), F(rng.randrange(3), 5)
+        block = [(ox + F(x, 5), oy + F(y, 5)) for x in (0, 2, 4) for y in (0, 3)]
+        ring = [P(x, y) for x in range(3, 6) for y in range(3) if (x, y) != (4, 1)]
+        extra = [(F(rng.randrange(26), 5), F(rng.randrange(11), 5)) for _ in range(3)]
+        pts = sorted(set(block + ring + extra))
+        dists = {dist2(p, q) for p, q in combinations(pts, 2)}
+        eps = rng.choice(sorted(F(k, 5) for k in range(5, 7) if F(k * k, 25) in dists))
+        yield pts, eps
+
+
+def _shadow_numbers(c, s):
+    h1 = integer_h1(c)
+    bq = betti_numbers(c, 2)
+    return (
+        tuple(len(level) for level in c.simplices), bq.q, bq.gf2, (h1.rank, h1.torsion),
+        (len(s.triples), len(s.edges), len(s.faces), len(s.covered_faces())),
+        len(hole_anchors(s)),
+    )
+
+
+def _has_features(c, s):
+    """(collinear overlap, T-junction, three-way crossing) in the shadow."""
+    pts = c.coords
+    degree = Counter(v for e in s.edges for v in (e.u, e.v))
+    t_junction = any(
+        v not in (i, j) and frac_on_segment(pts[v], pts[i], pts[j])
+        and any(frac_orient(pts[i], pts[j], pts[w]) for e in c.edges if v in e for w in e)
+        for v in range(len(pts)) for i, j in c.edges
+    )
+    return (
+        any(len(e.provenance) > 1 for e in s.edges),
+        t_junction,
+        any(p[0] == "crossing" and degree[k] >= 6 for k, p in enumerate(s.vertex_provenance)),
+    )
+
+
+def test_rips_and_shadow_metamorphic():
+    """Relabelling, translating, scaling with eps and rotating by (3/5, 4/5)
+    keep the census, Betti numbers over Q and GF(2), H1 over Z, the shadow's
+    V / E / F / covered counts, its hole count, and whether each lifted
+    face loop, mapped along, is contractible."""
+    rng = random.Random(76)
+    cs, sn = F(3, 5), F(4, 5)
+    verdicts = Counter()
+    for pts, eps in _lattice_shadow_cases(rng):
+        c = build_rips(pts, eps)
+        s = build_shadow(c)
+        assert _has_features(c, s) == (True, True, True)
+        numbers = _shadow_numbers(c, s)
+        holes = [f for f in s.faces if not f.covered]
+        loops = [lift_loop(list(f.edge_ids), s, c) for f in holes + list(s.covered_faces()[:3])]
+        verdict = [is_contractible(loop, c, s) for loop in loops]
+        assert verdict == [False] * len(holes) + [True] * (len(loops) - len(holes))
+        verdicts.update(verdict)
+        n = len(pts)
+        same = list(range(n))
+        perm = rng.sample(same, n)
+        dx, dy, t = F(-5, 7), F(2, 3), F(7, 3)
+        for moved, moved_eps, relabel in [
+            ([pts[v] for v in sorted(same, key=perm.__getitem__)], eps, perm),
+            ([(x + dx, y + dy) for x, y in pts], eps, same),
+            ([(t * x, t * y) for x, y in pts], t * eps, same),
+            ([(cs * x - sn * y, sn * x + cs * y) for x, y in pts], eps, same),
+        ]:
+            c2 = build_rips(moved, moved_eps)
+            s2 = build_shadow(c2)
+            assert _shadow_numbers(c2, s2) == numbers
+            mapped = [RipsWalk(tuple(relabel[v] for v in loop.vertices)) for loop in loops]
+            assert [is_contractible(loop, c2, s2) for loop in mapped] == verdict
+    assert verdicts[True] and verdicts[False]
