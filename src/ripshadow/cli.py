@@ -71,6 +71,8 @@ def document_to_points(doc: Dict) -> List[Point]:
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise CLIError(EXIT_PARSE, f"not a {SCHEMA} point document")
     dim = doc.get("dimension")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise CLIError(EXIT_PARSE, f"dimension must be a positive integer, not {dim!r}")
     rows = doc.get("points", [])
     if not isinstance(rows, list):
         raise CLIError(EXIT_PARSE, "points must be a list of coordinate lists")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .geometry import Point, pair_bands
+from .geometry import Point, _exact, pair_bands
 
 Simplex = Tuple[int, ...]
 
@@ -178,7 +178,7 @@ def explicit_complex(
 def check_distinct_points(points: Sequence[Point]) -> None:
     seen: Dict[Point, int] = {}
     for idx, p in enumerate(points):
-        key = tuple(Fraction(c) for c in p)
+        key = _exact(p)
         if key in seen:
             raise DuplicatePointError(
                 f"points {seen[key]} and {idx} coincide; distinct points required"

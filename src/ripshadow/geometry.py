@@ -3,14 +3,19 @@
 A planar point is carried as a reduced integer triple (X, Y, D), meaning
 (X/D, Y/D) with D > 0 and gcd(X, Y, D) = 1, so equal points have equal
 triples.  Orientation, on-segment, point-in-triangle, the meet of two
-segments, angular order and the vertical-ray crossing are all decided on
-triples by integer cross-multiplication; nothing here touches floating
-point.  `ray_hit` is the one crossing rule: winding numbers, the shadow's
-witness tests (through `tr_locate`) and loop words all count it.  It settles
-a segment whose x-range misses the ray by an exact x comparison, and returns
-None for a point on the segment, so one pass over a ring both finds a point
-on it and winds around a point off it.  Callers map rational points onto
-the kernel with `to_triple` and back with `from_triple`.
+segments and the vertical-ray crossing are all decided on triples by
+integer cross-multiplication; nothing here touches floating point.
+Lexicographic and angular order sort on integer keys: each fraction times
+2**s, floored, with 2**s above the square of every denominator sorted
+together.  Fractions with such denominators are 0 or at least 2**-s apart,
+so the floors keep their order and tie equal values.  `ray_hit` is the one
+crossing rule: winding numbers, the shadow's witness tests (through
+`tr_locate`) and loop words all count it.  It settles a segment whose
+x-range misses the ray by an exact x comparison, and returns None for a
+point on the segment, so one pass over a ring both finds a point on it and
+winds around a point off it.  Callers map rational points onto the kernel
+with `to_triple` (like `scale_points`, it takes an int or Fraction as it is
+and converts only other scalars) and back with `from_triple`.
 
 `pair_distances` is the one proximity pass, in any dimension, and
 `classify_pairs` the one band rule on it: Rips and quasi-Rips links and the
@@ -30,6 +35,11 @@ Triple = Tuple[int, int, int]  # (X, Y, D): the point (X/D, Y/D), D > 0, reduced
 
 class DimensionMismatch(ValueError):
     pass
+
+
+def _exact(p: Iterable) -> Point:
+    """p with each coordinate other than an int or Fraction made a Fraction."""
+    return tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p)
 
 
 def make_point(coords: Iterable) -> Point:
@@ -58,12 +68,9 @@ def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:
     Returns the integer points and that common scale; exact comparisons on
     the rescaled points then need no rational arithmetic.
     """
-    fracs = [tuple(Fraction(c) for c in p) for p in coords]
-    scale = 1
-    for p in fracs:
-        for c in p:
-            scale = math.lcm(scale, c.denominator)
-    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in fracs], scale
+    exact = [_exact(p) for p in coords]
+    scale = math.lcm(*{c.denominator for p in exact for c in p})
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in exact], scale
 
 
 def pair_distances(
@@ -127,7 +134,7 @@ def rational_sqrt(x: Fraction, bits: int = 32) -> Fraction:
 
 def to_triple(p: Point) -> Triple:
     """Reduced triple of a planar rational point."""
-    x, y = Fraction(p[0]), Fraction(p[1])
+    x, y = _exact(p[:2])
     d = math.lcm(x.denominator, y.denominator)
     return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
 
@@ -248,14 +255,24 @@ def tr_segment_meet(
     return (kind, (p,))
 
 
-def dir_cmp(d1: Tuple[int, int], d2: Tuple[int, int]) -> int:
-    """Exact CCW comparison of nonzero integer direction vectors."""
-    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    crossv = d1[0] * d2[1] - d1[1] * d2[0]
-    return (crossv < 0) - (crossv > 0)
+def _lex_keys(points: Sequence[Triple]) -> List[Tuple[int, int]]:
+    """Integer keys of the points' lexicographic order: (X, Y, D) has the
+    key ((X << s) // D, (Y << s) // D) with 2**s > max(D)**2."""
+    s = 2 * max((p[2] for p in points), default=1).bit_length()
+    return [((x << s) // d, (y << s) // d) for x, y, d in points]
+
+
+def _angle_keys(dirs: Sequence[Tuple[int, int]]) -> List[int]:
+    """Integer keys of nonzero directions, counterclockwise from +x: the
+    diamond angle in [0, 4), (n - dx) / n on the upper half-plane with the
+    +x axis and (3n + dx) / n on the rest, n = |dx| + |dy|, scaled by
+    2**s > max(n)**2 and floored."""
+    s = 2 * max((abs(dx) + abs(dy) for dx, dy in dirs), default=1).bit_length()
+    keys = []
+    for dx, dy in dirs:
+        n = abs(dx) + abs(dy)
+        keys.append(((n - dx if dy > 0 or (dy == 0 and dx > 0) else 3 * n + dx) << s) // n)
+    return keys
 
 
 def ray_hit(p: Triple, q: Triple, a: Triple) -> Optional[int]:

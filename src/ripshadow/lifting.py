@@ -16,13 +16,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import SimplicialComplex, induced_span
 from .geometry import (
     Point,
+    Triple,
+    _lex_keys,
     closed_segments,
     cmp_frac,
     ray_hit,
     to_triple,
+    tr_reduce,
     tr_segment_meet,
 )
-from .shadow import ShadowComplex, hole_anchors
+from .shadow import ShadowComplex
 
 
 class LiftError(ValueError):
@@ -88,14 +91,17 @@ def loop_word(polyline: Sequence[Point], anchors: Sequence[Point]) -> HoleWord:
     ordered along it, with the symbolic per-anchor nudge breaking exact
     ties.  The result is freely reduced.
     """
-    if len(set(map(tuple, anchors))) != len(anchors):
+    return _ray_word([to_triple(v) for v in polyline], [to_triple(a) for a in anchors])
+
+
+def _ray_word(polyline: Sequence[Triple], rays: Sequence[Triple]) -> HoleWord:
+    """`loop_word` on kernel triples: the polyline's vertices and the anchors."""
+    if len(set(rays)) != len(rays):
         raise ValueError("anchors must be pairwise distinct")
-    rays = [to_triple(a) for a in anchors]
     # a segment meets the rays in the order of their x-coordinates
-    rank = {x: r for r, x in enumerate(sorted({a[0] for a in anchors}))}
-    x_rank = [rank[a[0]] for a in anchors]
+    xs = [x for x, _ in _lex_keys(rays)]
     letters: List[int] = []
-    for p, q in closed_segments([to_triple(v) for v in polyline]):
+    for p, q in closed_segments(polyline):
         step = 1 if cmp_frac(q[0], q[2], p[0], p[2]) > 0 else -1
         seg_hits: List[Tuple[int, int, int]] = []
         for idx, a in enumerate(rays):
@@ -103,7 +109,7 @@ def loop_word(polyline: Sequence[Point], anchors: Sequence[Point]) -> HoleWord:
             if sign is None:
                 raise ValueError("polyline passes through an anchor")
             if sign:
-                seg_hits.append((step * x_rank[idx], step * idx, sign * (idx + 1)))
+                seg_hits.append((step * xs[idx], step * idx, sign * (idx + 1)))
         for _, _, letter in sorted(seg_hits):
             letters.append(letter)
     return HoleWord(letters=free_reduce(letters))
@@ -256,8 +262,11 @@ def walk_word(walk: RipsWalk, c: SimplicialComplex, s: ShadowComplex) -> HoleWor
     """Hole word of a closed Rips walk's projection."""
     if not walk.closed:
         raise LiftError("walk must be closed")
-    polyline = [c.coords[v] for v in walk.vertices]
-    return loop_word(polyline, hole_anchors(s))
+    # the anchors are the uncovered faces' witnesses in face order, the order
+    # of hole_anchors, brought from the shadow's scale to the source's
+    holes = [f.witness_triple for f in s.faces if not f.covered]
+    rays = [tr_reduce(x, y, d * s.scale) for x, y, d in holes]
+    return _ray_word([to_triple(c.coords[v]) for v in walk.vertices], rays)
 
 
 def is_contractible(

@@ -9,7 +9,12 @@ decided locally: it must lie inside the face's own ring, on none of its
 segments, and outside (and off) the outer walk of every component that
 could nest in the face, that is, every one enclosing less area.  Arrangement
 vertices are integer triples of the `geometry` kernel, built on the source
-coordinates rescaled once to integers.
+coordinates rescaled once to integers by `scale_points` (which converts
+only scalars other than int and Fraction).  Vertex ids and face order follow
+the lexicographic order of the points and witnesses, and the darts at a
+vertex go counterclockwise from +x: plain sorts on exact integer keys, a
+point (X, Y, D) by ((X << s) // D, (Y << s) // D) with 2**s > max(D)**2, a
+dart by its diamond angle scaled alike (`geometry._lex_keys`, `_angle_keys`).
 
 A `ShadowComplex` keeps those triples and the one `scale` of `scale_points`,
 and a `ShadowFace` its witness triple and that scale; a triple over the scale
@@ -60,8 +65,9 @@ from .errors import ConsistencyError
 from .geometry import (
     Point,
     Triple,
+    _angle_keys,
+    _lex_keys,
     cmp_frac,
-    dir_cmp,
     from_triple,
     scale_points,
     tr_locate,
@@ -125,18 +131,6 @@ def _cell(t: Triple, side: int) -> Tuple[int, int]:
     return (t[0] // k, t[1] // k)
 
 
-def _box_cells(pts: Sequence[Triple], side: int) -> List[Tuple[int, int]]:
-    """Every grid cell the closed bounding box of the points meets."""
-    cells = [_cell(p, side) for p in pts]
-    xs = [cx for cx, _ in cells]
-    ys = [cy for _, cy in cells]
-    return [
-        (cx, cy)
-        for cx in range(min(xs), max(xs) + 1)
-        for cy in range(min(ys), max(ys) + 1)
-    ]
-
-
 def _grid_holds(w: Triple, tris_in: Dict[Tuple[int, int], List[Tuple]], side: int) -> bool:
     """Does some triangle hold the point w?  tris_in files each triangle,
     with its integer bounding box, under the cell of tri[0], its vertex of
@@ -150,14 +144,6 @@ def _grid_holds(w: Triple, tris_in: Dict[Tuple[int, int], List[Tuple]], side: in
         for x0, x1, y0, y1, tri in tris_in.get(cell, ())
         if x0 * d <= x <= x1 * d and y0 * d <= y <= y1 * d
     )
-
-
-def _lex_cmp(p: Triple, q: Triple) -> int:
-    """Lexicographic order of two points, x then y."""
-    return cmp_frac(p[0], p[2], q[0], q[2]) or cmp_frac(p[1], p[2], q[1], q[2])
-
-
-_lex_key = functools.cmp_to_key(_lex_cmp)
 
 
 def _twice_area(ring: Sequence[Tuple[Triple, Triple]]) -> Tuple[int, int]:
@@ -182,33 +168,34 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             raise ShadowError(f"degenerate zero-length edge {(i, j)}")
 
     # -- one uniform grid: cell side the largest |dx| or |dy| of any edge --
-    side = max(
-        (max(abs(coords[i][0] - coords[j][0]), abs(coords[i][1] - coords[j][1]))
-         for i, j in rips_edges),
-        default=1,
-    )
-    edge_cells = [_box_cells((tcoords[i], tcoords[j]), side) for i, j in rips_edges]
+    # each edge's integer bounding box, and the cells it meets (D = 1 here)
+    boxes = [
+        (min(coords[i][0], coords[j][0]), max(coords[i][0], coords[j][0]),
+         min(coords[i][1], coords[j][1]), max(coords[i][1], coords[j][1]))
+        for i, j in rips_edges
+    ]
+    side = max((max(x1 - x0, y1 - y0) for x0, x1, y0, y1 in boxes), default=1)
+    edge_cells = [
+        [(cx, cy) for cx in range(x0 // side, x1 // side + 1)
+         for cy in range(y0 // side, y1 // side + 1)]
+        for x0, x1, y0, y1 in boxes
+    ]
     edges_in: Dict[Tuple[int, int], List[int]] = {}
     for a, cells in enumerate(edge_cells):
         for cell in cells:
             edges_in.setdefault(cell, []).append(a)
 
     # -- split every projected edge at crossings, junctions, overlaps --
-    # Pairs go in (a, b) order, so each crossing keeps its first pair.  Pairs
-    # sharing a vertex meet only there, or overlap up to the nearer other
-    # endpoint, which is a vertex on the other edge: the T-junction scan adds it.
+    # Each crossing keeps its least pair (a, b).  Pairs sharing a vertex
+    # meet only there, or overlap up to the nearer other endpoint, which is
+    # a vertex on the other edge: the T-junction scan adds it.
     splits: List[Set[Triple]] = [{tcoords[i], tcoords[j]} for i, j in rips_edges]
     crossing_pairs: Dict[Triple, Tuple[int, int]] = {}
-    boxes = [
-        (min(coords[i][0], coords[j][0]), max(coords[i][0], coords[j][0]),
-         min(coords[i][1], coords[j][1]), max(coords[i][1], coords[j][1]))
-        for i, j in rips_edges
-    ]
     for a, cells in enumerate(edge_cells):
         i, j = rips_edges[a]
         x0, x1, y0, y1 = boxes[a]
         ends_a = (tcoords[i], tcoords[j])
-        for b in sorted({b for cell in cells for b in edges_in[cell] if b > a}):
+        for b in {b for cell in cells for b in edges_in[cell] if b > a}:
             k, m = rips_edges[b]
             bx0, bx1, by0, by1 = boxes[b]
             if bx1 < x0 or x1 < bx0 or by1 < y0 or y1 < by0 or i in (k, m) or j in (k, m):
@@ -220,7 +207,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             splits[a].update(meet)
             splits[b].update(meet)
             if kind == "point" and meet[0] not in ends_a + ends_b:
-                crossing_pairs.setdefault(meet[0], (a, b))
+                first = crossing_pairs.get(meet[0])
+                if first is None or (a, b) < first:
+                    crossing_pairs[meet[0]] = (a, b)
     for v, tv in enumerate(tcoords):
         x, y = coords[v]
         for a in edges_in.get(_cell(tv, side), ()):
@@ -231,10 +220,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 splits[a].add(tv)
 
     # -- shadow vertices: deterministic ids in lexicographic point order --
-    all_points: Set[Triple] = set(tcoords)
-    for s in splits:
-        all_points.update(s)
-    spoints: List[Triple] = sorted(all_points, key=_lex_key)
+    all_points = list(set(tcoords).union(*splits))
+    spoints = [p for _, p in sorted(zip(_lex_keys(all_points), all_points))]
     pid = {p: idx for idx, p in enumerate(spoints)}
 
     provenance_of_vertex: Dict[int, Tuple] = {}
@@ -279,9 +266,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         out_at[e.u].append(2 * eid)
         out_at[e.v].append(2 * eid + 1)
     nxt = [0] * n_darts
-    dart_key = functools.cmp_to_key(lambda d1, d2: dir_cmp(dirs[d1], dirs[d2]))
+    angles = _angle_keys(dirs)
     for darts in out_at:
-        darts.sort(key=dart_key)
+        darts.sort(key=angles.__getitem__)
         for k, d in enumerate(darts):
             nxt[d ^ 1] = darts[k - 1]
 
@@ -384,7 +371,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         faces.append(ShadowFace(
             tuple(d >> 1 for d in darts), tuple(tail[d] for d in darts), w1, scale, cov1
         ))
-    faces.sort(key=lambda f: _lex_key(f.witness_triple))
+    # disjoint faces have distinct witnesses, so no two keys tie
+    keys = _lex_keys([f.witness_triple for f in faces])
+    faces = [f for _, f in sorted(zip(keys, faces))]
 
     return ShadowComplex(
         triples=tuple(spoints),
@@ -420,8 +409,8 @@ def shadow_betti(s: ShadowComplex) -> Tuple[int, int]:
 
 
 def hole_anchors(s: ShadowComplex) -> List[Point]:
-    """One exact interior point per uncovered bounded face, deterministic."""
-    return sorted(f.witness for f in s.faces if not f.covered)
+    """One exact interior point per uncovered bounded face, in face order."""
+    return [f.witness for f in s.faces if not f.covered]
 
 
 def _svg_num(x) -> str:

@@ -292,6 +292,17 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def dir_cmp(d1: Tuple[int, int], d2: Tuple[int, int]) -> int:
+    """Exact CCW comparison of nonzero integer direction vectors, from the
+    +x axis round: the half-plane first, then the sign of the cross product."""
+    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
+    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    crossv = d1[0] * d2[1] - d1[1] * d2[0]
+    return (crossv < 0) - (crossv > 0)
+
+
 def frac_orient(p, q, r) -> int:
     """Sign of det(q-p, r-p)."""
     d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])

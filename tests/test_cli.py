@@ -244,9 +244,20 @@ def _points_doc(points):
         (_points_doc([[True, False]]), "coordinate True is not a string or an integer"),
         (_points_doc([[0.1, "0"]]), "quote decimals as strings"),
         (_points_doc([[None, "0"]]), "coordinate None is not a string or an integer"),
+        ({"schema": "rips-shadow/1", "points": [["0", "0"]]},
+         "dimension must be a positive integer, not None"),
+        ({**_points_doc([["0"]]), "dimension": True},
+         "dimension must be a positive integer, not True"),
+        ({**_points_doc([["0", "0"]]), "dimension": "2"},
+         "dimension must be a positive integer, not '2'"),
+        ({**_points_doc([["0", "0"]]), "dimension": 2.0},
+         "dimension must be a positive integer, not 2.0"),
+        ({**_points_doc([[]]), "dimension": 0},
+         "dimension must be a positive integer, not 0"),
     ],
     ids=["top_level_list", "points_not_list", "row_int", "row_string", "bools",
-         "float", "null"],
+         "float", "null", "dimension_missing", "dimension_bool", "dimension_string",
+         "dimension_float", "dimension_zero"],
 )
 def test_malformed_point_document_exit_2(tmp_path, capsys, doc, message):
     fx = tmp_path / "bad.json"

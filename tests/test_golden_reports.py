@@ -8,6 +8,7 @@ order under string hashing fails on one of the two seeds.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +34,17 @@ LOOPS = {
     "hexagon": "0,1,2,3,4,5,0",
     "ring": ",".join(str(v) for v in list(range(12)) + [0]),
 }
+# A crossing-heavy arrangement: 40 points of the 1/20 lattice in [0, 4]^2
+# (numerators below) at eps 1 give 160 Rips edges, 374 crossings and 496
+# bounded faces, 2 of them holes, so the shadow's vertex, edge and face
+# orders are pinned on many exact crossings.
+DENSE_20 = [
+    (3, 22), (3, 46), (4, 74), (7, 11), (10, 46), (17, 65), (20, 55), (21, 39),
+    (23, 57), (27, 77), (30, 29), (32, 77), (34, 4), (38, 64), (41, 21), (41, 22),
+    (44, 72), (45, 46), (46, 75), (47, 69), (48, 54), (50, 65), (51, 59), (53, 67),
+    (56, 64), (57, 20), (58, 59), (59, 40), (61, 39), (62, 28), (62, 35), (63, 64),
+    (65, 45), (65, 46), (65, 71), (67, 21), (67, 31), (71, 22), (71, 58), (78, 34),
+]
 
 GOLDEN = {
     "hexagon.json": "2e21715957f22dfea006397f605ddbddcbb841fa9839829564c1a4c391353446",
@@ -57,6 +69,8 @@ GOLDEN = {
     "quasi-klein.json": "f1132e50fcc57ee66b08a7143cf29387e59584ee20a4f9e79fb385197fa9b28e",
     "quasi-rp2-seed3.json": "6f59feca151792690653f16c0f0e66ee7b56351f3c2a0f02dbb039a2b03f9053",
     "quasi-z3.json": "27a80aca6f554a770a24cd1a0f606616cce97372d7c4376db9eab539e6102cd7",
+    "shadow-dense.json": "2a69d9ab9166a6efd8f826bd497e67fc3c12c566dca3530d54e8bf16ddb204b4",
+    "shadow-dense.svg": "dabf415ed07eea3bf79391c09765ab0d05c86df925a5e95837ea8d4afa5ea629",
     "pair-ring.json": "d7f11363c204022d46220246ca158ae648b0bbcdd0016c4d9c4a4884a6d39278",
     "pair-ring-random.json": "2b3a4ade99342313fa54207b9eba0d35c9ed3656988c99bd9a12767c53193e8b",
 }
@@ -100,6 +114,14 @@ def _run_cases(workdir: Path, hash_seed: str):
     (workdir / "z3.json").write_text('{"generators": 1, "relators": ["aaa"]}')
     run(["quasi", "--presentation", "z3.json", "--interval", "1,3/2", "--seed", "7",
          "--out", "quasi-z3.json"], "quasi-z3.json")
+    (workdir / "dense.json").write_text(json.dumps({
+        "schema": "rips-shadow/1",
+        "dimension": 2,
+        "points": [[f"{x}/20", f"{y}/20"] for x, y in DENSE_20],
+    }))
+    run(["shadow", "--points", "dense.json", "--epsilon", "1",
+         "--svg", "shadow-dense.svg", "--out", "shadow-dense.json"],
+        "shadow-dense.json", "shadow-dense.svg")
     run(["pair", "--points", "ring.json", "--lower", "7/10,9/10,none",
          "--upper", "19/10,11/5,all", "--out", "pair-ring.json"], "pair-ring.json")
     run(["pair", "--points", "ring.json", "--lower", "7/10,9/10,random:1/2",

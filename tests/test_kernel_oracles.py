@@ -5,17 +5,30 @@ Points are snapped to a small half-integer lattice, so collinear overlaps,
 T-junctions, shared endpoints, vertical and zero-length segments, points
 on the polyline or on a vertex's vertical, and distances exactly equal to
 a half-integer radius all occur often.
+
+The integer sort keys are checked against `Fraction` sorting and the
+`dir_cmp` oracle on denominators up to 2**40 and components up to 2**60,
+with Farey neighbours (the closest values those sizes allow), ties and
+axis directions; the coordinate conversions against `Fraction` wrapping on
+mixed int, Fraction, bool and float scalars.
 """
 
+import functools
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ripshadow.complexes import DuplicatePointError, check_distinct_points
 from ripshadow.geometry import (
+    _angle_keys,
+    _lex_keys,
     closed_segments,
     from_triple,
     pair_bands,
+    scale_points,
     to_triple,
     tr_locate,
     tr_on_segment,
@@ -26,6 +39,7 @@ from ripshadow.geometry import (
 from ripshadow.lifting import loop_word
 
 from oracles import (
+    dir_cmp,
     frac_loop_word,
     frac_on_segment,
     frac_orient,
@@ -130,3 +144,151 @@ def test_pair_bands_matches_oracle(points, r1, r2):
     bands, den = pair_bands(points, lo, hi)
     got = [(i, j, band, Fraction(slack, den)) for i, j, band, slack in bands]
     assert got == frac_pair_bands(points, lo, hi)
+
+
+# -- exact sort keys ---------------------------------------------------------
+
+
+def farey_pair(b, d):
+    """a/b < c/d in [0, 1) with bc - ad = 1: two fractions as close as any
+    with these denominators, 1/(bd) apart."""
+    c = pow(b, -1, d)
+    return Fraction((b * c - 1) // d, b), Fraction(c, d)
+
+
+coprime_dens = st.tuples(st.integers(2, 2**20), st.integers(2, 2**20)).filter(
+    lambda bd: math.gcd(*bd) == 1
+)
+# rationals with denominators up to 2**20, so triples have D up to 2**40;
+# a Farey pair gives two values as close as those denominators allow
+rationals = st.one_of(
+    st.integers(-8, 8).map(lambda k: [Fraction(k)]),
+    st.builds(Fraction, st.integers(-(2**30), 2**30), st.integers(1, 2**20)).map(
+        lambda q: [q]
+    ),
+    st.tuples(coprime_dens, st.integers(-8, 8)).map(
+        lambda t: [q + t[1] for q in farey_pair(*t[0])]
+    ),
+)
+value_pool = st.lists(rationals, min_size=1, max_size=3).map(lambda groups: sum(groups, []))
+# points drawn from small pools of x and y values, so x-ties and equal
+# points are common
+lattice_points = st.tuples(value_pool, value_pool).flatmap(
+    lambda pools: st.lists(
+        st.tuples(st.sampled_from(pools[0]), st.sampled_from(pools[1])), max_size=12
+    )
+)
+
+
+def by_key(items, keys):
+    return [items[k] for k in sorted(range(len(items)), key=keys.__getitem__)]
+
+
+# 1/N and 1/(N - 1) are 1/(N(N - 1)) apart, just over 2**-40: keys scaled
+# by one bit less than 2 * bit_length(N) tie them
+N = 2**20 - 2
+
+
+@examples
+@given(lattice_points)
+@example([(Fraction(1, N - 1), 0), (Fraction(1, N), 1)])
+def test_lex_keys_sort_as_fractions(points):
+    triples = [to_triple(p) for p in points]
+    want = sorted(triples, key=lambda t: (Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+    assert by_key(triples, _lex_keys(triples)) == want
+
+
+def rotate(d, quarter_turns):
+    for _ in range(quarter_turns):
+        d = (-d[1], d[0])
+    return d
+
+
+component = st.integers(-(2**60), 2**60)
+axis = st.tuples(st.integers(1, 2**60), st.integers(0, 3)).map(
+    lambda kq: rotate((kq[0], 0), kq[1])
+)
+# the diamond angle of (b - a, a) is a / b: Farey pairs give directions
+# whose keys are as close as their components allow
+farey_dirs = st.tuples(coprime_dens, st.integers(0, 3)).map(
+    lambda t: [rotate((q.denominator - q.numerator, q.numerator), t[1])
+               for q in farey_pair(*t[0])]
+)
+direction = st.one_of(
+    axis, st.tuples(component, component).filter(lambda d: d != (0, 0))
+)
+# directions and positive multiples of them, which tie in angle
+directions = st.tuples(
+    st.lists(direction, max_size=10),
+    st.lists(farey_dirs, max_size=2),
+    st.lists(st.integers(2, 5), max_size=3),
+).map(lambda t: t[0] + sum(t[1], []) + [(k * dx, k * dy) for k, (dx, dy) in zip(t[2], t[0])])
+
+
+@examples
+@given(directions)
+@example([(N - 2, 1), (N - 1, 1)])
+def test_angle_keys_sort_as_dir_cmp(dirs):
+    want = sorted(dirs, key=functools.cmp_to_key(dir_cmp))
+    assert by_key(dirs, _angle_keys(dirs)) == want
+
+
+# -- int and Fraction coordinates are used as they are -----------------------
+
+# equal values of different types: ints, Fractions, bools and floats
+scalar = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-6, 6).map(lambda k: Fraction(k, 2)),
+    st.booleans(),
+    st.integers(-6, 6).map(lambda k: k / 2),
+)
+mixed_point = st.tuples(scalar, scalar)
+
+
+def frac_point(p):
+    return tuple(Fraction(c) for c in p)
+
+
+@examples
+@given(st.lists(mixed_point, max_size=6))
+def test_scale_points_matches_fraction_oracle(points):
+    fracs = [frac_point(p) for p in points]
+    scale = math.lcm(*(c.denominator for p in fracs for c in p))
+    got = scale_points(points)
+    assert got == ([tuple(int(c * scale) for c in p) for p in fracs], scale)
+    assert all(type(c) is int for p in got[0] for c in p)
+
+
+@examples
+@given(mixed_point)
+def test_to_triple_matches_fraction_oracle(p):
+    x, y = frac_point(p)
+    d = math.lcm(x.denominator, y.denominator)
+    got = to_triple(p)
+    assert got == (int(x * d), int(y * d), d)
+    assert all(type(c) is int for c in got)
+
+
+@examples
+@given(st.lists(mixed_point, max_size=5))
+def test_check_distinct_points_matches_fraction_oracle(points):
+    distinct = len({frac_point(p) for p in points}) == len(points)
+    try:
+        check_distinct_points(points)
+    except DuplicatePointError:
+        assert not distinct
+    else:
+        assert distinct
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1, 2), (Fraction(1), Fraction(2))],
+        [(True, 2), (1, Fraction(2))],
+        [(Fraction(1, 2), 0), (0.5, False)],
+    ],
+)
+def test_equal_values_of_different_types_coincide(points):
+    with pytest.raises(DuplicatePointError, match="points 0 and 1 coincide"):
+        check_distinct_points(points)

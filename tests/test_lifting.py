@@ -226,6 +226,23 @@ def test_covered_face_loops_contractible_uncovered_not():
     assert done_cov >= 5 and done_unc >= 2
 
 
+def test_hole_words_read_witness_triples(monkeypatch):
+    # the ray word takes the uncovered faces' witnesses as kernel triples,
+    # so a contractibility query builds no rational anchor point
+    from ripshadow import shadow
+    from ripshadow.fixtures import annulus_ring_points
+
+    c = build_rips(list(annulus_ring_points()), F(1))
+    s = build_shadow(c)
+
+    def no_rational_points(*args):
+        raise AssertionError("a rational point was built")
+
+    monkeypatch.setattr(shadow, "from_triple", no_rational_points)
+    assert not is_contractible(RipsWalk(tuple(range(12)) + (0,)), c, s)
+    assert is_contractible(RipsWalk((0, 1, 0)), c, s)
+
+
 def test_two_lifts_same_word():
     rng = random.Random(63)
     count = 0
