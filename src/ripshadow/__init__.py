@@ -2,7 +2,6 @@
 
 from .complexes import (
     SimplicialComplex,
-    VertexColoring,
     build_rips,
     flag_complex,
     induced_span,
@@ -74,7 +73,6 @@ __all__ = [
     "SimplicialComplex",
     "SmithDecomposition",
     "UncertaintyInterval",
-    "VertexColoring",
     "annulus_ring_points",
     "betti_numbers",
     "blowup",

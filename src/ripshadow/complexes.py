@@ -2,14 +2,18 @@
 
 A SimplicialComplex stores its simplices per dimension as sorted tuples of
 vertex indices, in lexicographic order, so every downstream matrix and
-report is reproducible run to run.
+report is reproducible run to run.  The stored levels are the only record of
+the dimension cap: `dim_cap` is the top level's index, so a level beyond the
+complex's dimension is stored empty.  `edge_set` is the edges as a set,
+built on first read and kept with the complex.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .geometry import Point, _exact, pair_bands
 
@@ -24,7 +28,6 @@ class DuplicatePointError(ValueError):
 class SimplicialComplex:
     n_vertices: int
     simplices: Tuple[Tuple[Simplex, ...], ...]  # simplices[k] = k-simplices, sorted
-    dim_cap: int
     flag: bool
     coords: Optional[Tuple[Point, ...]] = None
     provenance: str = "explicit"  # "rips" | "quasi" | "cech1d" | "explicit"
@@ -39,8 +42,17 @@ class SimplicialComplex:
         return tuple(s[0] for s in self.k_simplices(0))
 
     @property
+    def dim_cap(self) -> int:
+        return len(self.simplices) - 1
+
+    @property
     def edges(self) -> Tuple[Simplex, ...]:
         return self.k_simplices(1)
+
+    @functools.cached_property
+    def edge_set(self) -> FrozenSet[Simplex]:
+        """The edges as a set, built on first read."""
+        return frozenset(self.edges)
 
     def dim(self) -> int:
         for k in range(len(self.simplices) - 1, -1, -1):
@@ -139,7 +151,6 @@ def flag_complex(
     return SimplicialComplex(
         n_vertices=n_vertices,
         simplices=_cliques_from_graph(range(n_vertices), edges, dim_cap),
-        dim_cap=dim_cap,
         flag=True,
         coords=tuple(coords) if coords is not None else None,
         provenance=provenance,
@@ -169,7 +180,6 @@ def explicit_complex(
     return SimplicialComplex(
         n_vertices=n_vertices,
         simplices=tuple(tuple(sorted(level)) for level in levels),
-        dim_cap=cap,
         flag=False,
         coords=tuple(coords) if coords is not None else None,
     )
@@ -215,21 +225,7 @@ def induced_span(c: SimplicialComplex, verts: Iterable[int]) -> SimplicialComple
     return SimplicialComplex(
         n_vertices=c.n_vertices,
         simplices=levels,
-        dim_cap=c.dim_cap,
         flag=c.flag,
         coords=c.coords,
         provenance=c.provenance,
     )
-
-
-@dataclass(frozen=True)
-class VertexColoring:
-    """A map vertex -> {0,1,2}, proper on the complex's edges when required."""
-
-    color: Tuple[int, ...]
-
-    def of(self, v: int) -> int:
-        return self.color[v]
-
-    def is_proper(self, c: SimplicialComplex) -> bool:
-        return all(self.color[i] != self.color[j] for i, j in c.edges)

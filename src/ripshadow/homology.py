@@ -51,7 +51,7 @@ class BoundaryMatrix:
 def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     rows = c.k_simplices(k - 1)
     cols = c.k_simplices(k)
-    index = {s: i for i, s in enumerate(rows)}
+    index = {s: i for i, s in enumerate(rows)} if cols else {}
     columns: List[SparseCol] = []
     for s in cols:
         col: SparseCol = {}
@@ -191,11 +191,11 @@ def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
             f"need dim_cap >= {top_dim + 1}, complex has {c.dim_cap}"
         )
     # a graph's d1 has rank |V| - b0 over every field
-    rank_d1 = len(c.vertices) - len(c.components()) if c.k_simplices(1) else 0
+    rank_d1 = len(c.vertices) - len(c.components())
     q: List[int] = [0, rank_d1]
     gf2: List[int] = [0, rank_d1]
     for k in range(2, top_dim + 2):
-        diag = snf_diagonal(boundary_matrix(c, k).columns) if c.k_simplices(k) else []
+        diag = snf_diagonal(boundary_matrix(c, k).columns)
         q.append(len(diag))
         gf2.append(sum(d % 2 for d in diag))
 
@@ -213,10 +213,7 @@ def integer_h1(c: SimplicialComplex) -> SmithDecomposition:
         raise InsufficientDimCap("integer_h1 needs dim_cap >= 2")
     n1 = len(c.k_simplices(1))
     rank_d1 = len(c.vertices) - len(c.components())
-    if c.k_simplices(2):
-        diag = snf_diagonal(boundary_matrix(c, 2).columns)
-    else:
-        diag = []
+    diag = snf_diagonal(boundary_matrix(c, 2).columns)
     rank_d2 = len(diag)
     torsion = tuple(d for d in diag if d > 1)
     return SmithDecomposition(rank=n1 - rank_d1 - rank_d2, torsion=torsion)
@@ -247,10 +244,9 @@ def _induced_h1(sub: SimplicialComplex, sup: SimplicialComplex) -> Tuple[int, in
     _check_containment(sub, sup)
     if sup.dim_cap < 2:
         raise InsufficientDimCap("sup needs its 2-skeleton materialized")
-    d2_cols = boundary_matrix(sup, 2).columns if sup.k_simplices(2) else ()
+    d2_cols = boundary_matrix(sup, 2).columns
     rank_d2 = len(snf_diagonal(d2_cols))
-    in_sub = set(sub.edges)
-    outside = {i for i, e in enumerate(sup.edges) if e not in in_sub}
+    outside = {i for i, e in enumerate(sup.edges) if e not in sub.edge_set}
     restricted = ({r: v for r, v in col.items() if r in outside} for col in d2_cols)
     rank_restricted = len(snf_diagonal([col for col in restricted if col]))
     z1_sub = len(sub.edges) - len(sub.vertices) + len(sub.components())

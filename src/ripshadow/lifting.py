@@ -43,9 +43,8 @@ class RipsWalk:
         return len(self.vertices) > 0 and self.vertices[0] == self.vertices[-1]
 
     def is_valid(self, c: SimplicialComplex) -> bool:
-        edges = set(c.edges)
         return all(
-            a != b and (min(a, b), max(a, b)) in edges
+            a != b and (min(a, b), max(a, b)) in c.edge_set
             for a, b in zip(self.vertices, self.vertices[1:])
         )
 
@@ -126,9 +125,8 @@ def chaining_sequence(
     """
     a, b = ab
     cc, d = cd
-    edges = set(c.edges)
     for e in (ab, cd):
-        if (min(e), max(e)) not in edges:
+        if (min(e), max(e)) not in c.edge_set:
             raise LiftError(f"{e} is not an edge of the complex")
     if c.coords is not None:
         kind, _ = tr_segment_meet(*(to_triple(c.coords[v]) for v in (a, b, cc, d)))
@@ -158,48 +156,32 @@ def chaining_sequence(
 
 
 def _oriented_covering_edge(
-    s: ShadowComplex, shadow_edge_id: int, tail: int, head: int, choice: str
+    c: SimplicialComplex, s: ShadowComplex, eid: int, tail: int, head: int, choice: str
 ) -> Tuple[int, int]:
-    """Pick the covering Rips edge of a shadow edge and orient it along the
+    """Pick the covering Rips edge of shadow edge eid and orient it along the
     traversal direction tail -> head (shadow vertex ids)."""
-    prov = sorted(s.edges[shadow_edge_id].provenance)
-    eidx = prov[0] if choice == "min" else prov[-1]
-    i, j = s.rips_edges[eidx]
+    prov = s.edges[eid].provenance
+    i, j = c.edges[prov[0] if choice == "min" else prov[-1]]
     # the piece lies on the edge, and shadow vertex ids follow the
     # lexicographic order of their points, which collinear directions keep
-    forward = (s.source_coords[i] < s.source_coords[j]) == (tail < head)
+    forward = (c.coords[i] < c.coords[j]) == (tail < head)
     return (i, j) if forward else (j, i)
 
 
-def _directed_vertices(
-    s: ShadowComplex, path: Sequence[int]
-) -> List[Tuple[int, int]]:
+def _directed_vertices(s: ShadowComplex, path: Sequence[int]) -> List[Tuple[int, int]]:
     """Orient a shadow-edge id path into (tail, head) shadow vertex pairs."""
     if not path:
         raise LiftError("empty shadow path")
     ends = [(s.edges[e].u, s.edges[e].v) for e in path]
-    if len(path) == 1:
-        return [ends[0]]
-    out: List[Tuple[int, int]] = []
-    first_shared = set(ends[0]) & set(ends[1])
-    if not first_shared:
-        raise LiftError("broken shadow path: consecutive edges share no vertex")
-    # orient the first edge so its head is shared with the second edge
+    # the first edge points toward the vertex it shares with the second
     u, v = ends[0]
-    head0 = v if v in first_shared else u
-    tail0 = u if head0 == v else v
-    out.append((tail0, head0))
-    cur = head0
-    for k in range(1, len(path)):
-        u, v = ends[k]
-        if cur == u:
-            out.append((u, v))
-            cur = v
-        elif cur == v:
-            out.append((v, u))
-            cur = u
-        else:
+    cur = u if len(ends) == 1 or v in ends[1] else v
+    out: List[Tuple[int, int]] = []
+    for u, v in ends:
+        if cur not in (u, v):
             raise LiftError("broken shadow path: consecutive edges share no vertex")
+        out.append((cur, v if cur == u else u))
+        cur = out[-1][1]
     return out
 
 
@@ -224,7 +206,7 @@ def lift_path(
     for eid, (tail, head) in zip(path, directed):
         if not s.edges[eid].provenance:
             raise LiftError(f"shadow edge {eid} has empty provenance")
-        ce = _oriented_covering_edge(s, eid, tail, head, edge_choice)
+        ce = _oriented_covering_edge(c, s, eid, tail, head, edge_choice)
         if not covering or covering[-1] != ce:
             covering.append(ce)
     walk = list(covering[0])

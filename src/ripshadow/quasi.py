@@ -28,7 +28,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .complexes import (
     SimplicialComplex,
-    VertexColoring,
     check_distinct_points,
     explicit_complex,
     flag_complex,
@@ -186,11 +185,16 @@ def _third(a: int, b: int) -> int:
     return 3 - a - b
 
 
+def _is_proper(k: SimplicialComplex, colors: Sequence[int]) -> bool:
+    """Do the two ends of every edge of k have different colors?"""
+    return all(colors[i] != colors[j] for i, j in k.edges)
+
+
 def presentation_to_colored_complex(
     p: GroupPresentation,
-) -> Tuple[SimplicialComplex, VertexColoring]:
+) -> Tuple[SimplicialComplex, Tuple[int, ...]]:
     """Properly 3-colored simplicial 2-complex with the presentation's
-    homotopy type.
+    homotopy type, and the color of each vertex.
 
     The wedge of generator circles is built as 3-cycles through the base
     point; each relator attaches a disk as an annulus glued to its word
@@ -285,10 +289,9 @@ def presentation_to_colored_complex(
     k = explicit_complex(
         n, [[(v,) for v in range(n)], sorted(edges), sorted(triangles)], dim_cap=2
     )
-    coloring = VertexColoring(color=tuple(colors))
-    if not coloring.is_proper(k):
+    if not _is_proper(k, colors):
         raise AuditError("construction produced an improper coloring")
-    return k, coloring
+    return k, tuple(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +316,18 @@ class BlowupComplex:
     the flag completion and wrecks the construction.  Colors are inherited.
     """
 
-    n_vertices: int
     colors: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
 
+    @property
+    def n_vertices(self) -> int:
+        return len(self.colors)
 
-def blowup(k: SimplicialComplex, coloring: VertexColoring) -> BlowupComplex:
+
+def blowup(k: SimplicialComplex, colors: Sequence[int]) -> BlowupComplex:
     if k.dim() > 2:
         raise ValueError("blowup expects a 2-dimensional complex")
-    if not coloring.is_proper(k):
+    if not _is_proper(k, colors):
         raise ValueError("coloring is not proper on the complex")
     copies = [(s, v) for level in k.simplices for s in level for v in s]
     edges: List[Tuple[int, int]] = []
@@ -330,11 +336,7 @@ def blowup(k: SimplicialComplex, coloring: VertexColoring) -> BlowupComplex:
             s2, w = copies[b]
             if v in s2 and w in s1:
                 edges.append((a, b))
-    return BlowupComplex(
-        n_vertices=len(copies),
-        colors=tuple(coloring.of(v) for _, v in copies),
-        edges=tuple(edges),
-    )
+    return BlowupComplex(colors=tuple(colors[v] for _, v in copies), edges=tuple(edges))
 
 
 def flag_blowup(b: BlowupComplex, dim_cap: int = 3) -> SimplicialComplex:
@@ -354,10 +356,10 @@ class EmbeddedQuasi:
     `complex` holds the 1-skeleton (its flag completion is the quasi-Rips
     complex; monochromatic cliques are huge, so higher skeleta stay
     implicit), built by `_quasi_complex` from the proximity pass the
-    distance audit read.  `colors` is the blowup's color of each vertex.
+    distance audit read; its `coords` are the embedded points.  `colors` is
+    the blowup's color of each vertex.
     """
 
-    points: Tuple[Point, ...]
     complex: SimplicialComplex
     colors: Tuple[int, ...]
     audit_margin: Fraction  # smallest slack of any band/forced comparison
@@ -422,9 +424,7 @@ def embed_blowup(
         if margin is not None:
             cross = EdgePolicy.explicit(e for e in b.edges if b.colors[e[0]] != b.colors[e[1]])
             rq, _ = _quasi_complex(pts, bands, cross, 1)
-            return EmbeddedQuasi(
-                points=tuple(pts), complex=rq, colors=b.colors, audit_margin=margin
-            )
+            return EmbeddedQuasi(complex=rq, colors=b.colors, audit_margin=margin)
         last_error = "distance audit failed"
     raise AuditError(f"embedding failed after {EMBED_ATTEMPTS} seeds: {last_error}")
 
@@ -553,9 +553,9 @@ def run_pipeline(
     interval: UncertaintyInterval,
     seed: int = 0,
 ) -> PipelineResult:
-    k, coloring = presentation_to_colored_complex(p)
+    k, colors = presentation_to_colored_complex(p)
     h1_k = integer_h1(k)
-    b = blowup(k, coloring)
+    b = blowup(k, colors)
     fb = flag_blowup(b, dim_cap=3)
     betti_k = betti_numbers(k, 2).gf2
     betti_fb = betti_numbers(fb, 2).gf2

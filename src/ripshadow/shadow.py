@@ -17,10 +17,13 @@ point (X, Y, D) by ((X << s) // D, (Y << s) // D) with 2**s > max(D)**2, a
 dart by its diamond angle scaled alike (`geometry._lex_keys`, `_angle_keys`).
 
 A `ShadowComplex` keeps those triples and the one `scale` of `scale_points`,
-and a `ShadowFace` its witness triple and that scale; a triple over the scale
-is the rational point.  `ShadowComplex.points` and `ShadowFace.witness` are
+and a `ShadowFace` its witness triple; a triple over the scale is the
+rational point.  `ShadowComplex.points` and `ShadowComplex.witness(f)` are
 views that build the rational points only when read, so the counts, Betti
-numbers and coverage flags never build a `Fraction`.
+numbers and coverage flags never build a `Fraction`.  The shadow keeps no
+copy of its source complex: a `ShadowEdge`'s provenance is the ascending
+tuple of indices into the complex's `edges`, whose `coords` give the source
+points, and the lifts read both from the complex they are given.
 
 Edge pairs and vertices against edges are tested only where they share a
 cell of one uniform grid, whose side is the largest |dx| or |dy| of any edge
@@ -58,7 +61,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .complexes import SimplicialComplex, graph_components
 from .errors import ConsistencyError
@@ -84,20 +87,14 @@ F = Fraction
 class ShadowEdge(NamedTuple):
     u: int  # shadow vertex ids, u < v
     v: int
-    provenance: FrozenSet[int]  # indices of the Rips edges containing this piece
+    provenance: Tuple[int, ...]  # ascending indices into c.edges of the edges holding it
 
 
 class ShadowFace(NamedTuple):
     edge_ids: Tuple[int, ...]  # boundary walk, face on the left (CCW)
     vertex_ids: Tuple[int, ...]  # walk tails, same order and length
     witness_triple: Triple  # interior point on the complex's integer scale
-    scale: int  # the complex's scale: witness_triple / scale is the witness
     covered: bool
-
-    @property
-    def witness(self) -> Point:
-        """The witness as a rational point, built on each read."""
-        return from_triple(self.witness_triple, self.scale)
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,6 @@ class ShadowComplex:
     vertex_provenance: Tuple[Tuple, ...]  # ("original", i) | ("crossing", (e, f))
     edges: Tuple[ShadowEdge, ...]
     faces: Tuple[ShadowFace, ...]  # bounded faces only
-    rips_edges: Tuple[Tuple[int, int], ...]  # source edges by index
-    source_coords: Tuple[Point, ...]
     n_components: int  # components of the 1-skeleton, isolated vertices included
     n_unbounded_walks: int  # one per component with edges; the outer face
 
@@ -116,6 +111,10 @@ class ShadowComplex:
     def points(self) -> Tuple[Point, ...]:
         """Shadow vertex coordinates as rational points, built on first read."""
         return tuple(from_triple(p, self.scale) for p in self.triples)
+
+    def witness(self, f: ShadowFace) -> Point:
+        """A face's witness as a rational point, built on each read."""
+        return from_triple(f.witness_triple, self.scale)
 
     def covered_faces(self) -> Tuple[ShadowFace, ...]:
         return tuple(f for f in self.faces if f.covered)
@@ -162,7 +161,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         raise ShadowError("2-skeleton must be materialized (dim_cap >= 2)")
     coords, scale = scale_points(c.coords)
     tcoords: List[Triple] = [(x, y, 1) for x, y in coords]
-    rips_edges = tuple((i, j) for i, j in c.edges)
+    rips_edges = c.edges
     for i, j in rips_edges:
         if coords[i] == coords[j]:
             raise ShadowError(f"degenerate zero-length edge {(i, j)}")
@@ -236,14 +235,14 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # -- shadow edges with multi-edge provenance --
     # Ids follow lexicographic point order, which runs monotonically along
     # any one segment, so consecutive ids are consecutive split points.
-    edge_prov: Dict[Tuple[int, int], Set[int]] = {}
+    # Each edge a meets a piece once, in ascending a: provenance ascends.
+    edge_prov: Dict[Tuple[int, int], List[int]] = {}
     for a, split in enumerate(splits):
         ids = sorted([pid[p] for p in split])
         for key in zip(ids, ids[1:]):
-            edge_prov.setdefault(key, set()).add(a)
+            edge_prov.setdefault(key, []).append(a)
     sedges = tuple(
-        ShadowEdge(u, v, frozenset(edge_prov[(u, v)]))
-        for u, v in sorted(edge_prov)
+        ShadowEdge(u, v, tuple(edge_prov[(u, v)])) for u, v in sorted(edge_prov)
     )
 
     # -- connected components of the 1-skeleton (isolated vertices count) --
@@ -369,7 +368,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 "coverage flag depends on the witness; arrangement is inconsistent"
             )
         faces.append(ShadowFace(
-            tuple(d >> 1 for d in darts), tuple(tail[d] for d in darts), w1, scale, cov1
+            tuple(d >> 1 for d in darts), tuple(tail[d] for d in darts), w1, cov1
         ))
     # disjoint faces have distinct witnesses, so no two keys tie
     keys = _lex_keys([f.witness_triple for f in faces])
@@ -383,8 +382,6 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         ),
         edges=sedges,
         faces=tuple(faces),
-        rips_edges=rips_edges,
-        source_coords=tuple(c.coords),
         n_components=n_components,
         n_unbounded_walks=n_unbounded,
     )
@@ -410,7 +407,7 @@ def shadow_betti(s: ShadowComplex) -> Tuple[int, int]:
 
 def hole_anchors(s: ShadowComplex) -> List[Point]:
     """One exact interior point per uncovered bounded face, in face order."""
-    return [f.witness for f in s.faces if not f.covered]
+    return [s.witness(f) for f in s.faces if not f.covered]
 
 
 def _svg_num(x) -> str:

@@ -516,7 +516,8 @@ def frac_arrangement(c):
     """The shadow arrangement by all-pairs loops on Fraction points: every
     pair of edges, every vertex against every edge.  Returns the points in
     lexicographic order, their provenance (first crossing pair in (a, b)
-    order) and the edges as (u, v, provenance) triples."""
+    order) and the edges as (u, v, provenance) triples, each provenance the
+    sorted tuple of the edge indices."""
     pts = [tuple(Fraction(x) for x in p) for p in c.coords]
     edges = list(c.edges)
     splits = [{pts[i], pts[j]} for i, j in edges]
@@ -549,7 +550,7 @@ def frac_arrangement(c):
     return (
         tuple(points),
         tuple(provenance[k] for k in range(len(points))),
-        tuple((u, w, frozenset(pieces[(u, w)])) for u, w in sorted(pieces)),
+        tuple((u, w, tuple(sorted(pieces[(u, w)]))) for u, w in sorted(pieces)),
     )
 
 
@@ -662,7 +663,6 @@ def build_cech_1d(points, eps, dim_cap: int = 3):
     return SimplicialComplex(
         n_vertices=n,
         simplices=tuple(out),
-        dim_cap=dim_cap,
         flag=True,
         coords=tuple(points),
         provenance="cech1d",

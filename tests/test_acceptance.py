@@ -432,8 +432,8 @@ def test_criterion_9_lifting():
             last_cov = s.edges[path[-1]].provenance
             w0 = tuple(sorted(walk.vertices[:2]))
             w1 = tuple(sorted(walk.vertices[-2:]))
-            assert s.rips_edges.index(w0) in first_cov
-            assert s.rips_edges.index(w1) in last_cov
+            assert c.edges.index(w0) in first_cov
+            assert c.edges.index(w1) in last_cov
             n_paths += 1
         # face-boundary loops: covered contractible, uncovered not
         for f in s.faces:
@@ -485,7 +485,7 @@ def test_criterion_11_pair_filters_quasi_noise():
     # classes; a distant ring adds one genuine loop
     iv = UncertaintyInterval(F(1), F(3, 2))
     eq = run_pipeline(preset_presentation("rp2"), iv, seed=7).embedded
-    pts = eq.points + tuple((x + 10, y) for x, y in annulus_ring_points())
+    pts = eq.complex.coords + tuple((x + 10, y) for x, y in annulus_ring_points())
     cross, _ = cross_edges_and_triangles(eq)
     low = build_quasi(pts, iv, EdgePolicy.explicit(cross), dim_cap=2)
     high = build_quasi(

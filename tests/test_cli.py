@@ -167,8 +167,10 @@ def test_pair_ring_and_overlap_exit(tmp_path):
         ("7/10,9/10,random:-1", 2, "coin probability"),
         ("7/10,9/10,coin", 2, "unknown policy"),
         ("9/10,7/10,none", 2, "need 0 < eps < eps'"),
+        ("7/10,9/10", 2, "bound must be 'eps,eps_prime,policy', got '7/10,9/10'"),
     ],
-    ids=["p_zero", "p_one", "p_above_one", "p_negative", "unknown_policy", "reversed_interval"],
+    ids=["p_zero", "p_one", "p_above_one", "p_negative", "unknown_policy", "reversed_interval",
+         "two_fields"],
 )
 def test_pair_bound_spec_exit_code(tmp_path, capsys, lower, code, message):
     fx = tmp_path / "ring.json"
@@ -204,8 +206,9 @@ def test_quasi_bad_presentation_exit_2(tmp_path, capsys, doc, message):
     [
         ("1,6", "ball radius too large"),
         ("1,1.000000000000000000000001", "height approximation too coarse"),
+        ("1,3/2,2", "interval must be 'eps,eps_prime', got '1,3/2,2'"),
     ],
-    ids=["radius_too_large", "height_too_coarse"],
+    ids=["radius_too_large", "height_too_coarse", "three_fields"],
 )
 def test_quasi_unsupported_interval_exit_2(tmp_path, capsys, interval, message):
     # both are decided from the interval alone, before any point is placed
@@ -228,6 +231,30 @@ def test_bad_loop_exit_2(tmp_path):
                 "--loop", "0,1,2"]) == 2  # not closed
     assert run(["shadow", "--points", str(fx), "--epsilon", "1",
                 "--loop", "0,3,0"]) == 2  # long diagonal is not an edge
+
+
+SHADOW_HEX = ["shadow", "--points", "HEX", "--epsilon", "1"]
+QUASI = ["quasi", "--interval", "1,3/2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*SHADOW_HEX, "--loop", "0,a,0"], "loop must be comma-separated vertex ids: '0,a,0'"),
+        ([*SHADOW_HEX, "--loop", "0"], "loop needs at least two vertices"),
+        ([*SHADOW_HEX, "--loop", "0,6,0"], "loop vertex id out of range"),
+        ([*QUASI, "--preset", "rp2", "--presentation", "HEX"],
+         "give exactly one of --preset / --presentation"),
+        (QUASI, "give exactly one of --preset / --presentation"),
+    ],
+    ids=["loop_not_integers", "loop_one_vertex", "loop_out_of_range", "quasi_both_sources",
+         "quasi_no_source"],
+)
+def test_bad_arguments_exit_2(tmp_path, capsys, argv, message):
+    fx = tmp_path / "hex.json"  # HEX: the six-point hexagon fixture
+    assert run(["fixture", "--name", "hexagon", "--out", str(fx)]) == 0
+    assert run([str(fx) if a == "HEX" else a for a in argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def _points_doc(points):
@@ -254,13 +281,20 @@ def _points_doc(points):
          "dimension must be a positive integer, not 2.0"),
         ({**_points_doc([[]]), "dimension": 0},
          "dimension must be a positive integer, not 0"),
+        (_points_doc([["x", "0"]]), "bad coordinate in ['x', '0']"),
+        (_points_doc([]), "no points in document"),
+        # a string is the file's raw text, None leaves the file unwritten
+        (None, "cannot read"),
+        ('{"schema": ', "is not valid JSON"),
     ],
     ids=["top_level_list", "points_not_list", "row_int", "row_string", "bools",
          "float", "null", "dimension_missing", "dimension_bool", "dimension_string",
-         "dimension_float", "dimension_zero"],
+         "dimension_float", "dimension_zero", "bad_coordinate", "no_points", "unreadable",
+         "invalid_json"],
 )
 def test_malformed_point_document_exit_2(tmp_path, capsys, doc, message):
     fx = tmp_path / "bad.json"
-    fx.write_text(json.dumps(doc))
+    if doc is not None:
+        fx.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run(["rips", "--points", str(fx), "--epsilon", "1"]) == 2
     assert message in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 
 from ripshadow.complexes import (
     DuplicatePointError,
-    VertexColoring,
     build_rips,
     explicit_complex,
     flag_complex,
@@ -65,7 +64,7 @@ EDGE = explicit_complex(2, [[(0,), (1,)], [(0, 1)]], dim_cap=1)
         lambda: flag_complex(2, [(0, 1)], 0),
         lambda: build_rips(HALF, F(1), dim_cap=0),
         lambda: build_quasi(HALF, UncertaintyInterval(F(1), F(2)), EdgePolicy.all(), dim_cap=0),
-        lambda: flag_blowup(blowup(EDGE, VertexColoring((0, 1))), 0),
+        lambda: flag_blowup(blowup(EDGE, (0, 1)), 0),
     ],
     ids=["flag_complex", "build_rips", "build_quasi", "flag_blowup"],
 )
@@ -179,3 +178,12 @@ def test_cone_apex_requires_flag():
 def test_single_vertex_is_its_own_apex():
     c = flag_complex(1, [], dim_cap=1)
     assert cone_apex(c) == 0
+
+
+def test_public_names_sorted_unique_and_bound():
+    import ripshadow
+
+    names = ripshadow.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(ripshadow, n)] == []

@@ -186,8 +186,8 @@ def test_lift_path_spec_example_two_edges():
     for idx, e in enumerate(s.edges):
         for p in e.provenance:
             by_prov.setdefault(p, []).append(idx)
-    eid_ab = s.rips_edges.index((0, 1))
-    eid_cd = s.rips_edges.index((2, 3))
+    eid_ab = c.edges.index((0, 1))
+    eid_cd = c.edges.index((2, 3))
     first = by_prov[eid_ab][0]
     # find a piece of CD sharing a vertex with it
     second = next(
@@ -365,3 +365,51 @@ def test_hexagon_equator_loop():
     c = build_rips(hexagon_points(F(11, 20)), F(1), dim_cap=3)
     s = build_shadow(c)
     assert is_contractible(RipsWalk((0, 1, 2, 3, 4, 5, 0)), c, s)
+
+
+BROKEN = "broken shadow path: consecutive edges share no vertex"
+
+
+def _crossing_quasi():
+    from ripshadow.fixtures import crossing_triangle_fixture
+    from ripshadow.quasi import build_quasi
+
+    pts, interval, policy = crossing_triangle_fixture()
+    return build_quasi(pts, interval, policy, dim_cap=2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda c, s: loop_word(SQUARE_LOOP, [P(5, 5), P(5, 5)]), ValueError,
+         "anchors must be pairwise distinct"),
+        # the crossing segments (0, 1) and (2, 3) span no other edge
+        (lambda c, s: chaining_sequence((0, 1), (2, 3), _crossing_quasi()), LiftError,
+         "no path between the edges inside their span; for a genuine planar "
+         "Rips complex with intersecting images this cannot happen"),
+        (lambda c, s: lift_path([], s, c), LiftError, "empty shadow path"),
+        (lambda c, s: lift_loop([], s, c), LiftError, "empty shadow path"),
+        (lambda c, s: lift_path([0, 3], s, c), LiftError, BROKEN),
+        (lambda c, s: lift_path([0, 2, 1], s, c), LiftError, BROKEN),
+        (lambda c, s: lift_path([0], s, c, edge_choice="first"), ValueError,
+         "edge_choice must be 'min' or 'max'"),
+        (lambda c, s: lift_loop([0, 2], s, c), LiftError, "shadow path is not closed"),
+        (lambda c, s: walk_word(RipsWalk((0, 1)), c, s), LiftError, "walk must be closed"),
+        (lambda c, s: is_contractible(RipsWalk((0, 1)), c, s), LiftError,
+         "loop must be closed"),
+        (lambda c, s: is_contractible(RipsWalk((0, 2, 0)), c, s), LiftError,
+         "loop is not a walk in the complex"),
+    ],
+    ids=["duplicate_anchors", "no_path_in_span", "empty_path", "empty_loop",
+         "broken_first_pair", "broken_later_pair", "bad_edge_choice", "open_loop_path",
+         "open_walk_word", "open_contractible", "non_walk_contractible"],
+)
+def test_lifting_errors(call, error, message):
+    c = build_rips(SQUARE, F(1))
+    s = build_shadow(c)
+    # the paths above are read off these shadow edge ids
+    assert [(e.u, e.v) for e in s.edges] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    with pytest.raises(error) as info:
+        call(c, s)
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from ripshadow import geometry
-from ripshadow.complexes import VertexColoring, build_rips, explicit_complex, flag_complex
+from ripshadow.complexes import build_rips, explicit_complex, flag_complex
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
 from ripshadow.geometry import dist2, pair_bands
 from ripshadow.homology import betti_numbers, integer_h1
@@ -137,10 +137,10 @@ def test_presentation_complex_h1_oracle_values():
         (1, ["aaa"], (0, (3,))),
     ]
     for gens, words, (rank, torsion) in cases:
-        k, coloring = presentation_to_colored_complex(
+        k, colors = presentation_to_colored_complex(
             GroupPresentation.parse(gens, words)
         )
-        assert coloring.is_proper(k)
+        assert all(colors[i] != colors[j] for i, j in k.edges)
         h = integer_h1(k)
         assert (h.rank, h.torsion) == (rank, torsion), (gens, words)
 
@@ -149,7 +149,7 @@ def test_blowup_vertex_count_single_triangle():
     tri = explicit_complex(
         3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]], dim_cap=2
     )
-    b = blowup(tri, VertexColoring((0, 1, 2)))
+    b = blowup(tri, (0, 1, 2))
     assert b.n_vertices == 12  # 3 vertex copies + 6 edge copies + 3 triangle copy
     fb = flag_blowup(b, 3)
     assert betti_numbers(fb, 2).gf2 == (1, 0, 0)
@@ -157,40 +157,40 @@ def test_blowup_vertex_count_single_triangle():
 
 def test_blowup_single_edge_contractible():
     edge = explicit_complex(2, [[(0,), (1,)], [(0, 1)]], dim_cap=1)
-    b = blowup(edge, VertexColoring((0, 1)))
+    b = blowup(edge, (0, 1))
     fb = flag_blowup(b, 2)
     assert betti_numbers(fb, 1).gf2 == (1, 0)
 
 
 def test_blowup_rejects_improper_coloring():
     edge = explicit_complex(2, [[(0,), (1,)], [(0, 1)]], dim_cap=1)
-    with pytest.raises(ValueError):
-        blowup(edge, VertexColoring((0, 0)))
+    with pytest.raises(ValueError, match="coloring is not proper on the complex"):
+        blowup(edge, (0, 0))
 
 
 def test_blowup_betti_agreement_torus():
     p = preset_presentation("torus")
-    k, coloring = presentation_to_colored_complex(p)
-    b = blowup(k, coloring)
+    k, colors = presentation_to_colored_complex(p)
+    b = blowup(k, colors)
     fb = flag_blowup(b, 3)
     assert betti_numbers(fb, 2).gf2 == betti_numbers(k, 2).gf2 == (1, 2, 1)
 
 
 def test_embed_blowup_audit_and_determinism():
     p = preset_presentation("rp2")
-    k, coloring = presentation_to_colored_complex(p)
-    b = blowup(k, coloring)
+    k, colors = presentation_to_colored_complex(p)
+    b = blowup(k, colors)
     iv = UncertaintyInterval(F(1), F(3, 2))
     e1 = embed_blowup(b, iv, seed=11)
     e2 = embed_blowup(b, iv, seed=11)
-    assert e1.points == e2.points
+    assert e1.complex.coords == e2.complex.coords
     assert e1.audit_margin > 0
     # every same-color pair forced, every cross pair strictly in the band;
     # R_Q links exactly the same-color pairs and the blowup's edges
     edges, blow = set(e1.complex.edges), set(b.edges)
     for i in range(b.n_vertices):
         for j in range(i + 1, b.n_vertices):
-            d2 = dist2(e1.points[i], e1.points[j])
+            d2 = dist2(e1.complex.coords[i], e1.complex.coords[j])
             same = b.colors[i] == b.colors[j]
             if same:
                 assert d2 <= iv.eps**2
@@ -207,27 +207,27 @@ def _rebuilt_quasi(eq, points, interval, relabel):
         colors[relabel[v]] = c
     cross = [(relabel[i], relabel[j]) for i, j in eq.complex.edges if eq.colors[i] != eq.colors[j]]
     rq = build_quasi(points, interval, EdgePolicy.explicit(cross), dim_cap=1)
-    return replace(eq, points=tuple(points), complex=rq, colors=tuple(colors))
+    return replace(eq, complex=rq, colors=tuple(colors))
 
 
 @pytest.mark.parametrize("name", ["rp2", "klein"])
 def test_embedded_quasi_metamorphic(name):
     """Translating, rotating by (3/5, 4/5), scaling with the interval and
     relabelling the embedded points map R_Q's edges and keep H1(R_Q; Z)."""
-    k, coloring = presentation_to_colored_complex(preset_presentation(name))
+    k, colors = presentation_to_colored_complex(preset_presentation(name))
     iv = UncertaintyInterval(F(1), F(3, 2))
-    eq = embed_blowup(blowup(k, coloring), iv, seed=7)
+    eq = embed_blowup(blowup(k, colors), iv, seed=7)
     h1 = quasi_integer_h1(eq)
-    n = len(eq.points)
+    n = len(eq.complex.coords)
     same = list(range(n))
     perm = random.Random(75).sample(same, n)
     c, s, t = F(3, 5), F(4, 5), F(7, 3)
     cases = [
-        ([(x + F(-5, 7), y + F(2, 3)) for x, y in eq.points], iv, same),
-        ([(c * x - s * y, s * x + c * y) for x, y in eq.points], iv, same),
-        ([(t * x, t * y) for x, y in eq.points],
+        ([(x + F(-5, 7), y + F(2, 3)) for x, y in eq.complex.coords], iv, same),
+        ([(c * x - s * y, s * x + c * y) for x, y in eq.complex.coords], iv, same),
+        ([(t * x, t * y) for x, y in eq.complex.coords],
          UncertaintyInterval(t * iv.eps, t * iv.eps_prime), same),
-        ([eq.points[v] for v in sorted(same, key=perm.__getitem__)], iv, perm),
+        ([eq.complex.coords[v] for v in sorted(same, key=perm.__getitem__)], iv, perm),
     ]
     for points, interval, relabel in cases:
         moved = _rebuilt_quasi(eq, points, interval, relabel)
@@ -240,10 +240,10 @@ def test_relative_h1_matches_literal_small():
     tri = explicit_complex(
         3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]], dim_cap=2
     )
-    b = blowup(tri, VertexColoring((0, 1, 2)))
+    b = blowup(tri, (0, 1, 2))
     eq = embed_blowup(b, UncertaintyInterval(F(1), F(3, 2)), seed=3)
     lit = flag_complex(
-        eq.complex.n_vertices, eq.complex.edges, dim_cap=2, coords=eq.points
+        eq.complex.n_vertices, eq.complex.edges, dim_cap=2, coords=eq.complex.coords
     )
     h_lit = integer_h1(lit)
     h_rel = quasi_integer_h1(eq)
@@ -430,8 +430,8 @@ def test_pair_analysis_measures_each_pair_once(monkeypatch):
 def test_mono_claim_on_presets():
     for name in ("rp2", "torus"):
         p = preset_presentation(name)
-        k, coloring = presentation_to_colored_complex(p)
-        b = blowup(k, coloring)
+        k, colors = presentation_to_colored_complex(p)
+        b = blowup(k, colors)
         eq = embed_blowup(b, UncertaintyInterval(F(1), F(3, 2)), seed=5)
         assert monochromatic_violations(eq, b) == []
         cross, tris = cross_edges_and_triangles(eq)

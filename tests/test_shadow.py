@@ -186,7 +186,7 @@ def test_witnesses_match_global_oracle(case):
     pts, eps = case
     s = build_shadow(build_rips(sorted(pts), eps))
     for f in s.faces:
-        assert f.witness == frac_face_witness(s, f)
+        assert s.witness(f) == frac_face_witness(s, f)
 
 
 # Inputs for the grid, whose cell side is the largest |dx| or |dy| of an
@@ -245,7 +245,7 @@ def test_grid_arrangement_matches_all_pairs_oracle(c):
         ring = f.vertex_ids[1:] + f.vertex_ids[:1]
         for eid, u, v in zip(f.edge_ids, f.vertex_ids, ring):
             assert edges[eid][:2] == (min(u, v), max(u, v))
-        assert f.covered == frac_covered(c, f.witness)
+        assert f.covered == frac_covered(c, s.witness(f))
     shadow_betti(s)  # Euler count against uncovered faces
 
 
@@ -302,7 +302,7 @@ def test_complete_coverage_search(monkeypatch, square, covered, shift):
     s = build_shadow(c)
     assert c.k_simplices(2) == ((0, 1, 2),)
     for f in s.faces:
-        assert f.covered == frac_covered(c, f.witness)
+        assert f.covered == frac_covered(c, s.witness(f))
     (inner,) = [f for f in s.faces if {s.points[v] for v in f.vertex_ids} == set(pts[3:])]
     assert inner.covered == covered
     assert searches == Counter({covered: 2})
@@ -324,9 +324,9 @@ def test_witness_skips_nested_component_at_first_candidate(inner, inner_edges):
     pts = [P(0, 0), P(4, 0), P(4, 4), P(0, 4)] + inner
     edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + inner_edges
     s = build_shadow(flag_complex(len(pts), edges, dim_cap=2, coords=pts))
-    assert P("1/4", 2) in [f.witness for f in s.faces]
+    assert P("1/4", 2) in [s.witness(f) for f in s.faces]
     for f in s.faces:
-        assert f.witness == frac_face_witness(s, f)
+        assert s.witness(f) == frac_face_witness(s, f)
 
 
 def test_witness_interiority():
@@ -338,7 +338,7 @@ def test_witness_interiority():
         for f in s.faces:
             # witness on no shadow edge, strictly inside the walk polygon
             assert all(
-                not frac_on_segment(f.witness, s.points[e.u], s.points[e.v])
+                not frac_on_segment(s.witness(f), s.points[e.u], s.points[e.v])
                 for e in s.edges
             )
 
@@ -363,7 +363,11 @@ def test_rips_edges_concatenate_from_shadow_edges_random():
         pts = grid_points(rng, rng.randrange(5, 10))
         c = build_rips(pts, F(1))
         s = build_shadow(c)
-        for idx, (i, j) in enumerate(s.rips_edges):
+        for e in s.edges:
+            # strictly ascending indices into c.edges
+            assert list(e.provenance) == sorted(set(e.provenance))
+            assert 0 <= e.provenance[0] and e.provenance[-1] < len(c.edges)
+        for idx, (i, j) in enumerate(c.edges):
             pieces = [e for e in s.edges if idx in e.provenance]
             assert pieces
             # pieces chain from one endpoint of the Rips edge to the other
@@ -435,7 +439,7 @@ def test_shadow_decisions_build_no_fractions(monkeypatch, name):
     monkeypatch.undo()
     points, _, edges = frac_arrangement(c)
     assert (n_edges, betti) == (len(edges), tuple(betti_numbers(c, 1).q))
-    assert n_covered == sum(frac_covered(c, f.witness) for f in s.faces)
+    assert n_covered == sum(frac_covered(c, s.witness(f)) for f in s.faces)
     assert s.points == points
     anchors = hole_anchors(s)
     assert len(anchors) == betti[1]
