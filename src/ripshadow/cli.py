@@ -225,7 +225,17 @@ def cmd_shadow(args) -> int:
     if any(len(p) != 2 for p in points):
         raise CLIError(EXIT_DIMENSION, "shadow analysis needs 2-dimensional points")
     eps = _parse_rational(args.epsilon, "epsilon")
+    walk = None
+    if args.loop:
+        verts = _parse_loop(args.loop)
+        if any(v < 0 or v >= len(points) for v in verts):
+            raise CLIError(EXIT_PARSE, "loop vertex id out of range")
+        walk = RipsWalk(vertices=verts)
+        if not walk.closed:
+            raise CLIError(EXIT_PARSE, "loop must start and end at the same vertex")
     c = build_rips(points, eps, args.dim_cap)
+    if walk is not None and not walk.is_valid(c):
+        raise CLIError(EXIT_PARSE, "loop is not a walk in the Rips complex")
     s = build_shadow(c)
     b0, b1 = shadow_betti(s)
     betti = _betti_block(c)
@@ -267,22 +277,14 @@ def cmd_shadow(args) -> int:
         "certificate": certificate,
     }
     overlay = None
-    if args.loop:
-        verts = _parse_loop(args.loop)
-        if any(v < 0 or v >= len(points) for v in verts):
-            raise CLIError(EXIT_PARSE, "loop vertex id out of range")
-        walk = RipsWalk(vertices=verts)
-        if not walk.closed:
-            raise CLIError(EXIT_PARSE, "loop must start and end at the same vertex")
-        if not walk.is_valid(c):
-            raise CLIError(EXIT_PARSE, "loop is not a walk in the Rips complex")
+    if walk is not None:
         word = walk_word(walk, c, s)
         report["loop"] = {
-            "vertices": list(verts),
+            "vertices": list(walk.vertices),
             "word": str(word),
             "contractible": word.is_identity,
         }
-        overlay = [c.coords[v] for v in verts]
+        overlay = [c.coords[v] for v in walk.vertices]
     if args.svg:
         _write_text(args.svg, render_svg(s, overlay=overlay))
     _write_report(report, args.out)

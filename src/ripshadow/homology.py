@@ -10,9 +10,11 @@ Euclidean reduction diagonalizes the small remainder.  Both use only
 integer unimodular row and column operations, which keep the invariant
 factors, so the result is exact.
 
-The rank of H1(sub) -> H1(sup) induced by an inclusion is a persistent Betti
-number and needs only d2(sup): its rank, and the rank of its restriction to
-the rows of the edges of sup that are not in sub.
+Ranks of H1 over Q along a nested chain K_0 c ... c K_m -- each b1(K_i) and
+the rank of H1(K_0) -> H1(K_m), a persistent Betti number -- come from one
+column reduction of d2(K_m) in filtration order (Edelsbrunner, Letscher &
+Zomorodian 2002; Zomorodian & Carlsson 2005).  The Smith form stays the
+routine for what needs the integer diagonal: torsion and GF(2) ranks.
 """
 
 from __future__ import annotations
@@ -228,27 +230,62 @@ def _check_containment(sub: SimplicialComplex, sup: SimplicialComplex) -> None:
 
 
 def induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> int:
-    """Rank over Q of H1(sub) -> H1(sup) induced by inclusion.
+    """Rank over Q of H1(sub) -> H1(sup) induced by inclusion, read off one
+    filtration reduction of d2(sup) (see `_filtration_h1`)."""
+    return _filtration_h1([sub, sup])[1]
 
-    dim image = dim Z1(sub) - dim I, with I the intersection of B1(sup) and
-    Z1(sub).  Every boundary of sup is a cycle, so it lies in Z1(sub)
-    exactly when it vanishes on the edges of sup outside sub: I is the
-    kernel of restricting B1(sup) to those rows, of dimension
-    rank d2(sup) - rank(d2(sup) restricted to those rows).
+
+def _filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...], int]:
+    """b1 over Q of each complex of a nested chain K_0 c ... c K_m, and the
+    rank of H1(K_0) -> H1(K_m), from one column reduction of d2(K_m).
+
+    Rows and columns go in filtration order: by the first complex holding
+    the edge or triangle, lexicographic within it.  Reducing left to right
+    (pivot: the last nonzero row) leaves nonzero columns with distinct
+    pivots; those among K_i's triangles are a basis of B1(K_i), and those
+    whose pivot is an edge of K_0 a basis of B1(K_m) restricted to K_0's
+    edges, which is B1(K_m) meet Z1(K_0) because boundaries are cycles.
     """
-    return _induced_h1(sub, sup)[0]
-
-
-def _induced_h1(sub: SimplicialComplex, sup: SimplicialComplex) -> Tuple[int, int]:
-    """`induced_h1_rank` and b1(sup) over Q, from d2(sup) alone."""
-    _check_containment(sub, sup)
-    if sup.dim_cap < 2:
+    for sub, sup in zip(chain, chain[1:]):
+        _check_containment(sub, sup)
+    top = chain[-1]
+    if top.dim_cap < 2:
         raise InsufficientDimCap("sup needs its 2-skeleton materialized")
-    d2_cols = boundary_matrix(sup, 2).columns
-    rank_d2 = len(snf_diagonal(d2_cols))
-    outside = {i for i, e in enumerate(sup.edges) if e not in sub.edge_set}
-    restricted = ({r: v for r, v in col.items() if r in outside} for col in d2_cols)
-    rank_restricted = len(snf_diagonal([col for col in restricted if col]))
-    z1_sub = len(sub.edges) - len(sub.vertices) + len(sub.components())
-    z1_sup = len(sup.edges) - len(sup.vertices) + len(sup.components())
-    return z1_sub - rank_d2 + rank_restricted, z1_sup - rank_d2
+    d2 = boundary_matrix(top, 2)
+    birth: Dict[Simplex, int] = {}
+    for i in range(len(chain) - 1, -1, -1):
+        birth.update(dict.fromkeys(chain[i].edges + chain[i].k_simplices(2), i))
+    rows = sorted(range(len(d2.rows)), key=lambda r: birth[d2.rows[r]])
+    pos = {r: p for p, r in enumerate(rows)}
+    pivots: Dict[int, SparseCol] = {}
+    kept: List[Tuple[int, int]] = []  # (birth of the triangle, pivot) per nonzero column
+    for j in sorted(range(len(d2.cols)), key=lambda j: birth[d2.cols[j]]):
+        col = {pos[r]: v for r, v in d2.columns[j].items()}
+        while col:
+            p = max(col)
+            other = pivots.get(p)
+            if other is None:
+                pivots[p] = col
+                kept.append((birth[d2.cols[j]], p))
+                break
+            g = math.gcd(col[p], other[p])
+            a, b = col[p] // g, other[p] // g
+            if b == 1 or b == -1:  # b col - a other up to the unit b, in place
+                q = a * b
+                for r, v in other.items():
+                    w = col.get(r, 0) - q * v
+                    if w:
+                        col[r] = w
+                    else:
+                        del col[r]
+            else:  # b col - a other, then divide out the content
+                col = {r: w for r in col.keys() | other.keys()
+                       if (w := b * col.get(r, 0) - a * other.get(r, 0))}
+                if col:
+                    g = math.gcd(*col.values())
+                    col = {r: v // g for r, v in col.items()}
+
+    z1 = [len(c.edges) - len(c.vertices) + len(c.components()) for c in chain]
+    b1 = tuple(z - sum(t <= i for t, _ in kept) for i, z in enumerate(z1))
+    n0 = len(chain[0].edges)  # K_0's edges are the first rows
+    return b1, z1[0] - sum(p < n0 for _, p in kept)

@@ -35,7 +35,7 @@ from .complexes import (
 )
 from .errors import AuditError
 from .geometry import Point, classify_pairs, pair_bands, pair_distances, rational_sqrt
-from .homology import SmithDecomposition, _induced_h1, betti_numbers, integer_h1, snf_diagonal
+from .homology import SmithDecomposition, _filtration_h1, betti_numbers, integer_h1, snf_diagonal
 from .shadow import build_shadow, shadow_betti
 
 F = Fraction
@@ -602,9 +602,9 @@ def pair_image_analysis(
     Disjointness gives R_Q subset R_eps'' subset R_Q' for any eps'' between
     the intervals, so the image rank is bounded by b1 at the midpoint; the
     report carries the verified bound.  One proximity pass serves R_Q, R_Q',
-    R_eps'' and the forced R_eps; d2(R_Q') alone gives both the image rank
-    and b1(R_Q').  Nothing here reads a 3-simplex, so every complex is built
-    at dim_cap 2.
+    R_eps'' and the forced R_eps; one filtration reduction of d2(R_Q') over
+    the chain R_Q c R_eps'' c R_Q' gives the image rank and the three b1.
+    Nothing here reads a 3-simplex, so every complex is built at dim_cap 2.
     """
     li, lp = lower
     ui, up = upper
@@ -617,10 +617,9 @@ def pair_image_analysis(
     pairs = list(pairs)
     low, forced = _quasi_complex(points, classify_pairs(pairs, l2, lp2), lp, 2)
     high, _ = _quasi_complex(points, classify_pairs(pairs, u2, up2), up, 2)
-    rank, upper_b1 = _induced_h1(low, high)
     mid_edges = [(i, j) for i, j, b, _ in classify_pairs(pairs, m2, m2) if b == 0]
     mid = flag_complex(len(points), mid_edges, 2, coords=points, provenance="rips")
-    mid_b1 = betti_numbers(mid, 1).q[1]
+    (lower_b1, mid_b1, upper_b1), rank = _filtration_h1([low, mid, high])
     shadow_mid = None
     if all(len(p) == 2 for p in points):
         shadow_mid = shadow_betti(build_shadow(mid))
@@ -629,7 +628,7 @@ def pair_image_analysis(
         mid_eps=mid_eps,
         mid_b1=mid_b1,
         bound_ok=rank <= mid_b1,
-        lower_b1=betti_numbers(low, 1).q[1],
+        lower_b1=lower_b1,
         upper_b1=upper_b1,
         lower_forced_components=len(graph_components(range(len(points)), forced)),
         shadow_mid_betti=shadow_mid,

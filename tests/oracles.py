@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ripshadow.complexes import Simplex, SimplicialComplex, check_distinct_points, flag_complex
+from ripshadow.geometry import scale_points
 from ripshadow.homology import SparseCol, betti_numbers, boundary_matrix
 from ripshadow.lifting import LiftError, loop_word
 from ripshadow.quasi import EdgePolicy, PairReport
@@ -242,6 +243,60 @@ def oracle_induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> in
     return dense_rank_q(rows) - dense_rank_q(d2)
 
 
+def rips_h1_barcode(points) -> Tuple[List[int], int, List[Tuple[int, Optional[int]]]]:
+    """Exact H1 barcode over Q of the Rips filtration of planar points.
+
+    Values are integer squared distances after one `scale_points` (true
+    squared distance = value / scale**2).  Returns the critical values (the
+    distinct pair distances, ascending), the scale, and one (birth, death)
+    per H1 bar, death None for a bar that never dies.  A simplex enters at
+    its longest edge; the dense Fraction boundary matrix of every vertex,
+    edge and triangle is reduced column by column in filtration order (by
+    value, then dimension, then lexicographically), and each triangle whose
+    column keeps a pivot kills the edge bar born at that pivot.  R_eps at
+    value v holds the bars with birth <= v < death.
+    """
+    ipts, scale = scale_points(points)
+    n = len(ipts)
+
+    def value(s):
+        return max(
+            ((ipts[a][0] - ipts[b][0]) ** 2 + (ipts[a][1] - ipts[b][1]) ** 2
+             for a, b in combinations(s, 2)),
+            default=0,
+        )
+
+    simplices = [s for k in (1, 2, 3) for s in combinations(range(n), k)]
+    simplices.sort(key=lambda s: (value(s), len(s), s))
+    index = {s: i for i, s in enumerate(simplices)}
+    m = [[Fraction(0)] * len(simplices) for _ in simplices]  # m[column][row]
+    for j, s in enumerate(simplices):
+        for i in range(len(s) if len(s) > 1 else 0):
+            m[j][index[s[:i] + s[i + 1 :]]] = Fraction(1 if i % 2 == 0 else -1)
+
+    def low(col):
+        return max((r for r, v in enumerate(col) if v), default=None)
+
+    owner: Dict[int, int] = {}  # pivot row -> reduced column
+    for j in range(len(simplices)):
+        col = m[j]
+        while (r := low(col)) is not None and r in owner:
+            other = m[owner[r]]
+            q = col[r] / other[r]
+            col = m[j] = [a - q * b if b else a for a, b in zip(col, other)]
+        if r is not None:
+            owner[r] = j
+    negative = set(owner.values())
+    bars = []
+    for i, s in enumerate(simplices):
+        # a positive edge (its own column reduced to zero) opens a bar
+        if len(s) == 2 and i not in negative:
+            j = owner.get(i)
+            bars.append((value(s), None if j is None else value(simplices[j])))
+    values = sorted({value(s) for s in simplices if len(s) == 2})
+    return values, scale, bars
+
+
 # Minimal 6-vertex triangulation of the projective plane: 10 triangles on
 # K6, every edge in exactly two of them, Euler characteristic 1.
 RP2_TRIANGLES = [
@@ -257,6 +312,37 @@ RP2_TRIANGLES = [
     (2, 3, 5),
 ]
 
+
+# The 3 x 3 grid on the square with (x, 3) glued to (-x, 0) and (3, y) to
+# (0, y): 9 vertices, 27 edges, 18 triangles, H1 = Z + Z/2.
+KLEIN_TRIANGLES = [
+    (0, 1, 4),
+    (0, 1, 8),
+    (0, 2, 3),
+    (0, 2, 6),
+    (0, 3, 4),
+    (0, 6, 8),
+    (1, 2, 5),
+    (1, 2, 7),
+    (1, 4, 5),
+    (1, 7, 8),
+    (2, 3, 5),
+    (2, 6, 7),
+    (3, 4, 7),
+    (3, 5, 6),
+    (3, 6, 7),
+    (4, 5, 8),
+    (4, 7, 8),
+    (5, 6, 8),
+]
+
+# A disk whose boundary, nine edges, winds three times around the triangle
+# 0-1-2 (inner ring 3..11, centre 12): 27 triangles, H1 = Z/3.
+MOORE3_TRIANGLES = [
+    t
+    for i in range(9)
+    for t in ((i % 3, (i + 1) % 3, 3 + i), ((i + 1) % 3, 3 + i, 3 + (i + 1) % 9), (3 + i, 3 + (i + 1) % 9, 12))
+]
 
 # ---------------------------------------------------------------------------
 # distance bands and planar predicates on Fraction points, by direct

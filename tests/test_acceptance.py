@@ -19,7 +19,7 @@ from ripshadow.fixtures import (
     hexagon_points,
 )
 from ripshadow.geometry import dist2, to_triple, tr_orient, tr_segment_meet
-from ripshadow.homology import _induced_h1, betti_numbers, integer_h1
+from ripshadow.homology import _filtration_h1, betti_numbers, integer_h1
 from ripshadow.lifting import lift_loop, lift_path, is_contractible, walk_word
 from ripshadow.quasi import (
     EdgePolicy,
@@ -494,12 +494,12 @@ def test_criterion_11_pair_filters_quasi_noise():
     # a genuine Rips complex between the intervals: R_Q in R_mid in R_Q'
     mid = build_rips(pts, F(17, 10), dim_cap=2)
     h_low = integer_h1(low)
-    rank, _ = _induced_h1(low, high)
+    (_, mid_b1, _), rank = _filtration_h1([low, mid, high])
     h_mid = integer_h1(mid)
     assert h_low.torsion != ()
     # planar Rips H1 is torsion-free, and the inclusion factors through it,
     # so the planted torsion dies; only the ring's loop survives
     assert h_mid.torsion == ()
-    assert h_low.rank > rank == h_mid.rank >= 1
+    assert h_low.rank > rank == h_mid.rank == mid_b1 >= 1
     print(f"\nACCEPTANCE 11: PASS - pair filter: H1(R_Q) = {h_low} maps with "
           f"rank {rank} = b1(R_mid), H1(R_mid) = {h_mid} torsion-free")

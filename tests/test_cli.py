@@ -224,13 +224,29 @@ def test_bad_epsilon_exit_2(tmp_path):
     assert run(["rips", "--points", str(fx), "--epsilon", "zebra"]) == 2
 
 
-def test_bad_loop_exit_2(tmp_path):
+@pytest.fixture
+def shadow_builds(monkeypatch):
+    """The complexes `cli.build_shadow` is called on: a refused loop builds none."""
+    built, build_shadow = [], cli.build_shadow
+
+    def counted(c):
+        built.append(c)
+        return build_shadow(c)
+
+    monkeypatch.setattr(cli, "build_shadow", counted)
+    return built
+
+
+def test_bad_loop_exit_2(tmp_path, capsys, shadow_builds):
     fx = tmp_path / "hex.json"
     run(["fixture", "--name", "hexagon", "--out", str(fx)])
     assert run(["shadow", "--points", str(fx), "--epsilon", "1",
-                "--loop", "0,1,2"]) == 2  # not closed
+                "--loop", "0,1,2"]) == 2
+    assert "loop must start and end at the same vertex" in capsys.readouterr().err
     assert run(["shadow", "--points", str(fx), "--epsilon", "1",
                 "--loop", "0,3,0"]) == 2  # long diagonal is not an edge
+    assert "loop is not a walk in the Rips complex" in capsys.readouterr().err
+    assert shadow_builds == []
 
 
 SHADOW_HEX = ["shadow", "--points", "HEX", "--epsilon", "1"]
@@ -250,11 +266,12 @@ QUASI = ["quasi", "--interval", "1,3/2"]
     ids=["loop_not_integers", "loop_one_vertex", "loop_out_of_range", "quasi_both_sources",
          "quasi_no_source"],
 )
-def test_bad_arguments_exit_2(tmp_path, capsys, argv, message):
+def test_bad_arguments_exit_2(tmp_path, capsys, shadow_builds, argv, message):
     fx = tmp_path / "hex.json"  # HEX: the six-point hexagon fixture
     assert run(["fixture", "--name", "hexagon", "--out", str(fx)]) == 0
     assert run([str(fx) if a == "HEX" else a for a in argv]) == 2
     assert message in capsys.readouterr().err
+    assert shadow_builds == []
 
 
 def _points_doc(points):

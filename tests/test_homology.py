@@ -1,9 +1,11 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ripshadow.complexes import build_rips, explicit_complex, flag_complex
 from ripshadow.homology import (
@@ -11,13 +13,15 @@ from ripshadow.homology import (
     ContainmentError,
     betti_numbers,
     boundary_matrix,
-    _induced_h1,
+    _filtration_h1,
     induced_h1_rank,
     integer_h1,
     snf_diagonal,
 )
 
 from oracles import (
+    KLEIN_TRIANGLES,
+    MOORE3_TRIANGLES,
     RP2_TRIANGLES,
     cycle_basis_columns,
     dense_rank_gf2,
@@ -26,6 +30,7 @@ from oracles import (
     euler_characteristic,
     homology_profile,
     oracle_induced_h1_rank,
+    rips_h1_barcode,
     verify_chain_property,
 )
 
@@ -397,7 +402,7 @@ def _triangle_free_pairs(rng):
         yield flag_complex(n, sub, dim_cap=2), flag_complex(n, edges, dim_cap=2)
 
 
-def _lattice_pairs(rng):
+def _lattice_sets(rng):
     # the boundary of [0, 3]^2 has a hole at scales 1 and 2
     ring = [(F(x), F(y)) for x in range(4) for y in range(4) if {x, y} & {0, 3}]
     inside = [(F(x), F(y)) for x in (1, 2) for y in (1, 2)]
@@ -409,6 +414,11 @@ def _lattice_pairs(rng):
             for d2 in [int((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)]
             if math.isqrt(d2) ** 2 == d2
         })
+        yield pts, scales
+
+
+def _lattice_pairs(rng):
+    for pts, scales in _lattice_sets(rng):
         for lo, hi in combinations(scales, 2):
             yield build_rips(pts, lo, dim_cap=2), build_rips(pts, hi, dim_cap=2)
 
@@ -427,8 +437,105 @@ def _lattice_pairs(rng):
 def test_induced_rank_matches_cycle_basis_oracle(pairs, seed):
     ranks = []
     for sub, sup in pairs(random.Random(seed)):
-        rank, b1 = _induced_h1(sub, sup)
+        (_, b1), rank = _filtration_h1([sub, sup])
         assert induced_h1_rank(sub, sup) == rank == oracle_induced_h1_rank(sub, sup)
         assert b1 == oracle_induced_h1_rank(sup, sup)
         ranks.append(rank)
     assert any(ranks)
+
+
+def _flag_chains(rng):
+    for _ in range(25):
+        n = rng.randrange(3, 9)
+        edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.6]
+        rng.shuffle(edges)
+        a = rng.randrange(len(edges) + 1)
+        b = rng.randrange(a, len(edges) + 1)
+        yield [flag_complex(n, edges[:cut], dim_cap=2) for cut in (a, b, len(edges))]
+
+
+def _surface_chains(rng):
+    # RP2, the Moebius band and the Klein bottle leave pivots +-2 in the
+    # reduced d2; on the Z/3 Moore space over two of its centre triangles a
+    # column also reduces against one, which takes a non-unit step
+    tops = ((6, RP2_TRIANGLES), (6, RP2_TRIANGLES[1:]), (9, KLEIN_TRIANGLES), (13, MOORE3_TRIANGLES))
+    for n, tris in tops:
+        top = explicit_complex(n, [[], [], tris])
+        yield [explicit_complex(n, [[], top.edges], dim_cap=2), top, top]
+        yield [explicit_complex(n, [[], [], tris[2:15:12]], dim_cap=2), top, top]
+        for _ in range(8):
+            order = rng.sample(tris, len(tris))
+            a = rng.randrange(len(tris) + 1)
+            b = rng.randrange(a, len(tris) + 1)
+            # the lower complexes keep the whole 1-skeleton or only their triangles' edges
+            skeleton = top.edges if rng.random() < 0.5 else []
+            yield [explicit_complex(n, [[], skeleton, order[:a]], dim_cap=2),
+                   explicit_complex(n, [[], skeleton, order[:b]], dim_cap=2), top]
+
+
+def _lattice_chains(rng):
+    # every strict triple of realised scales, and repeats below the largest
+    # (the oracle is slow on the near-clique at the largest scale)
+    for pts, scales in _lattice_sets(rng):
+        for chain in [*combinations(scales, 3), *combinations_with_replacement(scales[:-1], 3)]:
+            yield [build_rips(pts, eps, dim_cap=2) for eps in chain]
+
+
+@pytest.mark.parametrize(
+    "chains, seed",
+    [(_flag_chains, 46), (_lattice_chains, 47), (_surface_chains, 48)],
+    ids=["random_flag", "lattice_rips", "surfaces"],
+)
+def test_filtration_h1_matches_betti_and_oracle(chains, seed):
+    ranks = []
+    for chain in chains(random.Random(seed)):
+        b1, rank = _filtration_h1(chain)
+        assert b1 == tuple(betti_numbers(c, 1).q[1] for c in chain)
+        assert rank == oracle_induced_h1_rank(chain[0], chain[-1])
+        ranks.append(rank)
+    assert any(ranks)
+
+
+def test_filtration_h1_rejects_bad_chains():
+    path = flag_complex(3, [(0, 1), (1, 2)], dim_cap=2)
+    triangle = flag_complex(3, [(0, 1), (1, 2), (0, 2)], dim_cap=2)
+    with pytest.raises(ContainmentError):
+        _filtration_h1([path, triangle, path])
+    with pytest.raises(InsufficientDimCap):
+        _filtration_h1([path, flag_complex(3, [(0, 1), (1, 2), (0, 2)], dim_cap=1)])
+
+
+def _eps_at(value, scale):
+    """A rational eps whose R_eps is the Rips complex at squared distance
+    value / scale**2: eps itself when the value is a square (d == eps),
+    else just above sqrt(value), below the next integer value."""
+    r = math.isqrt(value)
+    if r * r == value:
+        return F(r, scale)
+    n = 2 * r + 3  # (sqrt(value) + 1/n)^2 < value + 1
+    return F(math.isqrt(value * n * n) + 1, n * scale)
+
+
+HALF_GRID = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(HALF_GRID, min_size=2, max_size=12, unique=True))
+# the boundary of [0, 3/2]^2: a hole from d = 1/2 to d = 3/2
+@example([(x, y) for x in range(4) for y in range(4) if {x, y} & {0, 3}])
+def test_filtration_h1_matches_rips_barcode(cells):
+    points = [(F(x, 2), F(y, 2)) for x, y in cells]
+    values, scale, bars = rips_h1_barcode(points)
+    rips = []
+    for v, above in zip(values, values[1:] + [None]):
+        eps = _eps_at(v, scale)
+        assert v <= (eps * scale) ** 2 and (above is None or (eps * scale) ** 2 < above)
+        rips.append(build_rips(points, eps, dim_cap=2))
+
+    def alive(a, b):  # bars holding every value in [a, b]
+        return sum(1 for birth, death in bars if birth <= a and (death is None or death > b))
+
+    for i, j, k in combinations_with_replacement(range(len(values)), 3):
+        b1, rank = _filtration_h1([rips[i], rips[j], rips[k]])
+        assert b1 == tuple(alive(values[t], values[t]) for t in (i, j, k))
+        assert rank == alive(values[i], values[k])

@@ -291,6 +291,28 @@ def test_pair_annulus_ring_equality():
     assert rep.image_rank == rep.shadow_mid_betti[1]
 
 
+def test_pair_reads_its_ranks_off_one_reduction(monkeypatch):
+    from ripshadow import homology, quasi
+
+    calls = {"boundary_matrix": 0, "snf_diagonal": 0, "betti_numbers": 0}
+    for name in calls:
+        for module in (homology, quasi):
+            fn = getattr(module, name, None)
+            if fn is not None:
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    rep = pair_image_analysis(
+        annulus_ring_points(),
+        (UncertaintyInterval(F(7, 10), F(9, 10)), EdgePolicy.none()),
+        (UncertaintyInterval(F(19, 10), F(11, 5)), EdgePolicy.all()),
+    )
+    assert (rep.lower_b1, rep.mid_b1, rep.upper_b1, rep.image_rank) == (1, 1, 1, 1)
+    assert calls == {"boundary_matrix": 1, "snf_diagonal": 0, "betti_numbers": 0}
+
+
 def test_pair_contractible_cluster():
     pts = [P(0, 0), P("1/5", 0), P(0, "1/5"), P("1/5", "1/5")]
     rep = pair_image_analysis(
