@@ -152,14 +152,19 @@ def _check_dim_cap(dim_cap: int) -> None:
         raise CLIError(EXIT_PARSE, f"--dim-cap must be at least 2, got {dim_cap}")
 
 
-def _parse_loop(text: str) -> Tuple[int, ...]:
+def _parse_loop(text: str, n_points: int) -> RipsWalk:
     try:
         verts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise CLIError(EXIT_PARSE, f"loop must be comma-separated vertex ids: {text!r}")
     if len(verts) < 2:
         raise CLIError(EXIT_PARSE, "loop needs at least two vertices")
-    return verts
+    if any(v < 0 or v >= n_points for v in verts):
+        raise CLIError(EXIT_PARSE, "loop vertex id out of range")
+    walk = RipsWalk(vertices=verts)
+    if not walk.closed:
+        raise CLIError(EXIT_PARSE, "loop must start and end at the same vertex")
+    return walk
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +230,7 @@ def cmd_shadow(args) -> int:
     if any(len(p) != 2 for p in points):
         raise CLIError(EXIT_DIMENSION, "shadow analysis needs 2-dimensional points")
     eps = _parse_rational(args.epsilon, "epsilon")
-    walk = None
-    if args.loop:
-        verts = _parse_loop(args.loop)
-        if any(v < 0 or v >= len(points) for v in verts):
-            raise CLIError(EXIT_PARSE, "loop vertex id out of range")
-        walk = RipsWalk(vertices=verts)
-        if not walk.closed:
-            raise CLIError(EXIT_PARSE, "loop must start and end at the same vertex")
+    walk = _parse_loop(args.loop, len(points)) if args.loop else None
     c = build_rips(points, eps, args.dim_cap)
     if walk is not None and not walk.is_valid(c):
         raise CLIError(EXIT_PARSE, "loop is not a walk in the Rips complex")
