@@ -271,8 +271,9 @@ def rips_h1_barcode(points) -> Tuple[List[int], int, List[Tuple[int, Optional[in
     index = {s: i for i, s in enumerate(simplices)}
     m = [[Fraction(0)] * len(simplices) for _ in simplices]  # m[column][row]
     for j, s in enumerate(simplices):
-        for i in range(len(s) if len(s) > 1 else 0):
-            m[j][index[s[:i] + s[i + 1 :]]] = Fraction(1 if i % 2 == 0 else -1)
+        if len(s) > 1:  # a vertex has no boundary
+            for i in range(len(s)):
+                m[j][index[s[:i] + s[i + 1 :]]] = Fraction(1 if i % 2 == 0 else -1)
 
     def low(col):
         return max((r for r, v in enumerate(col) if v), default=None)
