@@ -35,7 +35,7 @@ from .quasi import (
     preset_presentation,
     run_pipeline,
 )
-from .shadow import ShadowError, build_shadow, hole_anchors, render_svg, shadow_betti
+from .shadow import ShadowError, build_shadow, hole_anchors, render_svg, shadow_betti, svg_view_box
 
 SCHEMA = "rips-shadow/1"
 
@@ -152,6 +152,16 @@ def _check_dim_cap(dim_cap: int) -> None:
         raise CLIError(EXIT_PARSE, f"--dim-cap must be at least 2, got {dim_cap}")
 
 
+def _check_svg_range(points: Sequence[Point]) -> None:
+    # the points are shadow vertices and every other vertex, anchor and
+    # overlay point lies between them, so the figure's view box is theirs
+    try:
+        for v in (*(x for p in points for x in p), *svg_view_box(points)):
+            float(v)
+    except OverflowError:
+        raise CLIError(EXIT_PARSE, "coordinates beyond float range cannot be drawn in an SVG")
+
+
 def _parse_loop(text: str, n_points: int) -> RipsWalk:
     try:
         verts = tuple(int(x) for x in text.split(","))
@@ -231,6 +241,8 @@ def cmd_shadow(args) -> int:
         raise CLIError(EXIT_DIMENSION, "shadow analysis needs 2-dimensional points")
     eps = _parse_rational(args.epsilon, "epsilon")
     walk = _parse_loop(args.loop, len(points)) if args.loop else None
+    if args.svg:
+        _check_svg_range(points)
     c = build_rips(points, eps, args.dim_cap)
     if walk is not None and not walk.is_valid(c):
         raise CLIError(EXIT_PARSE, "loop is not a walk in the Rips complex")

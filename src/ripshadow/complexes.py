@@ -4,8 +4,9 @@ A SimplicialComplex stores its simplices per dimension as sorted tuples of
 vertex indices, in lexicographic order, so every downstream matrix and
 report is reproducible run to run.  The stored levels are the only record of
 the dimension cap: `dim_cap` is the top level's index, so a level beyond the
-complex's dimension is stored empty.  `edge_set` is the edges as a set,
-built on first read and kept with the complex.
+complex's dimension is stored empty.  `edge_set` (the edges as a set) and
+`n_components` (the components of the 1-skeleton, counted by one search)
+are built on first read and kept with the complex.
 """
 
 from __future__ import annotations
@@ -66,8 +67,10 @@ class SimplicialComplex:
     def adjacency(self) -> Dict[int, Set[int]]:
         return graph_adjacency(self.vertices, self.edges)
 
-    def components(self) -> List[Set[int]]:
-        return graph_components(self.vertices, self.edges)
+    @functools.cached_property
+    def n_components(self) -> int:
+        """Connected components of the 1-skeleton, counted on first read."""
+        return len(graph_components(self.vertices, self.edges))
 
 
 def graph_adjacency(

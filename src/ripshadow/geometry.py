@@ -1,16 +1,21 @@
 """Exact geometry: one integer kernel decides every planar predicate.
 
-A planar point is carried as a reduced integer triple (X, Y, D), meaning
-(X/D, Y/D) with D > 0 and gcd(X, Y, D) = 1, so equal points have equal
-triples.  Orientation, on-segment, point-in-triangle, the meet of two
-segments and the vertical-ray crossing are all decided on triples by
-integer cross-multiplication; nothing here touches floating point.
-Lexicographic and angular order sort on integer keys: each fraction times
-2**s, floored, with 2**s above the square of every denominator sorted
-together.  Fractions with such denominators are 0 or at least 2**-s apart,
-so the floors keep their order and tie equal values.  `ray_hit` is the one
-crossing rule: winding numbers, the shadow's witness tests (through
-`tr_locate`) and loop words all count it.  It settles a segment whose
+A planar point is carried as an integer triple (X, Y, D), meaning
+(X/D, Y/D) with D > 0.  `tr_reduce` and `to_triple` give the reduced
+triple, gcd(X, Y, D) = 1, so equal points have equal triples; but the
+predicates take any D > 0 and answer alike for every triple of a point.
+Orientation, on-segment, point-in-triangle, the meet of two segments and
+the vertical-ray crossing are all decided on triples by integer
+cross-multiplication; nothing here touches floating point.  The hot ones,
+`tr_locate`, `tr_point_in_triangle` and the first two orientations of
+`tr_segment_meet`, compute their determinants inline, on coordinates taken
+relative to one of the points.  Lexicographic and angular order sort on
+integer keys: each fraction times 2**s, floored, with 2**s above the
+square of every denominator sorted together.  Fractions with such
+denominators are 0 or at least 2**-s apart, so the floors keep their order
+and tie equal values.  `tr_locate` holds the one crossing rule, and
+`ray_hit` is `tr_locate` of one segment: winding numbers, the shadow's
+witness tests and loop words all count it.  It settles a segment whose
 x-range misses the ray by an exact x comparison, and returns None for a
 point on the segment, so one pass over a ring both finds a point on it and
 winds around a point off it.  Callers map rational points onto the kernel
@@ -30,7 +35,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Scalar = Fraction  # or int; the two mix freely
 Point = Tuple[Scalar, ...]
-Triple = Tuple[int, int, int]  # (X, Y, D): the point (X/D, Y/D), D > 0, reduced
+Triple = Tuple[int, int, int]  # (X, Y, D): the point (X/D, Y/D), D > 0
 
 
 class DimensionMismatch(ValueError):
@@ -192,14 +197,24 @@ def tr_on_segment(x: Triple, a: Triple, b: Triple) -> bool:
 def tr_point_in_triangle(x: Triple, a: Triple, b: Triple, c: Triple) -> str:
     """"inside", "boundary" or "outside"; a collinear triangle is the union
     of its edges."""
-    w = tr_orient(a, b, c)
+    # each vertex minus x, over its own positive denominator times x's:
+    # det(a', b') has the sign of orient(a, b, x), and the three such
+    # determinants, each times the third vertex's D, sum to orient(a, b, c)
+    # over the common denominator
+    xx, xy, xd = x
+    ax, ay = a[0] * xd - xx * a[2], a[1] * xd - xy * a[2]
+    bx, by = b[0] * xd - xx * b[2], b[1] * xd - xy * b[2]
+    cx, cy = c[0] * xd - xx * c[2], c[1] * xd - xy * c[2]
+    s1 = ax * by - ay * bx
+    s2 = bx * cy - by * cx
+    s3 = cx * ay - cy * ax
+    w = s1 * c[2] + s2 * a[2] + s3 * b[2]
     if w == 0:
         if tr_on_segment(x, a, b) or tr_on_segment(x, b, c) or tr_on_segment(x, a, c):
             return "boundary"
         return "outside"
-    s1 = tr_orient(a, b, x) * w
-    s2 = tr_orient(b, c, x) * w
-    s3 = tr_orient(c, a, x) * w
+    if w < 0:
+        s1, s2, s3 = -s1, -s2, -s3
     if s1 < 0 or s2 < 0 or s3 < 0:
         return "outside"
     if s1 == 0 or s2 == 0 or s3 == 0:
@@ -216,16 +231,18 @@ def tr_segment_meet(
     when p is an endpoint of both, or ("overlap", (lo, hi)) for a collinear
     overlap ordered along b - a.  A T-junction is an ordinary "point".
     """
-    o1 = tr_orient(a, b, x)
-    o2 = tr_orient(a, b, y)
-    if o1 * o2 > 0:
+    # o1, o2: orient(a, b, x) and orient(a, b, y), on b, x and y minus a
+    ad = a[2]
+    dx = b[0] * ad - a[0] * b[2]
+    dy = b[1] * ad - a[1] * b[2]
+    o1 = dx * (x[1] * ad - a[1] * x[2]) - dy * (x[0] * ad - a[0] * x[2])
+    o2 = dx * (y[1] * ad - a[1] * y[2]) - dy * (y[0] * ad - a[0] * y[2])
+    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
         return ("disjoint", ())
     o3 = tr_orient(x, y, a)
     o4 = tr_orient(x, y, b)
     if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
         # collinear: order points by their projection onto b - a
-        dx = b[0] * a[2] - a[0] * b[2]
-        dy = b[1] * a[2] - a[1] * b[2]
         if dx == 0 and dy == 0:
             raise ValueError("degenerate segment")
 
@@ -235,15 +252,17 @@ def tr_segment_meet(
         lo_t, hi_t = (x, y) if cmp(x, y) <= 0 else (y, x)
         lo = lo_t if cmp(lo_t, a) > 0 else a
         hi = hi_t if cmp(hi_t, b) < 0 else b
-        if cmp(lo, hi) > 0:
+        order = cmp(lo, hi)
+        if order > 0:
             return ("disjoint", ())
-        if lo == hi:
+        if order == 0:
             return ("shared_endpoint", (lo,))
         return ("overlap", (lo, hi))
     if o3 * o4 > 0:
         return ("disjoint", ())
     # the supporting lines are not parallel and meet inside both segments:
-    # intersect them as homogeneous lines a x b and x x y
+    # intersect them as homogeneous lines a x b and x x y.  They meet at
+    # an endpoint of [a, b] iff a or b is on the line xy, and alike for x, y.
     l1 = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
     l2 = (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
     p = tr_reduce(
@@ -251,8 +270,8 @@ def tr_segment_meet(
         l1[2] * l2[0] - l1[0] * l2[2],
         l1[0] * l2[1] - l1[1] * l2[0],
     )
-    kind = "shared_endpoint" if p in (a, b) and p in (x, y) else "point"
-    return (kind, (p,))
+    shared = (o1 == 0 or o2 == 0) and (o3 == 0 or o4 == 0)
+    return ("shared_endpoint" if shared else "point", (p,))
 
 
 def _lex_keys(points: Sequence[Triple]) -> List[Tuple[int, int]]:
@@ -277,29 +296,9 @@ def _angle_keys(dirs: Sequence[Tuple[int, int]]) -> List[int]:
 
 def ray_hit(p: Triple, q: Triple, a: Triple) -> Optional[int]:
     """Signed crossing of the directed segment p -> q with the upward
-    vertical ray from a: -1 passing above a rightward, +1 leftward, 0 none;
-    None when a lies on the closed segment [p, q].
-
-    Ties at the ray's x resolve as if the ray were nudged infinitesimally
-    to +x (half-open rule), so vertices on the ray need no special casing.
-    A segment whose x-range misses a's x is settled without an orientation.
-    """
-    px = p[0] * a[2] - a[0] * p[2]  # sign of p.x - a.x
-    qx = q[0] * a[2] - a[0] * q[2]
-    if (px > 0 and qx > 0) or (px < 0 and qx < 0):
-        return 0
-    if px == 0 and qx == 0:  # vertical, on the ray's line: a on it or not
-        py = p[1] * a[2] - a[1] * p[2]
-        qy = q[1] * a[2] - a[1] * q[2]
-        return None if py * qy <= 0 else 0
-    o = tr_orient(p, q, a)
-    if o == 0:
-        return None
-    if px <= 0 < qx:
-        return -1 if o < 0 else 0
-    if qx <= 0 < px:
-        return 1 if o > 0 else 0
-    return 0
+    vertical ray from a: -1, +1 or 0 by the rule of `tr_locate`, or None
+    when a lies on the closed segment [p, q]."""
+    return tr_locate(((p, q),), a)
 
 
 def closed_segments(points: Sequence[Triple]) -> List[Tuple[Triple, Triple]]:
@@ -313,11 +312,35 @@ def closed_segments(points: Sequence[Triple]) -> List[Tuple[Triple, Triple]]:
 
 def tr_locate(segments: Sequence[Tuple[Triple, Triple]], a: Triple) -> Optional[int]:
     """Winding number around a of a closed polyline given by its segments,
-    or None when a lies on the polyline."""
+    or None when a lies on the polyline.
+
+    Each segment p -> q adds its signed crossing of the upward vertical ray
+    from a: -1 passing above a rightward, +1 leftward.  Ties at the ray's
+    x resolve as if the ray were nudged infinitesimally to +x (half-open
+    rule), so vertices on the ray need no special casing.  A segment whose
+    x-range misses a's x is settled without an orientation.
+    """
+    ax, ay, ad = a
     total = 0
     for p, q in segments:
-        hit = ray_hit(p, q, a)
-        if hit is None:
+        # p and q minus a, over the positive denominators p.D * a.D, q.D * a.D
+        px = p[0] * ad - ax * p[2]
+        qx = q[0] * ad - ax * q[2]
+        if (px > 0 and qx > 0) or (px < 0 and qx < 0):
+            continue
+        py = p[1] * ad - ay * p[2]
+        qy = q[1] * ad - ay * q[2]
+        if px == 0 and qx == 0:  # vertical, on the ray's line: a on it or not
+            if py * qy <= 0:
+                return None
+            continue
+        o = px * qy - py * qx  # sign of orient(p, q, a)
+        if o == 0:
             return None
-        total += hit
+        if px <= 0 < qx:
+            if o < 0:
+                total -= 1
+        elif qx <= 0 < px:
+            if o > 0:
+                total += 1
     return total

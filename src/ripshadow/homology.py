@@ -10,6 +10,17 @@ Euclidean reduction diagonalizes the small remainder.  Both use only
 integer unimodular row and column operations, which keep the invariant
 factors, so the result is exact.
 
+Betti numbers clear (Chen & Kerber 2011): d_{k+1} is reduced before d_k,
+and d_k loses the columns of the rows d_{k+1}'s unit sweep pivoted on.
+When the sweep visits a pivot column, it is the boundary of an integer
+chain, with a unit on its pivot row and no earlier pivot row in its
+support.  Its boundary is zero, so d_k's column on the pivot row is an
+integer combination of d_k's columns on the rest of that support: kept
+rows, or pivot rows of later columns.  The dependency runs in reverse
+sweep order, ending on kept columns, so dropping the pivot rows' columns
+keeps the column lattice of d_k, and with it its Smith diagonal and the
+ranks over Q and GF(2).
+
 Ranks of H1 over Q along a nested chain K_0 c ... c K_m -- each b1(K_i) and
 the rank of H1(K_0) -> H1(K_m), a persistent Betti number -- come from one
 column reduction of d2(K_m) in filtration order (Edelsbrunner, Letscher &
@@ -77,12 +88,18 @@ def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
     operating on them; what is left after the sweep goes to a dense
     Euclidean finish.
     """
+    return _snf_pivots(columns)[0]
+
+
+def _snf_pivots(columns: Sequence[SparseCol]) -> Tuple[List[int], List[int]]:
+    """`snf_diagonal` of the columns, and the rows its unit sweep pivoted
+    on, in sweep order."""
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows: Dict[int, Set[int]] = {}
     for j, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(j)
-    units = 0
+    pivot_rows: List[int] = []
     for c in range(len(columns)):
         col = cols.get(c)
         unit_rows = [r for r, v in col.items() if v == 1 or v == -1] if col else ()
@@ -111,8 +128,9 @@ def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
         for rr in col:
             rows[rr].discard(c)
         del cols[c]
-        units += 1
-    return [1] * units + _dense_snf([col for col in cols.values() if col])
+        pivot_rows.append(r)
+    diag = [1] * len(pivot_rows) + _dense_snf([col for col in cols.values() if col])
+    return diag, pivot_rows
 
 
 def _dense_snf(columns: List[SparseCol]) -> List[int]:
@@ -181,7 +199,8 @@ class BettiProfile:
 
 def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
     """Betti numbers b_0..b_top_dim over the rationals and over GF(2),
-    exactly, from one Smith diagonal per boundary matrix.
+    exactly, from one Smith diagonal per boundary matrix, each d_k cleared
+    by d_{k+1} (module docstring).
 
     Requires the complex to be materialized one dimension above top_dim so
     that the last image rank is honest.
@@ -193,13 +212,18 @@ def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
             f"need dim_cap >= {top_dim + 1}, complex has {c.dim_cap}"
         )
     # a graph's d1 has rank |V| - b0 over every field
-    rank_d1 = len(c.vertices) - len(c.components())
-    q: List[int] = [0, rank_d1]
-    gf2: List[int] = [0, rank_d1]
-    for k in range(2, top_dim + 2):
-        diag = snf_diagonal(boundary_matrix(c, k).columns)
-        q.append(len(diag))
-        gf2.append(sum(d % 2 for d in diag))
+    rank_d1 = len(c.vertices) - c.n_components
+    q: List[int] = [0, rank_d1] + [0] * top_dim
+    gf2: List[int] = [0, rank_d1] + [0] * top_dim
+    cleared: List[int] = []
+    for k in range(top_dim + 1, 1, -1):
+        columns = boundary_matrix(c, k).columns
+        if cleared:  # d_{k+1} pivoted on these k-simplices: drop their columns
+            drop = set(cleared)
+            columns = [col for j, col in enumerate(columns) if j not in drop]
+        diag, cleared = _snf_pivots(columns)
+        q[k] = len(diag)
+        gf2[k] = sum(d % 2 for d in diag)
 
     def betti(ranks: List[int]) -> Tuple[int, ...]:
         return tuple(
@@ -214,7 +238,7 @@ def integer_h1(c: SimplicialComplex) -> SmithDecomposition:
     if c.dim_cap < 2:
         raise InsufficientDimCap("integer_h1 needs dim_cap >= 2")
     n1 = len(c.k_simplices(1))
-    rank_d1 = len(c.vertices) - len(c.components())
+    rank_d1 = len(c.vertices) - c.n_components
     diag = snf_diagonal(boundary_matrix(c, 2).columns)
     rank_d2 = len(diag)
     torsion = tuple(d for d in diag if d > 1)
@@ -285,7 +309,7 @@ def _filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...],
                     g = math.gcd(*col.values())
                     col = {r: v // g for r, v in col.items()}
 
-    z1 = [len(c.edges) - len(c.vertices) + len(c.components()) for c in chain]
+    z1 = [len(c.edges) - len(c.vertices) + c.n_components for c in chain]
     b1 = tuple(z - sum(t <= i for t, _ in kept) for i, z in enumerate(z1))
     n0 = len(chain[0].edges)  # K_0's edges are the first rows
     return b1, z1[0] - sum(p < n0 for _, p in kept)

@@ -476,7 +476,7 @@ def quasi_integer_h1(eq: EmbeddedQuasi) -> SmithDecomposition:
     difference.
     """
     cross, tris = cross_edges_and_triangles(eq)
-    shift = len(set(eq.colors)) - len(eq.complex.components())
+    shift = len(set(eq.colors)) - eq.complex.n_components
     eidx = {e: i for i, e in enumerate(cross)}
     cols: List[Dict[int, int]] = []
     for t in tris:

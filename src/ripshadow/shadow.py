@@ -40,19 +40,30 @@ there, or overlap up to the nearer other endpoint, a vertex the T-junction
 scan adds; so neither pair goes to the kernel.  A vertex goes to the kernel
 only against the edges whose box holds it.
 
+A face's witness candidates are unreduced integer triples: the kernel
+takes any D > 0, so each is tested as it is against the face's ring and
+the nested outer walks, one `tr_locate` pass per ring, and only the one
+that passes is reduced and checked against the shadow vertices.  A
+candidate that is a vertex moves on to the next, so the witness is the
+first candidate that passes all three tests, as if each were reduced.
+
 A witness is covered iff some triangle holds it.  Both witnesses of a face
 are first tested against one inward triangle: a triangle on the Rips edge
 under any dart of the face's ring, with its third vertex left of the dart.
 Its sides are unions of arrangement edges, which no face crosses, and the
-face lies left of the dart, inside it; so it holds the whole face.  A
-witness it does not hold, or of a face without one, goes to the complete
-search: each triangle is filed only under the cell of its first vertex, the
-one of lowest index, and the triangles filed in the 3 x 3 cells around the
-witness's cell are tested.  That search is exact: the side bounds every
-edge's |dx| and |dy|, so each vertex of a triangle holding w lies within one
-side of w in x and in y, and floor division puts it in w's cell or a cell
-next to it.  Each ring a witness is tested against costs one `tr_locate`
-pass.
+face lies left of the dart, inside it; so it holds the whole face.  Side
+tables give it without a search: each triangle is filed once under each of
+its three Rips edges i < j, on the left or right of i -> j as its third
+vertex lies (a collinear triangle on neither), and one orientation per
+triangle decides all three.  The dart runs along i -> j iff it runs the
+same way in lexicographic order, so the first triangle on the dart's side
+of a provenance edge is the inward one.  A witness it does not hold, or of
+a face without one, goes to the complete search: each triangle is filed
+only under the cell of its first vertex, the one of lowest index, and the
+triangles filed in the 3 x 3 cells around the witness's cell are tested.
+That search is exact: the side bounds every edge's |dx| and |dy|, so each
+vertex of a triangle holding w lies within one side of w in x and in y,
+and floor division puts it in w's cell or a cell next to it.
 """
 
 from __future__ import annotations
@@ -297,7 +308,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
 
     # -- witnesses and coverage --
     # Candidates shrink toward a boundary-edge midpoint on the face side;
-    # each candidate is itself an exact integer triple.
+    # each is an exact integer triple, reduced only when accepted.
     outer_walks = [(-w[1][0], w[1][1], w[2]) for w in walks if w[1][0] <= 0]
 
     def witness(d: int, seg: Tuple[Triple, Triple], ring: List, nested: List) -> Triple:
@@ -308,30 +319,39 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         midx, midy = t[0] * h[2] + h[0] * t[2], t[1] * h[2] + h[1] * t[2]
         s_shift = 2
         for _ in range(200):
-            cand = tr_reduce(
-                midx * s_shift + normal[0],
-                midy * s_shift + normal[1],
-                2 * dd * s_shift,
-            )
+            cand = (midx * s_shift + normal[0], midy * s_shift + normal[1], 2 * dd * s_shift)
             s_shift *= 4
             # Inside the ring and off every edge is in the face unless inside a
             # nested component: its outer walk winds around the point and encloses
             # less area, while the face's own and enclosing ones enclose no less.
             # tr_locate is None on the ring, so one pass per ring decides both.
-            if cand in pid or not tr_locate(ring, cand):
+            if not tr_locate(ring, cand):
                 continue
-            if not nested or all(tr_locate(r, cand) == 0 for r in nested):
+            if any(tr_locate(r, cand) != 0 for r in nested):
+                continue
+            cand = tr_reduce(*cand)
+            if cand not in pid:
                 return cand
         raise ConsistencyError("no interior witness found for a bounded face")
 
-    # A witness is covered iff some triangle holds it.  An inward triangle
-    # holds the whole face (module docstring), so it settles most witnesses;
-    # the rest go to the grid search over each triangle's first vertex.
+    # A witness is covered iff some triangle holds it.  An inward triangle,
+    # read off the side tables, holds the whole face (module docstring); the
+    # rest go to the grid search over each triangle's first vertex.
+    # sides[0][i, j] and sides[1][i, j]: the third vertex of the first
+    # triangle left and right of Rips edge i -> j, i < j.  A triangle
+    # p < q < r has r and p on the side of p -> q and q -> r that its
+    # orientation gives, and q on the other side of p -> r.
     triangles = c.k_simplices(2)
-    third: Dict[Tuple[int, int], List[int]] = {}
-    for t in triangles:
-        for k in range(3):
-            third.setdefault(t[:k] + t[k + 1:], []).append(t[k])
+    sides: Tuple[Dict[Tuple[int, int], int], ...] = ({}, {})
+    for p, q, r in triangles:
+        o = tr_orient(tcoords[p], tcoords[q], tcoords[r])
+        if o:
+            left, right = sides if o > 0 else sides[::-1]
+            left.setdefault((p, q), r)
+            right.setdefault((p, r), q)
+            left.setdefault((q, r), p)
+    # does i -> j run up in lexicographic order, as the even darts do?
+    upward = [coords[i] < coords[j] for i, j in rips_edges]
 
     @functools.cache  # filed once, on the first witness no inward triangle holds
     def tris_in() -> Dict[Tuple[int, int], List[Tuple]]:
@@ -344,13 +364,15 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             grid.setdefault(_cell(tri[0], side), []).append(box)
         return grid
 
-    def inward_triangle(darts: List[int], ring: List) -> Optional[Tuple[Triple, ...]]:
-        for d, seg in zip(darts, ring):
+    def inward_triangle(darts: List[int]) -> Optional[Tuple[Triple, ...]]:
+        # the face lies left of each dart: left of i -> j when the dart runs
+        # along it, right of it when the dart runs j -> i
+        for d in darts:
             for a in sedges[d >> 1].provenance:
                 i, j = rips_edges[a]
-                for v in third.get((i, j), ()):
-                    if tr_orient(*seg, tcoords[v]) > 0:
-                        return (tcoords[i], tcoords[j], tcoords[v])
+                v = sides[upward[a] == (d & 1)].get((i, j))  # index 1: runs j -> i
+                if v is not None:
+                    return (tcoords[i], tcoords[j], tcoords[v])
         return None
 
     faces: List[ShadowFace] = []
@@ -358,7 +380,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         nested = [r for n, d, r in outer_walks if cmp_frac(n, d, num, den) < 0]
         w1 = witness(darts[0], ring[0], ring, nested)
         w2 = witness(darts[-1], ring[-1], ring, nested)
-        tri = inward_triangle(darts, ring)
+        tri = inward_triangle(darts)
         cov1 = ((tri is not None and tr_point_in_triangle(w1, *tri) != "outside")
                 or _grid_holds(w1, tris_in(), side))
         cov2 = ((tri is not None and tr_point_in_triangle(w2, *tri) != "outside")
@@ -414,6 +436,17 @@ def _svg_num(x) -> str:
     return f"{float(x):.12g}"
 
 
+def svg_view_box(points: Sequence[Point]) -> Tuple[Fraction, ...]:
+    """The SVG's view box (x, y, width, height) in its flipped frame: the
+    points' bounding box padded by a tenth of its larger side (at least
+    1/10)."""
+    xs = [p[0] for p in points] or [F(0)]
+    ys = [p[1] for p in points] or [F(0)]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    pad = max(x1 - x0, y1 - y0, F(1)) / 10
+    return (x0 - pad, -y1 - pad, x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)
+
+
 def render_svg(
     s: ShadowComplex,
     overlay: Optional[Sequence[Point]] = None,
@@ -424,20 +457,13 @@ def render_svg(
     All geometry was decided exactly upstream; coordinates are emitted as
     12-significant-digit decimals of the exact rationals.
     """
-    xs = [p[0] for p in s.points] or [F(0)]
-    ys = [p[1] for p in s.points] or [F(0)]
-    if overlay:
-        xs += [p[0] for p in overlay]
-        ys += [p[1] for p in overlay]
-    pad = max(max(xs) - min(xs), max(ys) - min(ys), F(1)) / 10
-    x0, y0 = min(xs) - pad, min(ys) - pad
-    w, h = max(xs) - x0 + pad, max(ys) - y0 + pad
+    box = svg_view_box([*s.points, *(overlay or ())])
 
     lines: List[str] = []
     lines.append('<?xml version="1.0" encoding="UTF-8"?>')
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_svg_num(x0)} {_svg_num(-y0 - h)} {_svg_num(w)} {_svg_num(h)}">'
+        f'viewBox="{" ".join(_svg_num(v) for v in box)}">'
     )
     lines.append(
         "<defs><pattern id=\"hatch\" width=\"0.08\" height=\"0.08\" "

@@ -811,7 +811,7 @@ def oracle_pair_report(points, lower, upper, dim_cap: int = 3) -> PairReport:
         bound_ok=rank <= mid_b1,
         lower_b1=betti_numbers(low, 1).q[1],
         upper_b1=betti_numbers(high, 1).q[1],
-        lower_forced_components=len(forced_only.components()),
+        lower_forced_components=forced_only.n_components,
         shadow_mid_betti=shadow_mid,
     )
 

@@ -315,3 +315,28 @@ def test_malformed_point_document_exit_2(tmp_path, capsys, doc, message):
         fx.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run(["rips", "--points", str(fx), "--epsilon", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [["1e400", "0"], ["1e400", "1/2"], ["1e400", "1"]],
+        # each coordinate fits a float, the padded view box does not
+        [["0", "1.7e308"], ["0", "1.79e308"]],
+    ],
+    ids=["coordinate", "view_box"],
+)
+def test_svg_beyond_float_range_exit_2(tmp_path, capsys, shadow_builds, points):
+    fx = tmp_path / "far.json"
+    fx.write_text(json.dumps(_points_doc(points)))
+    svg, out = tmp_path / "s.svg", tmp_path / "s.json"
+    argv = ["shadow", "--points", str(fx), "--epsilon", "1", "--out", str(out)]
+    assert run([*argv, "--svg", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: coordinates beyond float range cannot be drawn in an SVG\n"
+    )
+    assert not svg.exists() and not out.exists()
+    assert shadow_builds == []
+    # the exact analysis itself takes them
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["certificate"]["pass"] is True

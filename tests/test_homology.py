@@ -14,6 +14,7 @@ from ripshadow.homology import (
     betti_numbers,
     boundary_matrix,
     _filtration_h1,
+    _snf_pivots,
     induced_h1_rank,
     integer_h1,
     snf_diagonal,
@@ -24,6 +25,7 @@ from oracles import (
     MOORE3_TRIANGLES,
     RP2_TRIANGLES,
     cycle_basis_columns,
+    dense_boundary,
     dense_rank_gf2,
     dense_rank_q,
     dense_snf,
@@ -206,14 +208,53 @@ def test_betti_insufficient_cap():
 
 
 def test_betti_matches_dense_oracle_random():
+    # at top_dim 3, d4 clears d3 and d3 clears d2
     rng = random.Random(34)
     for _ in range(20):
         c = random_flag(rng, dim_cap=4)
-        top = min(2, c.dim_cap - 1)
+        for top in (2, 3):
+            b = betti_numbers(c, top)
+            for field, got in (("Q", b.q), ("GF2", b.gf2)):
+                want = homology_profile(c.simplices, top, field)
+                assert got == want, (c.counts(), top, field)
+
+
+def _coned_surfaces(rng):
+    """Torsion surfaces plus cones over sets of their triangles, one new
+    apex per cone, and twice over a cone on all tetrahedra (4-simplices)."""
+    for n, tris in ((6, RP2_TRIANGLES), (9, KLEIN_TRIANGLES), (13, MOORE3_TRIANGLES)):
+        picks = [[tris], [tris[:1]], [tris[1:]], [tris[:1], tris[2:5]]]
+        picks += [[rng.sample(tris, rng.randrange(1, len(tris) + 1))
+                   for _ in range(rng.randrange(1, 3))] for _ in range(6)]
+        for p, subsets in enumerate(picks):
+            apex = n + len(subsets)
+            tets = [t + (n + i,) for i, sub in enumerate(subsets) for t in sub]
+            yield explicit_complex(apex, [[], [], tris, tets])
+            if p in (1, 3):
+                yield explicit_complex(apex + 1, [[], [], tris, tets, [t + (apex,) for t in tets]])
+
+
+def test_clearing_keeps_the_smith_diagonal():
+    """Columns of d_k on the rows d_{k+1}'s unit sweep pivoted on are
+    integer combinations of the rest, so dropping them keeps every
+    invariant factor; here the rest keep factors 2 and 3 too."""
+    rng = random.Random(41)
+    torsion = set()
+    for c in _coned_surfaces(rng):
+        for k in range(2, c.dim_cap):
+            low, high = boundary_matrix(c, k), boundary_matrix(c, k + 1)
+            _, pivots = _snf_pivots(high.columns)
+            assert pivots
+            drop = set(pivots)
+            kept = [col for j, col in enumerate(low.columns) if j not in drop]
+            diag = snf_diagonal(kept)
+            assert diag == dense_snf(dense_boundary(low.cols, low.rows)), (c.counts(), k)
+            torsion.update(d for d in diag if d > 1)
+        top = c.dim_cap - 1
         b = betti_numbers(c, top)
         for field, got in (("Q", b.q), ("GF2", b.gf2)):
-            want = homology_profile(c.simplices, top, field)
-            assert got == want, (c.counts(), field)
+            assert got == homology_profile(c.simplices, top, field), (c.counts(), field)
+    assert torsion == {2, 3}
 
 
 def test_gf2_betti_dominates_rational_random():
@@ -270,12 +311,10 @@ def test_integer_h1_matches_snf_oracle_random():
     for _ in range(15):
         c = random_flag(rng)
         h = integer_h1(c)
-        from oracles import dense_boundary
-
         d2 = dense_boundary(c.k_simplices(2), c.k_simplices(1))
         diag = dense_snf(d2) if c.k_simplices(2) else []
         n1 = len(c.k_simplices(1))
-        r1 = len(c.vertices) - len(c.components())
+        r1 = len(c.vertices) - c.n_components
         assert h.rank == n1 - r1 - len(diag)
         assert list(h.torsion) == [d for d in diag if d > 1]
 
@@ -294,7 +333,7 @@ def test_cycle_basis_is_made_of_cycles():
             assert all(v == 0 for v in acc.values())
         assert len(cycle_basis_columns(c, edge_index)) == len(c.edges) - len(
             c.vertices
-        ) + len(c.components())
+        ) + c.n_components
 
 
 def test_induced_rank_cone_kills():

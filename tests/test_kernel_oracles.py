@@ -6,6 +6,10 @@ T-junctions, shared endpoints, vertical and zero-length segments, points
 on the polyline or on a vertex's vertical, and distances exactly equal to
 a half-integer radius all occur often.
 
+Every predicate answers alike for any triple (kX, kY, kD) of a point,
+k >= 1, not only for the reduced one: the shadow tests its witness
+candidates unreduced.
+
 The integer sort keys are checked against `Fraction` sorting and the
 `dir_cmp` oracle on denominators up to 2**40 and components up to 2**60,
 with Farey neighbours (the closest values those sizes allow), ties and
@@ -14,6 +18,7 @@ mixed int, Fraction, bool and float scalars.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,6 +33,7 @@ from ripshadow.geometry import (
     closed_segments,
     from_triple,
     pair_bands,
+    ray_hit,
     scale_points,
     to_triple,
     tr_locate,
@@ -144,6 +150,53 @@ def test_pair_bands_matches_oracle(points, r1, r2):
     bands, den = pair_bands(points, lo, hi)
     got = [(i, j, band, Fraction(slack, den)) for i, j, band, slack in bands]
     assert got == frac_pair_bands(points, lo, hi)
+
+
+# -- any triple of a point -------------------------------------------------
+
+# 1 keeps a triple reduced; any other k scales all three of its integers
+multiplier = st.one_of(st.just(1), st.integers(2, 2**64))
+
+
+def scaled(t, k):
+    return (k * t[0], k * t[1], k * t[2])
+
+
+def meet_kind(*ends):
+    return tr_segment_meet(*ends)[0]
+
+
+@examples
+@given(point, point, point, point, st.lists(multiplier, min_size=4, max_size=4))
+def test_point_predicates_take_any_triple(x, a, b, c, ks):
+    t = [to_triple(p) for p in (x, a, b, c)]
+    s = [scaled(p, k) for p, k in zip(t, ks)]
+    assert tr_orient(*s[1:]) == tr_orient(*t[1:])
+    assert tr_on_segment(*s[:3]) == tr_on_segment(*t[:3])
+    assert tr_point_in_triangle(*s) == tr_point_in_triangle(*t)
+    assert ray_hit(*s[1:3], s[0]) == ray_hit(*t[1:3], t[0])
+
+
+@examples
+@given(
+    st.one_of(st.tuples(segment, segment), t_junction),
+    st.lists(multiplier, min_size=4, max_size=4),
+)
+def test_segment_meet_kind_takes_any_triple(st_pair, ks):
+    t = [to_triple(p) for p in (*st_pair[0], *st_pair[1])]
+    s = [scaled(p, k) for p, k in zip(t, ks)]
+    assert outcome(meet_kind, *s) == outcome(meet_kind, *t)
+
+
+@examples
+@given(polyline_and_point, st.lists(multiplier, min_size=1, max_size=18))
+def test_locate_takes_any_triple(line_x, ks):
+    line, x = line_x
+    segments = closed_segments([to_triple(p) for p in line])
+    k = itertools.cycle(ks)
+    scaled_segments = [(scaled(p, next(k)), scaled(q, next(k))) for p, q in segments]
+    a = to_triple(x)
+    assert tr_locate(scaled_segments, scaled(a, ks[0])) == tr_locate(segments, a)
 
 
 # -- exact sort keys ---------------------------------------------------------

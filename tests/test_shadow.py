@@ -28,6 +28,7 @@ from oracles import (
     frac_on_segment,
     frac_orient,
 )
+from test_golden_reports import DENSE_20
 
 F = Fraction
 
@@ -416,6 +417,30 @@ def test_render_svg_element_counts():
     assert svg.count("<polyline") == 1
     # determinism
     assert svg == render_svg(sh, overlay=[hexc.coords[v] for v in (0, 1, 2, 3, 4, 5, 0)])
+
+
+@pytest.mark.parametrize(
+    "name, grid_searches",
+    [("dense_20", 4), ("ring", 2)],
+)
+def test_inward_triangles_settle_covered_faces(monkeypatch, name, grid_searches):
+    """Each covered face here has an inward triangle, which holds both its
+    witnesses, so the grid search runs only on the two witnesses of each
+    hole.  With the left and right side tables swapped, the grid would
+    still decide every face right; only this count shows it."""
+    pts = {
+        "dense_20": [(F(x, 20), F(y, 20)) for x, y in DENSE_20],
+        "ring": annulus_ring_points(),
+    }[name]
+    searched, grid_holds = [], ripshadow.shadow._grid_holds
+
+    def counted(w, *rest):
+        searched.append(w)
+        return grid_holds(w, *rest)
+
+    monkeypatch.setattr(ripshadow.shadow, "_grid_holds", counted)
+    s = build_shadow(build_rips(pts, F(1), dim_cap=3))
+    assert len(searched) == grid_searches == 2 * shadow_betti(s)[1]
 
 
 @pytest.mark.parametrize("name", ["ring", "crossing"])
