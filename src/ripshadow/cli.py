@@ -146,10 +146,17 @@ def _parse_bound_spec(text: str, seed: int) -> Tuple[UncertaintyInterval, EdgePo
     return interval, _parse_policy(parts[2], seed)
 
 
-def _check_dim_cap(dim_cap: int) -> None:
-    # the H1 and shadow decisions all read the 2-skeleton
+def _check_dim_cap(dim_cap: int, n_points: int) -> None:
+    # the H1 and shadow decisions all read the 2-skeleton.  Every level from
+    # n_points up is empty, yet the flag complex stores one per unit of the
+    # cap and the report lists each: time and memory grow with the cap.
     if dim_cap < 2:
         raise CLIError(EXIT_PARSE, f"--dim-cap must be at least 2, got {dim_cap}")
+    limit = max(3, n_points)
+    if dim_cap > limit:
+        raise CLIError(
+            EXIT_PARSE, f"--dim-cap must be at most max(3, n_points) = {limit}, got {dim_cap}"
+        )
 
 
 def _check_svg_range(points: Sequence[Point]) -> None:
@@ -217,8 +224,8 @@ def _write_report(report: Dict, path: Optional[str]) -> None:
 
 
 def cmd_rips(args) -> int:
-    _check_dim_cap(args.dim_cap)
     points = load_points(args.points)
+    _check_dim_cap(args.dim_cap, len(points))
     c = build_rips(points, _parse_rational(args.epsilon, "epsilon"), args.dim_cap)
     report = {
         "schema": SCHEMA,
@@ -235,8 +242,8 @@ def cmd_rips(args) -> int:
 
 
 def cmd_shadow(args) -> int:
-    _check_dim_cap(args.dim_cap)
     points = load_points(args.points)
+    _check_dim_cap(args.dim_cap, len(points))
     if any(len(p) != 2 for p in points):
         raise CLIError(EXIT_DIMENSION, "shadow analysis needs 2-dimensional points")
     eps = _parse_rational(args.epsilon, "epsilon")

@@ -4,23 +4,30 @@ A planar point is carried as an integer triple (X, Y, D), meaning
 (X/D, Y/D) with D > 0.  `tr_reduce` and `to_triple` give the reduced
 triple, gcd(X, Y, D) = 1, so equal points have equal triples; but the
 predicates take any D > 0 and answer alike for every triple of a point.
-Orientation, on-segment, point-in-triangle, the meet of two segments and
-the vertical-ray crossing are all decided on triples by integer
-cross-multiplication; nothing here touches floating point.  The hot ones,
-`tr_locate`, `tr_point_in_triangle` and the first two orientations of
+Orientation, point location and the meet of two segments are all decided
+on triples by integer cross-multiplication; nothing here touches floating
+point.  The hot ones, `tr_locate` and the first two orientations of
 `tr_segment_meet`, compute their determinants inline, on coordinates taken
 relative to one of the points.  Lexicographic and angular order sort on
 integer keys: each fraction times 2**s, floored, with 2**s above the
 square of every denominator sorted together.  Fractions with such
 denominators are 0 or at least 2**-s apart, so the floors keep their order
-and tie equal values.  `tr_locate` holds the one crossing rule, and
-`ray_hit` is `tr_locate` of one segment: winding numbers, the shadow's
-witness tests and loop words all count it.  It settles a segment whose
-x-range misses the ray by an exact x comparison, and returns None for a
-point on the segment, so one pass over a ring both finds a point on it and
-winds around a point off it.  Callers map rational points onto the kernel
-with `to_triple` (like `scale_points`, it takes an int or Fraction as it is
-and converts only other scalars) and back with `from_triple`.
+and tie equal values.
+
+`tr_locate` is the one point-location rule: None for a point on a
+polyline, else the winding number around it, counted by one vertical-ray
+crossing rule.  It settles a segment whose x-range misses the ray by an
+exact x comparison, so one pass over a ring both finds a point on it and
+winds around a point off it.  Its one-segment form is the on-segment
+test and the signed ray crossing loop words count: x lies on [a, b] iff
+`tr_locate(((a, b),), x) is None`.  Its three-segment form is the
+point-in-triangle test: the closed triangle abc holds x iff
+`tr_locate(((a, b), (b, c), (c, a)), x) != 0`, which for a collinear or
+repeated-vertex triangle is the union of its sides.
+
+Callers map rational points onto the kernel with `to_triple` (like
+`scale_points`, it takes an int or Fraction as it is and converts only
+other scalars) and back with `from_triple`.
 
 `pair_distances` is the one proximity pass, in any dimension, and
 `classify_pairs` the one band rule on it: Rips and quasi-Rips links and the
@@ -177,51 +184,6 @@ def tr_orient(p: Triple, q: Triple, r: Triple) -> int:
     return (s > 0) - (s < 0)
 
 
-def tr_on_segment(x: Triple, a: Triple, b: Triple) -> bool:
-    """True iff x lies on the closed segment [a, b]."""
-    if cmp_frac(a[0], a[2], b[0], b[2]) <= 0:
-        lo, hi = a, b
-    else:
-        lo, hi = b, a
-    if cmp_frac(x[0], x[2], lo[0], lo[2]) < 0 or cmp_frac(x[0], x[2], hi[0], hi[2]) > 0:
-        return False
-    if cmp_frac(a[1], a[2], b[1], b[2]) <= 0:
-        lo, hi = a, b
-    else:
-        lo, hi = b, a
-    if cmp_frac(x[1], x[2], lo[1], lo[2]) < 0 or cmp_frac(x[1], x[2], hi[1], hi[2]) > 0:
-        return False
-    return tr_orient(a, b, x) == 0
-
-
-def tr_point_in_triangle(x: Triple, a: Triple, b: Triple, c: Triple) -> str:
-    """"inside", "boundary" or "outside"; a collinear triangle is the union
-    of its edges."""
-    # each vertex minus x, over its own positive denominator times x's:
-    # det(a', b') has the sign of orient(a, b, x), and the three such
-    # determinants, each times the third vertex's D, sum to orient(a, b, c)
-    # over the common denominator
-    xx, xy, xd = x
-    ax, ay = a[0] * xd - xx * a[2], a[1] * xd - xy * a[2]
-    bx, by = b[0] * xd - xx * b[2], b[1] * xd - xy * b[2]
-    cx, cy = c[0] * xd - xx * c[2], c[1] * xd - xy * c[2]
-    s1 = ax * by - ay * bx
-    s2 = bx * cy - by * cx
-    s3 = cx * ay - cy * ax
-    w = s1 * c[2] + s2 * a[2] + s3 * b[2]
-    if w == 0:
-        if tr_on_segment(x, a, b) or tr_on_segment(x, b, c) or tr_on_segment(x, a, c):
-            return "boundary"
-        return "outside"
-    if w < 0:
-        s1, s2, s3 = -s1, -s2, -s3
-    if s1 < 0 or s2 < 0 or s3 < 0:
-        return "outside"
-    if s1 == 0 or s2 == 0 or s3 == 0:
-        return "boundary"
-    return "inside"
-
-
 def tr_segment_meet(
     a: Triple, b: Triple, x: Triple, y: Triple
 ) -> Tuple[str, Tuple[Triple, ...]]:
@@ -294,13 +256,6 @@ def _angle_keys(dirs: Sequence[Tuple[int, int]]) -> List[int]:
     return keys
 
 
-def ray_hit(p: Triple, q: Triple, a: Triple) -> Optional[int]:
-    """Signed crossing of the directed segment p -> q with the upward
-    vertical ray from a: -1, +1 or 0 by the rule of `tr_locate`, or None
-    when a lies on the closed segment [p, q]."""
-    return tr_locate(((p, q),), a)
-
-
 def closed_segments(points: Sequence[Triple]) -> List[Tuple[Triple, Triple]]:
     """Directed nonzero segments of the polyline through the points, closed
     back to its start unless it already ends there."""
@@ -312,7 +267,8 @@ def closed_segments(points: Sequence[Triple]) -> List[Tuple[Triple, Triple]]:
 
 def tr_locate(segments: Sequence[Tuple[Triple, Triple]], a: Triple) -> Optional[int]:
     """Winding number around a of a closed polyline given by its segments,
-    or None when a lies on the polyline.
+    or None when a lies on the polyline: the one point-location rule (see
+    the module docstring for the segment and triangle forms).
 
     Each segment p -> q adds its signed crossing of the upward vertical ray
     from a: -1 passing above a rightward, +1 leftward.  Ties at the ray's

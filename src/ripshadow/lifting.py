@@ -20,8 +20,8 @@ from .geometry import (
     _lex_keys,
     closed_segments,
     cmp_frac,
-    ray_hit,
     to_triple,
+    tr_locate,
     tr_reduce,
     tr_segment_meet,
 )
@@ -104,7 +104,7 @@ def _ray_word(polyline: Sequence[Triple], rays: Sequence[Triple]) -> HoleWord:
         step = 1 if cmp_frac(q[0], q[2], p[0], p[2]) > 0 else -1
         seg_hits: List[Tuple[int, int, int]] = []
         for idx, a in enumerate(rays):
-            sign = ray_hit(p, q, a)
+            sign = tr_locate(((p, q),), a)
             if sign is None:
                 raise ValueError("polyline passes through an anchor")
             if sign:

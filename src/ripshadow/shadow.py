@@ -32,7 +32,10 @@ closed bounding box meets, a point under the one cell that holds it.
 Nothing is lost: two closed sets that meet share a point, and since floor
 division is monotone, that point's cell lies in the cell range of both
 boxes.  The grid only picks candidates; the kernel decides every predicate
-exactly.
+exactly, and every point location is one `geometry.tr_locate` pass: a
+vertex against an edge's one-segment ring (None: it lies on the edge), a
+witness against its face's ring and the nested walks, and a witness
+against a triangle's three-segment ring (nonzero: the triangle holds it).
 
 Cheaper exact tests settle most candidates first.  Edges whose integer
 bounding boxes are apart cannot meet.  Edges sharing a vertex meet only
@@ -42,7 +45,7 @@ only against the edges whose box holds it.
 
 A face's witness candidates are unreduced integer triples: the kernel
 takes any D > 0, so each is tested as it is against the face's ring and
-the nested outer walks, one `tr_locate` pass per ring, and only the one
+the nested outer walks, one pass per ring, and only the one
 that passes is reduced and checked against the shadow vertices.  A
 candidate that is a vertex moves on to the next, so the witness is the
 first candidate that passes all three tests, as if each were reduced.
@@ -58,9 +61,9 @@ vertex lies (a collinear triangle on neither), and one orientation per
 triangle decides all three.  The dart runs along i -> j iff it runs the
 same way in lexicographic order, so the first triangle on the dart's side
 of a provenance edge is the inward one.  A witness it does not hold, or of
-a face without one, goes to the complete search: each triangle is filed
-only under the cell of its first vertex, the one of lowest index, and the
-triangles filed in the 3 x 3 cells around the witness's cell are tested.
+a face without one, goes to the complete search: each triangle's ring is
+filed only under the cell of its first vertex, the one of lowest index, and
+the rings filed in the 3 x 3 cells around the witness's cell are tested.
 That search is exact: the side bounds every edge's |dx| and |dy|, so each
 vertex of a triangle holding w lies within one side of w in x and in y,
 and floor division puts it in w's cell or a cell next to it.
@@ -85,9 +88,7 @@ from .geometry import (
     from_triple,
     scale_points,
     tr_locate,
-    tr_on_segment,
     tr_orient,
-    tr_point_in_triangle,
     tr_reduce,
     tr_segment_meet,
 )
@@ -142,16 +143,16 @@ def _cell(t: Triple, side: int) -> Tuple[int, int]:
 
 
 def _grid_holds(w: Triple, tris_in: Dict[Tuple[int, int], List[Tuple]], side: int) -> bool:
-    """Does some triangle hold the point w?  tris_in files each triangle,
-    with its integer bounding box, under the cell of tri[0], its vertex of
+    """Does some triangle hold the point w?  tris_in files each triangle's
+    ring, with its integer bounding box, under the cell of its vertex of
     lowest index.  Every vertex of a triangle that holds w lies within side
     of w in x and in y, so in one of the 3 x 3 cells around w's."""
     cx, cy = _cell(w, side)
     x, y, d = w
     return any(
-        tr_point_in_triangle(w, *tri) != "outside"
+        tr_locate(ring, w) != 0
         for cell in [(cx + i, cy + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        for x0, x1, y0, y1, tri in tris_in.get(cell, ())
+        for x0, x1, y0, y1, ring in tris_in.get(cell, ())
         if x0 * d <= x <= x1 * d and y0 * d <= y <= y1 * d
     )
 
@@ -226,7 +227,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             i, j = rips_edges[a]
             x0, x1, y0, y1 = boxes[a]
             if (x0 <= x <= x1 and y0 <= y <= y1 and v not in (i, j)
-                    and tr_on_segment(tv, tcoords[i], tcoords[j])):
+                    and tr_locate(((tcoords[i], tcoords[j]),), tv) is None):
                 splits[a].add(tv)
 
     # -- shadow vertices: deterministic ids in lexicographic point order --
@@ -356,15 +357,14 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     @functools.cache  # filed once, on the first witness no inward triangle holds
     def tris_in() -> Dict[Tuple[int, int], List[Tuple]]:
         grid: Dict[Tuple[int, int], List[Tuple]] = {}
-        for t in triangles:
-            tri = tuple(tcoords[v] for v in t)
-            xs = [p[0] for p in tri]
-            ys = [p[1] for p in tri]
-            box = (min(xs), max(xs), min(ys), max(ys), tri)
-            grid.setdefault(_cell(tri[0], side), []).append(box)
+        for i, j, k in triangles:
+            p, q, r = tcoords[i], tcoords[j], tcoords[k]
+            xs, ys = (p[0], q[0], r[0]), (p[1], q[1], r[1])
+            box = (min(xs), max(xs), min(ys), max(ys), ((p, q), (q, r), (r, p)))
+            grid.setdefault(_cell(p, side), []).append(box)
         return grid
 
-    def inward_triangle(darts: List[int]) -> Optional[Tuple[Triple, ...]]:
+    def inward_triangle(darts: List[int]) -> Optional[Tuple[Tuple[Triple, Triple], ...]]:
         # the face lies left of each dart: left of i -> j when the dart runs
         # along it, right of it when the dart runs j -> i
         for d in darts:
@@ -372,7 +372,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 i, j = rips_edges[a]
                 v = sides[upward[a] == (d & 1)].get((i, j))  # index 1: runs j -> i
                 if v is not None:
-                    return (tcoords[i], tcoords[j], tcoords[v])
+                    p, q, r = tcoords[i], tcoords[j], tcoords[v]
+                    return ((p, q), (q, r), (r, p))
         return None
 
     faces: List[ShadowFace] = []
@@ -381,10 +382,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         w1 = witness(darts[0], ring[0], ring, nested)
         w2 = witness(darts[-1], ring[-1], ring, nested)
         tri = inward_triangle(darts)
-        cov1 = ((tri is not None and tr_point_in_triangle(w1, *tri) != "outside")
-                or _grid_holds(w1, tris_in(), side))
-        cov2 = ((tri is not None and tr_point_in_triangle(w2, *tri) != "outside")
-                or _grid_holds(w2, tris_in(), side))
+        cov1 = (tri is not None and tr_locate(tri, w1) != 0) or _grid_holds(w1, tris_in(), side)
+        cov2 = (tri is not None and tr_locate(tri, w2) != 0) or _grid_holds(w2, tris_in(), side)
         if cov1 != cov2:
             raise ConsistencyError(
                 "coverage flag depends on the witness; arrangement is inconsistent"

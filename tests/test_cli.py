@@ -119,6 +119,36 @@ def test_dim_cap_below_two_exit_2_before_building(tmp_path, capsys, monkeypatch,
     assert "--dim-cap" in capsys.readouterr().err
 
 
+@pytest.fixture
+def rips_builds(monkeypatch):
+    """The dim_cap of each `cli.build_rips` call."""
+    caps, build_rips = [], cli.build_rips
+
+    def counted(points, eps, dim_cap):
+        caps.append(dim_cap)
+        return build_rips(points, eps, dim_cap)
+
+    monkeypatch.setattr(cli, "build_rips", counted)
+    return caps
+
+
+@pytest.mark.parametrize("command", ["rips", "shadow"])
+def test_dim_cap_above_points_exit_2_before_building(tmp_path, capsys, rips_builds, command):
+    # every level from n_points = 6 up is empty; a cap of 10^12 would store
+    # that many empty levels
+    fx, out = tmp_path / "hex.json", tmp_path / "r.json"
+    assert run(["fixture", "--name", "hexagon", "--out", str(fx)]) == 0
+    argv = [command, "--points", str(fx), "--epsilon", "1", "--out", str(out)]
+    assert run([*argv, "--dim-cap", "1000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --dim-cap must be at most max(3, n_points) = 6, got 1000000000000\n"
+    )
+    assert run([*argv, "--dim-cap", "7"]) == 2
+    assert rips_builds == [] and not out.exists()
+    assert run([*argv, "--dim-cap", "6"]) == 0
+    assert rips_builds == [6]
+
+
 def test_quasi_presets(tmp_path):
     out = tmp_path / "q.json"
     assert run(["quasi", "--preset", "rp2", "--interval", "1,3/2",

@@ -9,8 +9,8 @@ from ripshadow.geometry import (
     from_triple,
     make_point,
     to_triple,
+    tr_locate,
     tr_orient,
-    tr_point_in_triangle,
     tr_segment_meet,
 )
 
@@ -147,20 +147,24 @@ def test_transversal_point_on_both_lines_random():
 
 
 def point_in_triangle(x, a, b, c):
-    return tr_point_in_triangle(*map(to_triple, (x, a, b, c)))
+    """tr_locate of x against the ring of triangle abc: None on a side, the
+    winding number (0 outside) off them."""
+    x, a, b, c = map(to_triple, (x, a, b, c))
+    return tr_locate(((a, b), (b, c), (c, a)), x)
 
 
 def test_point_in_triangle_cases():
     a, b, c = P(0, 0), P(1, 0), P(0, 1)
-    assert point_in_triangle(P("1/3", "1/3"), a, b, c) == "inside"
-    assert point_in_triangle(P("1/2", 0), a, b, c) == "boundary"
-    assert point_in_triangle(P(2, 2), a, b, c) == "outside"
+    assert point_in_triangle(P("1/3", "1/3"), a, b, c) == 1
+    assert point_in_triangle(P("1/3", "1/3"), a, c, b) == -1
+    assert point_in_triangle(P("1/2", 0), a, b, c) is None
+    assert point_in_triangle(P(2, 2), a, b, c) == 0
 
 
 def test_point_in_triangle_degenerate():
     a, b, c = P(0, 0), P(1, 0), P(2, 0)
-    assert point_in_triangle(P("1/2", 0), a, b, c) == "boundary"
-    assert point_in_triangle(P(0, 1), a, b, c) == "outside"
+    assert point_in_triangle(P("1/2", 0), a, b, c) is None
+    assert point_in_triangle(P(0, 1), a, b, c) == 0
 
 
 def test_cells_intersect_mixed():

@@ -1,5 +1,8 @@
+import json
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -7,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ripshadow import cli
+from ripshadow.cli import points_to_document
 from ripshadow.complexes import build_rips, explicit_complex, flag_complex
 from ripshadow.homology import (
     InsufficientDimCap,
@@ -19,6 +24,7 @@ from ripshadow.homology import (
     integer_h1,
     snf_diagonal,
 )
+from ripshadow.shadow import build_shadow, shadow_betti
 
 from oracles import (
     KLEIN_TRIANGLES,
@@ -578,3 +584,29 @@ def test_filtration_h1_matches_rips_barcode(cells):
         b1, rank = _filtration_h1([rips[i], rips[j], rips[k]])
         assert b1 == tuple(alive(values[t], values[t]) for t in (i, j, k))
         assert rank == alive(values[i], values[k])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(HALF_GRID, min_size=2, max_size=12, unique=True))
+@example([(x, y) for x in range(4) for y in range(4) if {x, y} & {0, 3}])
+def test_shadow_certificate_at_every_critical_scale(cells):
+    # the shadow half of the barcode check: at each critical scale the
+    # shadow counts the components and the bars alive there, H1 over Z is
+    # free, and the CLI's certificate passes
+    points = [(F(x, 2), F(y, 2)) for x, y in cells]
+    values, scale, bars = rips_h1_barcode(points)
+    with tempfile.TemporaryDirectory() as tmp:
+        fx, out = os.path.join(tmp, "points.json"), os.path.join(tmp, "shadow.json")
+        with open(fx, "w") as fh:
+            json.dump(points_to_document(points), fh)
+        for v in values:
+            eps = _eps_at(v, scale)
+            c = build_rips(points, eps, dim_cap=2)
+            b0 = homology_profile(c.simplices, 0, "Q")[0]
+            alive = sum(1 for birth, death in bars if birth <= v and (death is None or death > v))
+            assert shadow_betti(build_shadow(c)) == (b0, alive)
+            assert integer_h1(c).torsion == ()
+            argv = ["shadow", "--points", fx, "--epsilon", str(eps), "--out", out]
+            assert cli.main(argv) == 0
+            with open(out) as fh:
+                assert json.load(fh)["certificate"]["pass"] is True

@@ -33,13 +33,10 @@ from ripshadow.geometry import (
     closed_segments,
     from_triple,
     pair_bands,
-    ray_hit,
     scale_points,
     to_triple,
     tr_locate,
-    tr_on_segment,
     tr_orient,
-    tr_point_in_triangle,
     tr_segment_meet,
 )
 from ripshadow.lifting import loop_word
@@ -95,6 +92,15 @@ def outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
+# tr_locate's answer as the oracle's location in a closed triangle
+LOCATION = {None: "boundary", 0: "outside", 1: "inside", -1: "inside"}
+
+
+def triangle(a, b, c):
+    """The ring tr_locate reads a triangle abc as."""
+    return ((a, b), (b, c), (c, a))
+
+
 def meet(s, t):
     """tr_segment_meet as the oracle's (kind, point, segment)."""
     kind, pts = tr_segment_meet(*map(to_triple, (*s, *t)))
@@ -102,11 +108,18 @@ def meet(s, t):
     return (kind, pts[0] if len(pts) == 1 else None, pts if len(pts) == 2 else None)
 
 
+O, X = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+
 @examples
 @given(point, point, point)
+@example(O, O, O)  # x on a zero-length segment
+@example(X, O, O)  # x off a zero-length segment
+@example((Fraction(0), Fraction(1)), O, O)  # off it, on its vertical
 def test_orient_and_on_segment_match_oracle(p, q, r):
-    assert tr_orient(*map(to_triple, (p, q, r))) == frac_orient(p, q, r)
-    assert tr_on_segment(*map(to_triple, (p, q, r))) == frac_on_segment(p, q, r)
+    p3, q3, r3 = map(to_triple, (p, q, r))
+    assert tr_orient(p3, q3, r3) == frac_orient(p, q, r)
+    assert (tr_locate(((q3, r3),), p3) is None) == frac_on_segment(p, q, r)
 
 
 @examples
@@ -118,9 +131,18 @@ def test_segment_intersection_matches_oracle(st_pair):
 
 @examples
 @given(point, point, point, point)
+@example(O, O, O, O)  # a == b == c == x
+@example(X, O, O, O)  # a == b == c, x elsewhere
+@example(O, O, O, X)  # a repeated vertex, x on it
+@example((Fraction(1, 2), Fraction(0)), X, O, O)  # a repeated vertex, x on the side
+@example((Fraction(1, 2), Fraction(1, 2)), O, X, O)  # a repeated vertex, x off the side
+@example((Fraction(1, 2), Fraction(0)), O, X, (Fraction(2), Fraction(0)))  # collinear, on
+@example((Fraction(3, 2), Fraction(0)), O, (Fraction(2), Fraction(0)), X)  # collinear, on
+@example((Fraction(1), Fraction(1)), O, X, (Fraction(2), Fraction(0)))  # collinear, off
+@example((Fraction(3), Fraction(0)), O, X, (Fraction(2), Fraction(0)))  # collinear, beyond
 def test_point_in_triangle_matches_oracle(x, a, b, c):
-    got = tr_point_in_triangle(*map(to_triple, (x, a, b, c)))
-    assert got == frac_point_in_triangle(x, a, b, c)
+    x3, a3, b3, c3 = map(to_triple, (x, a, b, c))
+    assert LOCATION[tr_locate(triangle(a3, b3, c3), x3)] == frac_point_in_triangle(x, a, b, c)
 
 
 @examples
@@ -172,9 +194,9 @@ def test_point_predicates_take_any_triple(x, a, b, c, ks):
     t = [to_triple(p) for p in (x, a, b, c)]
     s = [scaled(p, k) for p, k in zip(t, ks)]
     assert tr_orient(*s[1:]) == tr_orient(*t[1:])
-    assert tr_on_segment(*s[:3]) == tr_on_segment(*t[:3])
-    assert tr_point_in_triangle(*s) == tr_point_in_triangle(*t)
-    assert ray_hit(*s[1:3], s[0]) == ray_hit(*t[1:3], t[0])
+    # on [a, b] or the signed crossing of a -> b with the ray from x
+    assert tr_locate((s[1:3],), s[0]) == tr_locate((t[1:3],), t[0])
+    assert tr_locate(triangle(*s[1:]), s[0]) == tr_locate(triangle(*t[1:]), t[0])
 
 
 @examples

@@ -254,7 +254,7 @@ def test_grid_bounds_kernel_calls(monkeypatch):
     # the 200-point quarter-lattice set at eps 1: all-pairs loops would make
     # E(E-1)/2 segment meets and about F*T triangle tests
     calls = Counter()
-    for name in ("tr_segment_meet", "tr_point_in_triangle"):
+    for name in ("tr_segment_meet", "tr_locate"):
         fn = getattr(ripshadow.shadow, name)
 
         def counted(*args, fn=fn, name=name):
@@ -271,7 +271,8 @@ def test_grid_bounds_kernel_calls(monkeypatch):
     n_edges, n_tris = len(c.edges), len(c.k_simplices(2))
     assert (n_edges, n_tris, len(s.faces)) == (785, 1184, 1105)
     assert calls["tr_segment_meet"] <= n_edges * n_edges // 16
-    assert calls["tr_point_in_triangle"] <= len(s.faces) * n_tris // 8
+    # every point location: triangle tests, witness candidates, T-junctions
+    assert calls["tr_locate"] <= len(s.faces) * n_tris // 8
 
 
 @pytest.mark.parametrize("shift", [0, -16], ids=["positive", "negative"])
