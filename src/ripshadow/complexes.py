@@ -5,8 +5,13 @@ vertex indices, in lexicographic order, so every downstream matrix and
 report is reproducible run to run.  The stored levels are the only record of
 the dimension cap: `dim_cap` is the top level's index, so a level beyond the
 complex's dimension is stored empty.  `edge_set` (the edges as a set) and
-`n_components` (the components of the 1-skeleton, counted by one search)
-are built on first read and kept with the complex.
+`n_components` (the components of the 1-skeleton) are built on first read
+and kept with the complex.
+
+`component_counts` is the one component routine: a union-find that counts
+the components of a growing graph after each of a sequence of nested edge
+stages, so a single graph is one stage and a filtration is counted in one
+pass.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ class SimplicialComplex:
     @functools.cached_property
     def n_components(self) -> int:
         """Connected components of the 1-skeleton, counted on first read."""
-        return len(graph_components(self.vertices, self.edges))
+        return component_counts(self.vertices, [self.edges])[0]
 
 
 def graph_adjacency(
@@ -84,29 +89,28 @@ def graph_adjacency(
     return adj
 
 
-def graph_components(
-    vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
-) -> List[Set[int]]:
-    """Vertex sets of a graph's connected components, isolated vertices
-    included, ordered by each component's first vertex in `vertices`."""
-    vertices = list(vertices)
-    adj = graph_adjacency(vertices, edges)
-    seen: Set[int] = set()
-    out: List[Set[int]] = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        out.append(comp)
+def component_counts(
+    vertices: Iterable[int], stages: Iterable[Iterable[Tuple[int, int]]]
+) -> List[int]:
+    """Connected components of a growing graph, isolated vertices included:
+    the count after each stage's edges join those of the stages before.
+
+    One union-find serves every stage, so a chain of nested graphs is
+    counted in one pass over its edges; an edge may recur in later stages.
+    """
+    parent = {v: v for v in vertices}
+    count = len(parent)
+    out: List[int] = []
+    for edges in stages:
+        for i, j in edges:
+            while parent[i] != i:  # path halving
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i != j:
+                parent[i] = j
+                count -= 1
+        out.append(count)
     return out
 
 

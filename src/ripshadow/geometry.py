@@ -31,7 +31,9 @@ other scalars) and back with `from_triple`.
 
 `pair_distances` is the one proximity pass, in any dimension, and
 `classify_pairs` the one band rule on it: Rips and quasi-Rips links and the
-embedding and fixture audits all read the band a pair falls in.
+embedding and fixture audits all read the band a pair falls in.  The pair
+analysis applies the same rule (closed below, open band, banned above) to
+its five radii in one loop over the pass.
 """
 
 from __future__ import annotations

@@ -24,8 +24,13 @@ ranks over Q and GF(2).
 Ranks of H1 over Q along a nested chain K_0 c ... c K_m -- each b1(K_i) and
 the rank of H1(K_0) -> H1(K_m), a persistent Betti number -- come from one
 column reduction of d2(K_m) in filtration order (Edelsbrunner, Letscher &
-Zomorodian 2002; Zomorodian & Carlsson 2005).  The Smith form stays the
-routine for what needs the integer diagonal: torsion and GF(2) ranks.
+Zomorodian 2002; Zomorodian & Carlsson 2005).  `_reduce_filtration` is that
+reduction: it takes only K_m, each edge's and triangle's birth level and
+dim Z1 of each level, so a caller that knows the births (the pair analysis
+tags them while it resolves its pairs) builds no complex below K_m;
+`_filtration_h1` derives them from a chain of complexes after checking it.
+The Smith form stays the routine for what needs the integer diagonal:
+torsion and GF(2) ranks.
 """
 
 from __future__ import annotations
@@ -261,36 +266,54 @@ def induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> int:
 
 def _filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...], int]:
     """b1 over Q of each complex of a nested chain K_0 c ... c K_m, and the
-    rank of H1(K_0) -> H1(K_m), from one column reduction of d2(K_m).
-
-    Rows and columns go in filtration order: by the first complex holding
-    the edge or triangle, lexicographic within it.  Reducing left to right
-    (pivot: the last nonzero row) leaves nonzero columns with distinct
-    pivots; those among K_i's triangles are a basis of B1(K_i), and those
-    whose pivot is an edge of K_0 a basis of B1(K_m) restricted to K_0's
-    edges, which is B1(K_m) meet Z1(K_0) because boundaries are cycles.
-    """
+    rank of H1(K_0) -> H1(K_m): the chain is checked, each edge and triangle
+    tagged with the first complex holding it, and `_reduce_filtration` reads
+    the ranks off d2(K_m)."""
     for sub, sup in zip(chain, chain[1:]):
         _check_containment(sub, sup)
     top = chain[-1]
     if top.dim_cap < 2:
         raise InsufficientDimCap("sup needs its 2-skeleton materialized")
-    d2 = boundary_matrix(top, 2)
     birth: Dict[Simplex, int] = {}
     for i in range(len(chain) - 1, -1, -1):
         birth.update(dict.fromkeys(chain[i].edges + chain[i].k_simplices(2), i))
-    rows = sorted(range(len(d2.rows)), key=lambda r: birth[d2.rows[r]])
+    z1 = [len(c.edges) - len(c.vertices) + c.n_components for c in chain]
+    return _reduce_filtration(
+        top, [birth[e] for e in top.edges], [birth[t] for t in top.k_simplices(2)], z1
+    )
+
+
+def _reduce_filtration(
+    top: SimplicialComplex,
+    edge_birth: Sequence[int],
+    triangle_birth: Sequence[int],
+    z1: Sequence[int],
+) -> Tuple[Tuple[int, ...], int]:
+    """b1 over Q of each level K_0 c ... c K_m of a filtered complex, and the
+    rank of H1(K_0) -> H1(K_m), from one column reduction of d2(K_m).
+
+    `top` is K_m; level i holds the edges and triangles whose birth (listed
+    in `top`'s order) is at most i, and z1[i] is dim Z1(K_i).  Rows and
+    columns go in filtration order: by birth, lexicographic within it.
+    Reducing left to right (pivot: the last nonzero row) leaves nonzero
+    columns with distinct pivots; those among K_i's triangles are a basis of
+    B1(K_i), and those whose pivot is an edge of K_0 a basis of B1(K_m)
+    restricted to K_0's edges, which is B1(K_m) meet Z1(K_0) because
+    boundaries are cycles.
+    """
+    d2 = boundary_matrix(top, 2)
+    rows = sorted(range(len(d2.rows)), key=edge_birth.__getitem__)
     pos = {r: p for p, r in enumerate(rows)}
     pivots: Dict[int, SparseCol] = {}
     kept: List[Tuple[int, int]] = []  # (birth of the triangle, pivot) per nonzero column
-    for j in sorted(range(len(d2.cols)), key=lambda j: birth[d2.cols[j]]):
+    for j in sorted(range(len(d2.cols)), key=triangle_birth.__getitem__):
         col = {pos[r]: v for r, v in d2.columns[j].items()}
         while col:
             p = max(col)
             other = pivots.get(p)
             if other is None:
                 pivots[p] = col
-                kept.append((birth[d2.cols[j]], p))
+                kept.append((triangle_birth[j], p))
                 break
             g = math.gcd(col[p], other[p])
             a, b = col[p] // g, other[p] // g
@@ -309,7 +332,6 @@ def _filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...],
                     g = math.gcd(*col.values())
                     col = {r: v // g for r, v in col.items()}
 
-    z1 = [len(c.edges) - len(c.vertices) + c.n_components for c in chain]
     b1 = tuple(z - sum(t <= i for t, _ in kept) for i, z in enumerate(z1))
-    n0 = len(chain[0].edges)  # K_0's edges are the first rows
+    n0 = sum(1 for b in edge_birth if b == 0)  # K_0's edges are the first rows
     return b1, z1[0] - sum(p < n0 for _, p in kept)

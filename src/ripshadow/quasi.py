@@ -1,11 +1,13 @@
 """Quasi-Rips complexes and the arbitrary-group pipeline.
 
 A quasi-Rips complex forces links below eps, forbids them at eps' and
-beyond, and lets a policy decide inside the open band; a pair analysis
-builds its four complexes from one proximity pass.  The pipeline turns
-a finite group presentation into a properly 3-colored 2-complex, blows it
-up so gluings become joins, and embeds the blowup in the plane with one
-small ball per color.  One proximity pass over that embedding is both
+beyond, and lets a policy decide inside the open band.  A pair analysis
+resolves the chain R_Q c R_mid c R_Q' in one pass over the pairs, with one
+clique enumeration (of R_Q'; R_mid is a filtered level of it, R_Q is never
+built), one staged component count and one filtration reduction.  The
+pipeline turns a finite group presentation into a properly 3-colored
+2-complex, blows it up so gluings become joins, and embeds the blowup in
+the plane with one small ball per color.  One proximity pass over that embedding is both
 audited (same-colour pairs forced, the rest inside the band) and turned
 into the quasi-Rips complex by the same rule `build_quasi` uses, with the
 bichromatic blowup edges as the explicit policy; that complex carries the
@@ -21,7 +23,7 @@ avoiding the cubically many monochromatic triangles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -29,13 +31,20 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .complexes import (
     SimplicialComplex,
     check_distinct_points,
+    component_counts,
     explicit_complex,
     flag_complex,
-    graph_components,
 )
 from .errors import AuditError
-from .geometry import Point, classify_pairs, pair_bands, pair_distances, rational_sqrt
-from .homology import SmithDecomposition, _filtration_h1, betti_numbers, integer_h1, snf_diagonal
+from .geometry import Point, pair_bands, pair_distances, rational_sqrt
+from .homology import (
+    ContainmentError,
+    SmithDecomposition,
+    _reduce_filtration,
+    betti_numbers,
+    integer_h1,
+    snf_diagonal,
+)
 from .shadow import build_shadow, shadow_betti
 
 F = Fraction
@@ -115,13 +124,13 @@ def build_quasi(
     """Flag complex of forced edges plus the policy's picks in the band."""
     check_distinct_points(points)
     bands, _ = pair_bands(points, interval.eps, interval.eps_prime)
-    return _quasi_complex(points, bands, policy, dim_cap)[0]
+    return _quasi_complex(points, bands, policy, dim_cap)
 
 
 def _quasi_complex(
     points: Sequence[Point], bands: Iterable[Tuple[int, ...]], policy: EdgePolicy, dim_cap: int
-) -> Tuple[SimplicialComplex, List[Tuple[int, int]]]:
-    """Quasi complex of classified pairs (the policy decides band 1), and its band-0 edges."""
+) -> SimplicialComplex:
+    """Quasi complex of classified pairs (the policy decides band 1)."""
     forced: List[Tuple[int, int]] = []
     band: List[Tuple[int, int]] = []  # (i, j) order: seeded_random draws a coin per pair
     for i, j, b, _ in bands:
@@ -130,7 +139,7 @@ def _quasi_complex(
         elif b == 1:
             band.append((i, j))
     edges = forced + policy.select(band)
-    return flag_complex(len(points), edges, dim_cap, coords=points, provenance="quasi"), forced
+    return flag_complex(len(points), edges, dim_cap, coords=points, provenance="quasi")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +432,7 @@ def embed_blowup(
         margin = _audit_embedding(bands, den, b.colors)
         if margin is not None:
             cross = EdgePolicy.explicit(e for e in b.edges if b.colors[e[0]] != b.colors[e[1]])
-            rq, _ = _quasi_complex(pts, bands, cross, 1)
+            rq = _quasi_complex(pts, bands, cross, 1)
             return EmbeddedQuasi(complex=rq, colors=b.colors, audit_margin=margin)
         last_error = "distance audit failed"
     raise AuditError(f"embedding failed after {EMBED_ATTEMPTS} seeds: {last_error}")
@@ -601,25 +610,60 @@ def pair_image_analysis(
 
     Disjointness gives R_Q subset R_eps'' subset R_Q' for any eps'' between
     the intervals, so the image rank is bounded by b1 at the midpoint; the
-    report carries the verified bound.  One proximity pass serves R_Q, R_Q',
-    R_eps'' and the forced R_eps; one filtration reduction of d2(R_Q') over
-    the chain R_Q c R_eps'' c R_Q' gives the image rank and the three b1.
-    Nothing here reads a 3-simplex, so every complex is built at dim_cap 2.
+    report carries the verified bound.  One proximity pass resolves every
+    pair once (each policy draws over its own band in (i, j) order) and
+    tags each edge with the first level of R_Q c R_eps'' c R_Q' holding
+    it; a pick that breaks the chain is a ContainmentError naming the pair.
+    All three are flag complexes, so a triangle is born with its last edge:
+    the cliques of R_Q' are enumerated once, at dim_cap 2 since nothing
+    here reads a 3-simplex, R_eps'' is its level 1, and R_Q is never built.
+    One staged union-find counts the components of the forced R_eps and of
+    each level, and one filtration reduction of d2(R_Q') gives the image
+    rank and the three b1.
     """
     li, lp = lower
     ui, up = upper
     if li.eps_prime > ui.eps:
         raise ValueError("uncertainty intervals overlap")
     check_distinct_points(points)
+    n = len(points)
     mid_eps = (li.eps_prime + ui.eps) / 2
     radii = (li.eps, li.eps_prime, ui.eps, ui.eps_prime, mid_eps)
     pairs, (l2, lp2, u2, up2, m2), _ = pair_distances(points, radii)
-    pairs = list(pairs)
-    low, forced = _quasi_complex(points, classify_pairs(pairs, l2, lp2), lp, 2)
-    high, _ = _quasi_complex(points, classify_pairs(pairs, u2, up2), up, 2)
-    mid_edges = [(i, j) for i, j, b, _ in classify_pairs(pairs, m2, m2) if b == 0]
-    mid = flag_complex(len(points), mid_edges, 2, coords=points, provenance="rips")
-    (lower_b1, mid_b1, upper_b1), rank = _filtration_h1([low, mid, high])
+    forced, low_band, mid_edges, high_forced, high_band = [], [], [], [], []
+    for i, j, d2 in pairs:  # the band rule of `classify_pairs`, in (i, j) order
+        if d2 <= l2:
+            forced.append((i, j))
+        elif d2 < lp2:
+            low_band.append((i, j))
+        if d2 <= m2:
+            mid_edges.append((i, j))
+        if d2 <= u2:
+            high_forced.append((i, j))
+        elif d2 < up2:
+            high_band.append((i, j))
+    low_picks = lp.select(low_band)
+    high_edges = high_forced + up.select(high_band)
+    high = flag_complex(n, high_edges, 2, coords=points, provenance="quasi")
+    birth = dict.fromkeys(high.edges, 2)
+    for e in mid_edges:
+        if e not in birth:
+            raise ContainmentError(f"pair {e} of R_mid is missing from R_Q'")
+        birth[e] = 1
+    for e in forced + low_picks:
+        if birth.get(e, 2) == 2:
+            raise ContainmentError(f"pair {e} of R_Q is missing from R_mid")
+        birth[e] = 0
+    edge_birth = [birth[e] for e in high.edges]
+    triangles = high.k_simplices(2)
+    triangle_birth = [max(birth[a, b], birth[a, c], birth[b, c]) for a, b, c in triangles]
+    mid_triangles = tuple(t for t, b in zip(triangles, triangle_birth) if b <= 1)
+    mid_levels = (high.simplices[0], tuple(mid_edges), mid_triangles)
+    mid = replace(high, simplices=mid_levels, provenance="rips")
+    components = component_counts(range(n), [forced, low_picks, mid_edges, high.edges])
+    sizes = (edge_birth.count(0), len(mid_edges), len(high.edges))
+    z1 = [e - n + c for e, c in zip(sizes, components[1:])]
+    (lower_b1, mid_b1, upper_b1), rank = _reduce_filtration(high, edge_birth, triangle_birth, z1)
     shadow_mid = None
     if all(len(p) == 2 for p in points):
         shadow_mid = shadow_betti(build_shadow(mid))
@@ -630,6 +674,6 @@ def pair_image_analysis(
         bound_ok=rank <= mid_b1,
         lower_b1=lower_b1,
         upper_b1=upper_b1,
-        lower_forced_components=len(graph_components(range(len(points)), forced)),
+        lower_forced_components=components[0],
         shadow_mid_betti=shadow_mid,
     )

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .complexes import SimplicialComplex, graph_components
+from .complexes import SimplicialComplex, component_counts
 from .errors import ConsistencyError
 from .geometry import (
     Point,
@@ -258,9 +258,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     )
 
     # -- connected components of the 1-skeleton (isolated vertices count) --
-    n_components = len(
-        graph_components(range(len(spoints)), [(e.u, e.v) for e in sedges])
-    )
+    n_components = component_counts(range(len(spoints)), [edge_prov])[0]
 
     # -- per-dart tables: dart 2e runs u -> v along edge e, dart 2e + 1 back --
     # Around each vertex its outgoing darts sorted CCW; a walk leaves the

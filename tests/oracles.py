@@ -159,6 +159,30 @@ def brute_force_cliques(n: int, edges: set, max_size: int) -> Dict[int, set]:
     return out
 
 
+def bfs_component_count(vertices, edges) -> int:
+    """Connected components of a graph, isolated vertices included, by
+    breadth-first search from each unvisited vertex in turn."""
+    vertices = list(vertices)
+    seen: Set[int] = set()
+    count = 0
+    for start in vertices:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            reached = []
+            for u in frontier:
+                for a, b in edges:
+                    for x, y in ((a, b), (b, a)):
+                        if x == u and y not in seen:
+                            seen.add(y)
+                            reached.append(y)
+            frontier = reached
+    return count
+
+
 def homology_profile(
     simplices: Sequence[Sequence[tuple]], top_dim: int, field: str
 ) -> Tuple[int, ...]:

@@ -3,10 +3,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ripshadow.complexes import (
     DuplicatePointError,
     build_rips,
+    component_counts,
     explicit_complex,
     flag_complex,
     induced_span,
@@ -20,7 +23,13 @@ from ripshadow.quasi import (
     flag_blowup,
 )
 
-from oracles import NonFlagError, brute_force_cliques, build_cech_1d, cone_apex
+from oracles import (
+    NonFlagError,
+    bfs_component_count,
+    brute_force_cliques,
+    build_cech_1d,
+    cone_apex,
+)
 
 F = Fraction
 
@@ -152,6 +161,51 @@ def test_induced_span_octahedron_equator():
     assert len(span.edges) == 4
     assert span.k_simplices(2) == ()
     assert set(span.edges) == {(0, 1), (0, 4), (1, 3), (3, 4)}
+
+
+@st.composite
+def staged_graphs(draw):
+    """Distinct, non-contiguous vertex ids and edge stages over them; an
+    edge may recur within a stage or in a later one."""
+    vertices = draw(st.lists(st.integers(-5, 60), unique=True, max_size=12))
+    pairs = list(combinations(vertices, 2))
+    stage = st.lists(st.sampled_from(pairs), max_size=8) if pairs else st.just([])
+    stages = draw(st.lists(stage, max_size=4))
+    return vertices, stages
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(staged_graphs())
+def test_component_counts_match_bfs_at_every_stage(graph):
+    vertices, stages = graph
+    counts = component_counts(vertices, stages)
+    assert len(counts) == len(stages)
+    union = []
+    for stage, count in zip(stages, counts):
+        union += stage
+        assert count == bfs_component_count(vertices, union)
+    assert all(a >= b for a, b in zip([len(vertices)] + counts, counts))
+
+
+def test_component_counts_isolated_vertices():
+    assert component_counts(range(5), [[]]) == [5]
+    assert component_counts(range(5), []) == []
+    assert component_counts([], [[]]) == [0]
+    assert component_counts(range(5), [[(0, 1)], [], [(3, 4), (1, 0)], [(2, 4)]]) == [4, 4, 3, 2]
+
+
+def test_n_components_of_explicit_complexes_matches_bfs():
+    # explicit complexes keep only the vertex ids their simplices name
+    c = explicit_complex(10, [[(2,), (7,), (9,)], [(7, 2)]])
+    assert c.vertices == (2, 7, 9)
+    assert c.n_components == 2
+    rng = random.Random(11)
+    for _ in range(40):
+        ids = rng.sample(range(30), rng.randrange(1, 9))
+        edges = [e for e in combinations(sorted(ids), 2) if rng.random() < 0.25]
+        tris = [t for t in combinations(sorted(ids), 3) if rng.random() < 0.05]
+        c = explicit_complex(30, [[(v,) for v in ids], edges, tris])
+        assert c.n_components == bfs_component_count(c.vertices, c.edges)
 
 
 def test_cone_apex_triangle_and_square():

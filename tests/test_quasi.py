@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -10,7 +11,7 @@ from ripshadow import geometry
 from ripshadow.complexes import build_rips, explicit_complex, flag_complex
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
 from ripshadow.geometry import dist2, pair_bands
-from ripshadow.homology import betti_numbers, integer_h1
+from ripshadow.homology import ContainmentError, betti_numbers, integer_h1
 from ripshadow.quasi import (
     EdgePolicy,
     GroupPresentation,
@@ -28,7 +29,9 @@ from ripshadow.quasi import (
     run_pipeline,
 )
 
-from oracles import oracle_pair_report
+from ripshadow.shadow import build_shadow
+
+from oracles import frac_pair_bands, oracle_pair_report
 
 F = Fraction
 
@@ -452,6 +455,108 @@ def test_pair_analysis_measures_each_pair_once(monkeypatch):
     )
     n = len(ring)
     assert len(calls) == n * (n - 1) // 2
+
+
+def _policy_modes(rng, pts, interval, seed):
+    """A policy of each mode for `interval` on pts; the explicit one picks
+    half of the band's pairs."""
+    bands = frac_pair_bands(pts, interval.eps, interval.eps_prime)
+    band = [(i, j) for i, j, b, _ in bands if b == 1]
+    return [
+        EdgePolicy.none(),
+        EdgePolicy.all(),
+        EdgePolicy.seeded_random(seed, F(1, 2)),
+        EdgePolicy.explicit(rng.sample(band, len(band) // 2)),
+    ]
+
+
+def _chain_cases(rng, count):
+    """Most of the lattice ring around the square [0, 3]^2 plus a stray
+    point, with radii 1 < b < c that pairs realise: odd cases get the
+    touching intervals (1, b) and (b, c), even ones a gap around b."""
+    square = [P(x, y) for x in range(4) for y in range(4) if {x, y} & {0, 3}]
+    for t in range(count):
+        pts = sorted(set(rng.sample(square, rng.randrange(9, 13)) + grid_points(rng, 1, den=2)))
+        radii = realised_distances(pts)
+        b = rng.choice([r for r in radii if 1 < r <= 2])
+        c = rng.choice([r for r in radii if b < r <= 3])
+        h = 0 if t % 2 else (b - 1) / 2
+        yield t, pts, UncertaintyInterval(F(1), b - h), UncertaintyInterval(b + h, c + h)
+
+
+def test_pair_chain_matches_oracle_under_every_policy_mode():
+    rng = random.Random(75)
+    for t, pts, li, ui in _chain_cases(rng, 6):
+        for lp in _policy_modes(rng, pts, li, t):
+            for up in _policy_modes(rng, pts, ui, t + 99):
+                lower, upper = (li, lp), (ui, up)
+                assert pair_image_analysis(pts, lower, upper) == oracle_pair_report(
+                    pts, lower, upper, dim_cap=2
+                )
+
+
+def test_pair_gives_the_shadow_the_midpoint_rips_complex(monkeypatch):
+    from ripshadow import quasi
+
+    seen = []
+
+    def capture(c):
+        seen.append(c)
+        return build_shadow(c)
+
+    monkeypatch.setattr(quasi, "build_shadow", capture)
+    rng = random.Random(76)
+    for t, pts, li, ui in _chain_cases(rng, 8):
+        lower = (li, EdgePolicy.seeded_random(t, F(1, 2)))
+        rep = pair_image_analysis(pts, lower, (ui, EdgePolicy.all()))
+        (mid,) = seen
+        seen.clear()
+        want = build_rips(pts, rep.mid_eps, 2)
+        assert (mid.simplices, mid.coords, mid.provenance) == (
+            want.simplices, want.coords, want.provenance
+        )
+        assert mid == want
+
+
+class _Picks(EdgePolicy):
+    """A policy that picks its pairs whatever the band holds."""
+
+    def select(self, band_pairs):
+        return sorted(self.edges)
+
+
+def test_pair_rejects_a_lower_pick_outside_the_midpoint_complex():
+    pts = [P(0, 0), P(1, 0), P(3, 0), P(10, 0)]
+    lower = UncertaintyInterval(F(1, 2), F(3, 2))
+    upper = (UncertaintyInterval(F(5, 2), F(4)), EdgePolicy.all())  # midpoint 2
+    # (0, 2) at distance 3 is in R_Q' but not in R_mid; (0, 3) is in neither
+    for pair in [(0, 2), (0, 3)]:
+        picks = _Picks(mode="picks", edges=frozenset([pair]))
+        with pytest.raises(ContainmentError, match=re.escape(f"pair {pair} of R_Q")):
+            pair_image_analysis(pts, (lower, picks), upper)
+    # a pick outside the lower band but inside R_mid keeps the chain nested
+    picks = _Picks(mode="picks", edges=frozenset([(1, 2)]))
+    assert pair_image_analysis(pts, (lower, picks), upper).lower_b1 == 0
+
+
+def test_pair_enumerates_the_cliques_of_the_upper_complex_only(monkeypatch):
+    from ripshadow import complexes
+
+    ring = annulus_ring_points()
+    lower = (UncertaintyInterval(F(7, 10), F(9, 10)), EdgePolicy.none())
+    upper = (UncertaintyInterval(F(19, 10), F(11, 5)), EdgePolicy.all())
+    high_edges = list(build_quasi(ring, *upper, dim_cap=2).edges)
+    enumerate_cliques = complexes._cliques_from_graph
+    enumerated = []
+
+    def counted(vertices, edges, dim_cap):
+        edges = list(edges)
+        enumerated.append((sorted(edges), dim_cap))
+        return enumerate_cliques(vertices, edges, dim_cap)
+
+    monkeypatch.setattr(complexes, "_cliques_from_graph", counted)
+    pair_image_analysis(ring, lower, upper)
+    assert enumerated == [(high_edges, 2)]
 
 
 def test_mono_claim_on_presets():
