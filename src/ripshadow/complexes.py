@@ -1,4 +1,4 @@
-"""Rips, Cech (1-D), and general flag complexes.
+"""Rips and general flag complexes.
 
 A SimplicialComplex stores its simplices per dimension as sorted tuples of
 vertex indices, in lexicographic order, so every downstream matrix and
@@ -21,13 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .geometry import Point, _exact, pair_bands
+from .geometry import DuplicatePointError, Point, pair_bands  # the error is re-exported
 
 Simplex = Tuple[int, ...]
-
-
-class DuplicatePointError(ValueError):
-    """Two identical points make the shadow projection degenerate on an edge."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,7 @@ class SimplicialComplex:
     simplices: Tuple[Tuple[Simplex, ...], ...]  # simplices[k] = k-simplices, sorted
     flag: bool
     coords: Optional[Tuple[Point, ...]] = None
-    provenance: str = "explicit"  # "rips" | "quasi" | "cech1d" | "explicit"
+    provenance: str = "explicit"  # "rips" | "quasi" | "explicit"; test oracles add "cech1d"
 
     def k_simplices(self, k: int) -> Tuple[Simplex, ...]:
         if k < 0 or k >= len(self.simplices):
@@ -192,26 +188,15 @@ def explicit_complex(
     )
 
 
-def check_distinct_points(points: Sequence[Point]) -> None:
-    seen: Dict[Point, int] = {}
-    for idx, p in enumerate(points):
-        key = _exact(p)
-        if key in seen:
-            raise DuplicatePointError(
-                f"points {seen[key]} and {idx} coincide; distinct points required"
-            )
-        seen[key] = idx
-
-
 def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> SimplicialComplex:
     """Vietoris-Rips complex at scale eps (closed threshold: d <= eps).
 
-    Edges are the pairs in band 0 of `pair_bands`; simplices are exactly the
-    cliques of the proximity graph up to dim_cap.
+    Edges are the pairs in band 0 of `pair_bands`, which refuses coincident
+    points; simplices are exactly the cliques of the proximity graph up to
+    dim_cap.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    check_distinct_points(points)
     bands, _ = pair_bands(points, eps, eps)
     edges = [(i, j) for i, j, band, _ in bands if band == 0]
     return flag_complex(len(points), edges, dim_cap, coords=points, provenance="rips")

@@ -29,8 +29,10 @@ Callers map rational points onto the kernel with `to_triple` (like
 `scale_points`, it takes an int or Fraction as it is and converts only
 other scalars) and back with `from_triple`.
 
-`pair_distances` is the one proximity pass, in any dimension, and
-`classify_pairs` the one band rule on it: Rips and quasi-Rips links and the
+`pair_distances` is the one proximity pass, in any dimension, and the one
+judge of point coincidence: the complexes are built on a set of points, so
+it refuses the first pair, in lexicographic order, at squared distance 0.
+`pair_bands` is the one band rule on it: Rips and quasi-Rips links and the
 embedding and fixture audits all read the band a pair falls in.  The pair
 analysis applies the same rule (closed below, open band, banned above) to
 its five radii in one loop over the pass.
@@ -49,6 +51,10 @@ Triple = Tuple[int, int, int]  # (X, Y, D): the point (X/D, Y/D), D > 0
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class DuplicatePointError(ValueError):
+    """Two input points coincide: the complexes are built on a set of points."""
 
 
 def _exact(p: Iterable) -> Point:
@@ -92,7 +98,8 @@ def pair_distances(
 ) -> Tuple[Iterator[Tuple[int, int, int]], List[int], int]:
     """An iterator over (i, j, d2) for every pair i < j in lexicographic
     order, the squared radii, and the common denominator den of both:
-    d2 / den and r2 / den are the true squares."""
+    d2 / den and r2 / den are the true squares.  The iterator raises
+    DuplicatePointError at the first pair with d2 = 0."""
     # the radii are rescaled with the points, so every comparison is on integers
     ipts, scale = scale_points([*points, tuple(radii)])
     iradii = ipts.pop()
@@ -100,36 +107,38 @@ def pair_distances(
     def pairs() -> Iterator[Tuple[int, int, int]]:
         for i, p in enumerate(ipts):
             for j in range(i + 1, len(ipts)):
-                yield i, j, dist2(p, ipts[j])
+                d2 = dist2(p, ipts[j])
+                if not d2:
+                    raise DuplicatePointError(
+                        f"points {i} and {j} coincide; distinct points required"
+                    )
+                yield i, j, d2
 
     return pairs(), [r * r for r in iradii], scale * scale
-
-
-def classify_pairs(
-    pairs: Iterable[Tuple[int, int, int]], lo2: int, hi2: int
-) -> Iterator[Tuple[int, int, int, int]]:
-    """(i, j, band, slack) of every (i, j, d2) against squared radii lo2 <= hi2.
-
-    Band 0 is d <= lo, band 2 is d >= hi (and not band 0), band 1 the open
-    band between.  The slack is the squared-distance gap to the radius
-    bounding the band: lo^2 - d^2, d^2 - hi^2, or the nearer of the two.
-    """
-    for i, j, d2 in pairs:
-        if d2 <= lo2:
-            yield i, j, 0, lo2 - d2
-        elif d2 < hi2:
-            yield i, j, 1, min(d2 - lo2, hi2 - d2)
-        else:
-            yield i, j, 2, d2 - hi2
 
 
 def pair_bands(
     points: Sequence[Point], lo: Scalar, hi: Scalar
 ) -> Tuple[Iterator[Tuple[int, int, int, int]], int]:
-    """`classify_pairs` of every pair against radii lo <= hi, and the
-    common denominator of the slacks."""
+    """An iterator over (i, j, band, slack) for every pair of the proximity
+    pass against radii lo <= hi, and the common denominator of the slacks.
+
+    Band 0 is d <= lo, band 2 is d >= hi (and not band 0), band 1 the open
+    band between.  The slack is the squared-distance gap to the radius
+    bounding the band: lo^2 - d^2, d^2 - hi^2, or the nearer of the two.
+    """
     pairs, (lo2, hi2), den = pair_distances(points, (lo, hi))
-    return classify_pairs(pairs, lo2, hi2), den
+
+    def bands() -> Iterator[Tuple[int, int, int, int]]:
+        for i, j, d2 in pairs:
+            if d2 <= lo2:
+                yield i, j, 0, lo2 - d2
+            elif d2 < hi2:
+                yield i, j, 1, min(d2 - lo2, hi2 - d2)
+            else:
+                yield i, j, 2, d2 - hi2
+
+    return bands(), den
 
 
 def rational_sqrt(x: Fraction, bits: int = 32) -> Fraction:

@@ -7,10 +7,10 @@ clique enumeration (of R_Q'; R_mid is a filtered level of it, R_Q is never
 built), one staged component count and one filtration reduction.  The
 pipeline turns a finite group presentation into a properly 3-colored
 2-complex, blows it up so gluings become joins, and embeds the blowup in
-the plane with one small ball per color.  One proximity pass over that embedding is both
-audited (same-colour pairs forced, the rest inside the band) and turned
-into the quasi-Rips complex by the same rule `build_quasi` uses, with the
-bichromatic blowup edges as the explicit policy; that complex carries the
+the plane with one small ball per color.  One proximity pass over that
+embedding is audited: same-colour pairs forced, the rest inside the band.
+The audit's forced pairs plus the bichromatic blowup edges, the band pairs
+the construction picks, are then the quasi-Rips complex; it carries the
 group's H1 (plus free rank), which integer Smith normal form certifies.
 
 H1 of an embedded quasi complex is computed relative to the three color
@@ -28,15 +28,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .complexes import (
-    SimplicialComplex,
-    check_distinct_points,
-    component_counts,
-    explicit_complex,
-    flag_complex,
-)
+from .complexes import SimplicialComplex, component_counts, explicit_complex, flag_complex
 from .errors import AuditError
-from .geometry import Point, pair_bands, pair_distances, rational_sqrt
+from .geometry import DuplicatePointError, Point, pair_bands, pair_distances, rational_sqrt
 from .homology import (
     ContainmentError,
     SmithDecomposition,
@@ -122,15 +116,7 @@ def build_quasi(
     dim_cap: int = 3,
 ) -> SimplicialComplex:
     """Flag complex of forced edges plus the policy's picks in the band."""
-    check_distinct_points(points)
     bands, _ = pair_bands(points, interval.eps, interval.eps_prime)
-    return _quasi_complex(points, bands, policy, dim_cap)
-
-
-def _quasi_complex(
-    points: Sequence[Point], bands: Iterable[Tuple[int, ...]], policy: EdgePolicy, dim_cap: int
-) -> SimplicialComplex:
-    """Quasi complex of classified pairs (the policy decides band 1)."""
     forced: List[Tuple[int, int]] = []
     band: List[Tuple[int, int]] = []  # (i, j) order: seeded_random draws a coin per pair
     for i, j, b, _ in bands:
@@ -364,9 +350,9 @@ class EmbeddedQuasi:
 
     `complex` holds the 1-skeleton (its flag completion is the quasi-Rips
     complex; monochromatic cliques are huge, so higher skeleta stay
-    implicit), built by `_quasi_complex` from the proximity pass the
-    distance audit read; its `coords` are the embedded points.  `colors` is
-    the blowup's color of each vertex.
+    implicit): the forced pairs of the audited proximity pass plus the
+    bichromatic blowup edges.  Its `coords` are the embedded points.
+    `colors` is the blowup's color of each vertex.
     """
 
     complex: SimplicialComplex
@@ -382,12 +368,15 @@ def embed_blowup(
     """Place blowup vertices in three small balls at the corners of a
     near-equilateral rational triangle of side (eps+eps')/2.
 
-    Ball radius is (eps'-eps)/8, half the construction's upper bound, so
-    different-color distances land strictly inside the open band; the audit
-    checks every pair exactly and the placement retries with derived seeds
-    on the (theoretically impossible) failure.  An interval too wide for
-    that radius, or too narrow for the rational height, is a ValueError
-    before any point is placed.
+    Each vertex gets one seeded draw in its ball.  Ball radius is
+    (eps'-eps)/8, half the construction's upper bound, so
+    different-color distances land strictly inside the open band; one
+    proximity pass checks every pair exactly.  A coincident draw or a
+    failed band audit fails the attempt, and the placement retries with
+    the next derived seed; after EMBED_ATTEMPTS failures it is an
+    AuditError naming the last one.  An interval too wide for that radius,
+    or too narrow for the rational height, is a ValueError before any
+    point is placed.
     """
     eps, eps_p = interval.eps, interval.eps_prime
     rho = (eps_p - eps) / 8
@@ -409,30 +398,21 @@ def embed_blowup(
     for attempt in range(EMBED_ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
         pts: List[Point] = []
-        used: Set[Point] = set()
-        ok = True
         for v in range(b.n_vertices):
             cx, cy = corners[b.colors[v]]
-            for _ in range(64):
-                dx = rho * F(rng.randrange(-grid, grid + 1), 2 * grid)
-                dy = rho * F(rng.randrange(-grid, grid + 1), 2 * grid)
-                cand = (cx + dx, cy + dy)
-                if cand not in used:
-                    used.add(cand)
-                    pts.append(cand)
-                    break
-            else:
-                ok = False
-                break
-        if not ok:
-            last_error = "could not place distinct points"
+            dx = rho * F(rng.randrange(-grid, grid + 1), 2 * grid)
+            dy = rho * F(rng.randrange(-grid, grid + 1), 2 * grid)
+            pts.append((cx + dx, cy + dy))
+        bands, den = pair_bands(pts, eps, eps_p)
+        try:
+            audited = _audit_embedding(bands, den, b.colors)
+        except DuplicatePointError as exc:
+            last_error = str(exc)
             continue
-        pairs, den = pair_bands(pts, eps, eps_p)
-        bands = list(pairs)
-        margin = _audit_embedding(bands, den, b.colors)
-        if margin is not None:
-            cross = EdgePolicy.explicit(e for e in b.edges if b.colors[e[0]] != b.colors[e[1]])
-            rq = _quasi_complex(pts, bands, cross, 1)
+        if audited is not None:
+            forced, margin = audited
+            cross = [e for e in b.edges if b.colors[e[0]] != b.colors[e[1]]]
+            rq = flag_complex(len(pts), forced + cross, 1, coords=pts, provenance="quasi")
             return EmbeddedQuasi(complex=rq, colors=b.colors, audit_margin=margin)
         last_error = "distance audit failed"
     raise AuditError(f"embedding failed after {EMBED_ATTEMPTS} seeds: {last_error}")
@@ -440,15 +420,19 @@ def embed_blowup(
 
 def _audit_embedding(
     bands: Iterable[Tuple[int, ...]], den: int, colors: Sequence[int]
-) -> Optional[Fraction]:
-    """Smallest slack, or None unless same-colour pairs are in band 0 and the rest in band 1."""
+) -> Optional[Tuple[List[Tuple[int, int]], Fraction]]:
+    """The band-0 pairs and the smallest slack, or None unless same-colour
+    pairs are in band 0 and the rest in band 1."""
+    forced: List[Tuple[int, int]] = []
     margin: Optional[int] = None
     for i, j, band, slack in bands:
         if band != (0 if colors[i] == colors[j] else 1):
             return None
+        if band == 0:
+            forced.append((i, j))
         if margin is None or slack < margin:
             margin = slack
-    return None if margin is None else F(margin, den)
+    return None if margin is None else (forced, F(margin, den))
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +609,12 @@ def pair_image_analysis(
     ui, up = upper
     if li.eps_prime > ui.eps:
         raise ValueError("uncertainty intervals overlap")
-    check_distinct_points(points)
     n = len(points)
     mid_eps = (li.eps_prime + ui.eps) / 2
     radii = (li.eps, li.eps_prime, ui.eps, ui.eps_prime, mid_eps)
     pairs, (l2, lp2, u2, up2, m2), _ = pair_distances(points, radii)
     forced, low_band, mid_edges, high_forced, high_band = [], [], [], [], []
-    for i, j, d2 in pairs:  # the band rule of `classify_pairs`, in (i, j) order
+    for i, j, d2 in pairs:  # the band rule of `pair_bands`, in (i, j) order
         if d2 <= l2:
             forced.append((i, j))
         elif d2 < lp2:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ripshadow.complexes import Simplex, SimplicialComplex, check_distinct_points, flag_complex
+from ripshadow.complexes import Simplex, SimplicialComplex, flag_complex
 from ripshadow.geometry import scale_points
 from ripshadow.homology import SparseCol, betti_numbers, boundary_matrix
 from ripshadow.lifting import LiftError, loop_word
@@ -377,11 +377,14 @@ MOORE3_TRIANGLES = [
 
 def frac_pair_bands(points, lo, hi) -> List[Tuple[int, int, int, Fraction]]:
     """(i, j, band, slack) per pair i < j: squared Fraction distances
-    compared against lo^2 and hi^2, slack a Fraction."""
+    compared against lo^2 and hi^2, slack a Fraction.  The first pair at
+    distance 0 is a ValueError."""
     lo2, hi2 = Fraction(lo) ** 2, Fraction(hi) ** 2
     out = []
     for i, j in combinations(range(len(points)), 2):
         d2 = sum((Fraction(a) - b) ** 2 for a, b in zip(points[i], points[j]))
+        if d2 == 0:
+            raise ValueError(f"points {i} and {j} coincide; distinct points required")
         if d2 <= lo2:
             out.append((i, j, 0, lo2 - d2))
         elif d2 >= hi2:
@@ -756,7 +759,9 @@ def build_cech_1d(points, eps, dim_cap: int = 3):
     """
     if any(len(p) != 1 for p in points):
         raise ValueError("build_cech_1d requires 1-dimensional points")
-    check_distinct_points(points)
+    for i, j in combinations(range(len(points)), 2):
+        if Fraction(points[i][0]) == Fraction(points[j][0]):
+            raise ValueError(f"points {i} and {j} coincide; distinct points required")
     eps = Fraction(eps)
     n = len(points)
     order = sorted(range(n), key=lambda i: points[i][0])

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ripshadow import cli
+from ripshadow import cli, complexes, quasi
 from ripshadow.cli import main, points_to_document, document_to_points
-from ripshadow.complexes import build_rips
+from ripshadow.complexes import DuplicatePointError, build_rips
 from ripshadow.fixtures import hexagon_points
+from ripshadow.quasi import EdgePolicy, UncertaintyInterval, build_quasi, pair_image_analysis
 
 F = Fraction
 
@@ -52,6 +53,49 @@ def test_rips_duplicate_points_exit_2(tmp_path, capsys):
                               "points": [["0", "0"], ["0", "0"]]}))
     assert run(["rips", "--points", str(fx), "--epsilon", "1"]) == 2
     assert "coincide" in capsys.readouterr().err
+
+
+# A B B A: the pairs (0, 3) and (1, 2) both coincide, and (0, 3) comes first
+# in the lexicographic order of the proximity pass
+ABBA = [(F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(0)), (F(0), F(0))]
+LOWER = (UncertaintyInterval(F(7, 10), F(9, 10)), EdgePolicy.none())
+UPPER = (UncertaintyInterval(F(19, 10), F(11, 5)), EdgePolicy.all())
+
+
+def _refusal(fn, *args):
+    with pytest.raises(DuplicatePointError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def _cli_refusal(tmp_path, capsys, *args):
+    fx = tmp_path / "abba.json"
+    fx.write_text(json.dumps(points_to_document(ABBA)))
+    assert run([args[0], "--points", str(fx), *args[1:]]) == 2
+    return capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+
+
+@pytest.mark.parametrize(
+    "refusal",
+    [
+        lambda tmp_path, capsys: _refusal(build_rips, ABBA, F(1)),
+        lambda tmp_path, capsys: _refusal(build_quasi, ABBA, LOWER[0], EdgePolicy.all()),
+        lambda tmp_path, capsys: _refusal(pair_image_analysis, ABBA, LOWER, UPPER),
+        lambda tmp_path, capsys: _cli_refusal(tmp_path, capsys, "rips", "--epsilon", "1"),
+        lambda tmp_path, capsys: _cli_refusal(tmp_path, capsys, "shadow", "--epsilon", "1"),
+        lambda tmp_path, capsys: _cli_refusal(
+            tmp_path, capsys, "pair", "--lower", "7/10,9/10,none", "--upper", "19/10,11/5,all"
+        ),
+    ],
+    ids=["build_rips", "build_quasi", "pair_image_analysis", "cli_rips", "cli_shadow", "cli_pair"],
+)
+def test_every_entry_point_names_the_first_coincident_pair(refusal, tmp_path, capsys, monkeypatch):
+    def no_complex(*args, **kwargs):
+        raise AssertionError("a complex was built on coincident points")
+
+    monkeypatch.setattr(complexes, "flag_complex", no_complex)
+    monkeypatch.setattr(quasi, "flag_complex", no_complex)
+    assert refusal(tmp_path, capsys) == "points 0 and 3 coincide; distinct points required"
 
 
 def test_shadow_certificate_and_loop(tmp_path):

@@ -26,13 +26,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ripshadow.complexes import DuplicatePointError, check_distinct_points
 from ripshadow.geometry import (
+    DuplicatePointError,
     _angle_keys,
     _lex_keys,
     closed_segments,
     from_triple,
     pair_bands,
+    pair_distances,
     scale_points,
     to_triple,
     tr_locate,
@@ -169,9 +170,13 @@ def test_loop_word_matches_oracle(line_x, more):
 @given(point_set, radius, radius)
 def test_pair_bands_matches_oracle(points, r1, r2):
     lo, hi = min(r1, r2), max(r1, r2)  # lo == hi comes up too
-    bands, den = pair_bands(points, lo, hi)
-    got = [(i, j, band, Fraction(slack, den)) for i, j, band, slack in bands]
-    assert got == frac_pair_bands(points, lo, hi)
+
+    def got():
+        bands, den = pair_bands(points, lo, hi)
+        return [(i, j, band, Fraction(slack, den)) for i, j, band, slack in bands]
+
+    # a set with repeats is refused at its first coincident pair by both
+    assert outcome(got) == outcome(frac_pair_bands, points, lo, hi)
 
 
 # -- any triple of a point -------------------------------------------------
@@ -346,14 +351,18 @@ def test_to_triple_matches_fraction_oracle(p):
 
 @examples
 @given(st.lists(mixed_point, max_size=5))
-def test_check_distinct_points_matches_fraction_oracle(points):
-    distinct = len({frac_point(p) for p in points}) == len(points)
+def test_pair_distances_refuses_coincidence_like_fraction_oracle(points):
+    fracs = [frac_point(p) for p in points]
+    first = next(
+        ((i, j) for i, j in itertools.combinations(range(len(fracs)), 2) if fracs[i] == fracs[j]),
+        None,
+    )
     try:
-        check_distinct_points(points)
-    except DuplicatePointError:
-        assert not distinct
+        list(pair_distances(points, ())[0])
+    except DuplicatePointError as exc:
+        assert str(exc) == f"points {first[0]} and {first[1]} coincide; distinct points required"
     else:
-        assert distinct
+        assert first is None
 
 
 @pytest.mark.parametrize(
@@ -366,4 +375,4 @@ def test_check_distinct_points_matches_fraction_oracle(points):
 )
 def test_equal_values_of_different_types_coincide(points):
     with pytest.raises(DuplicatePointError, match="points 0 and 1 coincide"):
-        check_distinct_points(points)
+        list(pair_distances(points, ())[0])

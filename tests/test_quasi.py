@@ -4,11 +4,13 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
-from ripshadow import geometry
+from ripshadow import geometry, quasi
 from ripshadow.complexes import build_rips, explicit_complex, flag_complex
+from ripshadow.errors import AuditError
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
 from ripshadow.geometry import dist2, pair_bands
 from ripshadow.homology import ContainmentError, betti_numbers, integer_h1
@@ -200,6 +202,60 @@ def test_embed_blowup_audit_and_determinism():
             else:
                 assert iv.eps**2 < d2 < iv.eps_prime**2
             assert ((i, j) in edges) == (same or (i, j) in blow), (i, j)
+
+
+def _fail_attempts(monkeypatch, failure, failing):
+    """Make the embedding attempts numbered in `failing` fail, by a failed
+    band audit or by drawing every point at its ball's centre; return the
+    seeds the placements are drawn from, one per attempt."""
+    seeds = []
+
+    class Draws(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            self.centre = failure == "coincident" and len(seeds) - 1 in failing
+            super().__init__(seed)
+
+        def randrange(self, *args):
+            return 0 if self.centre else super().randrange(*args)
+
+    audit = quasi._audit_embedding
+
+    def failing_audit(*args):
+        return None if failure == "audit" and len(seeds) - 1 in failing else audit(*args)
+
+    monkeypatch.setattr(quasi, "random", SimpleNamespace(Random=Draws))
+    monkeypatch.setattr(quasi, "_audit_embedding", failing_audit)
+    return seeds
+
+
+# the blowup of one triangle: 12 simplex copies, 4 of each color
+TRIANGLE = explicit_complex(3, [[], [], [(0, 1, 2)]], dim_cap=2)
+EMBED_IV = UncertaintyInterval(F(1), F(3, 2))
+
+
+@pytest.mark.parametrize("failure", ["audit", "coincident"])
+def test_embedding_moves_to_the_next_seed_after_a_failed_attempt(monkeypatch, failure):
+    b = blowup(TRIANGLE, (0, 1, 2))
+    first_try = embed_blowup(b, EMBED_IV, seed=7)
+    seeds = _fail_attempts(monkeypatch, failure, {0})
+    eq = embed_blowup(b, EMBED_IV, seed=7)
+    assert seeds == [7 * 1000003, 7 * 1000003 + 1]
+    assert eq.complex.coords != first_try.complex.coords
+    assert eq.audit_margin > 0
+
+
+@pytest.mark.parametrize(
+    "failure, last",
+    [("audit", "distance audit failed"), ("coincident", "coincide; distinct points required")],
+)
+def test_embedding_names_the_attempts_and_the_last_failure(monkeypatch, failure, last):
+    seeds = _fail_attempts(monkeypatch, failure, range(quasi.EMBED_ATTEMPTS))
+    with pytest.raises(AuditError) as exc:
+        embed_blowup(blowup(TRIANGLE, (0, 1, 2)), EMBED_IV, seed=7)
+    assert str(exc.value).startswith(f"embedding failed after {quasi.EMBED_ATTEMPTS} seeds: ")
+    assert str(exc.value).endswith(last)
+    assert len(seeds) == quasi.EMBED_ATTEMPTS
 
 
 def _rebuilt_quasi(eq, points, interval, relabel):
