@@ -8,6 +8,13 @@ complex's dimension is stored empty.  `edge_set` (the edges as a set) and
 `n_components` (the components of the 1-skeleton) are built on first read
 and kept with the complex.
 
+A flag complex's cliques grow on higher neighbours: each vertex keeps the
+set of its neighbours above it, and a clique's extensions are the
+intersection of its members' sets, carried along as it grows.  Every
+extension found is a clique of the next level, so no candidate is built
+and then dropped.  Rips edges come from the grid proximity pass of
+`geometry.pair_bands`, which tests only pairs in neighbouring cells.
+
 `component_counts` is the one component routine: a union-find that counts
 the components of a growing graph after each of a sequence of nested edge
 stages, so a single graph is one stage and a filtration is counted in one
@@ -115,29 +122,37 @@ def _cliques_from_graph(
 ) -> Tuple[Tuple[Simplex, ...], ...]:
     """All cliques of size <= dim_cap+1, per dimension, lexicographically sorted.
 
-    Ordered extension: a k-clique is grown only by vertices larger than its
-    maximum, so each clique is produced exactly once and the output order is
-    deterministic.
+    Level 1 is the edges as given, each written i < j, sorted.  Above it,
+    cliques grow on higher neighbours: each vertex keeps the set of its
+    neighbours above it, and a clique carries its extensions, the
+    intersection of its members' sets, as an ascending tuple.  Each
+    extension lies above the clique's top vertex, so every clique is
+    produced exactly once, and extending the cliques in order, each by its
+    extensions in order, keeps every level lexicographic.
     """
-    adj = graph_adjacency(vertices, edges)
-    levels: List[List[Simplex]] = [[(v,) for v in sorted(vertices)]]
+    edges = list(edges)
+    higher: Dict[int, Set[int]] = {v: set() for v in vertices}
+    for i, j in edges:
+        if i < j:
+            higher[i].add(j)
+        else:
+            higher[j].add(i)
+    levels: List[Sequence[Simplex]] = [[(v,) for v in sorted(vertices)]]
     if dim_cap >= 1:
-        level1 = sorted((i, j) if i < j else (j, i) for i, j in edges)
-        levels.append(level1)
-    k = 1
-    while k < dim_cap and levels[k]:
-        nxt: List[Simplex] = []
-        for clique in levels[k]:
-            common = set.intersection(*(adj[v] for v in clique))
-            top = clique[-1]
-            for v in sorted(common):
-                if v > top:
-                    nxt.append(clique + (v,))
-            # sorted(common) with v > top keeps lexicographic order per prefix
-        levels.append(tuple(nxt))  # type: ignore[arg-type]
-        k += 1
-    while len(levels) < dim_cap + 1:
-        levels.append([])
+        levels.append(sorted((i, j) if i < j else (j, i) for i, j in edges))
+    # (clique, its extensions): ascending tuples need no sort, and the many
+    # empty ones share one object, where empty sets would each take memory
+    grown = [((v,), tuple(sorted(higher[v]))) for v in sorted(vertices)]
+    for k in range(1, dim_cap):
+        grown = [
+            (clique + (v,), tuple([w for w in ext if w in higher[v]]))
+            for clique, ext in grown
+            for v in ext
+        ]
+        if k > 1:
+            levels.append([clique for clique, _ in grown])
+    if dim_cap >= 2:
+        levels.append([clique + (v,) for clique, ext in grown for v in ext])
     return tuple(tuple(level) for level in levels)
 
 

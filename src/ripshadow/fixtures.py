@@ -25,8 +25,9 @@ def _audit_bands(
     pts: Sequence[Point], lo: Fraction, hi: Fraction, want: Callable[[int, int], int]
 ) -> Dict[str, Fraction]:
     """Check that every pair i < j lies in `pair_bands` band want(i, j) of
-    the radii (lo, hi); return each pair's exact slack, keyed d2(i,j)."""
-    bands, den = pair_bands(pts, lo, hi)
+    the radii (lo, hi); return each pair's exact slack, keyed d2(i,j).
+    The pass runs in its every-pair mode, band-2 pairs included."""
+    bands, den = pair_bands(pts, lo, hi, every_pair=True)
     margins: Dict[str, Fraction] = {}
     for i, j, band, slack in bands:
         if band != want(i, j):

@@ -32,17 +32,32 @@ other scalars) and back with `from_triple`.
 `pair_distances` is the one proximity pass, in any dimension, and the one
 judge of point coincidence: the complexes are built on a set of points, so
 it refuses the first pair, in lexicographic order, at squared distance 0.
+It is output-sensitive: each point is filed under the cell of a uniform
+grid whose side is the largest radius asked for, and only pairs in the
+3 x 3 neighbouring cells are tested.  The cells are cut on the first two
+coordinates alone (on the one coordinate of 1-D points), which loses no
+pair in any dimension: a pair at distance d <= r has |dx| <= d and
+|dy| <= d, so floor division by r puts the two points in the same or next
+cells.  Coincident points share a cell, so the pass still finds every
+coincident pair.  It yields only the pairs within the largest radius;
+pairs beyond it are never produced.  The every-pair mode of the same
+routine yields all n(n-1)/2 pairs, for the fixture audits, which report
+every pair's margin on tiny inputs.
 `pair_bands` is the one band rule on it: Rips and quasi-Rips links and the
-embedding and fixture audits all read the band a pair falls in.  The pair
-analysis applies the same rule (closed below, open band, banned above) to
-its five radii in one loop over the pass.
+embedding and fixture audits all read the band a pair falls in.  On the
+grid no band-2 pair beyond the upper radius is produced, so the embedding
+audit, which needs every pair in band 0 or 1, counts the pairs it is
+given.  The pair analysis applies the same rule (closed below, open band,
+banned above) to its five radii in one loop over the pass.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Scalar = Fraction  # or int; the two mix freely
 Point = Tuple[Scalar, ...]
@@ -94,40 +109,72 @@ def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:
 
 
 def pair_distances(
-    points: Sequence[Point], radii: Sequence[Scalar]
+    points: Sequence[Point], radii: Sequence[Scalar], every_pair: bool = False
 ) -> Tuple[Iterator[Tuple[int, int, int]], List[int], int]:
-    """An iterator over (i, j, d2) for every pair i < j in lexicographic
-    order, the squared radii, and the common denominator den of both:
-    d2 / den and r2 / den are the true squares.  The iterator raises
-    DuplicatePointError at the first pair with d2 = 0."""
+    """An iterator over (i, j, d2) for every pair i < j within the largest
+    radius, in lexicographic order, the squared radii, and the common
+    denominator den of both: d2 / den and r2 / den are the true squares.
+
+    Only pairs in neighbouring cells of the grid of side the largest radius
+    are tested (module docstring); every_pair tests and yields all pairs.
+    Points of unequal dimension are a DimensionMismatch before the pass,
+    and the iterator raises DuplicatePointError at the first pair with
+    d2 = 0."""
+    dim = len(points[0]) if points else 0
+    for q in points:
+        if len(q) != dim:
+            raise DimensionMismatch(f"dimension mismatch: {dim} vs {len(q)}")
     # the radii are rescaled with the points, so every comparison is on integers
     ipts, scale = scale_points([*points, tuple(radii)])
     iradii = ipts.pop()
+    reach = max(iradii, default=0)
+    limit = reach * reach
+    # with no positive radius the side is 1: no pair is yielded, but
+    # coincident points still share a cell and are refused
+    side = max(reach, 1)
+    # the every-pair mode files every point under one cell
+    keys = [() if every_pair else tuple(c // side for c in p[:2]) for p in ipts]
+    cells: Dict[Tuple[int, ...], List[int]] = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    # each cell's neighbours, itself included, in ascending index
+    near = {
+        key: sorted(
+            j
+            for step in itertools.product((-1, 0, 1), repeat=len(key))
+            for j in cells.get(tuple(k + s for k, s in zip(key, step)), ())
+        )
+        for key in cells
+    }
 
     def pairs() -> Iterator[Tuple[int, int, int]]:
         for i, p in enumerate(ipts):
-            for j in range(i + 1, len(ipts)):
+            js = near[keys[i]]
+            for j in js[bisect.bisect_right(js, i):]:
                 d2 = dist2(p, ipts[j])
                 if not d2:
                     raise DuplicatePointError(
                         f"points {i} and {j} coincide; distinct points required"
                     )
-                yield i, j, d2
+                if every_pair or d2 <= limit:
+                    yield i, j, d2
 
     return pairs(), [r * r for r in iradii], scale * scale
 
 
 def pair_bands(
-    points: Sequence[Point], lo: Scalar, hi: Scalar
+    points: Sequence[Point], lo: Scalar, hi: Scalar, every_pair: bool = False
 ) -> Tuple[Iterator[Tuple[int, int, int, int]], int]:
-    """An iterator over (i, j, band, slack) for every pair of the proximity
+    """An iterator over (i, j, band, slack) for the pairs of the proximity
     pass against radii lo <= hi, and the common denominator of the slacks.
 
     Band 0 is d <= lo, band 2 is d >= hi (and not band 0), band 1 the open
     band between.  The slack is the squared-distance gap to the radius
     bounding the band: lo^2 - d^2, d^2 - hi^2, or the nearer of the two.
+    The grid pass yields the pairs within hi: bands 0 and 1, and band 2
+    only at d = hi exactly.  every_pair yields every pair.
     """
-    pairs, (lo2, hi2), den = pair_distances(points, (lo, hi))
+    pairs, (lo2, hi2), den = pair_distances(points, (lo, hi), every_pair)
 
     def bands() -> Iterator[Tuple[int, int, int, int]]:
         for i, j, d2 in pairs:
@@ -171,7 +218,7 @@ def from_triple(t: Triple, scale: int) -> Point:
 def tr_reduce(x: int, y: int, d: int) -> Triple:
     if d < 0:
         x, y, d = -x, -y, -d
-    g = math.gcd(math.gcd(abs(x), abs(y)), d)
+    g = math.gcd(x, y, d)
     if g > 1:
         x, y, d = x // g, y // g, d // g
     return (x, y, d)

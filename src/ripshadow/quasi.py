@@ -422,17 +422,23 @@ def _audit_embedding(
     bands: Iterable[Tuple[int, ...]], den: int, colors: Sequence[int]
 ) -> Optional[Tuple[List[Tuple[int, int]], Fraction]]:
     """The band-0 pairs and the smallest slack, or None unless same-colour
-    pairs are in band 0 and the rest in band 1."""
+    pairs are in band 0 and the rest in band 1.  The grid pass yields no
+    pair beyond the upper radius, so one that yields fewer than every pair
+    fails."""
     forced: List[Tuple[int, int]] = []
     margin: Optional[int] = None
-    for i, j, band, slack in bands:
+    found = 0
+    for found, (i, j, band, slack) in enumerate(bands, 1):
         if band != (0 if colors[i] == colors[j] else 1):
             return None
         if band == 0:
             forced.append((i, j))
         if margin is None or slack < margin:
             margin = slack
-    return None if margin is None else (forced, F(margin, den))
+    n = len(colors)
+    if margin is None or found < n * (n - 1) // 2:
+        return None
+    return forced, F(margin, den)
 
 
 # ---------------------------------------------------------------------------

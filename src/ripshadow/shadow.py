@@ -40,7 +40,9 @@ against a triangle's three-segment ring (nonzero: the triangle holds it).
 Cheaper exact tests settle most candidates first.  Edges whose integer
 bounding boxes are apart cannot meet.  Edges sharing a vertex meet only
 there, or overlap up to the nearer other endpoint, a vertex the T-junction
-scan adds; so neither pair goes to the kernel.  A vertex goes to the kernel
+scan adds; so neither pair goes to the kernel.  The crossing scan keeps one
+record per edge, its box and its endpoints' indices and triples, so both
+screens are plain integer compares.  A vertex goes to the kernel
 only against the edges whose box holds it.
 
 A face's witness candidates are unreduced integer triples: the kernel
@@ -84,7 +86,6 @@ from .geometry import (
     Triple,
     _angle_keys,
     _lex_keys,
-    cmp_frac,
     from_triple,
     scale_points,
     tr_locate,
@@ -157,14 +158,6 @@ def _grid_holds(w: Triple, tris_in: Dict[Tuple[int, int], List[Tuple]], side: in
     )
 
 
-def _twice_area(ring: Sequence[Tuple[Triple, Triple]]) -> Tuple[int, int]:
-    """Twice the signed area a closed ring encloses, as (numerator,
-    denominator): every point is put over the lcm of the ring's D."""
-    d = math.lcm(*(p[2] for p, _ in ring))
-    num = sum((p[0] * q[1] - q[0] * p[1]) * (d // p[2]) * (d // q[2]) for p, q in ring)
-    return num, d * d
-
-
 def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     """Exact shadow complex of a planar complex with materialized 2-skeleton."""
     if c.coords is None or any(len(p) != 2 for p in c.coords):
@@ -202,22 +195,21 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # a vertex on the other edge: the T-junction scan adds it.
     splits: List[Set[Triple]] = [{tcoords[i], tcoords[j]} for i, j in rips_edges]
     crossing_pairs: Dict[Triple, Tuple[int, int]] = {}
+    # one record per edge: its box, its endpoints' indices and triples
+    records = [(*box, i, j, tcoords[i], tcoords[j]) for box, (i, j) in zip(boxes, rips_edges)]
     for a, cells in enumerate(edge_cells):
-        i, j = rips_edges[a]
-        x0, x1, y0, y1 = boxes[a]
-        ends_a = (tcoords[i], tcoords[j])
+        x0, x1, y0, y1, i, j, ta, ha = records[a]
         for b in {b for cell in cells for b in edges_in[cell] if b > a}:
-            k, m = rips_edges[b]
-            bx0, bx1, by0, by1 = boxes[b]
-            if bx1 < x0 or x1 < bx0 or by1 < y0 or y1 < by0 or i in (k, m) or j in (k, m):
+            bx0, bx1, by0, by1, k, m, tb, hb = records[b]
+            if (bx1 < x0 or x1 < bx0 or by1 < y0 or y1 < by0
+                    or i == k or i == m or j == k or j == m):
                 continue
-            ends_b = (tcoords[k], tcoords[m])
-            kind, meet = tr_segment_meet(*ends_a, *ends_b)
+            kind, meet = tr_segment_meet(ta, ha, tb, hb)
             if kind == "disjoint":
                 continue
             splits[a].update(meet)
             splits[b].update(meet)
-            if kind == "point" and meet[0] not in ends_a + ends_b:
+            if kind == "point" and meet[0] not in (ta, ha, tb, hb):
                 first = crossing_pairs.get(meet[0])
                 if first is None or (a, b) < first:
                     crossing_pairs[meet[0]] = (a, b)
@@ -281,8 +273,10 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         for k, d in enumerate(darts):
             nxt[d ^ 1] = darts[k - 1]
 
-    # each walk: its darts, twice its signed area, and its closed ring of
-    # segments for winding tests (segment k runs along dart k, tail to head)
+    # each walk: its darts, twice its signed area as (numerator, denominator),
+    # and its closed ring of segments for winding tests (segment k runs along
+    # dart k, tail to head); the area puts every point over the lcm of the
+    # ring's D once
     walks: List[Tuple[List[int], Tuple[int, int], List]] = []
     seen = bytearray(n_darts)
     for start in range(n_darts):
@@ -294,8 +288,19 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             seen[d] = 1
             darts.append(d)
             d = nxt[d]
-        ring = [(spoints[tail[d]], spoints[tail[d ^ 1]]) for d in darts]
-        walks.append((darts, _twice_area(ring), ring))
+        pts = [spoints[tail[d]] for d in darts]
+        den = math.lcm(*[p[2] for p in pts])
+        ring = []
+        num = 0
+        p = pts[0]
+        px, py = p[0] * (den // p[2]), p[1] * (den // p[2])
+        for q in pts[1:] + pts[:1]:
+            k = den // q[2]
+            qx, qy = q[0] * k, q[1] * k
+            ring.append((p, q))
+            num += px * qy - qx * py
+            p, px, py = q, qx, qy
+        walks.append((darts, (num, den * den), ring))
 
     positive = [w for w in walks if w[1][0] > 0]
     n_unbounded = len(walks) - len(positive)
@@ -326,7 +331,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
             # tr_locate is None on the ring, so one pass per ring decides both.
             if not tr_locate(ring, cand):
                 continue
-            if any(tr_locate(r, cand) != 0 for r in nested):
+            if nested and any(tr_locate(r, cand) != 0 for r in nested):
                 continue
             cand = tr_reduce(*cand)
             if cand not in pid:
@@ -376,7 +381,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
 
     faces: List[ShadowFace] = []
     for darts, (num, den), ring in positive:
-        nested = [r for n, d, r in outer_walks if cmp_frac(n, d, num, den) < 0]
+        nested = [r for n, d, r in outer_walks if n * den < num * d]
         w1 = witness(darts[0], ring[0], ring, nested)
         w2 = witness(darts[-1], ring[-1], ring, nested)
         tri = inward_triangle(darts)
@@ -387,7 +392,7 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 "coverage flag depends on the witness; arrangement is inconsistent"
             )
         faces.append(ShadowFace(
-            tuple(d >> 1 for d in darts), tuple(tail[d] for d in darts), w1, cov1
+            tuple([d >> 1 for d in darts]), tuple([tail[d] for d in darts]), w1, cov1
         ))
     # disjoint faces have distinct witnesses, so no two keys tie
     keys = _lex_keys([f.witness_triple for f in faces])

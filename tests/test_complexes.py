@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ripshadow import geometry
 from ripshadow.complexes import (
     DuplicatePointError,
     build_rips,
@@ -14,13 +15,14 @@ from ripshadow.complexes import (
     flag_complex,
     induced_span,
 )
-from ripshadow.geometry import dist2, make_point
+from ripshadow.geometry import DimensionMismatch, dist2, make_point
 from ripshadow.quasi import (
     EdgePolicy,
     UncertaintyInterval,
     blowup,
     build_quasi,
     flag_blowup,
+    pair_image_analysis,
 )
 
 from oracles import (
@@ -82,6 +84,57 @@ def test_dim_cap_zero_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda pts: build_rips(pts, F(1)),
+        lambda pts: build_quasi(pts, UncertaintyInterval(F(1), F(2)), EdgePolicy.all()),
+        lambda pts: pair_image_analysis(
+            pts,
+            (UncertaintyInterval(F(1, 4), F(1, 2)), EdgePolicy.none()),
+            (UncertaintyInterval(F(1), F(2)), EdgePolicy.all()),
+        ),
+    ],
+    ids=["build_rips", "build_quasi", "pair_image_analysis"],
+)
+@pytest.mark.parametrize("odd", [P(10), P(10, 10, 10)], ids=["1d", "3d"])
+def test_a_point_of_another_dimension_far_from_the_rest_is_refused(build, odd):
+    # no pair with the odd point is within any radius, so the grid pass
+    # would never measure it: the dimensions are checked before the pass
+    pts = [P(0, 0), P("1/2", 0), P(0, "1/2"), odd]
+    with pytest.raises(DimensionMismatch, match=f"^dimension mismatch: 2 vs {len(odd)}$"):
+        build(pts)
+
+
+def test_rips_pass_measures_only_pairs_in_neighbouring_cells(monkeypatch):
+    # a spread 20 x 20 lattice of spacing 7/10 around the origin, at eps 1:
+    # the grid's cells have side 1
+    side, eps = 20, F(1)
+    pts = [(F(7 * i, 10) - 7, F(7 * j, 10) - 7) for i in range(side) for j in range(side)]
+    n = len(pts)
+    calls = 0
+
+    def counting_dist2(p, q):
+        nonlocal calls
+        calls += 1
+        return dist2(p, q)
+
+    monkeypatch.setattr(geometry, "dist2", counting_dist2)
+    c = build_rips(pts, eps, dim_cap=2)
+    cells = [(x // eps, y // eps) for x, y in pts]
+    near = sum(
+        1 for a, b in combinations(cells, 2) if abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1
+    )
+    assert calls == near
+    assert near < n * (n - 1) // 2 // 10
+    # the edges are the lattice's axis and diagonal neighbours (d^2 = 0.49, 0.98)
+    assert set(c.edges) == {
+        (a, b)
+        for a, b in combinations(range(n), 2)
+        if max(abs(a // side - b // side), abs(a % side - b % side)) == 1
+    }
+
+
 def test_rips_edge_criterion_random():
     rng = random.Random(21)
     for _ in range(25):
@@ -94,20 +147,34 @@ def test_rips_edge_criterion_random():
 
 def test_flag_property_vs_bruteforce():
     rng = random.Random(22)
-    for _ in range(20):
-        n = rng.randrange(3, 8)
+    cases = []
+    for _ in range(40):
+        n = rng.randrange(3, 13)
         edges = {
             (i, j)
             for i, j in combinations(range(n), 2)
             if rng.random() < 0.55
         }
-        c = flag_complex(n, edges, dim_cap=4)
+        # some edges written (j, i), some given twice
+        given_edges = [(j, i) if rng.random() < 0.3 else (i, j) for i, j in sorted(edges)]
+        given_edges += rng.sample(given_edges, len(given_edges) // 4)
+        rng.shuffle(given_edges)
+        cases.append((n, edges, given_edges))
+    k9 = set(combinations(range(9), 2))
+    cases.append((9, k9, sorted(k9)))
+    for n, edges, given_edges in cases:
+        c = flag_complex(n, given_edges, dim_cap=4)
         expect = brute_force_cliques(n, edges, max_size=5)
-        for k in range(5):
+        # level 1 is the edges as given, written i < j and sorted, repeats kept
+        assert list(c.k_simplices(1)) == sorted(tuple(sorted(e)) for e in given_edges)
+        for k in (0, 2, 3, 4):
             assert set(c.k_simplices(k)) == expect[k]
+            assert len(c.k_simplices(k)) == len(expect[k])
         # deterministic lexicographic order
         for level in c.simplices:
             assert list(level) == sorted(level)
+    assert c.k_simplices(4) == tuple(combinations(range(9), 5))  # the K_9: 126 4-simplices
+    assert len(c.k_simplices(4)) == 126
 
 
 def test_cech_1d_examples():

@@ -171,12 +171,18 @@ def test_loop_word_matches_oracle(line_x, more):
 def test_pair_bands_matches_oracle(points, r1, r2):
     lo, hi = min(r1, r2), max(r1, r2)  # lo == hi comes up too
 
-    def got():
-        bands, den = pair_bands(points, lo, hi)
+    def got(every_pair):
+        bands, den = pair_bands(points, lo, hi, every_pair)
         return [(i, j, band, Fraction(slack, den)) for i, j, band, slack in bands]
 
-    # a set with repeats is refused at its first coincident pair by both
-    assert outcome(got) == outcome(frac_pair_bands, points, lo, hi)
+    def within_hi():
+        return [b for b in frac_pair_bands(points, lo, hi) if b[2] < 2 or b[3] == 0]
+
+    # a set with repeats is refused at its first coincident pair by both;
+    # the every-pair mode gives every pair, the grid pass those with d <= hi:
+    # bands 0 and 1, and band 2 only at d = hi exactly
+    assert outcome(got, True) == outcome(frac_pair_bands, points, lo, hi)
+    assert outcome(got, False) == outcome(within_hi)
 
 
 # -- any triple of a point -------------------------------------------------
@@ -337,6 +343,42 @@ def test_scale_points_matches_fraction_oracle(points):
     got = scale_points(points)
     assert got == ([tuple(int(c * scale) for c in p) for p in fracs], scale)
     assert all(type(c) is int for p in got[0] for c in p)
+
+
+@st.composite
+def proximity_case(draw):
+    """Points of dimension 1 to 4 and one to three radii.  Coordinates lie
+    on the grid lines (multiples of the largest radius) or on a finer
+    lattice, negative ones included; the sets are clustered or spread, and
+    some repeat a point."""
+    dim = draw(st.integers(1, 4))
+    radii = draw(st.lists(st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 2)]),
+                          min_size=1, max_size=3))
+    spread = draw(st.sampled_from([1, 3, 12]))
+    on_line = st.integers(-spread, spread).map(lambda k: k * max(radii))
+    fine = st.integers(-6 * spread, 6 * spread).map(lambda k: Fraction(k, 6))
+    c = st.one_of(on_line, fine)
+    points = draw(st.lists(st.tuples(*[c] * dim), max_size=14))
+    if points and draw(st.booleans()):
+        points.insert(draw(st.integers(0, len(points))), draw(st.sampled_from(points)))
+    return points, radii
+
+
+@examples
+@given(proximity_case())
+def test_grid_pass_equals_every_pair_pass_within_reach(case):
+    points, radii = case
+
+    def run(every_pair):
+        pairs, r2, den = pair_distances(points, radii, every_pair)
+        return list(pairs), r2, den
+
+    full = outcome(run, True)
+    if isinstance(full, str):  # both name the same first coincident pair
+        assert outcome(run, False) == full
+    else:
+        pairs, r2, den = full
+        assert run(False) == ([p for p in pairs if p[2] <= max(r2)], r2, den)
 
 
 @examples

@@ -513,6 +513,17 @@ def test_pair_analysis_measures_each_pair_once(monkeypatch):
     assert len(calls) == n * (n - 1) // 2
 
 
+def test_embedding_audit_refuses_a_point_beyond_every_radius():
+    colors = (0, 0, 1)
+    pts = [P(0, 0), P("1/4", 0), P("3/2", 0)]
+    assert quasi._audit_embedding(*pair_bands(pts, F(1), F(2)), colors) == ([(0, 1)], F(9, 16))
+    # a far point: the grid pass yields none of its pairs, so the count is short
+    bands, den = pair_bands(pts + [P(100, 0)], F(1), F(2))
+    bands = list(bands)
+    assert [(i, j) for i, j, _, _ in bands] == [(0, 1), (0, 2), (1, 2)]
+    assert quasi._audit_embedding(iter(bands), den, colors + (1,)) is None
+
+
 def _policy_modes(rng, pts, interval, seed):
     """A policy of each mode for `interval` on pts; the explicit one picks
     half of the band's pairs."""
