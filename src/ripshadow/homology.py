@@ -22,12 +22,19 @@ keeps the column lattice of d_k, and with it its Smith diagonal and the
 ranks over Q and GF(2).
 
 Ranks of H1 over Q along a nested chain K_0 c ... c K_m -- each b1(K_i) and
-the rank of H1(K_0) -> H1(K_m), a persistent Betti number -- come from one
-column reduction of d2(K_m) in filtration order (Edelsbrunner, Letscher &
-Zomorodian 2002; Zomorodian & Carlsson 2005).  `_reduce_filtration` is that
-reduction: it takes only K_m, each edge's and triangle's birth level and
-dim Z1 of each level, so a caller that knows the births (the pair analysis
-tags them while it resolves its pairs) builds no complex below K_m;
+the rank of H1(K_0) -> H1(K_m), a persistent Betti number -- come from the
+persistence pairs of the filtration (Edelsbrunner, Letscher & Zomorodian
+2002; Zomorodian & Carlsson 2005).  Reducing the coboundary of the edges,
+last edge first, gives the same pairs as reducing d2(K_m) in filtration
+order (de Silva, Morozov & Vejdemo-Johansson 2011, persistent homology and
+cohomology pair alike), and needs no column for an edge that joins two
+components: such an edge kills an H0 class, so its coboundary reduces to
+zero and is cleared up front (clearing, as in Bauer's Ripser, 2021).  What
+is left is one column per independent cycle, fewer than the triangles, and
+its columns reduce with few eliminations.  `_reduce_filtration` is that
+reduction: it takes only K_m and each edge's and triangle's birth level,
+so a caller that knows the births (the pair analysis tags them while it
+resolves its pairs) builds no complex below K_m and no boundary matrix;
 `_filtration_h1` derives them from a chain of complexes after checking it.
 The Smith form stays the routine for what needs the integer diagonal:
 torsion and GF(2) ranks.
@@ -39,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, component_counts
 
 SparseCol = Dict[int, int]
 
@@ -260,7 +267,7 @@ def _check_containment(sub: SimplicialComplex, sup: SimplicialComplex) -> None:
 
 def induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> int:
     """Rank over Q of H1(sub) -> H1(sup) induced by inclusion, read off one
-    filtration reduction of d2(sup) (see `_filtration_h1`)."""
+    coboundary reduction with clearing (see `_filtration_h1`)."""
     return _filtration_h1([sub, sup])[1]
 
 
@@ -268,7 +275,7 @@ def _filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...],
     """b1 over Q of each complex of a nested chain K_0 c ... c K_m, and the
     rank of H1(K_0) -> H1(K_m): the chain is checked, each edge and triangle
     tagged with the first complex holding it, and `_reduce_filtration` reads
-    the ranks off d2(K_m)."""
+    the ranks off the persistence pairs of K_m's coboundary reduction."""
     for sub, sup in zip(chain, chain[1:]):
         _check_containment(sub, sup)
     top = chain[-1]
@@ -277,9 +284,8 @@ def _filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...],
     birth: Dict[Simplex, int] = {}
     for i in range(len(chain) - 1, -1, -1):
         birth.update(dict.fromkeys(chain[i].edges + chain[i].k_simplices(2), i))
-    z1 = [len(c.edges) - len(c.vertices) + c.n_components for c in chain]
     return _reduce_filtration(
-        top, [birth[e] for e in top.edges], [birth[t] for t in top.k_simplices(2)], z1
+        top, [birth[e] for e in top.edges], [birth[t] for t in top.k_simplices(2)], len(chain)
     )
 
 
@@ -287,33 +293,47 @@ def _reduce_filtration(
     top: SimplicialComplex,
     edge_birth: Sequence[int],
     triangle_birth: Sequence[int],
-    z1: Sequence[int],
+    levels: int,
 ) -> Tuple[Tuple[int, ...], int]:
-    """b1 over Q of each level K_0 c ... c K_m of a filtered complex, and the
-    rank of H1(K_0) -> H1(K_m), from one column reduction of d2(K_m).
+    """b1 over Q of each level K_0 c ... c K_m of a filtered complex
+    (m = levels - 1), and the rank of H1(K_0) -> H1(K_m), from one
+    coboundary reduction with clearing.
 
     `top` is K_m; level i holds the edges and triangles whose birth (listed
-    in `top`'s order) is at most i, and z1[i] is dim Z1(K_i).  Rows and
-    columns go in filtration order: by birth, lexicographic within it.
-    Reducing left to right (pivot: the last nonzero row) leaves nonzero
-    columns with distinct pivots; those among K_i's triangles are a basis of
-    B1(K_i), and those whose pivot is an edge of K_0 a basis of B1(K_m)
+    in `top`'s order) is at most i.  Edges and triangles go in filtration
+    order: by birth, lexicographic within it.  A union-find pass over the
+    edges in that order clears each edge that joins two components (it
+    kills an H0 class, so its coboundary reduces to zero); the others each
+    add one to dim Z1 of their level and after.  Their coboundaries (the
+    triangles on the edge, signed as in d2), reduced from the last edge back
+    with the pivot at the earliest triangle, leave nonzero columns whose
+    pairs (edge, pivot) are the pairs (pivot, triangle) that reducing d2(K_m)
+    in filtration order would keep.  Those with the triangle in K_i are a
+    basis of B1(K_i), and those with the edge in K_0 one of B1(K_m)
     restricted to K_0's edges, which is B1(K_m) meet Z1(K_0) because
     boundaries are cycles.
     """
-    d2 = boundary_matrix(top, 2)
-    rows = sorted(range(len(d2.rows)), key=edge_birth.__getitem__)
-    pos = {r: p for p, r in enumerate(rows)}
+    order = sorted(zip(edge_birth, top.edges))
+    vertices = top.vertices
+    counts = component_counts(vertices, ([e] for _, e in order))
+    # an edge that leaves the count as it was closes a cycle; the rest are cleared
+    cycles = [be for be, k, before in zip(order, counts, [len(vertices), *counts]) if k == before]
+    triangles = sorted(zip(triangle_birth, top.k_simplices(2)))
+    cob: Dict[Simplex, SparseCol] = {e: {} for _, e in cycles}
+    for p, (_, (i, j, k)) in enumerate(triangles):
+        for face, sign in (((j, k), 1), ((i, k), -1), ((i, j), 1)):
+            if face in cob:
+                cob[face][p] = sign
     pivots: Dict[int, SparseCol] = {}
-    kept: List[Tuple[int, int]] = []  # (birth of the triangle, pivot) per nonzero column
-    for j in sorted(range(len(d2.cols)), key=triangle_birth.__getitem__):
-        col = {pos[r]: v for r, v in d2.columns[j].items()}
+    kept: List[Tuple[int, int]] = []  # (birth of the triangle, of the edge) per nonzero column
+    for birth, e in reversed(cycles):
+        col = cob[e]
         while col:
-            p = max(col)
+            p = min(col)
             other = pivots.get(p)
             if other is None:
                 pivots[p] = col
-                kept.append((triangle_birth[j], p))
+                kept.append((triangles[p][0], birth))
                 break
             g = math.gcd(col[p], other[p])
             a, b = col[p] // g, other[p] // g
@@ -332,6 +352,6 @@ def _reduce_filtration(
                     g = math.gcd(*col.values())
                     col = {r: v // g for r, v in col.items()}
 
+    z1 = [sum(b <= i for b, _ in cycles) for i in range(levels)]
     b1 = tuple(z - sum(t <= i for t, _ in kept) for i, z in enumerate(z1))
-    n0 = sum(1 for b in edge_birth if b == 0)  # K_0's edges are the first rows
-    return b1, z1[0] - sum(p < n0 for _, p in kept)
+    return b1, z1[0] - sum(b == 0 for _, b in kept)

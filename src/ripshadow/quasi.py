@@ -4,7 +4,7 @@ A quasi-Rips complex forces links below eps, forbids them at eps' and
 beyond, and lets a policy decide inside the open band.  A pair analysis
 resolves the chain R_Q c R_mid c R_Q' in one pass over the pairs, with one
 clique enumeration (of R_Q'; R_mid is a filtered level of it, R_Q is never
-built), one staged component count and one filtration reduction.  The
+built) and one coboundary reduction, with clearing, of its filtration.  The
 pipeline turns a finite group presentation into a properly 3-colored
 2-complex, blows it up so gluings become joins, and embeds the blowup in
 the plane with one small ball per color.  One proximity pass over that
@@ -607,9 +607,9 @@ def pair_image_analysis(
     All three are flag complexes, so a triangle is born with its last edge:
     the cliques of R_Q' are enumerated once, at dim_cap 2 since nothing
     here reads a 3-simplex, R_eps'' is its level 1, and R_Q is never built.
-    One staged union-find counts the components of the forced R_eps and of
-    each level, and one filtration reduction of d2(R_Q') gives the image
-    rank and the three b1.
+    A union-find counts the components of the forced R_eps, and one
+    coboundary reduction of R_Q' with clearing gives the image rank and the
+    three b1 (`homology._reduce_filtration`).
     """
     li, lp = lower
     ui, up = upper
@@ -649,10 +649,7 @@ def pair_image_analysis(
     mid_triangles = tuple(t for t, b in zip(triangles, triangle_birth) if b <= 1)
     mid_levels = (high.simplices[0], tuple(mid_edges), mid_triangles)
     mid = replace(high, simplices=mid_levels, provenance="rips")
-    components = component_counts(range(n), [forced, low_picks, mid_edges, high.edges])
-    sizes = (edge_birth.count(0), len(mid_edges), len(high.edges))
-    z1 = [e - n + c for e, c in zip(sizes, components[1:])]
-    (lower_b1, mid_b1, upper_b1), rank = _reduce_filtration(high, edge_birth, triangle_birth, z1)
+    (lower_b1, mid_b1, upper_b1), rank = _reduce_filtration(high, edge_birth, triangle_birth, 3)
     shadow_mid = None
     if all(len(p) == 2 for p in points):
         shadow_mid = shadow_betti(build_shadow(mid))
@@ -663,6 +660,6 @@ def pair_image_analysis(
         bound_ok=rank <= mid_b1,
         lower_b1=lower_b1,
         upper_b1=upper_b1,
-        lower_forced_components=components[0],
+        lower_forced_components=component_counts(range(n), [forced])[0],
         shadow_mid_betti=shadow_mid,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ripshadow.complexes import Simplex, SimplicialComplex, flag_complex
@@ -265,6 +266,63 @@ def oracle_induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> in
     d2 = dense_boundary(sup.k_simplices(2), sup.edges)
     rows = [[col.get(r, 0) for col in cycles] + d2[r] for r in range(len(sup.edges))]
     return dense_rank_q(rows) - dense_rank_q(d2)
+
+
+def homology_order_reduction(
+    top: SimplicialComplex,
+    edge_birth: Sequence[int],
+    triangle_birth: Sequence[int],
+    levels: int,
+) -> Tuple[Tuple[int, ...], int]:
+    """b1 over Q of each level of a filtered complex and the rank of
+    H1(K_0) -> H1(K_m), by reducing d2(K_m) in homology order.
+
+    Rows and columns go in filtration order (by birth, lexicographic
+    within it); columns are reduced left to right with the pivot at the
+    last nonzero row, a step against a +-1 pivot in place and any other by
+    b col - a other with the content divided out.  b1(K_i) is dim Z1(K_i),
+    counted by breadth-first search, minus the nonzero columns among K_i's
+    triangles; the rank is dim Z1(K_0) minus those whose pivot is an edge
+    of K_0.
+    """
+    d2 = boundary_matrix(top, 2)
+    rows = sorted(range(len(d2.rows)), key=edge_birth.__getitem__)
+    pos = {r: p for p, r in enumerate(rows)}
+    pivots: Dict[int, SparseCol] = {}
+    kept: List[Tuple[int, int]] = []  # (birth of the triangle, pivot) per nonzero column
+    for j in sorted(range(len(d2.cols)), key=triangle_birth.__getitem__):
+        col = {pos[r]: v for r, v in d2.columns[j].items()}
+        while col:
+            p = max(col)
+            other = pivots.get(p)
+            if other is None:
+                pivots[p] = col
+                kept.append((triangle_birth[j], p))
+                break
+            g = gcd(col[p], other[p])
+            a, b = col[p] // g, other[p] // g
+            if b == 1 or b == -1:
+                q = a * b
+                for r, v in other.items():
+                    w = col.get(r, 0) - q * v
+                    if w:
+                        col[r] = w
+                    else:
+                        del col[r]
+            else:
+                col = {r: w for r in col.keys() | other.keys()
+                       if (w := b * col.get(r, 0) - a * other.get(r, 0))}
+                if col:
+                    g = gcd(*col.values())
+                    col = {r: v // g for r, v in col.items()}
+
+    z1 = []
+    for i in range(levels):
+        edges = [e for e, b in zip(top.edges, edge_birth) if b <= i]
+        z1.append(len(edges) - len(top.vertices) + bfs_component_count(top.vertices, edges))
+    b1 = tuple(z - sum(t <= i for t, _ in kept) for i, z in enumerate(z1))
+    n0 = sum(1 for b in edge_birth if b == 0)  # K_0's edges are the first rows
+    return b1, z1[0] - sum(p < n0 for _, p in kept)
 
 
 def rips_h1_barcode(points) -> Tuple[List[int], int, List[Tuple[int, Optional[int]]]]:

@@ -353,7 +353,7 @@ def test_pair_annulus_ring_equality():
 def test_pair_reads_its_ranks_off_one_reduction(monkeypatch):
     from ripshadow import homology, quasi
 
-    calls = {"boundary_matrix": 0, "snf_diagonal": 0, "betti_numbers": 0}
+    calls = {"boundary_matrix": 0, "snf_diagonal": 0, "betti_numbers": 0, "_reduce_filtration": 0}
 
     def count(module, name):
         fn = getattr(module, name)
@@ -364,17 +364,17 @@ def test_pair_reads_its_ranks_off_one_reduction(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in calls:
+    for name in ("boundary_matrix", "snf_diagonal", "betti_numbers"):
         count(homology, name)
-    count(quasi, "snf_diagonal")
-    count(quasi, "betti_numbers")
+    for name in ("snf_diagonal", "betti_numbers", "_reduce_filtration"):
+        count(quasi, name)
     rep = pair_image_analysis(
         annulus_ring_points(),
         (UncertaintyInterval(F(7, 10), F(9, 10)), EdgePolicy.none()),
         (UncertaintyInterval(F(19, 10), F(11, 5)), EdgePolicy.all()),
     )
     assert (rep.lower_b1, rep.mid_b1, rep.upper_b1, rep.image_rank) == (1, 1, 1, 1)
-    assert calls == {"boundary_matrix": 1, "snf_diagonal": 0, "betti_numbers": 0}
+    assert calls == {"boundary_matrix": 0, "snf_diagonal": 0, "betti_numbers": 0, "_reduce_filtration": 1}
 
 
 def test_pair_contractible_cluster():
