@@ -12,8 +12,9 @@ A flag complex's cliques grow on higher neighbours: each vertex keeps the
 set of its neighbours above it, and a clique's extensions are the
 intersection of its members' sets, carried along as it grows.  Every
 extension found is a clique of the next level, so no candidate is built
-and then dropped.  Rips edges come from the grid proximity pass of
-`geometry.pair_bands`, which tests only pairs in neighbouring cells.
+and then dropped.  Rips edges are the pairs the grid proximity pass
+`geometry.pair_distances` yields at the one radius eps: it tests only pairs
+in neighbouring cells and yields only those within eps.
 
 `component_counts` is the one component routine: a union-find that counts
 the components of a growing graph after each of a sequence of nested edge
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .geometry import DuplicatePointError, Point, pair_bands  # the error is re-exported
+from .geometry import DuplicatePointError, Point, pair_distances  # the error is re-exported
 
 Simplex = Tuple[int, ...]
 
@@ -179,7 +180,6 @@ def explicit_complex(
     n_vertices: int,
     simplices_by_dim: Sequence[Iterable[Simplex]],
     dim_cap: Optional[int] = None,
-    coords: Optional[Sequence[Point]] = None,
 ) -> SimplicialComplex:
     """A non-flag complex from explicit simplex lists; faces are closed off."""
     cap = dim_cap if dim_cap is not None else max(1, len(simplices_by_dim) - 1)
@@ -199,21 +199,20 @@ def explicit_complex(
         n_vertices=n_vertices,
         simplices=tuple(tuple(sorted(level)) for level in levels),
         flag=False,
-        coords=tuple(coords) if coords is not None else None,
     )
 
 
 def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> SimplicialComplex:
     """Vietoris-Rips complex at scale eps (closed threshold: d <= eps).
 
-    Edges are the pairs in band 0 of `pair_bands`, which refuses coincident
-    points; simplices are exactly the cliques of the proximity graph up to
-    dim_cap.
+    Edges are the pairs `pair_distances` yields at the radius eps, every
+    one within it; the pass refuses coincident points.  Simplices are
+    exactly the cliques of the proximity graph up to dim_cap.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    bands, _ = pair_bands(points, eps, eps)
-    edges = [(i, j) for i, j, band, _ in bands if band == 0]
+    pairs, _, _ = pair_distances(points, (eps,))
+    edges = [(i, j) for i, j, _ in pairs]
     return flag_complex(len(points), edges, dim_cap, coords=points, provenance="rips")
 
 

@@ -43,12 +43,14 @@ coincident pair.  It yields only the pairs within the largest radius;
 pairs beyond it are never produced.  The every-pair mode of the same
 routine yields all n(n-1)/2 pairs, for the fixture audits, which report
 every pair's margin on tiny inputs.
-`pair_bands` is the one band rule on it: Rips and quasi-Rips links and the
-embedding and fixture audits all read the band a pair falls in.  On the
-grid no band-2 pair beyond the upper radius is produced, so the embedding
-audit, which needs every pair in band 0 or 1, counts the pairs it is
-given.  The pair analysis applies the same rule (closed below, open band,
-banned above) to its five radii in one loop over the pass.
+`pair_bands` tags each pair of the pass with its band and slack for the
+two audits that read a slack, the embedding audit and the fixture audits.
+On the grid no band-2 pair beyond the upper radius is produced, so the
+embedding audit, which needs every pair in band 0 or 1, counts the pairs
+it is given.  Links are decided elsewhere: Rips edges are the pairs the
+pass yields at the one radius eps (`complexes.build_rips`), and quasi-Rips
+links, forced below eps and picked by a policy inside the open band, are
+resolved by `quasi._resolve_links` alone.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
 """Quasi-Rips complexes and the arbitrary-group pipeline.
 
 A quasi-Rips complex forces links below eps, forbids them at eps' and
-beyond, and lets a policy decide inside the open band.  A pair analysis
-resolves the chain R_Q c R_mid c R_Q' in one pass over the pairs, with one
-clique enumeration (of R_Q'; R_mid is a filtered level of it, R_Q is never
-built) and one coboundary reduction, with clearing, of its filtration.  The
-pipeline turns a finite group presentation into a properly 3-colored
-2-complex, blows it up so gluings become joins, and embeds the blowup in
-the plane with one small ball per color.  One proximity pass over that
-embedding is audited: same-colour pairs forced, the rest inside the band.
-The audit's forced pairs plus the bichromatic blowup edges, the band pairs
-the construction picks, are then the quasi-Rips complex; it carries the
-group's H1 (plus free rank), which integer Smith normal form certifies.
+beyond, and lets a policy decide inside the open band.  One resolver,
+`_resolve_links`, applies that rule to a proximity pass and refuses any
+pick outside its band; `build_quasi` and both intervals of the pair
+analysis call it.  A pair analysis resolves the chain R_Q c R_mid c R_Q'
+in one pass over the pairs, with one clique enumeration (of R_Q'; R_mid is
+a filtered level of it, R_Q is never built) and one coboundary reduction,
+with clearing, of its filtration.  The pipeline turns a finite group
+presentation into a properly 3-colored 2-complex, blows it up so gluings
+become joins, and embeds the blowup in the plane with one small ball per
+color.  One proximity pass over that embedding is audited: same-colour
+pairs forced, the rest inside the band.  The audit's forced pairs plus the
+bichromatic blowup edges, the band pairs the construction picks, are then
+the quasi-Rips complex; it carries the group's H1 (plus free rank), which
+integer Smith normal form certifies.
 
 H1 of an embedded quasi complex is computed relative to the three color
 cliques: each clique spans a full simplex, so collapsing them is a homotopy
@@ -25,14 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .complexes import SimplicialComplex, component_counts, explicit_complex, flag_complex
 from .errors import AuditError
 from .geometry import DuplicatePointError, Point, pair_bands, pair_distances, rational_sqrt
 from .homology import (
-    ContainmentError,
     SmithDecomposition,
     _reduce_filtration,
     betti_numbers,
@@ -61,52 +62,60 @@ class UncertaintyInterval:
 
 @dataclass(frozen=True)
 class EdgePolicy:
-    """How uncertain-band pairs resolve: explicit list, seeded coin, all, none."""
+    """How uncertain-band pairs resolve: an explicit list of picks, or a
+    seeded coin tossed for each band pair in (i, j) order.  `all` and
+    `none` are the coins of probability 1 and 0: `random()` lies in [0, 1)."""
 
-    mode: str
     edges: Optional[FrozenSet[Tuple[int, int]]] = None
-    seed: Optional[int] = None
-    probability: Optional[Fraction] = None
+    seed: int = 0
+    probability: Fraction = F(0)
 
     @classmethod
     def explicit(cls, edges) -> "EdgePolicy":
-        norm = frozenset((min(i, j), max(i, j)) for i, j in edges)
-        return cls(mode="explicit", edges=norm)
+        return cls(edges=frozenset((min(i, j), max(i, j)) for i, j in edges))
 
     @classmethod
     def seeded_random(cls, seed: int, probability) -> "EdgePolicy":
         p = F(probability)
         if not 0 <= p <= 1:
             raise ValueError(f"coin probability must lie in [0, 1], got {p}")
-        return cls(mode="seeded_random", seed=seed, probability=p)
+        return cls(seed=seed, probability=p)
 
     @classmethod
     def all(cls) -> "EdgePolicy":
-        return cls(mode="all")
+        return cls(probability=F(1))
 
     @classmethod
     def none(cls) -> "EdgePolicy":
-        return cls(mode="none")
+        return cls()
 
     def select(self, band_pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        if self.mode == "none":
-            return []
-        if self.mode == "all":
-            return list(band_pairs)
-        if self.mode == "explicit":
-            band = set(band_pairs)
-            extra = self.edges - band  # type: ignore[operator]
-            if extra:
-                raise ValueError(
-                    f"explicit policy proposes pairs outside the uncertain band: "
-                    f"{sorted(extra)}"
-                )
-            return sorted(self.edges)  # type: ignore[arg-type]
-        if self.mode == "seeded_random":
-            rng = random.Random(self.seed)
-            p = float(self.probability)
-            return [e for e in band_pairs if rng.random() < p]
-        raise ValueError(f"unknown policy mode {self.mode!r}")
+        if self.edges is not None:
+            return sorted(self.edges)
+        rng = random.Random(self.seed)
+        p = float(self.probability)
+        return [e for e in band_pairs if rng.random() < p]
+
+
+def _resolve_links(
+    pairs: Iterable[Tuple[int, int, int]], lo2: int, hi2: int, policy: EdgePolicy
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The forced pairs of a proximity pass's (i, j, d2), d2 <= lo2, and the
+    links: the forced pairs plus the policy's picks from the open band
+    lo2 < d2 < hi2, offered in (i, j) order.  Any pick outside that band is
+    a ValueError, whatever the policy."""
+    forced: List[Tuple[int, int]] = []
+    band: List[Tuple[int, int]] = []
+    for i, j, d2 in pairs:
+        if d2 <= lo2:
+            forced.append((i, j))
+        elif d2 < hi2:
+            band.append((i, j))
+    picks = policy.select(band)
+    outside = set(picks).difference(band)
+    if outside:
+        raise ValueError(f"policy picks pairs outside the uncertain band: {sorted(outside)}")
+    return forced, forced + picks
 
 
 def build_quasi(
@@ -116,16 +125,9 @@ def build_quasi(
     dim_cap: int = 3,
 ) -> SimplicialComplex:
     """Flag complex of forced edges plus the policy's picks in the band."""
-    bands, _ = pair_bands(points, interval.eps, interval.eps_prime)
-    forced: List[Tuple[int, int]] = []
-    band: List[Tuple[int, int]] = []  # (i, j) order: seeded_random draws a coin per pair
-    for i, j, b, _ in bands:
-        if b == 0:
-            forced.append((i, j))
-        elif b == 1:
-            band.append((i, j))
-    edges = forced + policy.select(band)
-    return flag_complex(len(points), edges, dim_cap, coords=points, provenance="quasi")
+    pairs, (lo2, hi2), _ = pair_distances(points, (interval.eps, interval.eps_prime))
+    _, links = _resolve_links(pairs, lo2, hi2, policy)
+    return flag_complex(len(points), links, dim_cap, coords=points, provenance="quasi")
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +208,9 @@ def presentation_to_colored_complex(
         b = len(colors)
         colors.append(2)
         circle[g] = (a, b)
-    edges: Set[Tuple[int, int]] = set()
+    # the circles' edges; explicit_complex closes each triangle under its faces
+    edges = [e for a, b in circle.values() for e in ((0, a), (a, b), (0, b))]
     triangles: Set[Tuple[int, int, int]] = set()
-    for g, (a, b) in circle.items():
-        edges.update(((0, a), (a, b), (0, b)))
 
     def new_vertex(color: int) -> int:
         colors.append(color)
@@ -222,9 +223,6 @@ def presentation_to_colored_complex(
         if tri in triangles:
             raise AuditError(f"duplicate triangle {tri}")
         triangles.add(tri)
-        edges.update(
-            ((min(x, y), max(x, y)) for x, y in combinations((u, v, w), 2))
-        )
 
     for rel in p.relators:
         walk: List[int] = [0]
@@ -282,7 +280,7 @@ def presentation_to_colored_complex(
 
     n = len(colors)
     k = explicit_complex(
-        n, [[(v,) for v in range(n)], sorted(edges), sorted(triangles)], dim_cap=2
+        n, [[(v,) for v in range(n)], edges, sorted(triangles)], dim_cap=2
     )
     if not _is_proper(k, colors):
         raise AuditError("construction produced an improper coloring")
@@ -600,10 +598,12 @@ def pair_image_analysis(
 
     Disjointness gives R_Q subset R_eps'' subset R_Q' for any eps'' between
     the intervals, so the image rank is bounded by b1 at the midpoint; the
-    report carries the verified bound.  One proximity pass resolves every
-    pair once (each policy draws over its own band in (i, j) order) and
-    tags each edge with the first level of R_Q c R_eps'' c R_Q' holding
-    it; a pick that breaks the chain is a ContainmentError naming the pair.
+    report carries the verified bound.  One proximity pass is read once and
+    resolved for each interval by `_resolve_links` (each policy draws over
+    its own band in (i, j) order); every pick lies inside its band and
+    eps'_low <= eps'' <= eps_high, so the chain R_Q c R_eps'' c R_Q' is
+    nested by construction, and each edge is tagged with the first level
+    holding it.
     All three are flag complexes, so a triangle is born with its last edge:
     the cliques of R_Q' are enumerated once, at dim_cap 2 since nothing
     here reads a 3-simplex, R_eps'' is its level 1, and R_Q is never built.
@@ -619,30 +619,14 @@ def pair_image_analysis(
     mid_eps = (li.eps_prime + ui.eps) / 2
     radii = (li.eps, li.eps_prime, ui.eps, ui.eps_prime, mid_eps)
     pairs, (l2, lp2, u2, up2, m2), _ = pair_distances(points, radii)
-    forced, low_band, mid_edges, high_forced, high_band = [], [], [], [], []
-    for i, j, d2 in pairs:  # the band rule of `pair_bands`, in (i, j) order
-        if d2 <= l2:
-            forced.append((i, j))
-        elif d2 < lp2:
-            low_band.append((i, j))
-        if d2 <= m2:
-            mid_edges.append((i, j))
-        if d2 <= u2:
-            high_forced.append((i, j))
-        elif d2 < up2:
-            high_band.append((i, j))
-    low_picks = lp.select(low_band)
-    high_edges = high_forced + up.select(high_band)
+    pairs = list(pairs)
+    forced, low_edges = _resolve_links(pairs, l2, lp2, lp)
+    _, high_edges = _resolve_links(pairs, u2, up2, up)
+    mid_edges = [(i, j) for i, j, d2 in pairs if d2 <= m2]
     high = flag_complex(n, high_edges, 2, coords=points, provenance="quasi")
     birth = dict.fromkeys(high.edges, 2)
-    for e in mid_edges:
-        if e not in birth:
-            raise ContainmentError(f"pair {e} of R_mid is missing from R_Q'")
-        birth[e] = 1
-    for e in forced + low_picks:
-        if birth.get(e, 2) == 2:
-            raise ContainmentError(f"pair {e} of R_Q is missing from R_mid")
-        birth[e] = 0
+    birth.update(dict.fromkeys(mid_edges, 1))
+    birth.update(dict.fromkeys(low_edges, 0))
     edge_birth = [birth[e] for e in high.edges]
     triangles = high.k_simplices(2)
     triangle_birth = [max(birth[a, b], birth[a, c], birth[b, c]) for a, b, c in triangles]

@@ -13,7 +13,7 @@ from ripshadow.complexes import build_rips, explicit_complex, flag_complex
 from ripshadow.errors import AuditError
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
 from ripshadow.geometry import dist2, pair_bands
-from ripshadow.homology import ContainmentError, betti_numbers, integer_h1
+from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.quasi import (
     EdgePolicy,
     GroupPresentation,
@@ -586,24 +586,51 @@ def test_pair_gives_the_shadow_the_midpoint_rips_complex(monkeypatch):
 
 
 class _Picks(EdgePolicy):
-    """A policy that picks its pairs whatever the band holds."""
+    """A policy that picks the whole band and its own pairs besides."""
 
     def select(self, band_pairs):
-        return sorted(self.edges)
+        return list(band_pairs) + sorted(self.edges - set(band_pairs))
 
 
-def test_pair_rejects_a_lower_pick_outside_the_midpoint_complex():
+def test_pick_outside_its_band_is_refused_at_either_interval():
     pts = [P(0, 0), P(1, 0), P(3, 0), P(10, 0)]
-    lower = UncertaintyInterval(F(1, 2), F(3, 2))
-    upper = (UncertaintyInterval(F(5, 2), F(4)), EdgePolicy.all())  # midpoint 2
-    # (0, 2) at distance 3 is in R_Q' but not in R_mid; (0, 3) is in neither
-    for pair in [(0, 2), (0, 3)]:
-        picks = _Picks(mode="picks", edges=frozenset([pair]))
-        with pytest.raises(ContainmentError, match=re.escape(f"pair {pair} of R_Q")):
-            pair_image_analysis(pts, (lower, picks), upper)
-    # a pick outside the lower band but inside R_mid keeps the chain nested
-    picks = _Picks(mode="picks", edges=frozenset([(1, 2)]))
-    assert pair_image_analysis(pts, (lower, picks), upper).lower_b1 == 0
+    lower = UncertaintyInterval(F(1, 2), F(3, 2))  # band: (0, 1)
+    upper = UncertaintyInterval(F(5, 2), F(4))  # forced (0, 1), (1, 2); band (0, 2)
+    none, every = EdgePolicy.none(), EdgePolicy.all()
+    # (1, 2) lies in R_mid (midpoint 2), (0, 2) only in R_Q', (0, 3) in neither;
+    # a band of the resolver admits none of them, so the chain stays nested
+    cases = [(lower, pair, (upper, every)) for pair in [(1, 2), (0, 2), (0, 3)]]
+    cases += [(upper, pair, (lower, none)) for pair in [(0, 1), (1, 2), (0, 3)]]
+    for interval, pair, other in cases:
+        picks = _Picks(edges=frozenset([pair]))
+        message = re.escape(f"outside the uncertain band: [{pair}]")
+        with pytest.raises(ValueError, match=message):
+            build_quasi(pts, interval, picks)
+        with pytest.raises(ValueError, match=message):
+            if interval is lower:
+                pair_image_analysis(pts, (lower, picks), other)
+            else:
+                pair_image_analysis(pts, other, (upper, picks))
+    # picks inside the band pass: the whole band is the `all` policy
+    whole = _Picks(edges=frozenset())
+    assert pair_image_analysis(pts, (lower, whole), (upper, whole)) == pair_image_analysis(
+        pts, (lower, every), (upper, every)
+    )
+
+
+def test_none_and_all_are_the_coins_of_probability_0_and_1():
+    rng = random.Random(77)
+    for t, pts, li, ui in _chain_cases(rng, 8):
+        none, every = EdgePolicy.none(), EdgePolicy.all()
+        zero, one = EdgePolicy.seeded_random(t, 0), EdgePolicy.seeded_random(t, 1)
+        wide = UncertaintyInterval(F(1, 2), F(5))  # nearly every pair in the band
+        for interval in (li, ui, wide):
+            assert build_quasi(pts, interval, none) == build_quasi(pts, interval, zero)
+            assert build_quasi(pts, interval, every) == build_quasi(pts, interval, one)
+        for (lp, up), (lq, uq) in [((none, every), (zero, one)), ((every, none), (one, zero))]:
+            assert pair_image_analysis(pts, (li, lp), (ui, up)) == pair_image_analysis(
+                pts, (li, lq), (ui, uq)
+            )
 
 
 def test_pair_enumerates_the_cliques_of_the_upper_complex_only(monkeypatch):
