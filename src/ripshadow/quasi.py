@@ -610,6 +610,10 @@ def pair_image_analysis(
     A union-find counts the components of the forced R_eps, and one
     coboundary reduction of R_Q' with clearing gives the image rank and the
     three b1 (`homology._reduce_filtration`).
+    The shadow certifies the (b0, b1) of R_eps'' on the arrangement of its
+    boundary edges only (`build_shadow(mid, boundary_only=True)`): an edge
+    with a triangle on each side, or a vertex with only such edges, is
+    interior to the shadow, and on a dense cluster nearly every one is.
     """
     li, lp = lower
     ui, up = upper
@@ -636,7 +640,7 @@ def pair_image_analysis(
     (lower_b1, mid_b1, upper_b1), rank = _reduce_filtration(high, edge_birth, triangle_birth, 3)
     shadow_mid = None
     if all(len(p) == 2 for p in points):
-        shadow_mid = shadow_betti(build_shadow(mid))
+        shadow_mid = shadow_betti(build_shadow(mid, boundary_only=True))
     return PairReport(
         image_rank=rank,
         mid_eps=mid_eps,

@@ -7,14 +7,43 @@ angular order, and mark each bounded face covered or uncovered by testing an
 exact interior witness against the projected triangles.  A witness is
 decided locally: it must lie inside the face's own ring, on none of its
 segments, and outside (and off) the outer walk of every component that
-could nest in the face, that is, every one enclosing less area.  Arrangement
-vertices are integer triples of the `geometry` kernel, built on the source
-coordinates rescaled once to integers by `scale_points` (which converts
-only scalars other than int and Fraction).  Vertex ids and face order follow
-the lexicographic order of the points and witnesses, and the darts at a
-vertex go counterclockwise from +x: plain sorts on exact integer keys, a
-point (X, Y, D) by ((X << s) // D, (Y << s) // D) with 2**s > max(D)**2, a
-dart by its diamond angle scaled alike (`geometry._lex_keys`, `_angle_keys`).
+could nest in the face, that is, every one enclosing less area.
+
+The arrangement holds every edge, or with `boundary_only` only the edges
+that can carry a point of the shadow's boundary; the pair analysis
+certifies its midpoint complex on that one.  An edge is interior when the
+side tables (below) hold a non-degenerate triangle on both its left and
+its right: the two cover a neighbourhood of its open segment.  A vertex
+whose edges are all interior is surrounded by its triangles, so it is an
+interior point too.  The boundary arrangement drops both, keeping the
+vertices that touch a kept edge or have no edge at all.  Every boundary
+point of the shadow then lies on a kept edge or vertex, so each face of
+the partial arrangement lies wholly inside or wholly outside the shadow,
+and its witness decides it as on the full one.  The zero-length edge check
+still covers every edge, and the grid side (below) every edge too.
+
+Components can nest in a covered face: an edge drawn inside a triangle of
+an explicit complex, or the inner rim of an annulus in its boundary
+arrangement.  Such a component joins the one around it, so the shadow's b0
+is C - N_cov, with C the components of the arrangement and N_cov those
+whose smallest enclosing face is covered; b1 is the uncovered face count,
+and the Euler cross-check b1 = C - V + E - F_cov holds either way.  A
+component's lexicographically least vertex lies on its outer walk.  It is
+screened against the other components' outer walks, so a component nested
+in nothing costs one pass over them; otherwise its enclosing face is the
+smallest bounded walk winding around that vertex.  The full arrangement of
+a Rips complex has N_cov = 0: a triangle holding the covered points next
+to a component's least vertex holds that vertex, and its sides, at most
+eps, then link the triangle into that component.
+
+Arrangement vertices are integer triples of the `geometry` kernel, built on
+the source coordinates rescaled once to integers by `scale_points` (which
+converts only scalars other than int and Fraction).  Vertex ids and face
+order follow the lexicographic order of the points and witnesses, and the
+darts at a vertex go counterclockwise from +x: plain sorts on exact integer
+keys, a point (X, Y, D) by ((X << s) // D, (Y << s) // D) with
+2**s > max(D)**2, a dart by its diamond angle scaled alike
+(`geometry._lex_keys`, `_angle_keys`).
 
 A `ShadowComplex` keeps those triples and the one `scale` of `scale_points`,
 and a `ShadowFace` its witness triple; a triple over the scale is the
@@ -55,14 +84,16 @@ first candidate that passes all three tests, as if each were reduced.
 A witness is covered iff some triangle holds it.  Both witnesses of a face
 are first tested against one inward triangle: a triangle on the Rips edge
 under any dart of the face's ring, with its third vertex left of the dart.
-Its sides are unions of arrangement edges, which no face crosses, and the
-face lies left of the dart, inside it; so it holds the whole face.  Side
-tables give it without a search: each triangle is filed once under each of
-its three Rips edges i < j, on the left or right of i -> j as its third
-vertex lies (a collinear triangle on neither), and one orientation per
-triangle decides all three.  The dart runs along i -> j iff it runs the
-same way in lexicographic order, so the first triangle on the dart's side
-of a provenance edge is the inward one.  A witness it does not hold, or of
+On the full arrangement its sides are unions of arrangement edges, which
+no face crosses, and the face lies left of the dart, inside it; so it holds
+the whole face.  On the boundary arrangement it is only a first try, as a
+face there can span many triangles.  Side tables give it without a
+search: each triangle is filed once under each of its three Rips edges
+i < j, on the left or right of i -> j as its third vertex lies (a
+collinear triangle on neither), and one orientation per triangle decides
+all three.  The dart runs along i -> j iff it runs the same way in
+lexicographic order, so the first triangle on the dart's side of a
+provenance edge is the inward one.  A witness it does not hold, or of
 a face without one, goes to the complete search: each triangle's ring is
 filed only under the cell of its first vertex, the one of lowest index, and
 the rings filed in the 3 x 3 cells around the witness's cell are tested.
@@ -119,6 +150,7 @@ class ShadowComplex:
     faces: Tuple[ShadowFace, ...]  # bounded faces only
     n_components: int  # components of the 1-skeleton, isolated vertices included
     n_unbounded_walks: int  # one per component with edges; the outer face
+    n_nested_covered: int  # components whose smallest enclosing face is covered
 
     @functools.cached_property
     def points(self) -> Tuple[Point, ...]:
@@ -158,8 +190,15 @@ def _grid_holds(w: Triple, tris_in: Dict[Tuple[int, int], List[Tuple]], side: in
     )
 
 
-def build_shadow(c: SimplicialComplex) -> ShadowComplex:
-    """Exact shadow complex of a planar complex with materialized 2-skeleton."""
+def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> ShadowComplex:
+    """Exact shadow complex of a planar complex with materialized 2-skeleton.
+
+    With boundary_only the arrangement holds only the edges that are not
+    interior and the vertices that touch one or have no edge (module
+    docstring).  Its Betti numbers are still the shadow's, but its vertices,
+    edges and faces are those of that partial arrangement: the report, the
+    SVG and the lifts need the full one.
+    """
     if c.coords is None or any(len(p) != 2 for p in c.coords):
         raise ShadowError("build_shadow needs 2-dimensional coordinates")
     if c.dim_cap < 2:
@@ -171,8 +210,33 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         if coords[i] == coords[j]:
             raise ShadowError(f"degenerate zero-length edge {(i, j)}")
 
+    # -- side tables: sides[0][i, j] and sides[1][i, j] are the third vertex
+    # of the first triangle left and right of Rips edge i -> j, i < j.  A
+    # triangle p < q < r has r and p on the side of p -> q and q -> r that its
+    # orientation gives, and q on the other side of p -> r.
+    triangles = c.k_simplices(2)
+    sides: Tuple[Dict[Tuple[int, int], int], ...] = ({}, {})
+    for p, q, r in triangles:
+        o = tr_orient(tcoords[p], tcoords[q], tcoords[r])
+        if o:
+            left, right = sides if o > 0 else sides[::-1]
+            left.setdefault((p, q), r)
+            right.setdefault((p, r), q)
+            left.setdefault((q, r), p)
+    # the edges and vertices arranged
+    keep = [True] * len(rips_edges)
+    vertices: Sequence[int] = range(len(tcoords))
+    if boundary_only:
+        # an edge with a triangle on both sides is interior, and so is a
+        # vertex whose every edge is
+        keep = [e not in sides[0] or e not in sides[1] for e in rips_edges]
+        ends = {v for e, k in zip(rips_edges, keep) if k for v in e}
+        inner = {v for e in rips_edges for v in e} - ends
+        vertices = [v for v in vertices if v not in inner]
+
     # -- one uniform grid: cell side the largest |dx| or |dy| of any edge --
-    # each edge's integer bounding box, and the cells it meets (D = 1 here)
+    # (kept or not, so that it bounds the triangles' sides too); each edge's
+    # integer bounding box, and the cells a kept edge meets (D = 1 here)
     boxes = [
         (min(coords[i][0], coords[j][0]), max(coords[i][0], coords[j][0]),
          min(coords[i][1], coords[j][1]), max(coords[i][1], coords[j][1]))
@@ -181,8 +245,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     side = max((max(x1 - x0, y1 - y0) for x0, x1, y0, y1 in boxes), default=1)
     edge_cells = [
         [(cx, cy) for cx in range(x0 // side, x1 // side + 1)
-         for cy in range(y0 // side, y1 // side + 1)]
-        for x0, x1, y0, y1 in boxes
+         for cy in range(y0 // side, y1 // side + 1)] if k else []
+        for (x0, x1, y0, y1), k in zip(boxes, keep)
     ]
     edges_in: Dict[Tuple[int, int], List[int]] = {}
     for a, cells in enumerate(edge_cells):
@@ -193,7 +257,9 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
     # Each crossing keeps its least pair (a, b).  Pairs sharing a vertex
     # meet only there, or overlap up to the nearer other endpoint, which is
     # a vertex on the other edge: the T-junction scan adds it.
-    splits: List[Set[Triple]] = [{tcoords[i], tcoords[j]} for i, j in rips_edges]
+    splits: List[Set[Triple]] = [
+        {tcoords[i], tcoords[j]} if k else set() for (i, j), k in zip(rips_edges, keep)
+    ]
     crossing_pairs: Dict[Triple, Tuple[int, int]] = {}
     # one record per edge: its box, its endpoints' indices and triples
     records = [(*box, i, j, tcoords[i], tcoords[j]) for box, (i, j) in zip(boxes, rips_edges)]
@@ -213,8 +279,8 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 first = crossing_pairs.get(meet[0])
                 if first is None or (a, b) < first:
                     crossing_pairs[meet[0]] = (a, b)
-    for v, tv in enumerate(tcoords):
-        x, y = coords[v]
+    for v in vertices:
+        tv, (x, y) = tcoords[v], coords[v]
         for a in edges_in.get(_cell(tv, side), ()):
             i, j = rips_edges[a]
             x0, x1, y0, y1 = boxes[a]
@@ -223,13 +289,13 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 splits[a].add(tv)
 
     # -- shadow vertices: deterministic ids in lexicographic point order --
-    all_points = list(set(tcoords).union(*splits))
+    all_points = list({tcoords[v] for v in vertices}.union(*splits))
     spoints = [p for _, p in sorted(zip(_lex_keys(all_points), all_points))]
     pid = {p: idx for idx, p in enumerate(spoints)}
 
     provenance_of_vertex: Dict[int, Tuple] = {}
-    for v, tv in enumerate(tcoords):
-        provenance_of_vertex.setdefault(pid[tv], ("original", v))
+    for v in vertices:
+        provenance_of_vertex.setdefault(pid[tcoords[v]], ("original", v))
     for p, pair in crossing_pairs.items():
         provenance_of_vertex.setdefault(pid[p], ("crossing", pair))
     missing = set(range(len(spoints))) - set(provenance_of_vertex)
@@ -338,23 +404,10 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
                 return cand
         raise ConsistencyError("no interior witness found for a bounded face")
 
-    # A witness is covered iff some triangle holds it.  An inward triangle,
-    # read off the side tables, holds the whole face (module docstring); the
-    # rest go to the grid search over each triangle's first vertex.
-    # sides[0][i, j] and sides[1][i, j]: the third vertex of the first
-    # triangle left and right of Rips edge i -> j, i < j.  A triangle
-    # p < q < r has r and p on the side of p -> q and q -> r that its
-    # orientation gives, and q on the other side of p -> r.
-    triangles = c.k_simplices(2)
-    sides: Tuple[Dict[Tuple[int, int], int], ...] = ({}, {})
-    for p, q, r in triangles:
-        o = tr_orient(tcoords[p], tcoords[q], tcoords[r])
-        if o:
-            left, right = sides if o > 0 else sides[::-1]
-            left.setdefault((p, q), r)
-            right.setdefault((p, r), q)
-            left.setdefault((q, r), p)
-    # does i -> j run up in lexicographic order, as the even darts do?
+    # A witness is covered iff some triangle holds it.  The inward triangle,
+    # read off the side tables, is tried first (module docstring); the rest
+    # go to the grid search over each triangle's first vertex.  upward[a]:
+    # does Rips edge a run up in lexicographic order, as the even darts do?
     upward = [coords[i] < coords[j] for i, j in rips_edges]
 
     @functools.cache  # filed once, on the first witness no inward triangle holds
@@ -394,6 +447,30 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         faces.append(ShadowFace(
             tuple([d >> 1 for d in darts]), tuple([tail[d] for d in darts]), w1, cov1
         ))
+
+    # -- components nested in a covered face --
+    # A component's least vertex (ids follow lexicographic order) lies on
+    # its outer walk, so no ring of its own winds around it.  A component
+    # nested in no other's outer walk lies in the unbounded face; any other
+    # lies in the smallest bounded walk winding around its least vertex, and
+    # joins that face's component when the face is covered.
+    least = []
+    if n_components > 1:  # a lone component nests in nothing
+        least = [min(tail[d] for d in darts) for darts, (num, _), _ in walks if num <= 0]
+        least += [v for v, darts in enumerate(out_at) if not darts]
+    n_nested_covered = 0
+    for v in least:
+        tv = spoints[v]
+        if not any(tr_locate(r, tv) for _, _, r in outer_walks):
+            continue
+        smallest = None
+        for (_, (num, den), ring), f in zip(positive, faces):
+            if tr_locate(ring, tv) and (
+                smallest is None or num * smallest[1] < smallest[0] * den
+            ):
+                smallest = (num, den, f.covered)
+        n_nested_covered += smallest[2]
+
     # disjoint faces have distinct witnesses, so no two keys tie
     keys = _lex_keys([f.witness_triple for f in faces])
     faces = [f for _, f in sorted(zip(keys, faces))]
@@ -408,25 +485,27 @@ def build_shadow(c: SimplicialComplex) -> ShadowComplex:
         faces=tuple(faces),
         n_components=n_components,
         n_unbounded_walks=n_unbounded,
+        n_nested_covered=n_nested_covered,
     )
 
 
 def shadow_betti(s: ShadowComplex) -> Tuple[int, int]:
-    """(b0, b1) of the shadow: components of the 1-skeleton, and holes.
+    """(b0, b1) of the shadow: its components, and holes.
 
-    b1 comes from the Euler formula b0 - V + E - F_cov and is cross-checked
+    b0 is C - N_cov: the C components of the 1-skeleton, less the N_cov
+    nested in a covered face, which joins each to the component around it.
+    b1 comes from the Euler formula C - V + E - F_cov and is cross-checked
     against the count of uncovered bounded faces; a mismatch would mean the
     arrangement itself is broken, so it raises.
     """
-    b0 = s.n_components
     f_cov = sum(1 for f in s.faces if f.covered)
-    b1 = b0 - len(s.triples) + len(s.edges) - f_cov
+    b1 = s.n_components - len(s.triples) + len(s.edges) - f_cov
     uncovered = sum(1 for f in s.faces if not f.covered)
     if b1 != uncovered:
         raise ConsistencyError(
             f"Euler b1={b1} disagrees with uncovered face count {uncovered}"
         )
-    return (b0, b1)
+    return (s.n_components - s.n_nested_covered, b1)
 
 
 def hole_anchors(s: ShadowComplex) -> List[Point]:

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -350,6 +351,33 @@ def test_pair_annulus_ring_equality():
     assert rep.image_rank == rep.shadow_mid_betti[1]
 
 
+def test_pair_certifies_a_dense_cluster_on_its_boundary_edges(monkeypatch):
+    # 30 points of the 1/100 lattice in [0, 2/5]^2: every level is a full
+    # simplex, so the midpoint shadow's boundary is its convex hull.  The
+    # arrangement of all 435 edges makes 38,796 segment meets.
+    import ripshadow.shadow
+
+    calls = Counter()
+    meet = ripshadow.shadow.tr_segment_meet
+
+    def counted(*args):
+        calls["tr_segment_meet"] += 1
+        return meet(*args)
+
+    monkeypatch.setattr(ripshadow.shadow, "tr_segment_meet", counted)
+    rng = random.Random(3)
+    pts = set()
+    while len(pts) < 30:
+        pts.add((F(rng.randrange(41), 100), F(rng.randrange(41), 100)))
+    rep = pair_image_analysis(
+        sorted(pts),
+        (UncertaintyInterval(F(1), F(2)), EdgePolicy.all()),
+        (UncertaintyInterval(F(3), F(4)), EdgePolicy.all()),
+    )
+    assert rep.shadow_mid_betti == (1, 0)
+    assert calls["tr_segment_meet"] <= 100
+
+
 def test_pair_reads_its_ranks_off_one_reduction(monkeypatch):
     from ripshadow import homology, quasi
 
@@ -567,9 +595,9 @@ def test_pair_gives_the_shadow_the_midpoint_rips_complex(monkeypatch):
 
     seen = []
 
-    def capture(c):
+    def capture(c, **options):
         seen.append(c)
-        return build_shadow(c)
+        return build_shadow(c, **options)
 
     monkeypatch.setattr(quasi, "build_shadow", capture)
     rng = random.Random(76)

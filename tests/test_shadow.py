@@ -163,7 +163,7 @@ def test_nested_component_inside_hole(inner, b1):
     pts = list(annulus_ring_points()) + inner
     c = build_rips(pts, F("7/10"))
     s = build_shadow(c)
-    assert shadow_betti(s) == (2, b1)
+    assert shadow_betti(s) == shadow_betti(build_shadow(c, boundary_only=True)) == (2, b1)
     assert len(hole_anchors(s)) == b1
     rb = betti_numbers(c, 1).q
     assert (rb[0], rb[1]) == (2, b1)
@@ -250,6 +250,66 @@ def test_grid_arrangement_matches_all_pairs_oracle(c):
     shadow_betti(s)  # Euler count against uncovered faces
 
 
+# A 7 x 7 block of the unit lattice less some of its middle 3 x 3.  Between
+# scales sqrt 2 and 2 the edges through the block are interior, so the
+# boundary arrangement holds the rims of the holes apart from the outer
+# square, nested in the covered face between them.
+square_annulus = st.builds(
+    lambda holes, eps: build_rips(
+        [(F(x), F(y)) for x in range(7) for y in range(7) if (x, y) not in holes], eps
+    ),
+    st.sets(st.tuples(st.integers(2, 4), st.integers(2, 4)), min_size=1),
+    st.sampled_from([F(3, 2), F(7, 4), F(2)]),
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.one_of(lattice_case, ring_case).map(lambda case: build_rips(sorted(case[0]), case[1])),
+    collinear_rips, rips_plus_long_edge(), explicit_complexes(), square_annulus,
+))
+def test_boundary_arrangement_gives_the_shadow_betti(c):
+    assert shadow_betti(build_shadow(c, boundary_only=True)) == shadow_betti(build_shadow(c))
+
+
+@pytest.mark.parametrize(
+    "pts, eps, betti, n_edges, nested",
+    [
+        (annulus_ring_points(), F(1), (1, 1), 12, 0),  # the bare 12-cycle
+        (annulus_ring_points(), F(2), (1, 1), 72, 0),  # thick, its chords crossing
+        # the square annulus: its inner boundary nests in the covered face
+        ([P(x, y) for x in range(5) for y in range(5) if (x, y) != (2, 2)], F(3, 2), (1, 1), 20, 1),
+        # three collinear points within eps: the flat triangle is on no side
+        ([P(0, 0), P("1/2", 0), P(1, 0)], F(1), (1, 0), 2, 0),
+    ],
+    ids=["ring", "thick-ring", "square-annulus", "collinear"],
+)
+def test_boundary_arrangement_cases(pts, eps, betti, n_edges, nested):
+    c = build_rips(pts, eps)
+    full, part = build_shadow(c), build_shadow(c, boundary_only=True)
+    assert shadow_betti(full) == shadow_betti(part) == betti
+    assert (len(part.edges), part.n_nested_covered, full.n_nested_covered) == (n_edges, nested, 0)
+
+
+@pytest.mark.parametrize(
+    "inner, inner_edges",
+    [
+        ([P(1, 1), P(2, 3)], [(3, 4)]),
+        ([P(1, 1)], []),
+        ([P(1, 1), P(3, 1), P(3, 3), P(1, 3)], [(3, 4), (4, 5), (5, 6), (3, 6)]),
+    ],
+    ids=["edge", "vertex", "square"],
+)
+def test_component_in_a_covered_face_joins_it(inner, inner_edges):
+    # one triangle holding a separate edge, vertex or bare square: two
+    # components of the arrangement, one shadow component
+    pts = [P(0, 0), P(8, 0), P(0, 8)] + inner
+    c = flag_complex(len(pts), [(0, 1), (0, 2), (1, 2)] + inner_edges, dim_cap=2, coords=pts)
+    for s in (build_shadow(c), build_shadow(c, boundary_only=True)):
+        assert (s.n_components, s.n_nested_covered) == (2, 1)
+        assert shadow_betti(s) == (1, 0)
+
+
 def test_grid_bounds_kernel_calls(monkeypatch):
     # the 200-point quarter-lattice set at eps 1: all-pairs loops would make
     # E(E-1)/2 segment meets and about F*T triangle tests
@@ -308,7 +368,8 @@ def test_complete_coverage_search(monkeypatch, square, covered, shift):
     (inner,) = [f for f in s.faces if {s.points[v] for v in f.vertex_ids} == set(pts[3:])]
     assert inner.covered == covered
     assert searches == Counter({covered: 2})
-    assert shadow_betti(s) == (2, 0 if covered else 1)
+    # inside, the covered triangle joins the square to it: one component
+    assert shadow_betti(s) == ((1, 0) if covered else (2, 1))
 
 
 @pytest.mark.parametrize(
@@ -398,6 +459,15 @@ def test_shadow_rejects_wrong_dimension():
     c = build_rips([(F(0),), (F(1),)], F(1))
     with pytest.raises(ShadowError):
         build_shadow(c)
+
+
+@pytest.mark.parametrize("boundary_only", [False, True])
+def test_zero_length_edge_is_refused(boundary_only):
+    # the edge (1, 2) joins two copies of the centre of a filled square
+    pts = [P(0, 0), P(1, 1), P(1, 1), P(2, 0), P(2, 2), P(0, 2)]
+    c = flag_complex(len(pts), list(combinations(range(6), 2)), dim_cap=2, coords=pts)
+    with pytest.raises(ShadowError, match=r"zero-length edge \(1, 2\)"):
+        build_shadow(c, boundary_only=boundary_only)
 
 
 def test_render_svg_element_counts():
