@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import AuditError
-from .geometry import Point, pair_bands, rational_sqrt, to_triple, tr_orient, tr_segment_meet
+from .geometry import Point, audit_bands, rational_sqrt, to_triple, tr_orient, tr_segment_meet
 from .quasi import EdgePolicy, UncertaintyInterval
 
 F = Fraction
@@ -24,16 +24,10 @@ F = Fraction
 def _audit_bands(
     pts: Sequence[Point], lo: Fraction, hi: Fraction, want: Callable[[int, int], int]
 ) -> Dict[str, Fraction]:
-    """Check that every pair i < j lies in `pair_bands` band want(i, j) of
-    the radii (lo, hi); return each pair's exact slack, keyed d2(i,j).
-    The pass runs in its every-pair mode, band-2 pairs included."""
-    bands, den = pair_bands(pts, lo, hi, every_pair=True)
-    margins: Dict[str, Fraction] = {}
-    for i, j, band, slack in bands:
-        if band != want(i, j):
-            raise AuditError(f"pair {i},{j} is in band {band} of ({lo}, {hi}), want {want(i, j)}")
-        margins[f"d2({i},{j})"] = F(slack, den)
-    return margins
+    """`audit_bands` of the radii (lo, hi): every pair i < j in band
+    want(i, j), with its exact slack keyed d2(i,j)."""
+    audited, den = audit_bands(pts, lo, hi, want)
+    return {f"d2({i},{j})": F(slack, den) for i, j, slack in audited}
 
 
 def _approx(value: float, max_den: int = 10**6) -> Fraction:

@@ -40,17 +40,15 @@ pair in any dimension: a pair at distance d <= r has |dx| <= d and
 |dy| <= d, so floor division by r puts the two points in the same or next
 cells.  Coincident points share a cell, so the pass still finds every
 coincident pair.  It yields only the pairs within the largest radius;
-pairs beyond it are never produced.  The every-pair mode of the same
-routine yields all n(n-1)/2 pairs, for the fixture audits, which report
-every pair's margin on tiny inputs.
-`pair_bands` tags each pair of the pass with its band and slack for the
-two audits that read a slack, the embedding audit and the fixture audits.
-On the grid no band-2 pair beyond the upper radius is produced, so the
-embedding audit, which needs every pair in band 0 or 1, counts the pairs
-it is given.  Links are decided elsewhere: Rips edges are the pairs the
-pass yields at the one radius eps (`complexes.build_rips`), and quasi-Rips
-links, forced below eps and picked by a policy inside the open band, are
-resolved by `quasi._resolve_links` alone.
+pairs beyond it are never produced.
+`audit_bands` is the one band audit, for the embedding and the fixtures:
+it asks the pass for one more radius, the sum of the coordinate spans,
+which bounds every distance, so the pass yields every pair, and it refuses
+the first pair outside its wanted band.  Links are decided elsewhere: Rips
+edges are the pairs the pass yields at the one radius eps
+(`complexes.build_rips`), and quasi-Rips links, forced below eps and picked
+by a policy inside the open band, are resolved by `quasi._resolve_links`
+alone.
 """
 
 from __future__ import annotations
@@ -59,7 +57,9 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from .errors import AuditError
 
 Scalar = Fraction  # or int; the two mix freely
 Point = Tuple[Scalar, ...]
@@ -111,17 +111,16 @@ def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:
 
 
 def pair_distances(
-    points: Sequence[Point], radii: Sequence[Scalar], every_pair: bool = False
+    points: Sequence[Point], radii: Sequence[Scalar]
 ) -> Tuple[Iterator[Tuple[int, int, int]], List[int], int]:
     """An iterator over (i, j, d2) for every pair i < j within the largest
     radius, in lexicographic order, the squared radii, and the common
     denominator den of both: d2 / den and r2 / den are the true squares.
 
     Only pairs in neighbouring cells of the grid of side the largest radius
-    are tested (module docstring); every_pair tests and yields all pairs.
-    Points of unequal dimension are a DimensionMismatch before the pass,
-    and the iterator raises DuplicatePointError at the first pair with
-    d2 = 0."""
+    are tested (module docstring).  Points of unequal dimension are a
+    DimensionMismatch before the pass, and the iterator raises
+    DuplicatePointError at the first pair with d2 = 0."""
     dim = len(points[0]) if points else 0
     for q in points:
         if len(q) != dim:
@@ -134,8 +133,7 @@ def pair_distances(
     # with no positive radius the side is 1: no pair is yielded, but
     # coincident points still share a cell and are refused
     side = max(reach, 1)
-    # the every-pair mode files every point under one cell
-    keys = [() if every_pair else tuple(c // side for c in p[:2]) for p in ipts]
+    keys = [tuple(c // side for c in p[:2]) for p in ipts]
     cells: Dict[Tuple[int, ...], List[int]] = {}
     for i, key in enumerate(keys):
         cells.setdefault(key, []).append(i)
@@ -158,36 +156,40 @@ def pair_distances(
                     raise DuplicatePointError(
                         f"points {i} and {j} coincide; distinct points required"
                     )
-                if every_pair or d2 <= limit:
+                if d2 <= limit:
                     yield i, j, d2
 
     return pairs(), [r * r for r in iradii], scale * scale
 
 
-def pair_bands(
-    points: Sequence[Point], lo: Scalar, hi: Scalar, every_pair: bool = False
-) -> Tuple[Iterator[Tuple[int, int, int, int]], int]:
-    """An iterator over (i, j, band, slack) for the pairs of the proximity
-    pass against radii lo <= hi, and the common denominator of the slacks.
+def audit_bands(
+    points: Sequence[Point], lo: Scalar, hi: Scalar, want: Callable[[int, int], int]
+) -> Tuple[List[Tuple[int, int, int]], int]:
+    """(i, j, slack) for every pair i < j, in lexicographic order, and the
+    common denominator of the slacks, once each pair is found in band
+    want(i, j) of the radii lo <= hi; the first pair that is not is an
+    AuditError naming it.
 
     Band 0 is d <= lo, band 2 is d >= hi (and not band 0), band 1 the open
     band between.  The slack is the squared-distance gap to the radius
     bounding the band: lo^2 - d^2, d^2 - hi^2, or the nearer of the two.
-    The grid pass yields the pairs within hi: bands 0 and 1, and band 2
-    only at d = hi exactly.  every_pair yields every pair.
+    The pass gets a third radius, the sum of the coordinate spans, which no
+    distance exceeds, so it yields every pair.
     """
-    pairs, (lo2, hi2), den = pair_distances(points, (lo, hi), every_pair)
-
-    def bands() -> Iterator[Tuple[int, int, int, int]]:
-        for i, j, d2 in pairs:
-            if d2 <= lo2:
-                yield i, j, 0, lo2 - d2
-            elif d2 < hi2:
-                yield i, j, 1, min(d2 - lo2, hi2 - d2)
-            else:
-                yield i, j, 2, d2 - hi2
-
-    return bands(), den
+    span = sum(max(c) - min(c) for c in zip(*map(_exact, points)))
+    pairs, (lo2, hi2, _), den = pair_distances(points, (lo, hi, span))
+    audited: List[Tuple[int, int, int]] = []
+    for i, j, d2 in pairs:
+        if d2 <= lo2:
+            band, slack = 0, lo2 - d2
+        elif d2 < hi2:
+            band, slack = 1, min(d2 - lo2, hi2 - d2)
+        else:
+            band, slack = 2, d2 - hi2
+        if band != want(i, j):
+            raise AuditError(f"pair {i},{j} is in band {band} of ({lo}, {hi}), want {want(i, j)}")
+        audited.append((i, j, slack))
+    return audited, den
 
 
 def rational_sqrt(x: Fraction, bits: int = 32) -> Fraction:

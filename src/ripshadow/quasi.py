@@ -10,11 +10,11 @@ a filtered level of it, R_Q is never built) and one coboundary reduction,
 with clearing, of its filtration.  The pipeline turns a finite group
 presentation into a properly 3-colored 2-complex, blows it up so gluings
 become joins, and embeds the blowup in the plane with one small ball per
-color.  One proximity pass over that embedding is audited: same-colour
-pairs forced, the rest inside the band.  The audit's forced pairs plus the
-bichromatic blowup edges, the band pairs the construction picks, are then
-the quasi-Rips complex; it carries the group's H1 (plus free rank), which
-integer Smith normal form certifies.
+color.  `geometry.audit_bands` finds every same-colour pair forced and
+every other pair inside the band; those forced pairs plus the bichromatic
+blowup edges, the band pairs the construction picks, are the quasi-Rips
+complex.  It carries the group's H1 (plus free rank), which integer Smith
+normal form certifies.
 
 H1 of an embedded quasi complex is computed relative to the three color
 cliques: each clique spans a full simplex, so collapsing them is a homotopy
@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .complexes import SimplicialComplex, component_counts, explicit_complex, flag_complex
 from .errors import AuditError
-from .geometry import DuplicatePointError, Point, pair_bands, pair_distances, rational_sqrt
+from .geometry import DuplicatePointError, Point, audit_bands, pair_distances, rational_sqrt
 from .homology import (
     SmithDecomposition,
     _reduce_filtration,
@@ -348,14 +348,14 @@ class EmbeddedQuasi:
 
     `complex` holds the 1-skeleton (its flag completion is the quasi-Rips
     complex; monochromatic cliques are huge, so higher skeleta stay
-    implicit): the forced pairs of the audited proximity pass plus the
-    bichromatic blowup edges.  Its `coords` are the embedded points.
-    `colors` is the blowup's color of each vertex.
+    implicit): the same-colour pairs, which the band audit found forced,
+    plus the bichromatic blowup edges.  Its `coords` are the embedded
+    points.  `colors` is the blowup's color of each vertex.
     """
 
     complex: SimplicialComplex
     colors: Tuple[int, ...]
-    audit_margin: Fraction  # smallest slack of any band/forced comparison
+    audit_margin: Fraction  # the least slack of any pair's band
 
 
 def embed_blowup(
@@ -369,13 +369,16 @@ def embed_blowup(
     Each vertex gets one seeded draw in its ball.  Ball radius is
     (eps'-eps)/8, half the construction's upper bound, so
     different-color distances land strictly inside the open band; one
-    proximity pass checks every pair exactly.  A coincident draw or a
-    failed band audit fails the attempt, and the placement retries with
-    the next derived seed; after EMBED_ATTEMPTS failures it is an
-    AuditError naming the last one.  An interval too wide for that radius,
-    or too narrow for the rational height, is a ValueError before any
-    point is placed.
+    `audit_bands` over every pair checks that exactly, same-colour pairs
+    forced and the rest in the band.  A coincident draw or a pair outside
+    its band fails the attempt, and the placement retries with the next
+    derived seed; after EMBED_ATTEMPTS failures it is an AuditError naming
+    the last one.  A blowup of fewer than two vertices, an interval too
+    wide for that radius, or one too narrow for the rational height, is a
+    ValueError before any point is placed.
     """
+    if b.n_vertices < 2:
+        raise ValueError(f"a blowup needs two vertices to embed, not {b.n_vertices}")
     eps, eps_p = interval.eps, interval.eps_prime
     rho = (eps_p - eps) / 8
     if 2 * rho > eps:
@@ -391,52 +394,30 @@ def embed_blowup(
         (side, F(0)),
         (side / 2, height),
     ]
+    colors = b.colors
     grid = 1 << 16
     last_error: Optional[str] = None
     for attempt in range(EMBED_ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
         pts: List[Point] = []
         for v in range(b.n_vertices):
-            cx, cy = corners[b.colors[v]]
+            cx, cy = corners[colors[v]]
             dx = rho * F(rng.randrange(-grid, grid + 1), 2 * grid)
             dy = rho * F(rng.randrange(-grid, grid + 1), 2 * grid)
             pts.append((cx + dx, cy + dy))
-        bands, den = pair_bands(pts, eps, eps_p)
         try:
-            audited = _audit_embedding(bands, den, b.colors)
-        except DuplicatePointError as exc:
+            audited, den = audit_bands(
+                pts, eps, eps_p, lambda i, j: 0 if colors[i] == colors[j] else 1
+            )
+        except (AuditError, DuplicatePointError) as exc:
             last_error = str(exc)
             continue
-        if audited is not None:
-            forced, margin = audited
-            cross = [e for e in b.edges if b.colors[e[0]] != b.colors[e[1]]]
-            rq = flag_complex(len(pts), forced + cross, 1, coords=pts, provenance="quasi")
-            return EmbeddedQuasi(complex=rq, colors=b.colors, audit_margin=margin)
-        last_error = "distance audit failed"
+        forced = [(i, j) for i, j, _ in audited if colors[i] == colors[j]]
+        margin = F(min(slack for _, _, slack in audited), den)
+        cross = [e for e in b.edges if colors[e[0]] != colors[e[1]]]
+        rq = flag_complex(len(pts), forced + cross, 1, coords=pts, provenance="quasi")
+        return EmbeddedQuasi(complex=rq, colors=colors, audit_margin=margin)
     raise AuditError(f"embedding failed after {EMBED_ATTEMPTS} seeds: {last_error}")
-
-
-def _audit_embedding(
-    bands: Iterable[Tuple[int, ...]], den: int, colors: Sequence[int]
-) -> Optional[Tuple[List[Tuple[int, int]], Fraction]]:
-    """The band-0 pairs and the smallest slack, or None unless same-colour
-    pairs are in band 0 and the rest in band 1.  The grid pass yields no
-    pair beyond the upper radius, so one that yields fewer than every pair
-    fails."""
-    forced: List[Tuple[int, int]] = []
-    margin: Optional[int] = None
-    found = 0
-    for found, (i, j, band, slack) in enumerate(bands, 1):
-        if band != (0 if colors[i] == colors[j] else 1):
-            return None
-        if band == 0:
-            forced.append((i, j))
-        if margin is None or slack < margin:
-            margin = slack
-    n = len(colors)
-    if margin is None or found < n * (n - 1) // 2:
-        return None
-    return forced, F(margin, den)
 
 
 # ---------------------------------------------------------------------------

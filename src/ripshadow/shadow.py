@@ -559,16 +559,8 @@ def render_svg(
             f"{_svg_num(s.points[v][0])},{_svg_num(s.points[v][1])}"
             for v in f.vertex_ids
         )
-        if f.covered:
-            lines.append(
-                f'<polygon class="face-covered" points="{pts}" '
-                f'fill="#9ec9e8" stroke="none"/>'
-            )
-        else:
-            lines.append(
-                f'<polygon class="face-uncovered" points="{pts}" '
-                f'fill="url(#hatch)" stroke="none"/>'
-            )
+        kind, fill = ("covered", "#9ec9e8") if f.covered else ("uncovered", "url(#hatch)")
+        lines.append(f'<polygon class="face-{kind}" points="{pts}" fill="{fill}" stroke="none"/>')
     for e in s.edges:
         p, q = s.points[e.u], s.points[e.v]
         lines.append(

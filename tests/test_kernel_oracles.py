@@ -30,9 +30,9 @@ from ripshadow.geometry import (
     DuplicatePointError,
     _angle_keys,
     _lex_keys,
+    audit_bands,
     closed_segments,
     from_triple,
-    pair_bands,
     pair_distances,
     scale_points,
     to_triple,
@@ -40,6 +40,7 @@ from ripshadow.geometry import (
     tr_orient,
     tr_segment_meet,
 )
+from ripshadow.errors import AuditError
 from ripshadow.lifting import loop_word
 
 from oracles import (
@@ -70,7 +71,7 @@ polyline_and_point = polyline.flatmap(
     lambda line: st.tuples(st.just(line), st.one_of(point, st.just(centroid(line))))
 )
 
-# 1-, 2- and 4-D point sets (the 4-D fixture is audited through pair_bands)
+# 1-, 2- and 4-D point sets (the 4-D fixture is audited through audit_bands)
 # and half-integer radii, which lattice distances often hit exactly
 point_set = st.sampled_from([1, 2, 4]).flatmap(
     lambda dim: st.lists(st.tuples(*[coord] * dim), max_size=8)
@@ -168,21 +169,39 @@ def test_loop_word_matches_oracle(line_x, more):
 
 @examples
 @given(point_set, radius, radius)
-def test_pair_bands_matches_oracle(points, r1, r2):
+def test_audit_bands_matches_oracle(points, r1, r2):
     lo, hi = min(r1, r2), max(r1, r2)  # lo == hi comes up too
 
-    def got(every_pair):
-        bands, den = pair_bands(points, lo, hi, every_pair)
-        return [(i, j, band, Fraction(slack, den)) for i, j, band, slack in bands]
+    def band(i, j):
+        """The oracle's band of one pair; a coincident pair has none."""
+        if points[i] == points[j]:
+            return 0
+        return frac_pair_bands([points[i], points[j]], lo, hi)[0][2]
 
-    def within_hi():
-        return [b for b in frac_pair_bands(points, lo, hi) if b[2] < 2 or b[3] == 0]
+    def got(want):
+        audited, den = audit_bands(points, lo, hi, want)
+        return [(i, j, Fraction(slack, den)) for i, j, slack in audited]
 
-    # a set with repeats is refused at its first coincident pair by both;
-    # the every-pair mode gives every pair, the grid pass those with d <= hi:
-    # bands 0 and 1, and band 2 only at d = hi exactly
-    assert outcome(got, True) == outcome(frac_pair_bands, points, lo, hi)
-    assert outcome(got, False) == outcome(within_hi)
+    want = outcome(frac_pair_bands, points, lo, hi)
+    if isinstance(want, str):
+        # a set with repeats is refused at its first coincident pair by both
+        assert outcome(got, band) == want
+        return
+    # the oracle's bands are accepted, every pair with its slack
+    assert got(band) == [(i, j, slack) for i, j, _, slack in want]
+    # a flipped band is refused, naming its pair
+    for i, j, b, _ in want[-1:]:
+        with pytest.raises(AuditError, match=rf"^pair {i},{j} is in band {b} "):
+            got(lambda p, q: (b + 1) % 3 if (p, q) == (i, j) else band(p, q))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_audit_bands_yields_every_pair_of_a_spread_set(dim):
+    # points on the diagonal, 100 apart on every axis: far wider than hi
+    points = [(Fraction(100 * k),) * dim for k in range(-3, 4)]
+    audited, den = audit_bands(points, Fraction(1), Fraction(2), lambda i, j: 2)
+    assert [(i, j) for i, j, _ in audited] == list(itertools.combinations(range(7), 2))
+    assert min(slack for _, _, slack in audited) == (100**2 * dim - 4) * den
 
 
 # -- any triple of a point -------------------------------------------------
@@ -368,17 +387,21 @@ def proximity_case(draw):
 @given(proximity_case())
 def test_grid_pass_equals_every_pair_pass_within_reach(case):
     points, radii = case
+    # a reach no distance exceeds, whose denominator the points already use
+    cover = 1 + 2 * len(points[0] if points else ()) * max(
+        (abs(c) for p in points for c in p), default=0
+    )
 
-    def run(every_pair):
-        pairs, r2, den = pair_distances(points, radii, every_pair)
+    def run(radii):
+        pairs, r2, den = pair_distances(points, radii)
         return list(pairs), r2, den
 
-    full = outcome(run, True)
+    full = outcome(run, [*radii, cover])
     if isinstance(full, str):  # both name the same first coincident pair
-        assert outcome(run, False) == full
+        assert outcome(run, radii) == full
     else:
         pairs, r2, den = full
-        assert run(False) == ([p for p in pairs if p[2] <= max(r2)], r2, den)
+        assert run(radii) == ([p for p in pairs if p[2] <= max(r2[:-1])], r2[:-1], den)
 
 
 @examples

@@ -13,7 +13,7 @@ from ripshadow import geometry, quasi
 from ripshadow.complexes import build_rips, explicit_complex, flag_complex
 from ripshadow.errors import AuditError
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
-from ripshadow.geometry import dist2, pair_bands
+from ripshadow.geometry import audit_bands, dist2
 from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.quasi import (
     EdgePolicy,
@@ -59,11 +59,13 @@ def test_interval_validation():
 
 
 def test_quasi_band_conventions():
-    bands, den = pair_bands([P(0, 0), P(1, 0), P(0, 2), P(1, 1)], F(1), F(2))
-    got = {(i, j): (band, F(slack, den)) for i, j, band, slack in bands}
-    assert got[0, 1] == (0, 0)  # d = 1 exactly: closed, forced
-    assert got[0, 2] == (2, 0)  # d = 2 exactly: no edge
-    assert got[0, 3] == (1, 1)  # d^2 = 2 strictly inside: min(2 - 1, 4 - 2)
+    want = {(0, 1): 0, (0, 2): 2, (0, 3): 1, (1, 2): 2, (1, 3): 0, (2, 3): 1}
+    audited, den = audit_bands([P(0, 0), P(1, 0), P(0, 2), P(1, 1)], F(1), F(2),
+                               lambda i, j: want[i, j])
+    got = {(i, j): F(slack, den) for i, j, slack in audited}
+    assert got[0, 1] == 0  # d = 1 exactly: closed, forced
+    assert got[0, 2] == 0  # d = 2 exactly: no edge
+    assert got[0, 3] == 1  # d^2 = 2 strictly inside: min(2 - 1, 4 - 2)
 
 
 def test_quasi_all_below_eps_ignores_policy():
@@ -206,9 +208,10 @@ def test_embed_blowup_audit_and_determinism():
 
 
 def _fail_attempts(monkeypatch, failure, failing):
-    """Make the embedding attempts numbered in `failing` fail, by a failed
-    band audit or by drawing every point at its ball's centre; return the
-    seeds the placements are drawn from, one per attempt."""
+    """Make the embedding attempts numbered in `failing` fail, by a band
+    audit that wants band 2 of every pair or by drawing every point at its
+    ball's centre; return the seeds the placements are drawn from, one per
+    attempt."""
     seeds = []
 
     class Draws(random.Random):
@@ -220,13 +223,13 @@ def _fail_attempts(monkeypatch, failure, failing):
         def randrange(self, *args):
             return 0 if self.centre else super().randrange(*args)
 
-    audit = quasi._audit_embedding
-
-    def failing_audit(*args):
-        return None if failure == "audit" and len(seeds) - 1 in failing else audit(*args)
+    def failing_audit(points, lo, hi, want):
+        if failure == "audit" and len(seeds) - 1 in failing:
+            want = lambda i, j: 2  # noqa: E731
+        return audit_bands(points, lo, hi, want)
 
     monkeypatch.setattr(quasi, "random", SimpleNamespace(Random=Draws))
-    monkeypatch.setattr(quasi, "_audit_embedding", failing_audit)
+    monkeypatch.setattr(quasi, "audit_bands", failing_audit)
     return seeds
 
 
@@ -248,7 +251,8 @@ def test_embedding_moves_to_the_next_seed_after_a_failed_attempt(monkeypatch, fa
 
 @pytest.mark.parametrize(
     "failure, last",
-    [("audit", "distance audit failed"), ("coincident", "coincide; distinct points required")],
+    [("audit", "pair 0,1 is in band 1 of (1, 3/2), want 2"),
+     ("coincident", "coincide; distinct points required")],
 )
 def test_embedding_names_the_attempts_and_the_last_failure(monkeypatch, failure, last):
     seeds = _fail_attempts(monkeypatch, failure, range(quasi.EMBED_ATTEMPTS))
@@ -542,14 +546,25 @@ def test_pair_analysis_measures_each_pair_once(monkeypatch):
 
 
 def test_embedding_audit_refuses_a_point_beyond_every_radius():
-    colors = (0, 0, 1)
+    colors = (0, 0, 1, 1)
     pts = [P(0, 0), P("1/4", 0), P("3/2", 0)]
-    assert quasi._audit_embedding(*pair_bands(pts, F(1), F(2)), colors) == ([(0, 1)], F(9, 16))
-    # a far point: the grid pass yields none of its pairs, so the count is short
-    bands, den = pair_bands(pts + [P(100, 0)], F(1), F(2))
-    bands = list(bands)
-    assert [(i, j) for i, j, _, _ in bands] == [(0, 1), (0, 2), (1, 2)]
-    assert quasi._audit_embedding(iter(bands), den, colors + (1,)) is None
+
+    def embedding_want(i, j):  # what embed_blowup wants: same colour forced
+        return 0 if colors[i] == colors[j] else 1
+
+    audited, den = audit_bands(pts, F(1), F(2), embedding_want)
+    assert [(i, j) for i, j, _ in audited] == [(0, 1), (0, 2), (1, 2)]
+    assert F(min(slack for _, _, slack in audited), den) == F(9, 16)
+    # a far point: the audit still reaches its pairs and refuses the first
+    with pytest.raises(AuditError, match=r"^pair 0,3 is in band 2 of \(1, 2\), want 1$"):
+        audit_bands(pts + [P(100, 0)], F(1), F(2), embedding_want)
+
+
+def test_embedding_refuses_a_blowup_of_fewer_than_two_vertices():
+    for n in (0, 1):
+        point = explicit_complex(n, [[(v,) for v in range(n)]], dim_cap=2)
+        with pytest.raises(ValueError, match=f"two vertices to embed, not {n}$"):
+            embed_blowup(blowup(point, (0,) * n), EMBED_IV)
 
 
 def _policy_modes(rng, pts, interval, seed):
