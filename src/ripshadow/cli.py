@@ -56,15 +56,12 @@ class CLIError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def points_to_document(points: Sequence[Point], labels: Optional[Sequence[str]] = None) -> Dict:
-    doc = {
+def points_to_document(points: Sequence[Point]) -> Dict:
+    return {
         "schema": SCHEMA,
         "dimension": len(points[0]) if points else 0,
         "points": [[format_rational(c) for c in p] for p in points],
     }
-    if labels is not None:
-        doc["labels"] = list(labels)
-    return doc
 
 
 def document_to_points(doc: Dict) -> List[Point]:

@@ -74,23 +74,17 @@ class SimplicialComplex:
         return tuple(len(level) for level in self.simplices)
 
     def adjacency(self) -> Dict[int, Set[int]]:
-        return graph_adjacency(self.vertices, self.edges)
+        """Neighbour set of every vertex, isolated vertices included."""
+        adj: Dict[int, Set[int]] = {v: set() for v in self.vertices}
+        for i, j in self.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        return adj
 
     @functools.cached_property
     def n_components(self) -> int:
         """Connected components of the 1-skeleton, counted on first read."""
         return component_counts(self.vertices, [self.edges])[0]
-
-
-def graph_adjacency(
-    vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
-) -> Dict[int, Set[int]]:
-    """Neighbour set of every vertex, isolated vertices included."""
-    adj: Dict[int, Set[int]] = {v: set() for v in vertices}
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
 
 
 def component_counts(

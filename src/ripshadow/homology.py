@@ -31,13 +31,15 @@ cohomology pair alike), and needs no column for an edge that joins two
 components: such an edge kills an H0 class, so its coboundary reduces to
 zero and is cleared up front (clearing, as in Bauer's Ripser, 2021).  What
 is left is one column per independent cycle, fewer than the triangles, and
-its columns reduce with few eliminations.  `_reduce_filtration` is that
-reduction: it takes only K_m and each edge's and triangle's birth level,
-so a caller that knows the births (the pair analysis tags them while it
-resolves its pairs) builds no complex below K_m and no boundary matrix;
-`_filtration_h1` derives them from a chain of complexes after checking it.
+its columns reduce with few eliminations, all by one rule: with pivot
+entries a g and b g, g their gcd, b col - a other, its content divided out.
+`_reduce_filtration` is that reduction: it takes only K_m and each edge's
+and triangle's birth level, so a caller that knows the births (the pair
+analysis tags them while it resolves its pairs) builds no complex below
+K_m and no boundary matrix; `_filtration_h1` derives them from a chain of
+complexes after checking it.
 The Smith form stays the routine for what needs the integer diagonal:
-torsion and GF(2) ranks.
+torsion and GF(2) ranks; `_h1` reads integer H1 off d2's diagonal.
 """
 
 from __future__ import annotations
@@ -249,12 +251,17 @@ def integer_h1(c: SimplicialComplex) -> SmithDecomposition:
     """H1(c; Z) as free rank plus torsion, via Smith normal form of (d1, d2)."""
     if c.dim_cap < 2:
         raise InsufficientDimCap("integer_h1 needs dim_cap >= 2")
-    n1 = len(c.k_simplices(1))
-    rank_d1 = len(c.vertices) - c.n_components
-    diag = snf_diagonal(boundary_matrix(c, 2).columns)
-    rank_d2 = len(diag)
-    torsion = tuple(d for d in diag if d > 1)
-    return SmithDecomposition(rank=n1 - rank_d1 - rank_d2, torsion=torsion)
+    cycles = len(c.edges) - len(c.vertices) + c.n_components
+    return _h1(cycles, snf_diagonal(boundary_matrix(c, 2).columns))
+
+
+def _h1(cycles: int, d2_diagonal: Sequence[int]) -> SmithDecomposition:
+    """H1 from the rank of its cycle group and the Smith diagonal of d2:
+    free rank the cycles less the diagonal's length, torsion its factors
+    above 1."""
+    return SmithDecomposition(
+        rank=cycles - len(d2_diagonal), torsion=tuple(d for d in d2_diagonal if d > 1)
+    )
 
 
 def _check_containment(sub: SimplicialComplex, sup: SimplicialComplex) -> None:
@@ -337,20 +344,12 @@ def _reduce_filtration(
                 break
             g = math.gcd(col[p], other[p])
             a, b = col[p] // g, other[p] // g
-            if b == 1 or b == -1:  # b col - a other up to the unit b, in place
-                q = a * b
-                for r, v in other.items():
-                    w = col.get(r, 0) - q * v
-                    if w:
-                        col[r] = w
-                    else:
-                        del col[r]
-            else:  # b col - a other, then divide out the content
-                col = {r: w for r in col.keys() | other.keys()
-                       if (w := b * col.get(r, 0) - a * other.get(r, 0))}
-                if col:
-                    g = math.gcd(*col.values())
-                    col = {r: v // g for r, v in col.items()}
+            # b col - a other, then divide out the content
+            col = {r: w for r in col.keys() | other.keys()
+                   if (w := b * col.get(r, 0) - a * other.get(r, 0))}
+            if col:
+                g = math.gcd(*col.values())
+                col = {r: v // g for r, v in col.items()}
 
     z1 = [sum(b <= i for b, _ in cycles) for i in range(levels)]
     b1 = tuple(z - sum(t <= i for t, _ in kept) for i, z in enumerate(z1))

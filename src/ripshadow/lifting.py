@@ -172,6 +172,9 @@ def _directed_vertices(s: ShadowComplex, path: Sequence[int]) -> List[Tuple[int,
     """Orient a shadow-edge id path into (tail, head) shadow vertex pairs."""
     if not path:
         raise LiftError("empty shadow path")
+    for e in path:  # a negative id would index from the end
+        if not 0 <= e < len(s.edges):
+            raise LiftError(f"no shadow edge {e} among the {len(s.edges)}")
     ends = [(s.edges[e].u, s.edges[e].v) for e in path]
     # the first edge points toward the vertex it shares with the second
     u, v = ends[0]

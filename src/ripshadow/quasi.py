@@ -35,6 +35,7 @@ from .errors import AuditError
 from .geometry import DuplicatePointError, Point, audit_bands, pair_distances, rational_sqrt
 from .homology import (
     SmithDecomposition,
+    _h1,
     _reduce_filtration,
     betti_numbers,
     integer_h1,
@@ -457,19 +458,15 @@ def quasi_integer_h1(eq: EmbeddedQuasi) -> SmithDecomposition:
     shift = len(set(eq.colors)) - eq.complex.n_components
     eidx = {e: i for i, e in enumerate(cross)}
     cols: List[Dict[int, int]] = []
-    for t in tris:
+    for t in tris:  # each holds a cross edge, so no column is empty
         col: Dict[int, int] = {}
         for pos in range(3):
             face = t[:pos] + t[pos + 1 :]
             row = eidx.get(face)
             if row is not None:
                 col[row] = 1 if pos % 2 == 0 else -1
-        if col:
-            cols.append(col)
-    diag = snf_diagonal(cols)
-    rank_rel = len(cross) - len(diag)
-    torsion = tuple(d for d in diag if d > 1)
-    return SmithDecomposition(rank=rank_rel - shift, torsion=torsion)
+        cols.append(col)
+    return _h1(len(cross) - shift, snf_diagonal(cols))
 
 
 def monochromatic_violations(eq: EmbeddedQuasi, b: BlowupComplex) -> List[Tuple[int, int, int]]:

@@ -4,10 +4,10 @@ The shadow of a planar complex is the image of its 2-skeleton.  We build the
 exact arrangement of the projected edges (crossings, T-junctions, collinear
 overlaps all split exactly), trace its faces by half-edge walking with exact
 angular order, and mark each bounded face covered or uncovered by testing an
-exact interior witness against the projected triangles.  A witness is
-decided locally: it must lie inside the face's own ring, on none of its
-segments, and outside (and off) the outer walk of every component that
-could nest in the face, that is, every one enclosing less area.
+exact interior witness against the projected triangles.  A face is its
+boundary walk plus its holes, the outer walks of the components it holds
+directly, and a witness must lie inside the walk, outside every hole and
+on none of their segments.
 
 The arrangement holds every edge, or with `boundary_only` only the edges
 that can carry a point of the shadow's boundary; the pair analysis
@@ -22,19 +22,22 @@ the partial arrangement lies wholly inside or wholly outside the shadow,
 and its witness decides it as on the full one.  The zero-length edge check
 still covers every edge, and the grid side (below) every edge too.
 
-Components can nest in a covered face: an edge drawn inside a triangle of
-an explicit complex, or the inner rim of an annulus in its boundary
-arrangement.  Such a component joins the one around it, so the shadow's b0
-is C - N_cov, with C the components of the arrangement and N_cov those
-whose smallest enclosing face is covered; b1 is the uncovered face count,
-and the Euler cross-check b1 = C - V + E - F_cov holds either way.  A
-component's lexicographically least vertex lies on its outer walk.  It is
-screened against the other components' outer walks, so a component nested
-in nothing costs one pass over them; otherwise its enclosing face is the
-smallest bounded walk winding around that vertex.  The full arrangement of
-a Rips complex has N_cov = 0: a triangle holding the covered points next
-to a component's least vertex holds that vertex, and its sides, at most
-eps, then link the triangle into that component.
+Components can nest in a face: an edge drawn inside a triangle of an
+explicit complex, or the inner rim of an annulus in its boundary
+arrangement.  One rule finds each component's parent, the face that holds
+it directly, before any witness is sought.  A component's
+lexicographically least vertex lies on its outer walk.  It is screened
+against the other components' outer walks, so a component nested in
+nothing costs one pass over them; otherwise its parent is the smallest
+bounded walk winding around that vertex.  The parents give both the holes
+of each face and the shadow's b0: a component whose parent is covered
+joins the one around it, so b0 is C - N_cov, with C the components of the
+arrangement and N_cov those with a covered parent; b1 is the uncovered
+face count, and the Euler cross-check b1 = C - V + E - F_cov holds either
+way.  The full arrangement of a Rips complex has N_cov = 0: a triangle
+holding the covered points next to a component's least vertex holds that
+vertex, and its sides, at most eps, then link the triangle into that
+component.
 
 Arrangement vertices are integer triples of the `geometry` kernel, built on
 the source coordinates rescaled once to integers by `scale_points` (which
@@ -63,8 +66,8 @@ division is monotone, that point's cell lies in the cell range of both
 boxes.  The grid only picks candidates; the kernel decides every predicate
 exactly, and every point location is one `geometry.tr_locate` pass: a
 vertex against an edge's one-segment ring (None: it lies on the edge), a
-witness against its face's ring and the nested walks, and a witness
-against a triangle's three-segment ring (nonzero: the triangle holds it).
+witness against its face's walk plus holes, and a witness against a
+triangle's three-segment ring (nonzero: the triangle holds it).
 
 Cheaper exact tests settle most candidates first.  Edges whose integer
 bounding boxes are apart cannot meet.  Edges sharing a vertex meet only
@@ -75,11 +78,13 @@ screens are plain integer compares.  A vertex goes to the kernel
 only against the edges whose box holds it.
 
 A face's witness candidates are unreduced integer triples: the kernel
-takes any D > 0, so each is tested as it is against the face's ring and
-the nested outer walks, one pass per ring, and only the one
-that passes is reduced and checked against the shadow vertices.  A
-candidate that is a vertex moves on to the next, so the witness is the
-first candidate that passes all three tests, as if each were reduced.
+takes any D > 0, so each is tested as it is, in one pass over the face's
+walk (winding +1 around a point inside it) and its holes (-1 each), which
+gives 1 exactly in the face: a point inside a hole's own nested component
+is inside the hole too.  Only the candidate that passes is reduced and
+checked against the shadow vertices; one that is a vertex moves on to the
+next, so the witness is the first candidate that passes both tests, as if
+each were reduced.
 
 A witness is covered iff some triangle holds it.  Both witnesses of a face
 are first tested against one inward triangle: a triangle on the Rips edge
@@ -150,7 +155,7 @@ class ShadowComplex:
     faces: Tuple[ShadowFace, ...]  # bounded faces only
     n_components: int  # components of the 1-skeleton, isolated vertices included
     n_unbounded_walks: int  # one per component with edges; the outer face
-    n_nested_covered: int  # components whose smallest enclosing face is covered
+    n_nested_covered: int  # components whose parent, the face holding them, is covered
 
     @functools.cached_property
     def points(self) -> Tuple[Point, ...]:
@@ -192,6 +197,9 @@ def _grid_holds(w: Triple, tris_in: Dict[Tuple[int, int], List[Tuple]], side: in
 
 def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> ShadowComplex:
     """Exact shadow complex of a planar complex with materialized 2-skeleton.
+
+    Each component's parent face is found once and read twice: by the
+    witnesses, as the face's holes, and by n_nested_covered.
 
     With boundary_only the arrangement holds only the edges that are not
     interior and the vertices that touch one or have no edge (module
@@ -369,19 +377,39 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
         walks.append((darts, (num, den * den), ring))
 
     positive = [w for w in walks if w[1][0] > 0]
-    n_unbounded = len(walks) - len(positive)
     expected = len(edge_prov) - len(spoints) + n_components
     if len(positive) != expected:
         raise ConsistencyError(
             f"face tracer found {len(positive)} bounded walks, expected {expected}"
         )
 
+    # -- each component's parent: the bounded face it lies in directly --
+    # A component's least vertex (ids follow lexicographic order) lies on
+    # its outer walk, so no ring of its own winds around it.  A component
+    # nested in no other's outer walk lies in the unbounded face; any other
+    # in the smallest bounded walk winding around its least vertex, and its
+    # outer walk (one per component with edges) is a hole of that face.
+    outer = [(darts, ring) for darts, (num, _), ring in walks if num <= 0]
+    parents: List[int] = []
+    holes: List[List] = [[] for _ in positive]
+    if n_components > 1:  # a lone component nests in nothing
+        comps = [(min(tail[d] for d in darts), ring) for darts, ring in outer]
+        comps += [(v, []) for v, darts in enumerate(out_at) if not darts]
+        for v, hole in comps:
+            tv = spoints[v]
+            if not any(tr_locate(r, tv) for _, r in outer):
+                continue
+            parent = None
+            for k, (_, (num, den), ring) in enumerate(positive):
+                if tr_locate(ring, tv) and (parent is None or num * pden < pnum * den):
+                    parent, pnum, pden = k, num, den
+            parents.append(parent)
+            holes[parent] += hole
+
     # -- witnesses and coverage --
     # Candidates shrink toward a boundary-edge midpoint on the face side;
     # each is an exact integer triple, reduced only when accepted.
-    outer_walks = [(-w[1][0], w[1][1], w[2]) for w in walks if w[1][0] <= 0]
-
-    def witness(d: int, seg: Tuple[Triple, Triple], ring: List, nested: List) -> Triple:
+    def witness(d: int, seg: Tuple[Triple, Triple], bounds: List) -> Triple:
         t, h = seg
         dirv = dirs[d]
         normal = (-dirv[1], dirv[0])  # left of the dart
@@ -391,13 +419,8 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
         for _ in range(200):
             cand = (midx * s_shift + normal[0], midy * s_shift + normal[1], 2 * dd * s_shift)
             s_shift *= 4
-            # Inside the ring and off every edge is in the face unless inside a
-            # nested component: its outer walk winds around the point and encloses
-            # less area, while the face's own and enclosing ones enclose no less.
-            # tr_locate is None on the ring, so one pass per ring decides both.
-            if not tr_locate(ring, cand):
-                continue
-            if nested and any(tr_locate(r, cand) != 0 for r in nested):
+            # 1 in the face; 0 outside it or in a hole, None on a segment
+            if not tr_locate(bounds, cand):
                 continue
             cand = tr_reduce(*cand)
             if cand not in pid:
@@ -433,10 +456,10 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
         return None
 
     faces: List[ShadowFace] = []
-    for darts, (num, den), ring in positive:
-        nested = [r for n, d, r in outer_walks if n * den < num * d]
-        w1 = witness(darts[0], ring[0], ring, nested)
-        w2 = witness(darts[-1], ring[-1], ring, nested)
+    for (darts, _, ring), hole in zip(positive, holes):
+        bounds = ring + hole
+        w1 = witness(darts[0], ring[0], bounds)
+        w2 = witness(darts[-1], ring[-1], bounds)
         tri = inward_triangle(darts)
         cov1 = (tri is not None and tr_locate(tri, w1) != 0) or _grid_holds(w1, tris_in(), side)
         cov2 = (tri is not None and tr_locate(tri, w2) != 0) or _grid_holds(w2, tris_in(), side)
@@ -447,29 +470,8 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
         faces.append(ShadowFace(
             tuple([d >> 1 for d in darts]), tuple([tail[d] for d in darts]), w1, cov1
         ))
-
-    # -- components nested in a covered face --
-    # A component's least vertex (ids follow lexicographic order) lies on
-    # its outer walk, so no ring of its own winds around it.  A component
-    # nested in no other's outer walk lies in the unbounded face; any other
-    # lies in the smallest bounded walk winding around its least vertex, and
-    # joins that face's component when the face is covered.
-    least = []
-    if n_components > 1:  # a lone component nests in nothing
-        least = [min(tail[d] for d in darts) for darts, (num, _), _ in walks if num <= 0]
-        least += [v for v, darts in enumerate(out_at) if not darts]
-    n_nested_covered = 0
-    for v in least:
-        tv = spoints[v]
-        if not any(tr_locate(r, tv) for _, _, r in outer_walks):
-            continue
-        smallest = None
-        for (_, (num, den), ring), f in zip(positive, faces):
-            if tr_locate(ring, tv) and (
-                smallest is None or num * smallest[1] < smallest[0] * den
-            ):
-                smallest = (num, den, f.covered)
-        n_nested_covered += smallest[2]
+    # a component nested in a covered face joins the component around it
+    n_nested_covered = sum(faces[k].covered for k in parents)
 
     # disjoint faces have distinct witnesses, so no two keys tie
     keys = _lex_keys([f.witness_triple for f in faces])
@@ -484,7 +486,7 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
         edges=sedges,
         faces=tuple(faces),
         n_components=n_components,
-        n_unbounded_walks=n_unbounded,
+        n_unbounded_walks=len(outer),
         n_nested_covered=n_nested_covered,
     )
 
@@ -493,7 +495,8 @@ def shadow_betti(s: ShadowComplex) -> Tuple[int, int]:
     """(b0, b1) of the shadow: its components, and holes.
 
     b0 is C - N_cov: the C components of the 1-skeleton, less the N_cov
-    nested in a covered face, which joins each to the component around it.
+    whose parent (the face holding them directly) is covered, which joins
+    each to the component around it.
     b1 comes from the Euler formula C - V + E - F_cov and is cross-checked
     against the count of uncovered bounded faces; a mismatch would mean the
     arrangement itself is broken, so it raises.

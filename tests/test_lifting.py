@@ -389,6 +389,9 @@ def _crossing_quasi():
          "Rips complex with intersecting images this cannot happen"),
         (lambda c, s: lift_path([], s, c), LiftError, "empty shadow path"),
         (lambda c, s: lift_loop([], s, c), LiftError, "empty shadow path"),
+        # Python indexing would wrap -1 to the last edge
+        (lambda c, s: lift_path([-1], s, c), LiftError, "no shadow edge -1 among the 4"),
+        (lambda c, s: lift_loop([0, 4], s, c), LiftError, "no shadow edge 4 among the 4"),
         (lambda c, s: lift_path([0, 3], s, c), LiftError, BROKEN),
         (lambda c, s: lift_path([0, 2, 1], s, c), LiftError, BROKEN),
         (lambda c, s: lift_path([0], s, c, edge_choice="first"), ValueError,
@@ -401,7 +404,8 @@ def _crossing_quasi():
          "loop is not a walk in the complex"),
     ],
     ids=["duplicate_anchors", "no_path_in_span", "empty_path", "empty_loop",
-         "broken_first_pair", "broken_later_pair", "bad_edge_choice", "open_loop_path",
+         "negative_edge_id", "edge_id_past_the_end", "broken_first_pair",
+         "broken_later_pair", "bad_edge_choice", "open_loop_path",
          "open_walk_word", "open_contractible", "non_walk_contractible"],
 )
 def test_lifting_errors(call, error, message):

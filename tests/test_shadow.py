@@ -392,6 +392,28 @@ def test_witness_skips_nested_component_at_first_candidate(inner, inner_edges):
         assert s.witness(f) == frac_face_witness(s, f)
 
 
+@pytest.mark.parametrize("boundary_only", [False, True])
+def test_depth_two_nesting(boundary_only):
+    # A bare square A holds a covered triangle B, which holds a bare square C.
+    # C lies in B's face, not A's: A's first candidate (1, 2), C's centre, is
+    # no witness of A's face, nor B's first candidate (5/4, 2), on C, one of
+    # B's.  C joins B through B's triangle; A's face stays a hole.
+    pts = [P(0, 0), P(4, 0), P(4, 4), P(0, 4),
+           P("1/2", "1/2"), P(3, 2), P("1/2", "7/2"),
+           P("3/4", "7/4"), P("5/4", "7/4"), P("5/4", "9/4"), P("3/4", "9/4")]
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6),
+             (7, 8), (8, 9), (9, 10), (7, 10)]
+    c = flag_complex(len(pts), edges, dim_cap=2, coords=pts)
+    s = build_shadow(c, boundary_only=boundary_only)
+    assert c.k_simplices(2) == ((4, 5, 6),)
+    assert (s.n_components, s.n_nested_covered) == (3, 1)
+    assert shadow_betti(s) == (2, 1)
+    assert [s.witness(f) for f in s.faces] == [P("1/4", 2), P("11/16", 2), P("7/8", 2)]
+    for f in s.faces:
+        assert s.witness(f) == frac_face_witness(s, f)
+        assert f.covered == frac_covered(c, s.witness(f))
+
+
 def test_witness_interiority():
     rng = random.Random(50)
     for _ in range(10):
