@@ -24,7 +24,7 @@ from .fixtures import (
     four_d_points,
     hexagon_points,
 )
-from .geometry import Point, format_rational, make_point
+from .geometry import Point, format_rational, make_point, parse_rational
 from .homology import SmithDecomposition, betti_numbers, integer_h1
 from .lifting import RipsWalk, walk_word
 from .quasi import (
@@ -106,9 +106,9 @@ def load_points(path: str) -> List[Point]:
 
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CLIError(EXIT_PARSE, f"cannot parse {what} {text!r} as a rational")
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CLIError(EXIT_PARSE, f"cannot parse {what} {text!r} as a rational: {exc}")
 
 
 def _parse_interval(text: str) -> UncertaintyInterval:

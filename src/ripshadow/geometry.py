@@ -56,6 +56,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -79,13 +81,27 @@ def _exact(p: Iterable) -> Point:
     return tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p)
 
 
-def make_point(coords: Iterable) -> Point:
-    """Build a point of exact rationals from strings, ints, or Fractions.
+# a well-formed decimal exponent closing a string, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
-    Strings may be either rationals ("11/20") or decimals ("0.55"); both
-    parse exactly.
-    """
-    return tuple(Fraction(c) for c in coords)
+
+def parse_rational(x) -> Fraction:
+    """x as an exact Fraction: a string is a rational ("11/20") or a
+    decimal ("0.55", "1e-3").  An exponent beyond the interpreter's limit
+    on an integer's digits (`sys.get_int_max_str_digits`; 0 is none) is
+    refused with ValueError before any Fraction is built, like a number
+    written out with that many digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
+    m = isinstance(x, str) and _EXPONENT.search(x)
+    if m and limit and abs(int(m[1])) > limit:
+        raise ValueError(f"exponent {m[1]} exceeds the {limit}-digit integer limit")
+    return Fraction(x)
+
+
+def make_point(coords: Iterable) -> Point:
+    """Build a point of exact rationals from strings, ints, or Fractions,
+    each read by `parse_rational`."""
+    return tuple(parse_rational(c) for c in coords)
 
 
 def format_rational(x: Fraction) -> str:

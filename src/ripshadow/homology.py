@@ -75,18 +75,25 @@ class BoundaryMatrix:
     columns: Tuple[SparseCol, ...]
 
 
+def _columns(cells: Sequence[Simplex], index: Dict[Simplex, int]) -> List[SparseCol]:
+    """Each cell's signed boundary over the faces index numbers; a face it
+    does not number is dropped, as in a relative chain."""
+    columns: List[SparseCol] = []
+    for s in cells:
+        col: SparseCol = {}
+        for i in range(len(s)):
+            row = index.get(s[:i] + s[i + 1 :])
+            if row is not None:
+                col[row] = 1 if i % 2 == 0 else -1
+        columns.append(col)
+    return columns
+
+
 def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     rows = c.k_simplices(k - 1)
     cols = c.k_simplices(k)
     index = {s: i for i, s in enumerate(rows)} if cols else {}
-    columns: List[SparseCol] = []
-    for s in cols:
-        col: SparseCol = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            col[index[face]] = 1 if i % 2 == 0 else -1
-        columns.append(col)
-    return BoundaryMatrix(k=k, rows=rows, cols=cols, columns=tuple(columns))
+    return BoundaryMatrix(k=k, rows=rows, cols=cols, columns=tuple(_columns(cols, index)))
 
 
 def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:

@@ -35,6 +35,7 @@ from .errors import AuditError
 from .geometry import DuplicatePointError, Point, audit_bands, pair_distances, rational_sqrt
 from .homology import (
     SmithDecomposition,
+    _columns,
     _h1,
     _reduce_filtration,
     betti_numbers,
@@ -456,16 +457,8 @@ def quasi_integer_h1(eq: EmbeddedQuasi) -> SmithDecomposition:
     """
     cross, tris = cross_edges_and_triangles(eq)
     shift = len(set(eq.colors)) - eq.complex.n_components
-    eidx = {e: i for i, e in enumerate(cross)}
-    cols: List[Dict[int, int]] = []
-    for t in tris:  # each holds a cross edge, so no column is empty
-        col: Dict[int, int] = {}
-        for pos in range(3):
-            face = t[:pos] + t[pos + 1 :]
-            row = eidx.get(face)
-            if row is not None:
-                col[row] = 1 if pos % 2 == 0 else -1
-        cols.append(col)
+    # each triangle holds a cross edge, so no column is empty
+    cols = _columns(tris, {e: i for i, e in enumerate(cross)})
     return _h1(len(cross) - shift, snf_diagonal(cols))
 
 

@@ -29,8 +29,10 @@ it directly, before any witness is sought.  A component's
 lexicographically least vertex lies on its outer walk.  It is screened
 against the other components' outer walks, so a component nested in
 nothing costs one pass over them; otherwise its parent is the smallest
-bounded walk winding around that vertex.  The parents give both the holes
-of each face and the shadow's b0: a component whose parent is covered
+bounded walk winding around that vertex.  A face's holes are the outer
+walks of the components it is parent of, an isolated vertex being a
+one-point hole, the zero-length segment on it.  The parents give both the
+holes of each face and the shadow's b0: a component whose parent is covered
 joins the one around it, so b0 is C - N_cov, with C the components of the
 arrangement and N_cov those with a covered parent; b1 is the uncovered
 face count, and the Euler cross-check b1 = C - V + E - F_cov holds either
@@ -66,8 +68,9 @@ division is monotone, that point's cell lies in the cell range of both
 boxes.  The grid only picks candidates; the kernel decides every predicate
 exactly, and every point location is one `geometry.tr_locate` pass: a
 vertex against an edge's one-segment ring (None: it lies on the edge), a
-witness against its face's walk plus holes, and a witness against a
-triangle's three-segment ring (nonzero: the triangle holds it).
+witness candidate against its face's walk plus holes (1: it is in the
+face), and a witness against a triangle's three-segment ring (nonzero: the
+triangle holds it).
 
 Cheaper exact tests settle most candidates first.  Edges whose integer
 bounding boxes are apart cannot meet.  Edges sharing a vertex meet only
@@ -81,17 +84,19 @@ A face's witness candidates are unreduced integer triples: the kernel
 takes any D > 0, so each is tested as it is, in one pass over the face's
 walk (winding +1 around a point inside it) and its holes (-1 each), which
 gives 1 exactly in the face: a point inside a hole's own nested component
-is inside the hole too.  Only the candidate that passes is reduced and
-checked against the shadow vertices; one that is a vertex moves on to the
-next, so the witness is the first candidate that passes both tests, as if
-each were reduced.
+is inside the hole too.  That one test also keeps every shadow vertex out:
+a vertex on or inside the face's walk lies on the walk, on a hole or inside
+one, where the pass gives None or 0.  The witness is the first candidate
+that passes, reduced.
 
-A witness is covered iff some triangle holds it.  Both witnesses of a face
-are first tested against one inward triangle: a triangle on the Rips edge
-under any dart of the face's ring, with its third vertex left of the dart.
-On the full arrangement its sides are unions of arrangement edges, which
-no face crosses, and the face lies left of the dart, inside it; so it holds
-the whole face.  On the boundary arrangement it is only a first try, as a
+A witness is covered iff some triangle holds it.  Each witness of a face
+is first tested against an inward triangle: a triangle on the Rips edge
+under a dart of the face's ring, with its third vertex left of the dart,
+taken at the first dart that has one.  The second witness sits by the last
+dart, so it then tries the triangle at the last dart that has one.  On the
+full arrangement an inward triangle's sides are unions of arrangement
+edges, which no face crosses, and the face lies left of the dart, inside
+it; so it holds the whole face.  On the boundary arrangement it is only a first try, as a
 face there can span many triangles.  Side tables give it without a
 search: each triangle is filed once under each of its three Rips edges
 i < j, on the left or right of i -> j as its third vertex lies (a
@@ -113,7 +118,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .complexes import SimplicialComplex, component_counts
 from .errors import ConsistencyError
@@ -150,7 +155,6 @@ class ShadowFace(NamedTuple):
 class ShadowComplex:
     triples: Tuple[Triple, ...]  # shadow vertices, kernel triples on the integer scale
     scale: int  # from scale_points: a triple over this scale is the source point
-    vertex_provenance: Tuple[Tuple, ...]  # ("original", i) | ("crossing", (e, f))
     edges: Tuple[ShadowEdge, ...]
     faces: Tuple[ShadowFace, ...]  # bounded faces only
     n_components: int  # components of the 1-skeleton, isolated vertices included
@@ -262,13 +266,12 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
             edges_in.setdefault(cell, []).append(a)
 
     # -- split every projected edge at crossings, junctions, overlaps --
-    # Each crossing keeps its least pair (a, b).  Pairs sharing a vertex
-    # meet only there, or overlap up to the nearer other endpoint, which is
-    # a vertex on the other edge: the T-junction scan adds it.
+    # Pairs sharing a vertex meet only there, or overlap up to the nearer
+    # other endpoint, which is a vertex on the other edge: the T-junction
+    # scan adds it.
     splits: List[Set[Triple]] = [
         {tcoords[i], tcoords[j]} if k else set() for (i, j), k in zip(rips_edges, keep)
     ]
-    crossing_pairs: Dict[Triple, Tuple[int, int]] = {}
     # one record per edge: its box, its endpoints' indices and triples
     records = [(*box, i, j, tcoords[i], tcoords[j]) for box, (i, j) in zip(boxes, rips_edges)]
     for a, cells in enumerate(edge_cells):
@@ -283,10 +286,6 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
                 continue
             splits[a].update(meet)
             splits[b].update(meet)
-            if kind == "point" and meet[0] not in (ta, ha, tb, hb):
-                first = crossing_pairs.get(meet[0])
-                if first is None or (a, b) < first:
-                    crossing_pairs[meet[0]] = (a, b)
     for v in vertices:
         tv, (x, y) = tcoords[v], coords[v]
         for a in edges_in.get(_cell(tv, side), ()):
@@ -300,15 +299,6 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
     all_points = list({tcoords[v] for v in vertices}.union(*splits))
     spoints = [p for _, p in sorted(zip(_lex_keys(all_points), all_points))]
     pid = {p: idx for idx, p in enumerate(spoints)}
-
-    provenance_of_vertex: Dict[int, Tuple] = {}
-    for v in vertices:
-        provenance_of_vertex.setdefault(pid[tcoords[v]], ("original", v))
-    for p, pair in crossing_pairs.items():
-        provenance_of_vertex.setdefault(pid[p], ("crossing", pair))
-    missing = set(range(len(spoints))) - set(provenance_of_vertex)
-    if missing:
-        raise ConsistencyError(f"shadow vertices without provenance: {missing}")
 
     # -- shadow edges with multi-edge provenance --
     # Ids follow lexicographic point order, which runs monotonically along
@@ -394,7 +384,8 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
     holes: List[List] = [[] for _ in positive]
     if n_components > 1:  # a lone component nests in nothing
         comps = [(min(tail[d] for d in darts), ring) for darts, ring in outer]
-        comps += [(v, []) for v, darts in enumerate(out_at) if not darts]
+        # an isolated vertex is a one-point hole: tr_locate is None on it
+        comps += [(v, [(spoints[v], spoints[v])]) for v, darts in enumerate(out_at) if not darts]
         for v, hole in comps:
             tv = spoints[v]
             if not any(tr_locate(r, tv) for _, r in outer):
@@ -420,11 +411,8 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
             cand = (midx * s_shift + normal[0], midy * s_shift + normal[1], 2 * dd * s_shift)
             s_shift *= 4
             # 1 in the face; 0 outside it or in a hole, None on a segment
-            if not tr_locate(bounds, cand):
-                continue
-            cand = tr_reduce(*cand)
-            if cand not in pid:
-                return cand
+            if tr_locate(bounds, cand):
+                return tr_reduce(*cand)
         raise ConsistencyError("no interior witness found for a bounded face")
 
     # A witness is covered iff some triangle holds it.  The inward triangle,
@@ -443,8 +431,9 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
             grid.setdefault(_cell(p, side), []).append(box)
         return grid
 
-    def inward_triangle(darts: List[int]) -> Optional[Tuple[Tuple[Triple, Triple], ...]]:
-        # the face lies left of each dart: left of i -> j when the dart runs
+    def inward_holds(darts: Iterable[int], w: Triple) -> bool:
+        # does the inward triangle of the first dart that has one hold w?
+        # The face lies left of each dart: left of i -> j when the dart runs
         # along it, right of it when the dart runs j -> i
         for d in darts:
             for a in sedges[d >> 1].provenance:
@@ -452,17 +441,18 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
                 v = sides[upward[a] == (d & 1)].get((i, j))  # index 1: runs j -> i
                 if v is not None:
                     p, q, r = tcoords[i], tcoords[j], tcoords[v]
-                    return ((p, q), (q, r), (r, p))
-        return None
+                    return tr_locate(((p, q), (q, r), (r, p)), w) != 0
+        return False
 
     faces: List[ShadowFace] = []
     for (darts, _, ring), hole in zip(positive, holes):
         bounds = ring + hole
         w1 = witness(darts[0], ring[0], bounds)
         w2 = witness(darts[-1], ring[-1], bounds)
-        tri = inward_triangle(darts)
-        cov1 = (tri is not None and tr_locate(tri, w1) != 0) or _grid_holds(w1, tris_in(), side)
-        cov2 = (tri is not None and tr_locate(tri, w2) != 0) or _grid_holds(w2, tris_in(), side)
+        # w2 sits by the last dart: its inward triangle is the second try
+        cov1 = inward_holds(darts, w1) or _grid_holds(w1, tris_in(), side)
+        cov2 = (inward_holds(darts, w2) or inward_holds(reversed(darts), w2)
+                or _grid_holds(w2, tris_in(), side))
         if cov1 != cov2:
             raise ConsistencyError(
                 "coverage flag depends on the witness; arrangement is inconsistent"
@@ -480,9 +470,6 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
     return ShadowComplex(
         triples=tuple(spoints),
         scale=scale,
-        vertex_provenance=tuple(
-            provenance_of_vertex[i] for i in range(len(spoints))
-        ),
         edges=sedges,
         faces=tuple(faces),
         n_components=n_components,

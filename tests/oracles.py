@@ -687,13 +687,11 @@ def frac_face_witness(s, face):
 def frac_arrangement(c):
     """The shadow arrangement by all-pairs loops on Fraction points: every
     pair of edges, every vertex against every edge.  Returns the points in
-    lexicographic order, their provenance (first crossing pair in (a, b)
-    order) and the edges as (u, v, provenance) triples, each provenance the
-    sorted tuple of the edge indices."""
+    lexicographic order and the edges as (u, v, provenance) triples, each
+    provenance the sorted tuple of the edge indices."""
     pts = [tuple(Fraction(x) for x in p) for p in c.coords]
     edges = list(c.edges)
     splits = [{pts[i], pts[j]} for i, j in edges]
-    crossings = {}
     for a, b in combinations(range(len(edges)), 2):
         ends_a = (pts[edges[a][0]], pts[edges[a][1]])
         ends_b = (pts[edges[b][0]], pts[edges[b][1]])
@@ -701,19 +699,12 @@ def frac_arrangement(c):
         meet = segment if kind == "overlap" else (point,) if point else ()
         splits[a].update(meet)
         splits[b].update(meet)
-        if kind == "point" and point not in ends_a + ends_b:
-            crossings.setdefault(point, (a, b))
     for v, p in enumerate(pts):
         for a, (i, j) in enumerate(edges):
             if v not in (i, j) and frac_on_segment(p, pts[i], pts[j]):
                 splits[a].add(p)
     points = sorted(set(pts).union(*splits))
     pid = {p: k for k, p in enumerate(points)}
-    provenance = {}
-    for v, p in enumerate(pts):
-        provenance.setdefault(pid[p], ("original", v))
-    for p, pair in crossings.items():
-        provenance.setdefault(pid[p], ("crossing", pair))
     pieces: Dict[Tuple[int, int], set] = {}
     for a, split in enumerate(splits):
         ids = sorted(pid[p] for p in split)
@@ -721,7 +712,6 @@ def frac_arrangement(c):
             pieces.setdefault((u, w), set()).add(a)
     return (
         tuple(points),
-        tuple(provenance[k] for k in range(len(points))),
         tuple((u, w, tuple(sorted(pieces[(u, w)]))) for u, w in sorted(pieces)),
     )
 

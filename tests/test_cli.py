@@ -298,6 +298,31 @@ def test_bad_epsilon_exit_2(tmp_path):
     assert run(["rips", "--points", str(fx), "--epsilon", "zebra"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rips", "--points", "HEX", "--epsilon", "1e-100000000"],
+         "cannot parse epsilon '1e-100000000'"),
+        (["shadow", "--points", "HEX", "--epsilon", "1E+100000000"],
+         "cannot parse epsilon '1E+100000000'"),
+        (["quasi", "--preset", "rp2", "--interval", "1,1.5e100000000"],
+         "cannot parse eps_prime '1.5e100000000'"),
+        (["pair", "--points", "HEX", "--lower", "1e-100000000,2,none", "--upper", "3,4,all"],
+         "cannot parse eps '1e-100000000'"),
+        (["pair", "--points", "HEX", "--lower", "1,2,random:1e-100000000", "--upper", "3,4,all"],
+         "cannot parse probability '1e-100000000'"),
+    ],
+    ids=["rips_epsilon", "shadow_epsilon", "quasi_interval", "pair_bound", "pair_policy"],
+)
+def test_exponent_beyond_the_digit_limit_exit_2(tmp_path, capsys, argv, message):
+    # refused before any Fraction of 10**100000000 is built
+    fx = tmp_path / "hex.json"
+    assert run(["fixture", "--name", "hexagon", "--out", str(fx)]) == 0
+    assert run([str(fx) if a == "HEX" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "exceeds the" in err
+
+
 @pytest.fixture
 def shadow_builds(monkeypatch):
     """The complexes `cli.build_shadow` is called on: a refused loop builds none."""
@@ -373,6 +398,7 @@ def _points_doc(points):
         ({**_points_doc([[]]), "dimension": 0},
          "dimension must be a positive integer, not 0"),
         (_points_doc([["x", "0"]]), "bad coordinate in ['x', '0']"),
+        (_points_doc([["1e100000000", "0"]]), "exponent 100000000 exceeds the"),
         (_points_doc([]), "no points in document"),
         # a string is the file's raw text, None leaves the file unwritten
         (None, "cannot read"),
@@ -380,8 +406,8 @@ def _points_doc(points):
     ],
     ids=["top_level_list", "points_not_list", "row_int", "row_string", "bools",
          "float", "null", "dimension_missing", "dimension_bool", "dimension_string",
-         "dimension_float", "dimension_zero", "bad_coordinate", "no_points", "unreadable",
-         "invalid_json"],
+         "dimension_float", "dimension_zero", "bad_coordinate", "huge_exponent", "no_points",
+         "unreadable", "invalid_json"],
 )
 def test_malformed_point_document_exit_2(tmp_path, capsys, doc, message):
     fx = tmp_path / "bad.json"

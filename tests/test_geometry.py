@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,14 @@ def test_dist2_unit_axis_4d():
 def test_dist2_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dist2(P(0, 0), P(0, 0, 0))
+
+
+def test_make_point_refuses_an_exponent_beyond_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert P(f"1e{limit}", f"1E-{limit}", "2.5e+1") == (F(10) ** limit, F(1, 10**limit), 25)
+    for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "3.5E+100000000"):
+        with pytest.raises(ValueError, match=f"exceeds the {limit}-digit integer limit"):
+            P("0", text)
 
 
 def test_orient_ccw_collinear_cw():

@@ -67,8 +67,7 @@ def test_two_crossing_edges():
     assert len(s.points) == 5
     assert len(s.edges) == 4
     assert len(s.faces) == 0
-    cross = [v for v in s.vertex_provenance if v[0] == "crossing"]
-    assert len(cross) == 1
+    assert [p for p in s.points if p not in pts] == [P("1/2", "1/2")]
 
 
 def test_hexagon_shadow_is_filled():
@@ -238,9 +237,8 @@ def rips_plus_long_edge(draw):
 @given(st.one_of(rips_on_lattice, collinear_rips, explicit_complexes(), rips_plus_long_edge()))
 def test_grid_arrangement_matches_all_pairs_oracle(c):
     s = build_shadow(c)
-    points, provenance, edges = frac_arrangement(c)
+    points, edges = frac_arrangement(c)
     assert s.points == points
-    assert s.vertex_provenance == provenance
     assert tuple((e.u, e.v, e.provenance) for e in s.edges) == edges
     for f in s.faces:
         ring = f.vertex_ids[1:] + f.vertex_ids[:1]
@@ -378,12 +376,14 @@ def test_complete_coverage_search(monkeypatch, square, covered, shift):
         ([P(1, 1), P(1, 3)], [(4, 5)]),
         ([P("1/2", 1), P("3/2", 1), P("3/2", 3), P("1/2", 3)],
          [(4, 5), (5, 6), (6, 7), (4, 7)]),
+        ([P(1, 2)], []),
     ],
-    ids=["edge", "square"],
+    ids=["edge", "square", "vertex"],
 )
 def test_witness_skips_nested_component_at_first_candidate(inner, inner_edges):
-    # the outer square's first candidate (1, 2) lies on the nested edge, or
-    # inside the nested square; its witness is the next one, (1/4, 2)
+    # the outer square's first candidate (1, 2) lies on the nested edge,
+    # inside the nested square, or on the nested isolated vertex, a
+    # one-point hole; its witness is the next one, (1/4, 2)
     pts = [P(0, 0), P(4, 0), P(4, 4), P(0, 4)] + inner
     edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + inner_edges
     s = build_shadow(flag_complex(len(pts), edges, dim_cap=2, coords=pts))
@@ -536,6 +536,25 @@ def test_inward_triangles_settle_covered_faces(monkeypatch, name, grid_searches)
     assert len(searched) == grid_searches == 2 * shadow_betti(s)[1]
 
 
+def test_second_witness_tries_the_last_darts_inward_triangle(monkeypatch):
+    """The boundary arrangement here has one face, covered by several
+    triangles: the first dart's inward triangle misses the second witness,
+    which sits by the last dart, and that dart's inward triangle holds it.
+    So neither arrangement runs the grid search."""
+    pts = [P(0, "3/2"), P(0, "7/4"), P(0, 2), P("1/4", "7/4"), P("3/4", 1)]
+    c = build_rips(pts, F(1), dim_cap=2)
+    searched, grid_holds = [], ripshadow.shadow._grid_holds
+
+    def counted(w, *rest):
+        searched.append(w)
+        return grid_holds(w, *rest)
+
+    monkeypatch.setattr(ripshadow.shadow, "_grid_holds", counted)
+    for boundary_only in (False, True):
+        assert shadow_betti(build_shadow(c, boundary_only=boundary_only)) == (1, 0)
+    assert searched == []
+
+
 @pytest.mark.parametrize("name", ["ring", "crossing"])
 def test_shadow_decisions_build_no_fractions(monkeypatch, name):
     """The arrangement, its counts, Betti numbers and coverage come from the
@@ -555,7 +574,7 @@ def test_shadow_decisions_build_no_fractions(monkeypatch, name):
     betti = shadow_betti(s)
     n_edges, n_covered = len(s.edges), len(s.covered_faces())
     monkeypatch.undo()
-    points, _, edges = frac_arrangement(c)
+    points, edges = frac_arrangement(c)
     assert (n_edges, betti) == (len(edges), tuple(betti_numbers(c, 1).q))
     assert n_covered == sum(frac_covered(c, s.witness(f)) for f in s.faces)
     assert s.points == points
@@ -603,7 +622,7 @@ def _has_features(c, s):
     return (
         any(len(e.provenance) > 1 for e in s.edges),
         t_junction,
-        any(p[0] == "crossing" and degree[k] >= 6 for k, p in enumerate(s.vertex_provenance)),
+        any(p not in pts and degree[k] >= 6 for k, p in enumerate(s.points)),
     )
 
 
