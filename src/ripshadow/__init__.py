@@ -44,7 +44,6 @@ from .quasi import (
     blowup,
     build_quasi,
     embed_blowup,
-    flag_blowup,
     pair_image_analysis,
     presentation_to_colored_complex,
     preset_presentation,
@@ -85,7 +84,6 @@ __all__ = [
     "crossing_triangle_fixture",
     "dist2",
     "embed_blowup",
-    "flag_blowup",
     "flag_complex",
     "four_d_points",
     "hexagon_points",

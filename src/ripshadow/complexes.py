@@ -6,7 +6,8 @@ report is reproducible run to run.  The stored levels are the only record of
 the dimension cap: `dim_cap` is the top level's index, so a level beyond the
 complex's dimension is stored empty.  `edge_set` (the edges as a set) and
 `n_components` (the components of the 1-skeleton) are built on first read
-and kept with the complex.
+and kept with the complex, as is `core`, the clique complex of the graph's
+collapse core (`collapse_core`), on which homology reads a flag complex.
 
 A flag complex's cliques grow on higher neighbours: each vertex keeps the
 set of its neighbours above it, and a clique's extensions are the
@@ -85,6 +86,15 @@ class SimplicialComplex:
     def n_components(self) -> int:
         """Connected components of the 1-skeleton, counted on first read."""
         return component_counts(self.vertices, [self.edges])[0]
+
+    @functools.cached_property
+    def core(self) -> "SimplicialComplex":
+        """A flag complex's collapse core, built on first read; an explicit
+        complex, or a flag complex the collapse leaves whole, is its own."""
+        if not self.flag:
+            return self
+        core = collapse_core(self.vertices, self.edges, self.dim_cap)
+        return self if core.counts()[:2] == self.counts()[:2] else core
 
 
 def component_counts(
@@ -167,6 +177,53 @@ def flag_complex(
         flag=True,
         coords=tuple(coords) if coords is not None else None,
         provenance=provenance,
+    )
+
+
+def collapse_core(
+    vertices: Iterable[int], edges: Iterable[Tuple[int, int]], dim_cap: int
+) -> SimplicialComplex:
+    """Clique completion up to dim_cap of a graph's collapse core.
+
+    A vertex v is dominated when N[v] is inside N[u] for a neighbour u, and
+    an edge uv when some w outside {u, v} is adjacent to all of
+    N[u] & N[v], N[x] being x's closed neighbourhood.  Removing either is a
+    sequence of collapses of the flag complex (homology module docstring),
+    so the core keeps its homotopy type.  One vertex pass runs, then edge
+    passes until one removes nothing, then a vertex pass again, each in
+    sorted order, so the core does not depend on set order.
+    """
+    adj: Dict[int, Set[int]] = {v: set() for v in vertices}
+    n_vertices = max(adj, default=-1) + 1
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    def strip_vertices() -> None:
+        for v in sorted(adj):
+            near = adj[v]
+            # u is in N[v] but not in N(u): N[v] <= N[u] iff they share the rest
+            if any(len(near & adj[u]) + 1 == len(near) for u in near):
+                for u in adj.pop(v):
+                    adj[u].discard(v)
+
+    strip_vertices()
+    removed = True
+    while removed:
+        removed = False
+        for u, v in sorted((u, v) for u in adj for v in adj[u] if u < v):
+            common = adj[u] & adj[v]  # N[u] & N[v] without u and v
+            if any(len(common & adj[w]) + 1 == len(common) for w in common):
+                adj[u].discard(v)
+                adj[v].discard(u)
+                removed = True
+    strip_vertices()
+    return SimplicialComplex(
+        n_vertices=n_vertices,
+        simplices=_cliques_from_graph(
+            list(adj), [(u, v) for u in adj for v in adj[u] if u < v], dim_cap
+        ),
+        flag=True,
     )
 
 

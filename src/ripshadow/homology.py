@@ -10,6 +10,17 @@ Euclidean reduction diagonalizes the small remainder.  Both use only
 integer unimodular row and column operations, which keep the invariant
 factors, so the result is exact.
 
+A flag complex's Betti numbers and integer H1 are read on its collapse
+core (`SimplicialComplex.core`).  Removing a dominated edge uv from the
+graph, one where some w outside {u, v} is adjacent to all of N[u] & N[v],
+is a sequence of elementary collapses of the flag complex (Boissonnat &
+Pritam, "Edge collapse and persistence of flag complexes", SoCG 2020);
+removing a dominated vertex v, N[v] inside N[u], is a strong collapse
+(Barmak & Minian, DCG 47, 2012).  Collapses keep the simple-homotopy type,
+so the core has the same Betti numbers over Q and GF(2) and the same
+integer H1, torsion included; the dimension cap is checked on the whole
+complex.
+
 Betti numbers clear (Chen & Kerber 2011): d_{k+1} is reduced before d_k,
 and d_k loses the columns of the rows d_{k+1}'s unit sweep pivoted on.
 When the sweep visits a pivot column, it is the boundary of an integer
@@ -224,7 +235,7 @@ def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
     by d_{k+1} (module docstring).
 
     Requires the complex to be materialized one dimension above top_dim so
-    that the last image rank is honest.
+    that the last image rank is honest.  A flag complex is read on its core.
     """
     if c.flag and top_dim + 1 > c.dim_cap:
         # a flag complex may truncate real cliques at dim_cap; an explicit
@@ -232,6 +243,7 @@ def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
         raise InsufficientDimCap(
             f"need dim_cap >= {top_dim + 1}, complex has {c.dim_cap}"
         )
+    c = c.core
     # a graph's d1 has rank |V| - b0 over every field
     rank_d1 = len(c.vertices) - c.n_components
     q: List[int] = [0, rank_d1] + [0] * top_dim
@@ -255,9 +267,11 @@ def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
 
 
 def integer_h1(c: SimplicialComplex) -> SmithDecomposition:
-    """H1(c; Z) as free rank plus torsion, via Smith normal form of (d1, d2)."""
+    """H1(c; Z) as free rank plus torsion, via Smith normal form of (d1, d2),
+    read on the core of a flag complex."""
     if c.dim_cap < 2:
         raise InsufficientDimCap("integer_h1 needs dim_cap >= 2")
+    c = c.core
     cycles = len(c.edges) - len(c.vertices) + c.n_components
     return _h1(cycles, snf_diagonal(boundary_matrix(c, 2).columns))
 

@@ -30,7 +30,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .complexes import SimplicialComplex, component_counts, explicit_complex, flag_complex
+from .complexes import (
+    SimplicialComplex,
+    collapse_core,
+    component_counts,
+    explicit_complex,
+    flag_complex,
+)
 from .errors import AuditError
 from .geometry import DuplicatePointError, Point, audit_bands, pair_distances, rational_sqrt
 from .homology import (
@@ -334,11 +340,6 @@ def blowup(k: SimplicialComplex, colors: Sequence[int]) -> BlowupComplex:
     return BlowupComplex(colors=tuple(colors[v] for _, v in copies), edges=tuple(edges))
 
 
-def flag_blowup(b: BlowupComplex, dim_cap: int = 3) -> SimplicialComplex:
-    """Flag completion of the blowup graph (no geometry attached)."""
-    return flag_complex(b.n_vertices, b.edges, dim_cap)
-
-
 # ---------------------------------------------------------------------------
 # planar embedding of a blowup
 # ---------------------------------------------------------------------------
@@ -524,9 +525,10 @@ def run_pipeline(
     k, colors = presentation_to_colored_complex(p)
     h1_k = integer_h1(k)
     b = blowup(k, colors)
-    fb = flag_blowup(b, dim_cap=3)
     betti_k = betti_numbers(k, 2).gf2
-    betti_fb = betti_numbers(fb, 2).gf2
+    # the flag completion's homology, read on the collapse core of its graph
+    # (the base point's copies alone form a (2g + 1)-clique)
+    betti_fb = betti_numbers(collapse_core(range(b.n_vertices), b.edges, 3), 2).gf2
     eq = embed_blowup(b, interval, seed)
     h1_rq = quasi_integer_h1(eq)
     bad = monochromatic_violations(eq, b)

@@ -17,7 +17,7 @@ from ripshadow.complexes import Simplex, SimplicialComplex, flag_complex
 from ripshadow.geometry import scale_points
 from ripshadow.homology import SparseCol, betti_numbers, boundary_matrix
 from ripshadow.lifting import LiftError, loop_word
-from ripshadow.quasi import EdgePolicy, PairReport
+from ripshadow.quasi import BlowupComplex, EdgePolicy, PairReport
 from ripshadow.shadow import build_shadow, hole_anchors, shadow_betti
 
 
@@ -850,6 +850,12 @@ def cone_apex(c) -> Optional[int]:
         if len(adj[v]) == want:
             return v
     return None
+
+
+def flag_blowup(b: BlowupComplex, dim_cap: int = 3) -> SimplicialComplex:
+    """Flag completion of the blowup graph (no geometry attached): the whole
+    complex, whose homology the pipeline reads on its graph's collapse core."""
+    return flag_complex(b.n_vertices, b.edges, dim_cap)
 
 
 def oracle_pair_report(points, lower, upper, dim_cap: int = 3) -> PairReport:

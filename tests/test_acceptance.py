@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from ripshadow import complexes
 from ripshadow.complexes import build_rips
 from ripshadow.fixtures import (
     annulus_ring_points,
@@ -23,6 +24,7 @@ from ripshadow.homology import _filtration_h1, betti_numbers, integer_h1
 from ripshadow.lifting import lift_loop, lift_path, is_contractible, walk_word
 from ripshadow.quasi import (
     EdgePolicy,
+    GroupPresentation,
     UncertaintyInterval,
     build_quasi,
     cross_edges_and_triangles,
@@ -343,7 +345,7 @@ def test_criterion_6_four_d_fixture():
           "coinciding triangle barycenters")
 
 
-def test_criterion_7_quasi_pipeline():
+def test_criterion_7_quasi_pipeline(monkeypatch):
     iv = UncertaintyInterval(F(1), F(3, 2))
     want = {"torus": ((), 2), "rp2": ((2,), 0), "klein": ((2,), 1)}
     for name, (torsion, min_rank) in want.items():
@@ -353,9 +355,27 @@ def test_criterion_7_quasi_pipeline():
         assert res.betti_k == res.betti_flag_blowup, name
         assert res.mono_violations == 0, name
         assert res.torsion_transported, name
+
+    # free group of rank 100: the blowup's flag completion would list
+    # C(201, 4) tetrahedra on the base point's copies; every clique
+    # enumeration of the run stays small
+    largest = []
+
+    def cliques(vertices, edges, dim_cap):
+        levels = cliques_from_graph(vertices, edges, dim_cap)
+        largest.append(max(map(len, levels[2:]), default=0))
+        return levels
+
+    cliques_from_graph = complexes._cliques_from_graph
+    monkeypatch.setattr(complexes, "_cliques_from_graph", cliques)
+    res = run_pipeline(GroupPresentation.parse(100, []), iv, seed=7)
+    assert str(res.h1_rq) == "Z^298"
+    assert res.betti_k == res.betti_flag_blowup == (1, 100, 0)
+    assert res.mono_violations == 0
+    assert largest and max(largest) < 10_000
     print("\nACCEPTANCE 7: PASS - pipeline presets: torus free rank >= 2, "
-          "rp2 torsion [2], klein torsion [2] rank >= 1; blowup Betti "
-          "agreement and monochromatic claim hold")
+          "rp2 torsion [2], klein torsion [2] rank >= 1; free rank 100 gives "
+          "Z^298; blowup Betti agreement and monochromatic claim hold")
 
 
 def test_criterion_8_pair_bound():

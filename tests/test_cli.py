@@ -219,6 +219,20 @@ def test_quasi_presentation_file(tmp_path):
     assert rep["h1_k"] == {"rank": 2, "torsion": []}
 
 
+def test_quasi_free_group_of_30_generators(tmp_path):
+    # the base point's 61 blowup copies form one clique, whose C(61, 4)
+    # tetrahedra the collapse core of the blowup graph never lists
+    pf = tmp_path / "free.json"
+    pf.write_text(json.dumps({"generators": 30, "relators": []}))
+    out = tmp_path / "q.json"
+    assert run(["quasi", "--presentation", str(pf), "--interval", "1,3/2",
+                "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["betti_flag_blowup"] == rep["betti_k"] == [1, 30, 0]
+    assert rep["h1_quasi"] == {"rank": 88, "torsion": []}
+    assert rep["monochromatic_violations"] == 0
+
+
 def test_pair_ring_and_overlap_exit(tmp_path):
     fx = tmp_path / "ring.json"
     assert run(["fixture", "--name", "ring", "--out", str(fx)]) == 0

@@ -10,18 +10,19 @@ from ripshadow import geometry
 from ripshadow.complexes import (
     DuplicatePointError,
     build_rips,
+    collapse_core,
     component_counts,
     explicit_complex,
     flag_complex,
     induced_span,
 )
+from ripshadow.fixtures import hexagon_points
 from ripshadow.geometry import DimensionMismatch, dist2, make_point
 from ripshadow.quasi import (
     EdgePolicy,
     UncertaintyInterval,
     blowup,
     build_quasi,
-    flag_blowup,
     pair_image_analysis,
 )
 
@@ -31,6 +32,7 @@ from oracles import (
     brute_force_cliques,
     build_cech_1d,
     cone_apex,
+    flag_blowup,
 )
 
 F = Fraction
@@ -273,6 +275,55 @@ def test_n_components_of_explicit_complexes_matches_bfs():
         tris = [t for t in combinations(sorted(ids), 3) if rng.random() < 0.05]
         c = explicit_complex(30, [[(v,) for v in ids], edges, tris])
         assert c.n_components == bfs_component_count(c.vertices, c.edges)
+
+
+# -- the collapse core ---------------------------------------------------------
+
+
+def test_octahedron_is_its_own_core():
+    # every edge's two common neighbours are antipodal, and no closed
+    # neighbourhood holds another vertex's: nothing is dominated
+    c = build_rips(hexagon_points(F(11, 20)), F(1))
+    assert c.counts() == (6, 12, 8, 0)
+    assert c.core is c
+
+
+def test_explicit_complex_is_its_own_core():
+    assert EDGE.core is EDGE
+
+
+@pytest.mark.parametrize(
+    "n, edges, core",
+    [
+        (1, [], (1, 0, 0)),  # an isolated vertex stays
+        (2, [(0, 1)], (1, 0, 0)),  # one end dominates the other
+        (3, [(1, 2)], (2, 0, 0)),
+        (4, [(0, 1), (1, 2), (2, 3)], (1, 0, 0)),  # a path
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], (4, 4, 0)),  # a 4-cycle: no common neighbour
+        (5, [(i, 4) for i in range(4)] + [(0, 1), (1, 2), (2, 3), (0, 3)], (1, 0, 0)),  # its cone
+    ],
+    ids=["vertex", "edge", "vertex_and_edge", "path", "four_cycle", "cone"],
+)
+def test_core_census_of_small_graphs(n, edges, core):
+    c = flag_complex(n, edges, dim_cap=2)
+    assert c.core.counts() == core
+    assert (c.core is c) == (core == c.counts())
+    assert c.core.n_components == c.n_components
+
+
+def test_core_is_a_flag_subcomplex_and_ignores_edge_order():
+    rng = random.Random(63)
+    for _ in range(40):
+        n = rng.randrange(2, 12)
+        edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < rng.random()]
+        core = collapse_core(range(n), edges, 3)
+        assert core.flag and core.dim_cap == 3
+        assert set(core.vertices) <= set(range(n)) and set(core.edges) <= set(edges)
+        # the clique complex of its own graph
+        assert core.simplices[1:] == flag_complex(n, core.edges, 3).simplices[1:]
+        shuffled = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges]
+        rng.shuffle(shuffled)
+        assert collapse_core(reversed(range(n)), shuffled, 3).simplices == core.simplices
 
 
 def test_cone_apex_triangle_and_square():

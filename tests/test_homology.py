@@ -3,6 +3,7 @@ import math
 import os
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -325,6 +326,77 @@ def test_integer_h1_matches_snf_oracle_random():
         r1 = len(c.vertices) - c.n_components
         assert h.rank == n1 - r1 - len(diag)
         assert list(h.torsion) == [d for d in diag if d > 1]
+
+
+# -- homology on the collapse core ---------------------------------------------
+
+
+def _subdivision(c):
+    """Flag complex of the barycentric subdivision of an explicit complex:
+    a vertex per simplex, an edge per pair of nested simplices."""
+    faces = [set(s) for level in c.simplices for s in level]
+    edges = [(i, j) for (i, f), (j, g) in combinations(enumerate(faces), 2) if f < g or g < f]
+    return flag_complex(len(faces), edges, dim_cap=3)
+
+
+SURFACES = ((RP2_TRIANGLES, 6, "Z^0 + Z/2"), (KLEIN_TRIANGLES, 9, "Z^1 + Z/2"),
+            (MOORE3_TRIANGLES, 13, "Z^0 + Z/3"))
+
+
+def _core_cases(rng):
+    for p in (0.3, 0.5, 0.7, 0.9):
+        for _ in range(10):
+            yield random_flag(rng, n_max=11, p=p, dim_cap=3)
+    for pts, scales in _lattice_sets(rng):
+        for eps in scales:
+            yield build_rips(pts, eps, dim_cap=3)
+    for triangles, n, _ in SURFACES:
+        yield _subdivision(explicit_complex(n, [[], [], triangles]))
+    # subdivided surfaces with cones over some of their triangles
+    for p, c in enumerate(_coned_surfaces(rng)):
+        if p % 5 == 0:
+            yield _subdivision(c)
+
+
+def test_core_keeps_betti_numbers_and_integer_h1():
+    rng = random.Random(64)
+    shrunk, torsion = 0, set()
+    for c in _core_cases(rng):
+        whole = replace(c, flag=False)  # an explicit copy is its own core
+        assert whole.core is whole
+        assert betti_numbers(c, 2) == betti_numbers(whole, 2), c.counts()
+        h1 = integer_h1(c)
+        assert h1 == integer_h1(whole), c.counts()
+        shrunk += c.core.counts() < c.counts()
+        torsion.update(h1.torsion)
+    assert shrunk > 50 and torsion == {2, 3}
+
+
+def test_subdivided_surfaces_keep_their_torsion_on_the_core():
+    # no face of these is free (the Moore space's three edges of 0-1-2 are
+    # on three triangles each), so each is its own core; a cone over some
+    # of their triangles collapses
+    rng = random.Random(66)
+    for triangles, n, h1 in SURFACES:
+        c = _subdivision(explicit_complex(n, [[], [], triangles]))
+        assert c.core is c
+        assert str(integer_h1(c)) == h1
+        coned = _subdivision(explicit_complex(n + 1, [[], [], triangles, [
+            t + (n,) for t in rng.sample(triangles, len(triangles) // 2)]]))
+        assert len(coned.core.vertices) < len(coned.vertices)
+        assert integer_h1(coned) == integer_h1(replace(coned, flag=False))
+
+
+def test_core_homology_ignores_vertex_ids():
+    # another labelling visits the vertices and edges in another order and
+    # may keep another core, but never other homology
+    rng = random.Random(65)
+    for c in _core_cases(rng):
+        perm = list(range(c.n_vertices))
+        rng.shuffle(perm)
+        moved = flag_complex(c.n_vertices, [(perm[i], perm[j]) for i, j in c.edges], 3)
+        assert betti_numbers(moved, 2) == betti_numbers(c, 2)
+        assert integer_h1(moved) == integer_h1(c)
 
 
 def test_cycle_basis_is_made_of_cycles():
