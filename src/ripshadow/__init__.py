@@ -23,7 +23,6 @@ from .homology import (
     SmithDecomposition,
     betti_numbers,
     boundary_matrix,
-    induced_h1_rank,
     integer_h1,
 )
 from .lifting import (
@@ -88,7 +87,6 @@ __all__ = [
     "four_d_points",
     "hexagon_points",
     "hole_anchors",
-    "induced_h1_rank",
     "induced_span",
     "integer_h1",
     "is_contractible",

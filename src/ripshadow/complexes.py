@@ -8,6 +8,8 @@ complex's dimension is stored empty.  `edge_set` (the edges as a set) and
 `n_components` (the components of the 1-skeleton) are built on first read
 and kept with the complex, as is `core`, the clique complex of the graph's
 collapse core (`collapse_core`), on which homology reads a flag complex.
+A collapse that removes nothing lists no cliques: the complex is its own
+core, as is every core `collapse_core` returns.
 
 A flag complex's cliques grow on higher neighbours: each vertex keeps the
 set of its neighbours above it, and a clique's extensions are the
@@ -93,8 +95,11 @@ class SimplicialComplex:
         complex, or a flag complex the collapse leaves whole, is its own."""
         if not self.flag:
             return self
-        core = collapse_core(self.vertices, self.edges, self.dim_cap)
-        return self if core.counts()[:2] == self.counts()[:2] else core
+        n_vertices, adj = _collapse(self.vertices, self.edges)
+        # the collapse only removes: equal counts mean it removed nothing
+        if len(adj) == len(self.vertices) and sum(map(len, adj.values())) == 2 * len(self.edges):
+            return self
+        return _clique_core(n_vertices, adj, self.dim_cap)
 
 
 def component_counts(
@@ -183,7 +188,8 @@ def flag_complex(
 def collapse_core(
     vertices: Iterable[int], edges: Iterable[Tuple[int, int]], dim_cap: int
 ) -> SimplicialComplex:
-    """Clique completion up to dim_cap of a graph's collapse core.
+    """Clique completion up to dim_cap of a graph's collapse core, which is
+    its own `core`: homology reads it as it is.
 
     A vertex v is dominated when N[v] is inside N[u] for a neighbour u, and
     an edge uv when some w outside {u, v} is adjacent to all of
@@ -193,6 +199,14 @@ def collapse_core(
     passes until one removes nothing, then a vertex pass again, each in
     sorted order, so the core does not depend on set order.
     """
+    return _clique_core(*_collapse(vertices, edges), dim_cap)
+
+
+def _collapse(
+    vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
+) -> Tuple[int, Dict[int, Set[int]]]:
+    """The vertex count of the graph (its largest vertex + 1) and the
+    neighbour sets of its collapse core (`collapse_core`)."""
     adj: Dict[int, Set[int]] = {v: set() for v in vertices}
     n_vertices = max(adj, default=-1) + 1
     for i, j in edges:
@@ -218,13 +232,20 @@ def collapse_core(
                 adj[v].discard(u)
                 removed = True
     strip_vertices()
-    return SimplicialComplex(
+    return n_vertices, adj
+
+
+def _clique_core(n_vertices: int, adj: Dict[int, Set[int]], dim_cap: int) -> SimplicialComplex:
+    """The clique complex of a collapsed graph, marked as its own core."""
+    core = SimplicialComplex(
         n_vertices=n_vertices,
         simplices=_cliques_from_graph(
             list(adj), [(u, v) for u in adj for v in adj[u] if u < v], dim_cap
         ),
         flag=True,
     )
+    core.__dict__["core"] = core  # the cached `core`: collapsing again is wasted
+    return core
 
 
 def explicit_complex(

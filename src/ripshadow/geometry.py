@@ -27,20 +27,28 @@ repeated-vertex triangle is the union of its sides.
 
 Callers map rational points onto the kernel with `to_triple` (like
 `scale_points`, it takes an int or Fraction as it is and converts only
-other scalars) and back with `from_triple`.
+other scalars; a point that is already a tuple of them is not rebuilt)
+and back with `from_triple`.  Input text is read by `parse_rational`: a
+plain ASCII "[-]digits[/digits]", the form every written point document
+uses, goes straight to `int`, and every other string (a sign +,
+whitespace, underscores, decimals, exponents, non-ASCII digits) to
+Fraction's own parse, with the same values and the same errors.
+`dist2` sums a planar pair inline, dx*dx + dy*dy, and any other dimension
+as a sum over the coordinates.
 
 `pair_distances` is the one proximity pass, in any dimension, and the one
 judge of point coincidence: the complexes are built on a set of points, so
 it refuses the first pair, in lexicographic order, at squared distance 0.
 It is output-sensitive: each point is filed under the cell of a uniform
 grid whose side is the largest radius asked for, and only pairs in the
-3 x 3 neighbouring cells are tested.  The cells are cut on the first two
-coordinates alone (on the one coordinate of 1-D points), which loses no
-pair in any dimension: a pair at distance d <= r has |dx| <= d and
-|dy| <= d, so floor division by r puts the two points in the same or next
-cells.  Coincident points share a cell, so the pass still finds every
-coincident pair.  It yields only the pairs within the largest radius;
-pairs beyond it are never produced.
+3 x 3 neighbouring cells are tested.  A point's cell is
+(x // side, y // side) on its first two rescaled coordinates, padded with
+y = 0 for a 1-D point and (0, 0) for a 0-D one, which loses no pair in any
+dimension: a pair at distance d <= r has |dx| <= d and |dy| <= d, so floor
+division by r puts the two points in the same or next cells.  Coincident
+points share a cell, so the pass still finds every coincident pair.  It
+yields only the pairs within the largest radius; pairs beyond it are
+never produced.
 `audit_bands` is the one band audit, for the embedding and the fixtures:
 it asks the pass for one more radius, the sum of the coordinate spans,
 which bounds every distance, so the pass yields every pair, and it refuses
@@ -54,7 +62,6 @@ alone.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import re
 import sys
@@ -77,10 +84,17 @@ class DuplicatePointError(ValueError):
 
 
 def _exact(p: Iterable) -> Point:
-    """p with each coordinate other than an int or Fraction made a Fraction."""
-    return tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p)
+    """p as a tuple with each coordinate other than an int or Fraction made
+    a Fraction; a tuple of ints and Fractions is returned as it is."""
+    p = p if type(p) is tuple else tuple(p)
+    for c in p:
+        if not isinstance(c, (int, Fraction)):
+            return tuple([c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p])
+    return p
 
 
+# a plain ASCII [-]digits[/digits] string, read with int alone
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # a well-formed decimal exponent closing a string, as Fraction reads it
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -90,7 +104,13 @@ def parse_rational(x) -> Fraction:
     decimal ("0.55", "1e-3").  An exponent beyond the interpreter's limit
     on an integer's digits (`sys.get_int_max_str_digits`; 0 is none) is
     refused with ValueError before any Fraction is built, like a number
-    written out with that many digits."""
+    written out with that many digits.  A plain "[-]digits[/digits]" in
+    ASCII is read by `int`, with the same value, errors and messages as
+    Fraction's own parse; every other string takes that parse."""
+    m = isinstance(x, str) and _PLAIN.fullmatch(x)
+    if m:
+        num, den = m.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
     m = isinstance(x, str) and _EXPONENT.search(x)
     if m and limit and abs(int(m[1])) > limit:
@@ -109,9 +129,13 @@ def format_rational(x: Fraction) -> str:
 
 
 def dist2(p: Point, q: Point) -> Scalar:
-    """Exact squared Euclidean distance."""
+    """Exact squared Euclidean distance; a planar pair is summed inline."""
     if len(p) != len(q):
         raise DimensionMismatch(f"dimension mismatch: {len(p)} vs {len(q)}")
+    if len(p) == 2:
+        dx = p[0] - q[0]
+        dy = p[1] - q[1]
+        return dx * dx + dy * dy
     return sum([(a - b) * (a - b) for a, b in zip(p, q)])
 
 
@@ -123,7 +147,7 @@ def scale_points(coords: Sequence[Point]) -> Tuple[List[Tuple[int, ...]], int]:
     """
     exact = [_exact(p) for p in coords]
     scale = math.lcm(*{c.denominator for p in exact for c in p})
-    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in exact], scale
+    return [tuple([c.numerator * (scale // c.denominator) for c in p]) for p in exact], scale
 
 
 def pair_distances(
@@ -149,19 +173,23 @@ def pair_distances(
     # with no positive radius the side is 1: no pair is yielded, but
     # coincident points still share a cell and are refused
     side = max(reach, 1)
-    keys = [tuple(c // side for c in p[:2]) for p in ipts]
-    cells: Dict[Tuple[int, ...], List[int]] = {}
+    # the cell (x // side, y // side); a 1-D point has y = 0, a 0-D one (0, 0)
+    if dim >= 2:
+        keys = [(p[0] // side, p[1] // side) for p in ipts]
+    else:
+        keys = [(p[0] // side if dim else 0, 0) for p in ipts]
+    cells: Dict[Tuple[int, int], List[int]] = {}
     for i, key in enumerate(keys):
         cells.setdefault(key, []).append(i)
     # each cell's neighbours, itself included, in ascending index
-    near = {
-        key: sorted(
-            j
-            for step in itertools.product((-1, 0, 1), repeat=len(key))
-            for j in cells.get(tuple(k + s for k, s in zip(key, step)), ())
-        )
-        for key in cells
-    }
+    near: Dict[Tuple[int, int], List[int]] = {}
+    for kx, ky in cells:
+        js: List[int] = []
+        for x in (kx - 1, kx, kx + 1):
+            for y in (ky - 1, ky, ky + 1):
+                js += cells.get((x, y), ())
+        js.sort()
+        near[kx, ky] = js
 
     def pairs() -> Iterator[Tuple[int, int, int]]:
         for i, p in enumerate(ipts):

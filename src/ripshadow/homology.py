@@ -45,10 +45,9 @@ is left is one column per independent cycle, fewer than the triangles, and
 its columns reduce with few eliminations, all by one rule: with pivot
 entries a g and b g, g their gcd, b col - a other, its content divided out.
 `_reduce_filtration` is that reduction: it takes only K_m and each edge's
-and triangle's birth level, so a caller that knows the births (the pair
-analysis tags them while it resolves its pairs) builds no complex below
-K_m and no boundary matrix; `_filtration_h1` derives them from a chain of
-complexes after checking it.
+and triangle's birth level, so its caller, the pair analysis, tags the
+births while it resolves its pairs and builds no complex below K_m and no
+boundary matrix.
 The Smith form stays the routine for what needs the integer diagonal:
 torsion and GF(2) ranks; `_h1` reads integer H1 off d2's diagonal.
 """
@@ -65,10 +64,6 @@ SparseCol = Dict[int, int]
 
 
 class InsufficientDimCap(ValueError):
-    pass
-
-
-class ContainmentError(ValueError):
     pass
 
 
@@ -282,38 +277,6 @@ def _h1(cycles: int, d2_diagonal: Sequence[int]) -> SmithDecomposition:
     above 1."""
     return SmithDecomposition(
         rank=cycles - len(d2_diagonal), torsion=tuple(d for d in d2_diagonal if d > 1)
-    )
-
-
-def _check_containment(sub: SimplicialComplex, sup: SimplicialComplex) -> None:
-    for k in range(len(sub.simplices)):
-        sup_level = set(sup.k_simplices(k))
-        for s in sub.k_simplices(k):
-            if s not in sup_level:
-                raise ContainmentError(f"simplex {s} of sub missing from sup")
-
-
-def induced_h1_rank(sub: SimplicialComplex, sup: SimplicialComplex) -> int:
-    """Rank over Q of H1(sub) -> H1(sup) induced by inclusion, read off one
-    coboundary reduction with clearing (see `_filtration_h1`)."""
-    return _filtration_h1([sub, sup])[1]
-
-
-def _filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...], int]:
-    """b1 over Q of each complex of a nested chain K_0 c ... c K_m, and the
-    rank of H1(K_0) -> H1(K_m): the chain is checked, each edge and triangle
-    tagged with the first complex holding it, and `_reduce_filtration` reads
-    the ranks off the persistence pairs of K_m's coboundary reduction."""
-    for sub, sup in zip(chain, chain[1:]):
-        _check_containment(sub, sup)
-    top = chain[-1]
-    if top.dim_cap < 2:
-        raise InsufficientDimCap("sup needs its 2-skeleton materialized")
-    birth: Dict[Simplex, int] = {}
-    for i in range(len(chain) - 1, -1, -1):
-        birth.update(dict.fromkeys(chain[i].edges + chain[i].k_simplices(2), i))
-    return _reduce_filtration(
-        top, [birth[e] for e in top.edges], [birth[t] for t in top.k_simplices(2)], len(chain)
     )
 
 

@@ -15,7 +15,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ripshadow.complexes import Simplex, SimplicialComplex, flag_complex
 from ripshadow.geometry import scale_points
-from ripshadow.homology import SparseCol, betti_numbers, boundary_matrix
+from ripshadow.homology import (
+    InsufficientDimCap,
+    SparseCol,
+    _reduce_filtration,
+    betti_numbers,
+    boundary_matrix,
+)
 from ripshadow.lifting import LiftError, loop_word
 from ripshadow.quasi import BlowupComplex, EdgePolicy, PairReport
 from ripshadow.shadow import build_shadow, hole_anchors, shadow_betti
@@ -850,6 +856,33 @@ def cone_apex(c) -> Optional[int]:
         if len(adj[v]) == want:
             return v
     return None
+
+
+class ContainmentError(ValueError):
+    pass
+
+
+def filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...], int]:
+    """b1 over Q of each complex of a nested chain K_0 c ... c K_m, and the
+    rank of H1(K_0) -> H1(K_m), by `homology._reduce_filtration`: the chain
+    is checked, and each edge and triangle tagged with the first complex
+    holding it.  The pair analysis tags its births as it links its pairs;
+    this front end lets the tests hand the reduction any chain."""
+    for sub, sup in zip(chain, chain[1:]):
+        for k in range(len(sub.simplices)):
+            sup_level = set(sup.k_simplices(k))
+            for s in sub.k_simplices(k):
+                if s not in sup_level:
+                    raise ContainmentError(f"simplex {s} of sub missing from sup")
+    top = chain[-1]
+    if top.dim_cap < 2:
+        raise InsufficientDimCap("sup needs its 2-skeleton materialized")
+    birth: Dict[Simplex, int] = {}
+    for i in range(len(chain) - 1, -1, -1):
+        birth.update(dict.fromkeys(chain[i].edges + chain[i].k_simplices(2), i))
+    return _reduce_filtration(
+        top, [birth[e] for e in top.edges], [birth[t] for t in top.k_simplices(2)], len(chain)
+    )
 
 
 def flag_blowup(b: BlowupComplex, dim_cap: int = 3) -> SimplicialComplex:

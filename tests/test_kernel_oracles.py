@@ -26,14 +26,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ripshadow.fixtures import four_d_points
 from ripshadow.geometry import (
+    DimensionMismatch,
     DuplicatePointError,
     _angle_keys,
+    _exact,
     _lex_keys,
     audit_bands,
     closed_segments,
+    dist2,
     from_triple,
     pair_distances,
+    parse_rational,
     scale_points,
     to_triple,
     tr_locate,
@@ -385,6 +390,12 @@ def proximity_case(draw):
 
 @examples
 @given(proximity_case())
+# 0-D points share the one cell (0, 0), 1-D points pad their cells with
+# y = 0, and the 4-D fixture is cut on its first two coordinates
+@example(([(), ()], [Fraction(1, 2)]))
+@example(([()], [1]))
+@example(([(Fraction(-7, 6),), (0,), (Fraction(1, 3),), (Fraction(5, 2),), (-3,)], [Fraction(1, 2), 1]))
+@example((four_d_points(), [Fraction(11, 20), 1]))
 def test_grid_pass_equals_every_pair_pass_within_reach(case):
     points, radii = case
     # a reach no distance exceeds, whose denominator the points already use
@@ -402,6 +413,82 @@ def test_grid_pass_equals_every_pair_pass_within_reach(case):
     else:
         pairs, r2, den = full
         assert run(radii) == ([p for p in pairs if p[2] <= max(r2[:-1])], r2[:-1], den)
+
+
+# ints, Fractions and bools, which dist2 and the grid take as they are
+exact_point = st.tuples(*[scalar.filter(lambda c: not isinstance(c, float))] * 2)
+
+
+@examples
+@given(exact_point, exact_point)
+def test_planar_dist2_equals_the_generic_sum(p, q):
+    want = sum([(a - b) * (a - b) for a, b in zip(p, q)])
+    got = dist2(p, q)
+    assert got == want and type(got) is type(want)
+    assert dist2(list(p), list(q)) == want
+    for other in (q[:1], (*q, 0)):
+        with pytest.raises(DimensionMismatch) as exc:
+            dist2(p, other)
+        assert str(exc.value) == f"dimension mismatch: 2 vs {len(other)}"
+
+
+def test_exact_returns_a_tuple_and_keeps_one():
+    p = (1, Fraction(1, 2), True)
+    assert _exact(p) is p
+    got = _exact([1, Fraction(1, 2), 0.5, "3/4"])
+    assert type(got) is tuple and got == (1, Fraction(1, 2), Fraction(1, 2), Fraction(3, 4))
+    assert type(_exact([1, 2])) is tuple
+
+
+def read(parse, text):
+    """parse(text) with its type, or the type and message of its error."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+# strings that Fraction reads or refuses: plain [-]digits[/digits], and
+# near misses over the characters of its grammar.  Exponents keep to three
+# digits, far below the digit limit parse_rational checks before parsing.
+digit_run = st.text("0123456789", min_size=1, max_size=6)
+plain_text = st.tuples(
+    st.sampled_from(["", "-"]), digit_run, st.one_of(st.just(""), digit_run.map("/{}".format))
+).map("".join)
+grammar_text = st.text("0123456789-+/ _.\t\n٣²", max_size=10)
+exponent_text = st.tuples(
+    grammar_text, st.sampled_from("eE"), st.text("0123456789+-_", max_size=3)
+).map("".join)
+LONG = "7" * 4301  # one digit past the interpreter's default limit
+
+
+@examples
+@given(st.one_of(plain_text, grammar_text, exponent_text))
+@example("-0")
+@example("007/020")
+@example("1/0")
+@example("-0/0")
+@example("+3")
+@example(" 3/4")
+@example("3/ 4")
+@example("3/4\n")
+@example("1_000")
+@example("٣")
+@example("²")
+@example("3/4/5")
+@example("-3/-4")
+@example("")
+@example("-")
+@example("0.55")
+@example("-1.5e-3")
+@example("2.5E+1")
+@example(LONG)
+@example("-" + LONG)
+@example("1/" + LONG)
+@example(LONG + "/0")
+def test_parse_rational_reads_like_fraction(text):
+    assert read(parse_rational, text) == read(Fraction, text)
 
 
 @examples

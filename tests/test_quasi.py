@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from ripshadow import geometry, quasi
-from ripshadow.complexes import build_rips, explicit_complex, flag_complex
+from ripshadow.complexes import build_rips, collapse_core, explicit_complex, flag_complex
 from ripshadow.errors import AuditError
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
 from ripshadow.geometry import audit_bands, dist2
@@ -183,6 +183,29 @@ def test_blowup_betti_agreement_torus():
     # the whole flag completion, reduced as an explicit complex, against its core
     whole = betti_numbers(replace(fb, flag=False), 2).gf2
     assert whole == betti_numbers(fb, 2).gf2 == betti_numbers(k, 2).gf2 == (1, 2, 1)
+
+
+def test_torus_pipeline_builds_its_core_cliques_once(monkeypatch):
+    # run_pipeline hands the blowup's collapse core to betti_numbers, which
+    # reads it as its own core instead of collapsing it again
+    from ripshadow import complexes
+
+    torus = preset_presentation("torus")
+    b = blowup(*presentation_to_colored_complex(torus))
+    core = collapse_core(range(b.n_vertices), b.edges, 3).counts()
+    assert core == (102, 306, 204, 0)
+    listed = []
+    cliques_from_graph = complexes._cliques_from_graph
+
+    def counted(vertices, edges, dim_cap):
+        levels = cliques_from_graph(vertices, edges, dim_cap)
+        listed.append(tuple(map(len, levels)))
+        return levels
+
+    monkeypatch.setattr(complexes, "_cliques_from_graph", counted)
+    res = run_pipeline(torus, UncertaintyInterval(F(1), F(3, 2)), seed=0)
+    assert res.betti_flag_blowup == (1, 2, 1)
+    assert listed.count(core) == 1
 
 
 def test_embed_blowup_audit_and_determinism():
