@@ -1,4 +1,4 @@
-"""Boundary matrices, Betti numbers, integer Smith normal form, induced maps.
+"""Boundary matrices, Betti numbers and integer Smith normal form.
 
 Everything is exact: ranks and torsion come from the integer Smith normal
 form (arbitrary precision, no modular shortcuts).  One diagonal gives both
@@ -19,18 +19,8 @@ removing a dominated vertex v, N[v] inside N[u], is a strong collapse
 (Barmak & Minian, DCG 47, 2012).  Collapses keep the simple-homotopy type,
 so the core has the same Betti numbers over Q and GF(2) and the same
 integer H1, torsion included; the dimension cap is checked on the whole
-complex.
-
-Betti numbers clear (Chen & Kerber 2011): d_{k+1} is reduced before d_k,
-and d_k loses the columns of the rows d_{k+1}'s unit sweep pivoted on.
-When the sweep visits a pivot column, it is the boundary of an integer
-chain, with a unit on its pivot row and no earlier pivot row in its
-support.  Its boundary is zero, so d_k's column on the pivot row is an
-integer combination of d_k's columns on the rest of that support: kept
-rows, or pivot rows of later columns.  The dependency runs in reverse
-sweep order, ending on kept columns, so dropping the pivot rows' columns
-keeps the column lattice of d_k, and with it its Smith diagonal and the
-ranks over Q and GF(2).
+complex.  Each d_k is reduced once, on its own; on a core few cells above
+the edges are left to reduce.
 
 Ranks of H1 over Q along a nested chain K_0 c ... c K_m -- each b1(K_i) and
 the rank of H1(K_0) -> H1(K_m), a persistent Betti number -- come from the
@@ -67,20 +57,6 @@ class InsufficientDimCap(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Signed boundary operator from k-simplices to (k-1)-simplices.
-
-    Column j holds the boundary of the j-th k-simplex; the sign convention
-    alternates over the increasing-vertex-order faces.
-    """
-
-    k: int
-    rows: Tuple[Simplex, ...]
-    cols: Tuple[Simplex, ...]
-    columns: Tuple[SparseCol, ...]
-
-
 def _columns(cells: Sequence[Simplex], index: Dict[Simplex, int]) -> List[SparseCol]:
     """Each cell's signed boundary over the faces index numbers; a face it
     does not number is dropped, as in a relative chain."""
@@ -95,11 +71,16 @@ def _columns(cells: Sequence[Simplex], index: Dict[Simplex, int]) -> List[Sparse
     return columns
 
 
-def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
-    rows = c.k_simplices(k - 1)
+def boundary_matrix(c: SimplicialComplex, k: int) -> List[SparseCol]:
+    """Signed boundary operator from k-simplices to (k-1)-simplices.
+
+    Column j holds the boundary of the j-th k-simplex over the rows of
+    `c.k_simplices(k - 1)`; the sign convention alternates over the
+    increasing-vertex-order faces.
+    """
     cols = c.k_simplices(k)
-    index = {s: i for i, s in enumerate(rows)} if cols else {}
-    return BoundaryMatrix(k=k, rows=rows, cols=cols, columns=tuple(_columns(cols, index)))
+    index = {s: i for i, s in enumerate(c.k_simplices(k - 1))} if cols else {}
+    return _columns(cols, index)
 
 
 def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
@@ -115,18 +96,12 @@ def snf_diagonal(columns: Sequence[SparseCol]) -> List[int]:
     operating on them; what is left after the sweep goes to a dense
     Euclidean finish.
     """
-    return _snf_pivots(columns)[0]
-
-
-def _snf_pivots(columns: Sequence[SparseCol]) -> Tuple[List[int], List[int]]:
-    """`snf_diagonal` of the columns, and the rows its unit sweep pivoted
-    on, in sweep order."""
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows: Dict[int, Set[int]] = {}
     for j, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(j)
-    pivot_rows: List[int] = []
+    units = 0
     for c in range(len(columns)):
         col = cols.get(c)
         unit_rows = [r for r, v in col.items() if v == 1 or v == -1] if col else ()
@@ -155,9 +130,8 @@ def _snf_pivots(columns: Sequence[SparseCol]) -> Tuple[List[int], List[int]]:
         for rr in col:
             rows[rr].discard(c)
         del cols[c]
-        pivot_rows.append(r)
-    diag = [1] * len(pivot_rows) + _dense_snf([col for col in cols.values() if col])
-    return diag, pivot_rows
+        units += 1
+    return [1] * units + _dense_snf([col for col in cols.values() if col])
 
 
 def _dense_snf(columns: List[SparseCol]) -> List[int]:
@@ -226,8 +200,7 @@ class BettiProfile:
 
 def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
     """Betti numbers b_0..b_top_dim over the rationals and over GF(2),
-    exactly, from one Smith diagonal per boundary matrix, each d_k cleared
-    by d_{k+1} (module docstring).
+    exactly, from one Smith diagonal per boundary matrix.
 
     Requires the complex to be materialized one dimension above top_dim so
     that the last image rank is honest.  A flag complex is read on its core.
@@ -243,13 +216,8 @@ def betti_numbers(c: SimplicialComplex, top_dim: int = 1) -> BettiProfile:
     rank_d1 = len(c.vertices) - c.n_components
     q: List[int] = [0, rank_d1] + [0] * top_dim
     gf2: List[int] = [0, rank_d1] + [0] * top_dim
-    cleared: List[int] = []
-    for k in range(top_dim + 1, 1, -1):
-        columns = boundary_matrix(c, k).columns
-        if cleared:  # d_{k+1} pivoted on these k-simplices: drop their columns
-            drop = set(cleared)
-            columns = [col for j, col in enumerate(columns) if j not in drop]
-        diag, cleared = _snf_pivots(columns)
+    for k in range(2, top_dim + 2):
+        diag = snf_diagonal(boundary_matrix(c, k))
         q[k] = len(diag)
         gf2[k] = sum(d % 2 for d in diag)
 
@@ -268,7 +236,7 @@ def integer_h1(c: SimplicialComplex) -> SmithDecomposition:
         raise InsufficientDimCap("integer_h1 needs dim_cap >= 2")
     c = c.core
     cycles = len(c.edges) - len(c.vertices) + c.n_components
-    return _h1(cycles, snf_diagonal(boundary_matrix(c, 2).columns))
+    return _h1(cycles, snf_diagonal(boundary_matrix(c, 2)))
 
 
 def _h1(cycles: int, d2_diagonal: Sequence[int]) -> SmithDecomposition:

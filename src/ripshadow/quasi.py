@@ -54,6 +54,9 @@ F = Fraction
 
 # placement seeds tried by embed_blowup before it gives up
 EMBED_ATTEMPTS = 32
+# most blowup vertices run_pipeline builds; the blowup and its embedding
+# audit are quadratic in them (the free group of rank 100 has 801)
+BLOWUP_VERTEX_LIMIT = 2_000
 
 
 @dataclass(frozen=True)
@@ -523,6 +526,12 @@ def run_pipeline(
     seed: int = 0,
 ) -> PipelineResult:
     k, colors = presentation_to_colored_complex(p)
+    # one blowup vertex per vertex of each simplex
+    size = sum((d + 1) * len(level) for d, level in enumerate(k.simplices))
+    if size > BLOWUP_VERTEX_LIMIT:
+        raise ValueError(
+            f"the blowup would have {size} vertices, above the limit of {BLOWUP_VERTEX_LIMIT}"
+        )
     h1_k = integer_h1(k)
     b = blowup(k, colors)
     betti_k = betti_numbers(k, 2).gf2

@@ -292,12 +292,12 @@ def homology_order_reduction(
     of K_0.
     """
     d2 = boundary_matrix(top, 2)
-    rows = sorted(range(len(d2.rows)), key=edge_birth.__getitem__)
+    rows = sorted(range(len(top.k_simplices(1))), key=edge_birth.__getitem__)
     pos = {r: p for p, r in enumerate(rows)}
     pivots: Dict[int, SparseCol] = {}
     kept: List[Tuple[int, int]] = []  # (birth of the triangle, pivot) per nonzero column
-    for j in sorted(range(len(d2.cols)), key=triangle_birth.__getitem__):
-        col = {pos[r]: v for r, v in d2.columns[j].items()}
+    for j in sorted(range(len(top.k_simplices(2))), key=triangle_birth.__getitem__):
+        col = {pos[r]: v for r, v in d2[j].items()}
         while col:
             p = max(col)
             other = pivots.get(p)
@@ -795,10 +795,10 @@ def verify_chain_property(c) -> bool:
     for k in range(2, len(c.simplices)):
         dk = boundary_matrix(c, k)
         dk1 = boundary_matrix(c, k - 1)
-        for col in dk.columns:
+        for col in dk:
             acc: Dict[int, int] = {}
             for r, v in col.items():
-                for r2, v2 in dk1.columns[r].items():
+                for r2, v2 in dk1[r].items():
                     acc[r2] = acc.get(r2, 0) + v * v2
             if any(val != 0 for val in acc.values()):
                 return False

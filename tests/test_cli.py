@@ -233,6 +233,25 @@ def test_quasi_free_group_of_30_generators(tmp_path):
     assert rep["monochromatic_violations"] == 0
 
 
+def test_quasi_over_the_blowup_limit_exit_2_before_the_blowup(tmp_path, monkeypatch, capsys):
+    built = []
+    blowup = quasi.blowup
+    monkeypatch.setattr(quasi, "blowup", lambda *a: built.append(a) or blowup(*a))
+    # 30 free generators make 241 blowup vertices, one per vertex of each simplex
+    monkeypatch.setattr(quasi, "BLOWUP_VERTEX_LIMIT", 240)
+    pf = tmp_path / "free.json"
+    pf.write_text(json.dumps({"generators": 30, "relators": []}))
+    out = tmp_path / "q.json"
+    assert run(["quasi", "--presentation", str(pf), "--interval", "1,3/2",
+                "--out", str(out)]) == 2
+    assert "the blowup would have 241 vertices, above the limit of 240" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+    # a count at the limit passes: rp2's blowup has 105 vertices
+    monkeypatch.setattr(quasi, "BLOWUP_VERTEX_LIMIT", 105)
+    assert run(["quasi", "--preset", "rp2", "--interval", "1,3/2", "--out", str(out)]) == 0
+    assert len(built) == 1 and json.loads(out.read_text())["h1_quasi"]["torsion"] == ["2"]
+
+
 def test_pair_ring_and_overlap_exit(tmp_path):
     fx = tmp_path / "ring.json"
     assert run(["fixture", "--name", "ring", "--out", str(fx)]) == 0
