@@ -36,7 +36,6 @@ from .lifting import (
     walk_word,
 )
 from .quasi import (
-    BlowupComplex,
     EdgePolicy,
     GroupPresentation,
     UncertaintyInterval,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiProfile",
-    "BlowupComplex",
     "EdgePolicy",
     "GroupPresentation",
     "HoleWord",

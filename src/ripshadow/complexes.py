@@ -1,15 +1,14 @@
 """Rips and general flag complexes.
 
-A SimplicialComplex stores its simplices per dimension as sorted tuples of
-vertex indices, in lexicographic order, so every downstream matrix and
-report is reproducible run to run.  The stored levels are the only record of
-the dimension cap: `dim_cap` is the top level's index, so a level beyond the
-complex's dimension is stored empty.  `edge_set` (the edges as a set) and
-`n_components` (the components of the 1-skeleton) are built on first read
-and kept with the complex, as is `core`, the clique complex of the graph's
-collapse core (`collapse_core`), on which homology reads a flag complex.
-A collapse that removes nothing lists no cliques: the complex is its own
-core, as is every core `collapse_core` returns.
+A SimplicialComplex stores what defines it: an explicit complex its
+levels, a flag complex (Rips, quasi-Rips, a blowup) its graph, checked
+once by `flag_complex`.  Every level is a sorted tuple of sorted simplices,
+so every downstream matrix and report is reproducible run to run.  A flag
+complex's levels above the edges are listed on first read and kept, as are
+`edge_set`, `n_components` (of the 1-skeleton) and `core`, the flag
+complex of the graph's collapse core, on which homology reads it: so only
+the core's cliques are listed for homology, and a collapse that removes
+nothing hands back the complex itself.
 
 A flag complex's cliques grow on higher neighbours: each vertex keeps the
 set of its neighbours above it, and a clique's extensions are the
@@ -39,24 +38,33 @@ Simplex = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class SimplicialComplex:
+    """`stored` is levels 0..dim_cap of an explicit complex, or levels 0
+    and 1 of a flag complex, edges written i < j and sorted; its cliques
+    above them are listed when `simplices`, `counts`, `dim` or a level
+    k >= 2 is first read."""
+
     n_vertices: int
-    simplices: Tuple[Tuple[Simplex, ...], ...]  # simplices[k] = k-simplices, sorted
+    stored: Tuple[Tuple[Simplex, ...], ...]
+    dim_cap: int
     flag: bool
     coords: Optional[Tuple[Point, ...]] = None
     provenance: str = "explicit"  # "rips" | "quasi" | "explicit"; test oracles add "cech1d"
 
+    @functools.cached_property
+    def simplices(self) -> Tuple[Tuple[Simplex, ...], ...]:
+        """Every level: simplices[k] = k-simplices, sorted."""
+        if not self.flag:
+            return self.stored
+        return _cliques_from_graph(self.vertices, self.edges, self.dim_cap)
+
     def k_simplices(self, k: int) -> Tuple[Simplex, ...]:
-        if k < 0 or k >= len(self.simplices):
-            return ()
-        return self.simplices[k]
+        if 0 <= k < len(self.stored):
+            return self.stored[k]
+        return self.simplices[k] if 1 < k <= self.dim_cap else ()
 
     @property
     def vertices(self) -> Tuple[int, ...]:
-        return tuple(s[0] for s in self.k_simplices(0))
-
-    @property
-    def dim_cap(self) -> int:
-        return len(self.simplices) - 1
+        return tuple(s[0] for s in self.stored[0])
 
     @property
     def edges(self) -> Tuple[Simplex, ...]:
@@ -68,8 +76,8 @@ class SimplicialComplex:
         return frozenset(self.edges)
 
     def dim(self) -> int:
-        for k in range(len(self.simplices) - 1, -1, -1):
-            if self.simplices[k]:
+        for k in range(self.dim_cap, -1, -1):
+            if self.k_simplices(k):
                 return k
         return -1
 
@@ -91,15 +99,20 @@ class SimplicialComplex:
 
     @functools.cached_property
     def core(self) -> "SimplicialComplex":
-        """A flag complex's collapse core, built on first read; an explicit
-        complex, or a flag complex the collapse leaves whole, is its own."""
+        """A flag complex's collapse core (`_collapse`), the flag complex of
+        the graph it leaves, built on first read; an explicit complex, or a
+        flag complex the collapse leaves whole, is its own."""
         if not self.flag:
             return self
-        n_vertices, adj = _collapse(self.vertices, self.edges)
+        adj = _collapse(self.vertices, self.edges)
         # the collapse only removes: equal counts mean it removed nothing
         if len(adj) == len(self.vertices) and sum(map(len, adj.values())) == 2 * len(self.edges):
             return self
-        return _clique_core(n_vertices, adj, self.dim_cap)
+        vertices = sorted(adj)
+        edges = tuple((u, v) for u in vertices for v in sorted(adj[u]) if u < v)
+        return SimplicialComplex(
+            self.n_vertices, (tuple((v,) for v in vertices), edges), self.dim_cap, True
+        )
 
 
 def component_counts(
@@ -128,11 +141,13 @@ def component_counts(
 
 
 def _cliques_from_graph(
-    vertices: Sequence[int], edges: Iterable[Tuple[int, int]], dim_cap: int
+    vertices: Sequence[int], edges: Sequence[Simplex], dim_cap: int
 ) -> Tuple[Tuple[Simplex, ...], ...]:
-    """All cliques of size <= dim_cap+1, per dimension, lexicographically sorted.
+    """All cliques of size <= dim_cap+1, per dimension, lexicographically
+    sorted, of a graph on sorted vertices whose edges are written i < j and
+    sorted, as a flag complex stores them.
 
-    Level 1 is the edges as given, each written i < j, sorted.  Above it,
+    Levels 0 and 1 are the vertices and the edges as given.  Above them,
     cliques grow on higher neighbours: each vertex keeps the set of its
     neighbours above it, and a clique carries its extensions, the
     intersection of its members' sets, as an ascending tuple.  Each
@@ -140,19 +155,13 @@ def _cliques_from_graph(
     produced exactly once, and extending the cliques in order, each by its
     extensions in order, keeps every level lexicographic.
     """
-    edges = list(edges)
     higher: Dict[int, Set[int]] = {v: set() for v in vertices}
     for i, j in edges:
-        if i < j:
-            higher[i].add(j)
-        else:
-            higher[j].add(i)
-    levels: List[Sequence[Simplex]] = [[(v,) for v in sorted(vertices)]]
-    if dim_cap >= 1:
-        levels.append(sorted((i, j) if i < j else (j, i) for i, j in edges))
+        higher[i].add(j)
+    levels: List[Sequence[Simplex]] = [[(v,) for v in vertices], edges]
     # (clique, its extensions): ascending tuples need no sort, and the many
     # empty ones share one object, where empty sets would each take memory
-    grown = [((v,), tuple(sorted(higher[v]))) for v in sorted(vertices)]
+    grown = [((v,), tuple(sorted(higher[v]))) for v in vertices]
     for k in range(1, dim_cap):
         grown = [
             (clique + (v,), tuple([w for w in ext if w in higher[v]]))
@@ -173,23 +182,32 @@ def flag_complex(
     coords: Optional[Sequence[Point]] = None,
     provenance: str = "explicit",
 ) -> SimplicialComplex:
-    """Clique completion of a graph up to dim_cap."""
+    """Clique completion up to dim_cap of a graph on range(n_vertices),
+    stored as its graph.  An edge may come in either orientation and more
+    than once; it is kept once.  A loop, or an end outside range(n_vertices),
+    is a ValueError naming the edge."""
     if dim_cap < 1:
         raise ValueError("dim_cap must be >= 1")
+    # sorting first keeps repeats adjacent; dict.fromkeys keeps one of each
+    level = tuple(dict.fromkeys(sorted((i, j) if i < j else (j, i) for i, j in edges)))
+    for i, j in level:
+        if not 0 <= i < j < n_vertices:
+            raise ValueError(f"edge {(i, j)} is a loop or leaves range({n_vertices})")
     return SimplicialComplex(
         n_vertices=n_vertices,
-        simplices=_cliques_from_graph(range(n_vertices), edges, dim_cap),
+        stored=(tuple((v,) for v in range(n_vertices)), level),
+        dim_cap=dim_cap,
         flag=True,
         coords=tuple(coords) if coords is not None else None,
         provenance=provenance,
     )
 
 
-def collapse_core(
-    vertices: Iterable[int], edges: Iterable[Tuple[int, int]], dim_cap: int
-) -> SimplicialComplex:
-    """Clique completion up to dim_cap of a graph's collapse core, which is
-    its own `core`: homology reads it as it is.
+def _collapse(
+    vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
+) -> Dict[int, Set[int]]:
+    """The neighbour sets of a graph's collapse core, whose flag complex
+    `SimplicialComplex.core` is.
 
     A vertex v is dominated when N[v] is inside N[u] for a neighbour u, and
     an edge uv when some w outside {u, v} is adjacent to all of
@@ -197,18 +215,10 @@ def collapse_core(
     sequence of collapses of the flag complex (homology module docstring),
     so the core keeps its homotopy type.  One vertex pass runs, then edge
     passes until one removes nothing, then a vertex pass again, each in
-    sorted order, so the core does not depend on set order.
+    sorted order, so the core depends neither on set order nor on the
+    order or orientation of the edges.
     """
-    return _clique_core(*_collapse(vertices, edges), dim_cap)
-
-
-def _collapse(
-    vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
-) -> Tuple[int, Dict[int, Set[int]]]:
-    """The vertex count of the graph (its largest vertex + 1) and the
-    neighbour sets of its collapse core (`collapse_core`)."""
     adj: Dict[int, Set[int]] = {v: set() for v in vertices}
-    n_vertices = max(adj, default=-1) + 1
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
@@ -232,20 +242,7 @@ def _collapse(
                 adj[v].discard(u)
                 removed = True
     strip_vertices()
-    return n_vertices, adj
-
-
-def _clique_core(n_vertices: int, adj: Dict[int, Set[int]], dim_cap: int) -> SimplicialComplex:
-    """The clique complex of a collapsed graph, marked as its own core."""
-    core = SimplicialComplex(
-        n_vertices=n_vertices,
-        simplices=_cliques_from_graph(
-            list(adj), [(u, v) for u in adj for v in adj[u] if u < v], dim_cap
-        ),
-        flag=True,
-    )
-    core.__dict__["core"] = core  # the cached `core`: collapsing again is wasted
-    return core
+    return adj
 
 
 def explicit_complex(
@@ -253,14 +250,22 @@ def explicit_complex(
     simplices_by_dim: Sequence[Iterable[Simplex]],
     dim_cap: Optional[int] = None,
 ) -> SimplicialComplex:
-    """A non-flag complex from explicit simplex lists; faces are closed off."""
+    """A non-flag complex from explicit k-simplex lists; faces are closed
+    off.  A simplex above dim_cap, at the wrong level, or with a repeated
+    vertex or one outside range(n_vertices), is a ValueError naming it."""
     cap = dim_cap if dim_cap is not None else max(1, len(simplices_by_dim) - 1)
     levels: List[Set[Simplex]] = [set() for _ in range(cap + 1)]
     for k, level in enumerate(simplices_by_dim):
         for s in level:
             t = tuple(sorted(s))
+            if k > cap:
+                raise ValueError(f"simplex {s} lies above dim_cap {cap}")
             if len(set(t)) != len(t):
                 raise ValueError(f"repeated vertex in simplex {s}")
+            if len(t) != k + 1:
+                raise ValueError(f"simplex {s} given at level {k}")
+            if not 0 <= t[0] <= t[-1] < n_vertices:
+                raise ValueError(f"simplex {s} leaves range({n_vertices})")
             levels[k].add(t)
     # close under faces
     for k in range(cap, 0, -1):
@@ -268,9 +273,7 @@ def explicit_complex(
             for i in range(len(s)):
                 levels[k - 1].add(s[:i] + s[i + 1 :])
     return SimplicialComplex(
-        n_vertices=n_vertices,
-        simplices=tuple(tuple(sorted(level)) for level in levels),
-        flag=False,
+        n_vertices, tuple(tuple(sorted(level)) for level in levels), cap, False
     )
 
 
@@ -289,7 +292,8 @@ def build_rips(points: Sequence[Point], eps: Fraction, dim_cap: int = 3) -> Simp
 
 
 def induced_span(c: SimplicialComplex, verts: Iterable[int]) -> SimplicialComplex:
-    """Smallest subcomplex of c on a vertex subset (all simplices inside it).
+    """Smallest subcomplex of c on a vertex subset (all simplices inside it),
+    as an explicit complex: every level of c is filtered.
 
     Vertex indices are preserved, so spans embed in their parent complex.
     """
@@ -300,10 +304,4 @@ def induced_span(c: SimplicialComplex, verts: Iterable[int]) -> SimplicialComple
     levels = tuple(
         tuple(s for s in level if all(v in vset for v in s)) for level in c.simplices
     )
-    return SimplicialComplex(
-        n_vertices=c.n_vertices,
-        simplices=levels,
-        flag=c.flag,
-        coords=c.coords,
-        provenance=c.provenance,
-    )
+    return SimplicialComplex(c.n_vertices, levels, c.dim_cap, False, c.coords, c.provenance)

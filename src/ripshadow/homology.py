@@ -10,8 +10,10 @@ Euclidean reduction diagonalizes the small remainder.  Both use only
 integer unimodular row and column operations, which keep the invariant
 factors, so the result is exact.
 
-A flag complex's Betti numbers and integer H1 are read on its collapse
-core (`SimplicialComplex.core`).  Removing a dominated edge uv from the
+A flag complex is stored as its graph, and its Betti numbers and integer
+H1 are read on its collapse core (`SimplicialComplex.core`), the flag
+complex of what the collapse leaves: only the core's cliques are listed,
+never the whole complex's.  Removing a dominated edge uv from the
 graph, one where some w outside {u, v} is adjacent to all of N[u] & N[v],
 is a sequence of elementary collapses of the flag complex (Boissonnat &
 Pritam, "Edge collapse and persistence of flag complexes", SoCG 2020);

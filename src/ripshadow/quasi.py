@@ -6,12 +6,15 @@ beyond, and lets a policy decide inside the open band.  One resolver,
 pick outside its band; `build_quasi` and both intervals of the pair
 analysis call it.  A pair analysis resolves the chain R_Q c R_mid c R_Q'
 in one pass over the pairs, with one clique enumeration (of R_Q'; R_mid is
-a filtered level of it, R_Q is never built) and one coboundary reduction,
-with clearing, of its filtration.  The pipeline turns a finite group
-presentation into a properly 3-colored 2-complex, blows it up so gluings
-become joins, and embeds the blowup in the plane with one small ball per
-color.  `geometry.audit_bands` finds every same-colour pair forced and
-every other pair inside the band; those forced pairs plus the bichromatic
+its filtered levels, stored as an explicit complex, and R_Q is never
+built) and one coboundary reduction, with clearing, of its filtration.
+The pipeline turns a finite group presentation into a properly 3-colored
+2-complex, blows it up so gluings become joins, and embeds the blowup in
+the plane with one small ball per color.  The blowup is a flag complex
+stored as its graph, handed on with its vertices' colours; homology reads
+it on its collapse core, so its cliques are never listed.
+`geometry.audit_bands` finds every same-colour pair forced and every
+other pair inside the band; those forced pairs plus the bichromatic
 blowup edges, the band pairs the construction picks, are the quasi-Rips
 complex.  It carries the group's H1 (plus free rank), which integer Smith
 normal form certifies.
@@ -26,17 +29,11 @@ avoiding the cubically many monochromatic triangles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .complexes import (
-    SimplicialComplex,
-    collapse_core,
-    component_counts,
-    explicit_complex,
-    flag_complex,
-)
+from .complexes import SimplicialComplex, component_counts, explicit_complex, flag_complex
 from .errors import AuditError
 from .geometry import DuplicatePointError, Point, audit_bands, pair_distances, rational_sqrt
 from .homology import (
@@ -303,9 +300,12 @@ def presentation_to_colored_complex(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowupComplex:
-    """Disjoint simplex copies of a complex, faces connected by joins.
+def blowup(
+    k: SimplicialComplex, colors: Sequence[int]
+) -> Tuple[SimplicialComplex, Tuple[int, ...]]:
+    """The flag completion, at dim_cap 3, of the blowup graph of a properly
+    coloured 2-complex: disjoint simplex copies, faces connected by joins;
+    and the colour of each of its vertices, inherited.
 
     Vertices are (simplex of K, vertex of that simplex).  Two vertices
     (s1, v), (s2, w) are adjacent iff v lies in s2 and w lies in s1: each
@@ -317,18 +317,8 @@ class BlowupComplex:
     homotopy equivalent to the source complex, and every bichromatic
     triangle of the quasi-Rips complex already lives in it.  Joining
     entire copies pairwise instead creates bichromatic 2-simplices outside
-    the flag completion and wrecks the construction.  Colors are inherited.
+    the flag completion and wrecks the construction.
     """
-
-    colors: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.colors)
-
-
-def blowup(k: SimplicialComplex, colors: Sequence[int]) -> BlowupComplex:
     if k.dim() > 2:
         raise ValueError("blowup expects a 2-dimensional complex")
     if not _is_proper(k, colors):
@@ -340,7 +330,7 @@ def blowup(k: SimplicialComplex, colors: Sequence[int]) -> BlowupComplex:
             s2, w = copies[b]
             if v in s2 and w in s1:
                 edges.append((a, b))
-    return BlowupComplex(colors=tuple(colors[v] for _, v in copies), edges=tuple(edges))
+    return flag_complex(len(copies), edges, 3), tuple(colors[v] for _, v in copies)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +342,11 @@ def blowup(k: SimplicialComplex, colors: Sequence[int]) -> BlowupComplex:
 class EmbeddedQuasi:
     """A blowup realized as a planar quasi-Rips complex.
 
-    `complex` holds the 1-skeleton (its flag completion is the quasi-Rips
-    complex; monochromatic cliques are huge, so higher skeleta stay
-    implicit): the same-colour pairs, which the band audit found forced,
-    plus the bichromatic blowup edges.  Its `coords` are the embedded
-    points.  `colors` is the blowup's color of each vertex.
+    `complex` is the quasi-Rips complex's graph, a flag complex at dim_cap
+    1 (monochromatic cliques are huge, and H1 is read relative to them):
+    the same-colour pairs, which the band audit found forced, plus the
+    bichromatic blowup edges.  Its `coords` are the embedded points.
+    `colors` is the blowup's color of each vertex.
     """
 
     complex: SimplicialComplex
@@ -365,12 +355,14 @@ class EmbeddedQuasi:
 
 
 def embed_blowup(
-    b: BlowupComplex,
+    b: SimplicialComplex,
+    colors: Sequence[int],
     interval: UncertaintyInterval,
     seed: int = 0,
 ) -> EmbeddedQuasi:
-    """Place blowup vertices in three small balls at the corners of a
-    near-equilateral rational triangle of side (eps+eps')/2.
+    """Place the vertices of a blowup b, coloured by colors, in three small
+    balls at the corners of a near-equilateral rational triangle of side
+    (eps+eps')/2.
 
     Each vertex gets one seeded draw in its ball.  Ball radius is
     (eps'-eps)/8, half the construction's upper bound, so
@@ -379,12 +371,15 @@ def embed_blowup(
     forced and the rest in the band.  A coincident draw or a pair outside
     its band fails the attempt, and the placement retries with the next
     derived seed; after EMBED_ATTEMPTS failures it is an AuditError naming
-    the last one.  A blowup of fewer than two vertices, an interval too
-    wide for that radius, or one too narrow for the rational height, is a
-    ValueError before any point is placed.
+    the last one.  A blowup of fewer than two vertices, a colour count
+    other than its vertex count, an interval too wide for that radius, or
+    one too narrow for the rational height, is a ValueError before any
+    point is placed.
     """
     if b.n_vertices < 2:
         raise ValueError(f"a blowup needs two vertices to embed, not {b.n_vertices}")
+    if len(colors) != b.n_vertices:
+        raise ValueError(f"{len(colors)} colours for the blowup's {b.n_vertices} vertices")
     eps, eps_p = interval.eps, interval.eps_prime
     rho = (eps_p - eps) / 8
     if 2 * rho > eps:
@@ -400,7 +395,7 @@ def embed_blowup(
         (side, F(0)),
         (side / 2, height),
     ]
-    colors = b.colors
+    colors = tuple(colors)
     grid = 1 << 16
     last_error: Optional[str] = None
     for attempt in range(EMBED_ATTEMPTS):
@@ -466,13 +461,15 @@ def quasi_integer_h1(eq: EmbeddedQuasi) -> SmithDecomposition:
     return _h1(len(cross) - shift, snf_diagonal(cols))
 
 
-def monochromatic_violations(eq: EmbeddedQuasi, b: BlowupComplex) -> List[Tuple[int, int, int]]:
-    """Non-monochromatic R_Q triangles that are NOT already in flag(K~).
+def monochromatic_violations(
+    eq: EmbeddedQuasi, b: SimplicialComplex
+) -> List[Tuple[int, int, int]]:
+    """Non-monochromatic R_Q triangles that are NOT already in the blowup b.
 
     The construction predicts this list is empty: every extra 2-simplex of
     the quasi complex has all vertices of the same color.
     """
-    blow = set(b.edges)
+    blow = b.edge_set
     _, tris = cross_edges_and_triangles(eq)
     bad = []
     for t in tris:
@@ -504,7 +501,7 @@ def preset_presentation(name: str) -> GroupPresentation:
 class PipelineResult:
     k: SimplicialComplex
     h1_k: SmithDecomposition
-    blowup: BlowupComplex
+    blowup: SimplicialComplex
     betti_k: Tuple[int, ...]
     betti_flag_blowup: Tuple[int, ...]
     embedded: EmbeddedQuasi
@@ -533,12 +530,12 @@ def run_pipeline(
             f"the blowup would have {size} vertices, above the limit of {BLOWUP_VERTEX_LIMIT}"
         )
     h1_k = integer_h1(k)
-    b = blowup(k, colors)
+    b, blowup_colors = blowup(k, colors)
     betti_k = betti_numbers(k, 2).gf2
-    # the flag completion's homology, read on the collapse core of its graph
-    # (the base point's copies alone form a (2g + 1)-clique)
-    betti_fb = betti_numbers(collapse_core(range(b.n_vertices), b.edges, 3), 2).gf2
-    eq = embed_blowup(b, interval, seed)
+    # read on the collapse core: the base point's copies alone form a
+    # (2g + 1)-clique, whose cliques b itself never lists
+    betti_fb = betti_numbers(b, 2).gf2
+    eq = embed_blowup(b, blowup_colors, interval, seed)
     h1_rq = quasi_integer_h1(eq)
     bad = monochromatic_violations(eq, b)
     return PipelineResult(
@@ -588,7 +585,8 @@ def pair_image_analysis(
     holding it.
     All three are flag complexes, so a triangle is born with its last edge:
     the cliques of R_Q' are enumerated once, at dim_cap 2 since nothing
-    here reads a 3-simplex, R_eps'' is its level 1, and R_Q is never built.
+    here reads a 3-simplex, R_eps'' is an explicit complex, the simplices
+    of R_Q' born by level 1, and R_Q is never built.
     A union-find counts the components of the forced R_eps, and one
     coboundary reduction of R_Q' with clearing gives the image rank and the
     three b1 (`homology._reduce_filtration`).
@@ -617,8 +615,8 @@ def pair_image_analysis(
     triangles = high.k_simplices(2)
     triangle_birth = [max(birth[a, b], birth[a, c], birth[b, c]) for a, b, c in triangles]
     mid_triangles = tuple(t for t, b in zip(triangles, triangle_birth) if b <= 1)
-    mid_levels = (high.simplices[0], tuple(mid_edges), mid_triangles)
-    mid = replace(high, simplices=mid_levels, provenance="rips")
+    mid_levels = (high.k_simplices(0), tuple(mid_edges), mid_triangles)
+    mid = SimplicialComplex(n, mid_levels, 2, False, high.coords, "rips")
     (lower_b1, mid_b1, upper_b1), rank = _reduce_filtration(high, edge_birth, triangle_birth, 3)
     shadow_mid = None
     if all(len(p) == 2 for p in points):

@@ -23,7 +23,7 @@ from ripshadow.homology import (
     boundary_matrix,
 )
 from ripshadow.lifting import LiftError, loop_word
-from ripshadow.quasi import BlowupComplex, EdgePolicy, PairReport
+from ripshadow.quasi import EdgePolicy, PairReport
 from ripshadow.shadow import build_shadow, hole_anchors, shadow_betti
 
 
@@ -829,14 +829,14 @@ def build_cech_1d(points, eps, dim_cap: int = 3):
         for size in range(1, min(len(window), dim_cap) + 1):
             for rest in combinations(window, size):
                 levels[size].add(tuple(sorted((order[a],) + rest)))
-    out = [tuple(sorted(level)) for level in levels]
-    return SimplicialComplex(
-        n_vertices=n,
-        simplices=tuple(out),
-        flag=True,
-        coords=tuple(points),
-        provenance="cech1d",
-    )
+    # stored level by level, so no clique of the package's is listed
+    out = tuple(tuple(sorted(level)) for level in levels)
+    return SimplicialComplex(n, out, dim_cap, False, tuple(points), "cech1d")
+
+
+def explicit_copy(c: SimplicialComplex) -> SimplicialComplex:
+    """c as an explicit complex carrying every level: its own core."""
+    return SimplicialComplex(c.n_vertices, c.simplices, c.dim_cap, False, c.coords, c.provenance)
 
 
 def cone_apex(c) -> Optional[int]:
@@ -883,12 +883,6 @@ def filtration_h1(chain: Sequence[SimplicialComplex]) -> Tuple[Tuple[int, ...], 
     return _reduce_filtration(
         top, [birth[e] for e in top.edges], [birth[t] for t in top.k_simplices(2)], len(chain)
     )
-
-
-def flag_blowup(b: BlowupComplex, dim_cap: int = 3) -> SimplicialComplex:
-    """Flag completion of the blowup graph (no geometry attached): the whole
-    complex, whose homology the pipeline reads on its graph's collapse core."""
-    return flag_complex(b.n_vertices, b.edges, dim_cap)
 
 
 def oracle_pair_report(points, lower, upper, dim_cap: int = 3) -> PairReport:

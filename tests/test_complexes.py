@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ripshadow import geometry
+from ripshadow import complexes, geometry
 from ripshadow.complexes import (
     DuplicatePointError,
     build_rips,
-    collapse_core,
     component_counts,
     explicit_complex,
     flag_complex,
@@ -18,10 +18,10 @@ from ripshadow.complexes import (
 )
 from ripshadow.fixtures import hexagon_points
 from ripshadow.geometry import DimensionMismatch, dist2, make_point
+from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.quasi import (
     EdgePolicy,
     UncertaintyInterval,
-    blowup,
     build_quasi,
     pair_image_analysis,
 )
@@ -32,7 +32,6 @@ from oracles import (
     brute_force_cliques,
     build_cech_1d,
     cone_apex,
-    flag_blowup,
 )
 
 F = Fraction
@@ -77,9 +76,8 @@ EDGE = explicit_complex(2, [[(0,), (1,)], [(0, 1)]], dim_cap=1)
         lambda: flag_complex(2, [(0, 1)], 0),
         lambda: build_rips(HALF, F(1), dim_cap=0),
         lambda: build_quasi(HALF, UncertaintyInterval(F(1), F(2)), EdgePolicy.all(), dim_cap=0),
-        lambda: flag_blowup(blowup(EDGE, (0, 1)), 0),
     ],
-    ids=["flag_complex", "build_rips", "build_quasi", "flag_blowup"],
+    ids=["flag_complex", "build_rips", "build_quasi"],
 )
 def test_dim_cap_zero_rejected(build):
     with pytest.raises(ValueError, match="dim_cap must be >= 1"):
@@ -167,8 +165,8 @@ def test_flag_property_vs_bruteforce():
     for n, edges, given_edges in cases:
         c = flag_complex(n, given_edges, dim_cap=4)
         expect = brute_force_cliques(n, edges, max_size=5)
-        # level 1 is the edges as given, written i < j and sorted, repeats kept
-        assert list(c.k_simplices(1)) == sorted(tuple(sorted(e)) for e in given_edges)
+        # level 1 is the edges as given, written i < j and sorted, each once
+        assert list(c.k_simplices(1)) == sorted(edges)
         for k in (0, 2, 3, 4):
             assert set(c.k_simplices(k)) == expect[k]
             assert len(c.k_simplices(k)) == len(expect[k])
@@ -177,6 +175,29 @@ def test_flag_property_vs_bruteforce():
             assert list(level) == sorted(level)
     assert c.k_simplices(4) == tuple(combinations(range(9), 5))  # the K_9: 126 4-simplices
     assert len(c.k_simplices(4)) == 126
+
+
+def test_flag_complex_checks_its_graph():
+    # a repeated edge is kept once, in either orientation
+    c = flag_complex(3, [(0, 1), (1, 0), (1, 2)], 2)
+    assert c.counts() == (3, 2, 0) and c.edges == ((0, 1), (1, 2))
+    # a loop, or an end outside range(n), is refused, naming the edge
+    cases = [(2, [(1, 1)], (1, 1)), (2, [(0, 5)], (0, 5)), (3, [(2, 1), (2, -1)], (-1, 2))]
+    for n, edges, bad in cases:
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad}")):
+            flag_complex(n, edges, 2)
+
+
+def test_explicit_complex_checks_its_simplices():
+    cases = [
+        (2, [[], [(0, 5)]], None, "(0, 5) leaves range(2)"),
+        (3, [[], [(-1, 2)]], None, "(-1, 2) leaves range(3)"),
+        (3, [[], [], [(0, 1, 2)]], 1, "(0, 1, 2) lies above dim_cap 1"),
+        (3, [[(0, 1)]], None, "(0, 1) given at level 0"),
+    ]
+    for n, levels, cap, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            explicit_complex(n, levels, dim_cap=cap)
 
 
 def test_cech_1d_examples():
@@ -307,6 +328,27 @@ def test_octahedron_core_builds_no_cliques(monkeypatch):
     assert listed == []
 
 
+def test_homology_of_a_cluster_lists_only_its_core(monkeypatch):
+    # 40 points within 1 of each other: K_40, whose 9,880 triangles and
+    # 91,390 tetrahedra stay unlisted; its core is a single vertex
+    listed = []
+    cliques_from_graph = complexes._cliques_from_graph
+
+    def counted(vertices, edges, dim_cap):
+        levels = cliques_from_graph(vertices, edges, dim_cap)
+        listed.append(tuple(map(len, levels)))
+        return levels
+
+    monkeypatch.setattr(complexes, "_cliques_from_graph", counted)
+    c = build_rips([(F(x, 20), F(y, 20)) for x in range(8) for y in range(5)], F(1))
+    assert betti_numbers(c, 2).q == (1, 0, 0)
+    assert str(integer_h1(c)) == "Z^0"
+    assert listed == [(1, 0, 0, 0)]
+    # read, the levels are listed, once
+    assert c.counts() == c.counts() == (40, 780, 9_880, 91_390)
+    assert listed == [(1, 0, 0, 0), (40, 780, 9_880, 91_390)]
+
+
 def test_explicit_complex_is_its_own_core():
     assert EDGE.core is EDGE
 
@@ -335,14 +377,16 @@ def test_core_is_a_flag_subcomplex_and_ignores_edge_order():
     for _ in range(40):
         n = rng.randrange(2, 12)
         edges = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < rng.random()]
-        core = collapse_core(range(n), edges, 3)
+        core = flag_complex(n, edges, 3).core
         assert core.flag and core.dim_cap == 3
         assert set(core.vertices) <= set(range(n)) and set(core.edges) <= set(edges)
         # the clique complex of its own graph
         assert core.simplices[1:] == flag_complex(n, core.edges, 3).simplices[1:]
         shuffled = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in edges]
         rng.shuffle(shuffled)
-        assert collapse_core(reversed(range(n)), shuffled, 3).simplices == core.simplices
+        adj = complexes._collapse(reversed(range(n)), shuffled)
+        assert sorted(adj) == list(core.vertices)
+        assert sorted((u, v) for u in adj for v in adj[u] if u < v) == list(core.edges)
 
 
 def test_cone_apex_triangle_and_square():

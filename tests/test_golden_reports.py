@@ -49,6 +49,7 @@ DENSE_20 = [
 GOLDEN = {
     "hexagon.json": "2e21715957f22dfea006397f605ddbddcbb841fa9839829564c1a4c391353446",
     "rips-hexagon.json": "345330e0669b861aab71a0cccc1338abd86faaed1ec92db4b0e07b1249f1270d",
+    "rips-hexagon-cap6.json": "1751303ce51c3968d9806da1ace2c13db6983c460579f79d6d0e60d6bd1004fc",
     "shadow-hexagon.json": "0bb1bfbd20c32c8e8e540fb93f97d63b9c4fae08d0a7817c0da695f2da7661a5",
     "shadow-hexagon.svg": "c3007bc893b5b6c29853625d6d5089f576457e7aee3c436ea2307a148ccb48c6",
     "cross4.json": "3400c31da3f61261bb64316d57417ac1651c89d3925185b521b8a2b7892a4761",
@@ -104,6 +105,9 @@ def _run_cases(workdir: Path, hash_seed: str):
             run(["shadow", "--points", fx, "--epsilon", eps, *loop,
                  "--svg", f"shadow-{name}.svg", "--out", f"shadow-{name}.json"],
                 f"shadow-{name}.json", f"shadow-{name}.svg")
+    # the census at the highest cap the hexagon allows: levels 3 to 6 empty
+    run(["rips", "--points", "hexagon.json", "--epsilon", "1", "--dim-cap", "6",
+         "--out", "rips-hexagon-cap6.json"], "rips-hexagon-cap6.json")
     run(["quasi", "--preset", "rp2", "--interval", "1,3/2", "--seed", "7",
          "--out", "quasi-rp2.json"], "quasi-rp2.json")
     run(["quasi", "--preset", "klein", "--interval", "1,3/2", "--seed", "7",

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from ripshadow import geometry, quasi
-from ripshadow.complexes import build_rips, collapse_core, explicit_complex, flag_complex
+from ripshadow.complexes import build_rips, explicit_complex, flag_complex
 from ripshadow.errors import AuditError
 from ripshadow.fixtures import annulus_ring_points, crossing_triangle_fixture
 from ripshadow.geometry import audit_bands, dist2
@@ -33,7 +33,7 @@ from ripshadow.quasi import (
 
 from ripshadow.shadow import build_shadow
 
-from oracles import flag_blowup, frac_pair_bands, oracle_pair_report
+from oracles import explicit_copy, frac_pair_bands, oracle_pair_report
 
 F = Fraction
 
@@ -156,16 +156,15 @@ def test_blowup_vertex_count_single_triangle():
     tri = explicit_complex(
         3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]], dim_cap=2
     )
-    b = blowup(tri, (0, 1, 2))
-    assert b.n_vertices == 12  # 3 vertex copies + 6 edge copies + 3 triangle copy
-    fb = flag_blowup(b, 3)
+    fb, colors = blowup(tri, (0, 1, 2))
+    assert fb.n_vertices == len(colors) == 12  # 3 vertex copies + 6 edge copies + 3 triangle copy
+    assert fb.flag and fb.dim_cap == 3
     assert betti_numbers(fb, 2).gf2 == (1, 0, 0)
 
 
 def test_blowup_single_edge_contractible():
     edge = explicit_complex(2, [[(0,), (1,)], [(0, 1)]], dim_cap=1)
-    b = blowup(edge, (0, 1))
-    fb = flag_blowup(b, 2)
+    fb, _ = blowup(edge, (0, 1))
     assert betti_numbers(fb, 1).gf2 == (1, 0)
 
 
@@ -178,21 +177,20 @@ def test_blowup_rejects_improper_coloring():
 def test_blowup_betti_agreement_torus():
     p = preset_presentation("torus")
     k, colors = presentation_to_colored_complex(p)
-    b = blowup(k, colors)
-    fb = flag_blowup(b, 3)
+    fb, _ = blowup(k, colors)
     # the whole flag completion, reduced as an explicit complex, against its core
-    whole = betti_numbers(replace(fb, flag=False), 2).gf2
+    whole = betti_numbers(explicit_copy(fb), 2).gf2
     assert whole == betti_numbers(fb, 2).gf2 == betti_numbers(k, 2).gf2 == (1, 2, 1)
 
 
 def test_torus_pipeline_builds_its_core_cliques_once(monkeypatch):
-    # run_pipeline hands the blowup's collapse core to betti_numbers, which
-    # reads it as its own core instead of collapsing it again
+    # run_pipeline hands the blowup to betti_numbers, which lists the
+    # cliques of its collapse core only, never those of the blowup itself
     from ripshadow import complexes
 
     torus = preset_presentation("torus")
-    b = blowup(*presentation_to_colored_complex(torus))
-    core = collapse_core(range(b.n_vertices), b.edges, 3).counts()
+    b, _ = blowup(*presentation_to_colored_complex(torus))
+    core = b.core.counts()
     assert core == (102, 306, 204, 0)
     listed = []
     cliques_from_graph = complexes._cliques_from_graph
@@ -205,25 +203,27 @@ def test_torus_pipeline_builds_its_core_cliques_once(monkeypatch):
     monkeypatch.setattr(complexes, "_cliques_from_graph", counted)
     res = run_pipeline(torus, UncertaintyInterval(F(1), F(3, 2)), seed=0)
     assert res.betti_flag_blowup == (1, 2, 1)
-    assert listed.count(core) == 1
+    assert listed == [core]
 
 
 def test_embed_blowup_audit_and_determinism():
     p = preset_presentation("rp2")
     k, colors = presentation_to_colored_complex(p)
-    b = blowup(k, colors)
+    b, colors = blowup(k, colors)
     iv = UncertaintyInterval(F(1), F(3, 2))
-    e1 = embed_blowup(b, iv, seed=11)
-    e2 = embed_blowup(b, iv, seed=11)
+    e1 = embed_blowup(b, colors, iv, seed=11)
+    e2 = embed_blowup(b, colors, iv, seed=11)
     assert e1.complex.coords == e2.complex.coords
     assert e1.audit_margin > 0
+    with pytest.raises(ValueError, match=f"^{len(colors) - 1} colours for the blowup's"):
+        embed_blowup(b, colors[:-1], iv)
     # every same-color pair forced, every cross pair strictly in the band;
     # R_Q links exactly the same-color pairs and the blowup's edges
     edges, blow = set(e1.complex.edges), set(b.edges)
     for i in range(b.n_vertices):
         for j in range(i + 1, b.n_vertices):
             d2 = dist2(e1.complex.coords[i], e1.complex.coords[j])
-            same = b.colors[i] == b.colors[j]
+            same = colors[i] == colors[j]
             if same:
                 assert d2 <= iv.eps**2
             else:
@@ -265,9 +265,9 @@ EMBED_IV = UncertaintyInterval(F(1), F(3, 2))
 @pytest.mark.parametrize("failure", ["audit", "coincident"])
 def test_embedding_moves_to_the_next_seed_after_a_failed_attempt(monkeypatch, failure):
     b = blowup(TRIANGLE, (0, 1, 2))
-    first_try = embed_blowup(b, EMBED_IV, seed=7)
+    first_try = embed_blowup(*b, EMBED_IV, seed=7)
     seeds = _fail_attempts(monkeypatch, failure, {0})
-    eq = embed_blowup(b, EMBED_IV, seed=7)
+    eq = embed_blowup(*b, EMBED_IV, seed=7)
     assert seeds == [7 * 1000003, 7 * 1000003 + 1]
     assert eq.complex.coords != first_try.complex.coords
     assert eq.audit_margin > 0
@@ -281,7 +281,7 @@ def test_embedding_moves_to_the_next_seed_after_a_failed_attempt(monkeypatch, fa
 def test_embedding_names_the_attempts_and_the_last_failure(monkeypatch, failure, last):
     seeds = _fail_attempts(monkeypatch, failure, range(quasi.EMBED_ATTEMPTS))
     with pytest.raises(AuditError) as exc:
-        embed_blowup(blowup(TRIANGLE, (0, 1, 2)), EMBED_IV, seed=7)
+        embed_blowup(*blowup(TRIANGLE, (0, 1, 2)), EMBED_IV, seed=7)
     assert str(exc.value).startswith(f"embedding failed after {quasi.EMBED_ATTEMPTS} seeds: ")
     assert str(exc.value).endswith(last)
     assert len(seeds) == quasi.EMBED_ATTEMPTS
@@ -304,7 +304,7 @@ def test_embedded_quasi_metamorphic(name):
     relabelling the embedded points map R_Q's edges and keep H1(R_Q; Z)."""
     k, colors = presentation_to_colored_complex(preset_presentation(name))
     iv = UncertaintyInterval(F(1), F(3, 2))
-    eq = embed_blowup(blowup(k, colors), iv, seed=7)
+    eq = embed_blowup(*blowup(k, colors), iv, seed=7)
     h1 = quasi_integer_h1(eq)
     n = len(eq.complex.coords)
     same = list(range(n))
@@ -328,8 +328,7 @@ def test_relative_h1_matches_literal_small():
     tri = explicit_complex(
         3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]], dim_cap=2
     )
-    b = blowup(tri, (0, 1, 2))
-    eq = embed_blowup(b, UncertaintyInterval(F(1), F(3, 2)), seed=3)
+    eq = embed_blowup(*blowup(tri, (0, 1, 2)), UncertaintyInterval(F(1), F(3, 2)), seed=3)
     lit = flag_complex(
         eq.complex.n_vertices, eq.complex.edges, dim_cap=2, coords=eq.complex.coords
     )
@@ -588,7 +587,7 @@ def test_embedding_refuses_a_blowup_of_fewer_than_two_vertices():
     for n in (0, 1):
         point = explicit_complex(n, [[(v,) for v in range(n)]], dim_cap=2)
         with pytest.raises(ValueError, match=f"two vertices to embed, not {n}$"):
-            embed_blowup(blowup(point, (0,) * n), EMBED_IV)
+            embed_blowup(*blowup(point, (0,) * n), EMBED_IV)
 
 
 def _policy_modes(rng, pts, interval, seed):
@@ -646,10 +645,10 @@ def test_pair_gives_the_shadow_the_midpoint_rips_complex(monkeypatch):
         (mid,) = seen
         seen.clear()
         want = build_rips(pts, rep.mid_eps, 2)
-        assert (mid.simplices, mid.coords, mid.provenance) == (
-            want.simplices, want.coords, want.provenance
+        # flag or explicit is how a complex is stored, not what it is
+        assert (mid.simplices, mid.coords, mid.provenance, mid.n_vertices, mid.dim_cap) == (
+            want.simplices, want.coords, want.provenance, want.n_vertices, want.dim_cap
         )
-        assert mid == want
 
 
 class _Picks(EdgePolicy):
@@ -724,8 +723,8 @@ def test_mono_claim_on_presets():
     for name in ("rp2", "torus"):
         p = preset_presentation(name)
         k, colors = presentation_to_colored_complex(p)
-        b = blowup(k, colors)
-        eq = embed_blowup(b, UncertaintyInterval(F(1), F(3, 2)), seed=5)
+        b, blowup_colors = blowup(k, colors)
+        eq = embed_blowup(b, blowup_colors, UncertaintyInterval(F(1), F(3, 2)), seed=5)
         assert monochromatic_violations(eq, b) == []
         cross, tris = cross_edges_and_triangles(eq)
         assert cross and tris
