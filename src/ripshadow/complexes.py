@@ -5,10 +5,11 @@ levels, a flag complex (Rips, quasi-Rips, a blowup) its graph, checked
 once by `flag_complex`.  Every level is a sorted tuple of sorted simplices,
 so every downstream matrix and report is reproducible run to run.  A flag
 complex's levels above the edges are listed on first read and kept, as are
-`edge_set`, `n_components` (of the 1-skeleton) and `core`, the flag
-complex of the graph's collapse core, on which homology reads it: so only
-the core's cliques are listed for homology, and a collapse that removes
-nothing hands back the complex itself.
+`vertices`, `edge_set`, `n_components` (of the 1-skeleton), `scaled`, the
+integer view of the coordinates that the shadow and the lifts read, and
+`core`, the flag complex of the graph's collapse core, on which homology
+reads it: so only the core's cliques are listed for homology, and a
+collapse that removes nothing hands back the complex itself.
 
 A flag complex's cliques grow on higher neighbours: each vertex keeps the
 set of its neighbours above it, and a clique's extensions are the
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .geometry import DuplicatePointError, Point, pair_distances  # the error is re-exported
+# DuplicatePointError is re-exported
+from .geometry import DuplicatePointError, Point, pair_distances, scale_points
 
 Simplex = Tuple[int, ...]
 
@@ -62,7 +64,7 @@ class SimplicialComplex:
             return self.stored[k]
         return self.simplices[k] if 1 < k <= self.dim_cap else ()
 
-    @property
+    @functools.cached_property
     def vertices(self) -> Tuple[int, ...]:
         return tuple(s[0] for s in self.stored[0])
 
@@ -91,6 +93,14 @@ class SimplicialComplex:
             adj[i].add(j)
             adj[j].add(i)
         return adj
+
+    @functools.cached_property
+    def scaled(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """`geometry.scale_points` of the coords, built on first read: the
+        integer points and their one scale, so the kernel triple of a planar
+        vertex v is (*points[v], scale)."""
+        points, scale = scale_points(self.coords)
+        return tuple(points), scale
 
     @functools.cached_property
     def n_components(self) -> int:

@@ -25,10 +25,15 @@ point-in-triangle test: the closed triangle abc holds x iff
 `tr_locate(((a, b), (b, c), (c, a)), x) != 0`, which for a collinear or
 repeated-vertex triangle is the union of its sides.
 
-Callers map rational points onto the kernel with `to_triple` (like
-`scale_points`, it takes an int or Fraction as it is and converts only
-other scalars; a point that is already a tuple of them is not rebuilt)
-and back with `from_triple`.  Input text is read by `parse_rational`: a
+A complex's points reach the kernel once: `scale_points` rescales them by
+the lcm of their denominators, and `SimplicialComplex.scaled` keeps the
+result, so the shadow and the lifts read a vertex as the triple (X, Y,
+scale) with no rational arithmetic.  A single rational point, such as a
+vertex of a free polyline given to `lifting.loop_word`, is mapped with
+`to_triple` (like `scale_points`, it takes an int or Fraction as it is
+and converts only other scalars; a point that is already a tuple of them
+is not rebuilt), and a triple goes back to a rational point with
+`from_triple`.  Input text is read by `parse_rational`: a
 plain ASCII "[-]digits[/digits]", the form every written point document
 uses, goes straight to `int`, and every other string (a sign +,
 whitespace, underscores, decimals, exponents, non-ASCII digits) to

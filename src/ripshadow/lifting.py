@@ -6,6 +6,14 @@ word against one vertical ray per hole reduces to the identity; that fact
 sets) turns the fundamental-group isomorphism into a decision procedure.
 Rays are perturbed symbolically: ties at a ray's x-coordinate resolve as if
 each ray were nudged by its own infinitesimal, ordered by anchor index.
+
+The lifts read a complex's vertices on its integer view
+`SimplicialComplex.scaled`, converted once per complex and shared with the
+shadow: vertex v is the kernel triple (*points[v], scale), which the
+kernel takes as it is, so the meet test of a chaining sequence, the
+direction of a covering edge and the polyline of a hole word build no
+Fraction.  A vertex whose coordinates are not 2-D is a LiftError: its
+projection is not the point the complex was built on.
 """
 
 from __future__ import annotations
@@ -114,6 +122,17 @@ def _ray_word(polyline: Sequence[Triple], rays: Sequence[Triple]) -> HoleWord:
     return HoleWord(letters=free_reduce(letters))
 
 
+def _triples(c: SimplicialComplex, vertices: Sequence[int]) -> List[Triple]:
+    """The kernel triples of the vertices on c's integer view; coordinates
+    that are not 2-D are a LiftError naming their dimension."""
+    points, scale = c.scaled
+    out = [points[v] + (scale,) for v in vertices]
+    for t in out:
+        if len(t) != 3:
+            raise LiftError(f"lifting needs 2-D coordinates, got {len(t) - 1}-D")
+    return out
+
+
 def chaining_sequence(
     ab: Tuple[int, int], cd: Tuple[int, int], c: SimplicialComplex
 ) -> RipsWalk:
@@ -129,7 +148,7 @@ def chaining_sequence(
         if (min(e), max(e)) not in c.edge_set:
             raise LiftError(f"{e} is not an edge of the complex")
     if c.coords is not None:
-        kind, _ = tr_segment_meet(*(to_triple(c.coords[v]) for v in (a, b, cc, d)))
+        kind, _ = tr_segment_meet(*_triples(c, (a, b, cc, d)))
         if kind == "disjoint":
             raise LiftError("projections of the two edges are disjoint")
     adj = induced_span(c, {a, b, cc, d}).adjacency()
@@ -163,8 +182,10 @@ def _oriented_covering_edge(
     prov = s.edges[eid].provenance
     i, j = c.edges[prov[0] if choice == "min" else prov[-1]]
     # the piece lies on the edge, and shadow vertex ids follow the
-    # lexicographic order of their points, which collinear directions keep
-    forward = (c.coords[i] < c.coords[j]) == (tail < head)
+    # lexicographic order of their points, which collinear directions keep;
+    # triples over one scale sort as their points do
+    ti, tj = _triples(c, (i, j))
+    forward = (ti < tj) == (tail < head)
     return (i, j) if forward else (j, i)
 
 
@@ -251,7 +272,7 @@ def walk_word(walk: RipsWalk, c: SimplicialComplex, s: ShadowComplex) -> HoleWor
     # of hole_anchors, brought from the shadow's scale to the source's
     holes = [f.witness_triple for f in s.faces if not f.covered]
     rays = [tr_reduce(x, y, d * s.scale) for x, y, d in holes]
-    return _ray_word([to_triple(c.coords[v]) for v in walk.vertices], rays)
+    return _ray_word(_triples(c, walk.vertices), rays)
 
 
 def is_contractible(

@@ -42,15 +42,16 @@ vertex, and its sides, at most eps, then link the triangle into that
 component.
 
 Arrangement vertices are integer triples of the `geometry` kernel, built on
-the source coordinates rescaled once to integers by `scale_points` (which
-converts only scalars other than int and Fraction).  Vertex ids and face
+the complex's integer view `SimplicialComplex.scaled`, its coordinates
+rescaled once by `geometry.scale_points` (which converts only scalars other
+than int and Fraction) and shared with the lifts.  Vertex ids and face
 order follow the lexicographic order of the points and witnesses, and the
 darts at a vertex go counterclockwise from +x: plain sorts on exact integer
 keys, a point (X, Y, D) by ((X << s) // D, (Y << s) // D) with
 2**s > max(D)**2, a dart by its diamond angle scaled alike
 (`geometry._lex_keys`, `_angle_keys`).
 
-A `ShadowComplex` keeps those triples and the one `scale` of `scale_points`,
+A `ShadowComplex` keeps those triples and the one `scale` of that view,
 and a `ShadowFace` its witness triple; a triple over the scale is the
 rational point.  `ShadowComplex.points` and `ShadowComplex.witness(f)` are
 views that build the rational points only when read, so the counts, Betti
@@ -128,7 +129,6 @@ from .geometry import (
     _angle_keys,
     _lex_keys,
     from_triple,
-    scale_points,
     tr_locate,
     tr_orient,
     tr_reduce,
@@ -154,7 +154,7 @@ class ShadowFace(NamedTuple):
 @dataclass(frozen=True)
 class ShadowComplex:
     triples: Tuple[Triple, ...]  # shadow vertices, kernel triples on the integer scale
-    scale: int  # from scale_points: a triple over this scale is the source point
+    scale: int  # the complex's `scaled` scale: a triple over it is the source point
     edges: Tuple[ShadowEdge, ...]
     faces: Tuple[ShadowFace, ...]  # bounded faces only
     n_components: int  # components of the 1-skeleton, isolated vertices included
@@ -215,7 +215,7 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
         raise ShadowError("build_shadow needs 2-dimensional coordinates")
     if c.dim_cap < 2:
         raise ShadowError("2-skeleton must be materialized (dim_cap >= 2)")
-    coords, scale = scale_points(c.coords)
+    coords, scale = c.scaled
     tcoords: List[Triple] = [(x, y, 1) for x, y in coords]
     rips_edges = c.edges
     for i, j in rips_edges:

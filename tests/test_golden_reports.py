@@ -139,3 +139,40 @@ def _run_cases(workdir: Path, hash_seed: str):
 @pytest.mark.parametrize("hash_seed", HASH_SEEDS)
 def test_reports_match_golden_digests(tmp_path, hash_seed):
     assert _run_cases(tmp_path, hash_seed) == GOLDEN
+
+
+# Every bounded face of the dense set, the ring and the hexagon, each at
+# eps 1, lifted by lift_path and by lift_loop with both edge choices: the
+# sha256 of one line per lift, its vertices and, for a loop, its hole word.
+# No report holds a lifted walk, so this pins the walks the lifts choose.
+LIFTED_WALKS = "1c242b269d76d8b769266a1b3a113a92075a8948742d2e67a84b2f7fe5f5d333"
+LIFT_SCRIPT = """
+import hashlib, sys
+from fractions import Fraction as F
+from ripshadow.complexes import build_rips
+from ripshadow.fixtures import annulus_ring_points, hexagon_points
+from ripshadow.lifting import lift_loop, lift_path, walk_word
+from ripshadow.shadow import build_shadow
+
+dense = [(F(x, 20), F(y, 20)) for x, y in %r]
+lines = []
+for pts in (dense, annulus_ring_points(), hexagon_points(F(11, 20))):
+    c = build_rips(pts, F(1))
+    s = build_shadow(c)
+    for f in s.faces:
+        for choice in ("min", "max"):
+            path = lift_path(f.edge_ids, s, c, choice).vertices
+            loop = lift_loop(f.edge_ids, s, c, choice)
+            lines.append(f"path {choice} {path}")
+            lines.append(f"loop {choice} {loop.vertices} {walk_word(loop, c, s)}")
+sys.stdout.write(hashlib.sha256("\\n".join(lines).encode()).hexdigest())
+""" % (DENSE_20,)
+
+
+@pytest.mark.parametrize("hash_seed", HASH_SEEDS)
+def test_lifted_walks_match_golden_digest(hash_seed):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    done = subprocess.run(
+        [sys.executable, "-c", LIFT_SCRIPT], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout == LIFTED_WALKS

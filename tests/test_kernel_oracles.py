@@ -13,8 +13,9 @@ candidates unreduced.
 The integer sort keys are checked against `Fraction` sorting and the
 `dir_cmp` oracle on denominators up to 2**40 and components up to 2**60,
 with Farey neighbours (the closest values those sizes allow), ties and
-axis directions; the coordinate conversions against `Fraction` wrapping on
-mixed int, Fraction, bool and float scalars.
+axis directions; the coordinate conversions, and a complex's integer view
+of its coordinates, against `Fraction` wrapping on mixed int, Fraction,
+bool and float scalars.
 """
 
 import functools
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ripshadow.complexes import flag_complex
 from ripshadow.fixtures import four_d_points
 from ripshadow.geometry import (
     DimensionMismatch,
@@ -361,12 +363,17 @@ def frac_point(p):
 
 @examples
 @given(st.lists(mixed_point, max_size=6))
+@example([(Fraction(-1, 3), Fraction(5, 4)), (2, Fraction(-7, 6)), (-3, 0)])
 def test_scale_points_matches_fraction_oracle(points):
     fracs = [frac_point(p) for p in points]
     scale = math.lcm(*(c.denominator for p in fracs for c in p))
     got = scale_points(points)
     assert got == ([tuple(int(c * scale) for c in p) for p in fracs], scale)
     assert all(type(c) is int for p in got[0] for c in p)
+    # a complex's integer view is that rescaling, and gives back every vertex
+    view, view_scale = flag_complex(len(points), (), 1, coords=points).scaled
+    assert (list(view), view_scale) == got
+    assert [tuple(Fraction(c, view_scale) for c in p) for p in view] == fracs
 
 
 @st.composite

@@ -228,19 +228,33 @@ def test_covered_face_loops_contractible_uncovered_not():
 
 def test_hole_words_read_witness_triples(monkeypatch):
     # the ray word takes the uncovered faces' witnesses as kernel triples,
-    # so a contractibility query builds no rational anchor point
-    from ripshadow import shadow
+    # so a contractibility query builds no rational anchor point; the lifts
+    # read the vertices on the complex's integer view, which the shadow
+    # built, so its coordinates are rescaled once and no lift converts one
+    from ripshadow import complexes, lifting, shadow
     from ripshadow.fixtures import annulus_ring_points
-
-    c = build_rips(list(annulus_ring_points()), F(1))
-    s = build_shadow(c)
 
     def no_rational_points(*args):
         raise AssertionError("a rational point was built")
 
+    views = []
+
+    def counted(points):
+        views.append(len(points))
+        return scale_points(points)
+
+    scale_points = complexes.scale_points
+    monkeypatch.setattr(complexes, "scale_points", counted)
+    monkeypatch.setattr(lifting, "to_triple", no_rational_points)
+    c = build_rips(list(annulus_ring_points()), F(1))
+    s = build_shadow(c)
     monkeypatch.setattr(shadow, "from_triple", no_rational_points)
     assert not is_contractible(RipsWalk(tuple(range(12)) + (0,)), c, s)
     assert is_contractible(RipsWalk((0, 1, 0)), c, s)
+    for f in s.faces:
+        for choice in ("min", "max"):
+            assert is_contractible(lift_loop(f.edge_ids, s, c, choice), c, s) == f.covered
+    assert views == [12]
 
 
 def test_two_lifts_same_word():
@@ -417,3 +431,18 @@ def test_lifting_errors(call, error, message):
         call(c, s)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# a regular tetrahedron: the xy-projections of its edges (0, 1) and (2, 3)
+# cross at (1/2, 1/2), while the edges themselves are 1 apart in z
+SKEW = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+
+
+def test_lifting_refuses_coordinates_that_are_not_planar():
+    c = build_rips(SKEW, F(3, 2))
+    s = build_shadow(build_rips(SQUARE, F(1)))
+    message = r"^lifting needs 2-D coordinates, got 3-D$"
+    with pytest.raises(LiftError, match=message):
+        chaining_sequence((0, 1), (2, 3), c)
+    with pytest.raises(LiftError, match=message):
+        walk_word(RipsWalk((0, 1, 2, 0)), c, s)
