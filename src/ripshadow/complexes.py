@@ -97,8 +97,8 @@ class SimplicialComplex:
     @functools.cached_property
     def scaled(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
         """`geometry.scale_points` of the coords, built on first read: the
-        integer points and their one scale, so the kernel triple of a planar
-        vertex v is (*points[v], scale)."""
+        integer points and their one scale, on which the kernel triple of a
+        planar vertex v is (*points[v], 1)."""
         points, scale = scale_points(self.coords)
         return tuple(points), scale
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import AuditError
-from .geometry import Point, audit_bands, rational_sqrt, to_triple, tr_orient, tr_segment_meet
+from .geometry import Point, audit_bands, rational_sqrt, scale_points, tr_orient, tr_segment_meet
 from .quasi import EdgePolicy, UncertaintyInterval
 
 F = Fraction
@@ -153,9 +153,10 @@ def audit_crossing_triangle(pts: Sequence[Point]) -> Dict[str, Fraction]:
     pairwise crossing around a nondegenerate central triangle."""
     margins = _audit_bands(pts, F(1), F(3), lambda i, j: 1)
     segments = [(0, 1), (2, 3), (4, 5)]
+    triples = [(*p, 1) for p in scale_points(pts)[0]]
     crossings = set()
     for (a, b), (x, y) in combinations(segments, 2):
-        kind, meet = tr_segment_meet(*(to_triple(pts[v]) for v in (a, b, x, y)))
+        kind, meet = tr_segment_meet(*(triples[v] for v in (a, b, x, y)))
         if kind != "point":
             raise AuditError(f"segments {(a,b)} and {(x,y)} do not cross: {kind}")
         crossings.update(meet)

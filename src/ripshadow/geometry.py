@@ -1,9 +1,9 @@
 """Exact geometry: one integer kernel decides every planar predicate.
 
 A planar point is carried as an integer triple (X, Y, D), meaning
-(X/D, Y/D) with D > 0.  `tr_reduce` and `to_triple` give the reduced
-triple, gcd(X, Y, D) = 1, so equal points have equal triples; but the
-predicates take any D > 0 and answer alike for every triple of a point.
+(X/D, Y/D) with D > 0.  `tr_reduce` gives the reduced triple,
+gcd(X, Y, D) = 1, so equal points have equal triples; but the predicates
+take any D > 0 and answer alike for every triple of a point.
 Orientation, point location and the meet of two segments are all decided
 on triples by integer cross-multiplication; nothing here touches floating
 point.  The hot ones, `tr_locate` and the first two orientations of
@@ -25,19 +25,21 @@ point-in-triangle test: the closed triangle abc holds x iff
 `tr_locate(((a, b), (b, c), (c, a)), x) != 0`, which for a collinear or
 repeated-vertex triangle is the union of its sides.
 
-A complex's points reach the kernel once: `scale_points` rescales them by
-the lcm of their denominators, and `SimplicialComplex.scaled` keeps the
-result, so the shadow and the lifts read a vertex as the triple (X, Y,
-scale) with no rational arithmetic.  A single rational point, such as a
-vertex of a free polyline given to `lifting.loop_word`, is mapped with
-`to_triple` (like `scale_points`, it takes an int or Fraction as it is
-and converts only other scalars; a point that is already a tuple of them
-is not rebuilt), and a triple goes back to a rational point with
-`from_triple`.  Input text is read by `parse_rational`: a
-plain ASCII "[-]digits[/digits]", the form every written point document
-uses, goes straight to `int`, and every other string (a sign +,
-whitespace, underscores, decimals, exponents, non-ASCII digits) to
-Fraction's own parse, with the same values and the same errors.
+`scale_points` is the one way a rational point reaches the kernel: it
+rescales a set of points by the lcm of their denominators (it takes an int
+or Fraction as it is and converts only other scalars; a point that is
+already a tuple of them is not rebuilt), and on that one integer scale the
+rescaled point (X, Y) is the triple (X, Y, 1).  A complex is rescaled once,
+and `SimplicialComplex.scaled` keeps the result for the shadow and the
+lifts; a free polyline and its anchors given to `lifting.loop_word` are
+rescaled together by one call, and so are the crossing fixture's points.  A
+triple goes back to a rational point with `from_triple`.
+
+Input text is read by `parse_rational`: a plain ASCII "[-]digits[/digits]",
+the form every written point document uses, goes straight to `int`, and
+every other string (a sign +, whitespace, underscores, decimals, exponents,
+non-ASCII digits) to Fraction's own parse, with the same values and the
+same errors.
 `dist2` sums a planar pair inline, dx*dx + dy*dy, and any other dimension
 as a sum over the coordinates.
 
@@ -253,13 +255,6 @@ def rational_sqrt(x: Fraction, bits: int = 32) -> Fraction:
 # ---------------------------------------------------------------------------
 # the integer-triple kernel
 # ---------------------------------------------------------------------------
-
-
-def to_triple(p: Point) -> Triple:
-    """Reduced triple of a planar rational point."""
-    x, y = _exact(p[:2])
-    d = math.lcm(x.denominator, y.denominator)
-    return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
 
 
 def from_triple(t: Triple, scale: int) -> Point:

@@ -7,13 +7,15 @@ sets) turns the fundamental-group isomorphism into a decision procedure.
 Rays are perturbed symbolically: ties at a ray's x-coordinate resolve as if
 each ray were nudged by its own infinitesimal, ordered by anchor index.
 
-The lifts read a complex's vertices on its integer view
+Every point reaches the kernel through `geometry.scale_points`, on one
+integer scale where the rescaled point (X, Y) is the triple (X, Y, 1).  The
+lifts read a complex's vertices on its integer view
 `SimplicialComplex.scaled`, converted once per complex and shared with the
-shadow: vertex v is the kernel triple (*points[v], scale), which the
-kernel takes as it is, so the meet test of a chaining sequence, the
-direction of a covering edge and the polyline of a hole word build no
-Fraction.  A vertex whose coordinates are not 2-D is a LiftError: its
-projection is not the point the complex was built on.
+shadow, whose witness triples are on the same scale: the meet test of a
+chaining sequence, the direction of a covering edge and a walk's hole word
+build no Fraction and convert nothing.  `loop_word` puts a free polyline
+and its anchors on one scale with one call.  A point that is not 2-D is a
+LiftError naming its dimension: its projection is not the point given.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .geometry import (
     _lex_keys,
     closed_segments,
     cmp_frac,
-    to_triple,
+    scale_points,
     tr_locate,
-    tr_reduce,
     tr_segment_meet,
 )
 from .shadow import ShadowComplex
@@ -98,7 +99,8 @@ def loop_word(polyline: Sequence[Point], anchors: Sequence[Point]) -> HoleWord:
     ordered along it, with the symbolic per-anchor nudge breaking exact
     ties.  The result is freely reduced.
     """
-    return _ray_word([to_triple(v) for v in polyline], [to_triple(a) for a in anchors])
+    triples = _planar(scale_points([*polyline, *anchors])[0])
+    return _ray_word(triples[: len(polyline)], triples[len(polyline) :])
 
 
 def _ray_word(polyline: Sequence[Triple], rays: Sequence[Triple]) -> HoleWord:
@@ -122,15 +124,19 @@ def _ray_word(polyline: Sequence[Triple], rays: Sequence[Triple]) -> HoleWord:
     return HoleWord(letters=free_reduce(letters))
 
 
+def _planar(points: Sequence[Tuple[int, ...]]) -> List[Triple]:
+    """The kernel triples (X, Y, 1) of points on one integer scale; a point
+    that is not 2-D is a LiftError naming its dimension."""
+    for p in points:
+        if len(p) != 2:
+            raise LiftError(f"lifting needs 2-D coordinates, got {len(p)}-D")
+    return [(x, y, 1) for x, y in points]
+
+
 def _triples(c: SimplicialComplex, vertices: Sequence[int]) -> List[Triple]:
-    """The kernel triples of the vertices on c's integer view; coordinates
-    that are not 2-D are a LiftError naming their dimension."""
-    points, scale = c.scaled
-    out = [points[v] + (scale,) for v in vertices]
-    for t in out:
-        if len(t) != 3:
-            raise LiftError(f"lifting needs 2-D coordinates, got {len(t) - 1}-D")
-    return out
+    """The kernel triples of the vertices on c's integer view."""
+    points = c.scaled[0]
+    return _planar([points[v] for v in vertices])
 
 
 def chaining_sequence(
@@ -268,11 +274,12 @@ def walk_word(walk: RipsWalk, c: SimplicialComplex, s: ShadowComplex) -> HoleWor
     """Hole word of a closed Rips walk's projection."""
     if not walk.closed:
         raise LiftError("walk must be closed")
+    polyline = _triples(c, walk.vertices)
+    if s.scale != c.scaled[1]:
+        raise LiftError(f"the shadow's scale {s.scale} is not the complex's {c.scaled[1]}")
     # the anchors are the uncovered faces' witnesses in face order, the order
-    # of hole_anchors, brought from the shadow's scale to the source's
-    holes = [f.witness_triple for f in s.faces if not f.covered]
-    rays = [tr_reduce(x, y, d * s.scale) for x, y, d in holes]
-    return _ray_word(_triples(c, walk.vertices), rays)
+    # of hole_anchors, on the scale of the complex's view like the walk
+    return _ray_word(polyline, [f.witness_triple for f in s.faces if not f.covered])
 
 
 def is_contractible(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ripshadow.complexes import Simplex, SimplicialComplex, flag_complex
@@ -437,6 +437,14 @@ MOORE3_TRIANGLES = [
 # distance bands and planar predicates on Fraction points, by direct
 # rational arithmetic
 # ---------------------------------------------------------------------------
+
+
+def to_triple(p) -> Tuple[int, int, int]:
+    """The reduced kernel triple (X, Y, D) of a planar point, by Fractions:
+    D is the lcm of the coordinates' denominators."""
+    x, y = (Fraction(c) for c in p)
+    d = lcm(x.denominator, y.denominator)
+    return (x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d)
 
 
 def frac_pair_bands(points, lo, hi) -> List[Tuple[int, int, int, Fraction]]:

@@ -19,7 +19,7 @@ from ripshadow.fixtures import (
     four_d_points,
     hexagon_points,
 )
-from ripshadow.geometry import dist2, to_triple, tr_orient, tr_segment_meet
+from ripshadow.geometry import dist2, tr_orient, tr_segment_meet
 from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.lifting import lift_loop, lift_path, is_contractible, walk_word
 from ripshadow.quasi import (
@@ -42,6 +42,7 @@ from oracles import (
     filtration_h1,
     frac_point_in_triangle,
     has_simplex,
+    to_triple,
     verify_chain_property,
 )
 

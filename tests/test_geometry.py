@@ -9,13 +9,12 @@ from ripshadow.geometry import (
     dist2,
     from_triple,
     make_point,
-    to_triple,
     tr_locate,
     tr_orient,
     tr_segment_meet,
 )
 
-from oracles import cells_intersect, frac_on_segment
+from oracles import cells_intersect, frac_on_segment, to_triple
 
 F = Fraction
 

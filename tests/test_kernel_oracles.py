@@ -42,7 +42,6 @@ from ripshadow.geometry import (
     pair_distances,
     parse_rational,
     scale_points,
-    to_triple,
     tr_locate,
     tr_orient,
     tr_segment_meet,
@@ -59,6 +58,7 @@ from oracles import (
     frac_point_in_triangle,
     frac_segment_intersection,
     frac_winding_number,
+    to_triple,
 )
 
 coord = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
@@ -501,11 +501,13 @@ def test_parse_rational_reads_like_fraction(text):
 @examples
 @given(mixed_point)
 def test_to_triple_matches_fraction_oracle(p):
+    # a single point reaches the kernel through a one-point scale_points,
+    # whose (X, Y) over its scale is the reduced triple of the point
     x, y = frac_point(p)
     d = math.lcm(x.denominator, y.denominator)
-    got = to_triple(p)
-    assert got == (int(x * d), int(y * d), d)
-    assert all(type(c) is int for c in got)
+    (point,), scale = scale_points([p])
+    assert (*point, scale) == (int(x * d), int(y * d), d) == to_triple(p)
+    assert all(type(c) is int for c in point)
 
 
 @examples

@@ -229,8 +229,9 @@ def test_covered_face_loops_contractible_uncovered_not():
 def test_hole_words_read_witness_triples(monkeypatch):
     # the ray word takes the uncovered faces' witnesses as kernel triples,
     # so a contractibility query builds no rational anchor point; the lifts
-    # read the vertices on the complex's integer view, which the shadow
-    # built, so its coordinates are rescaled once and no lift converts one
+    # and walk words read the vertices on the complex's integer view, which
+    # the shadow built, so its coordinates are rescaled once and neither a
+    # lift nor a walk word converts one
     from ripshadow import complexes, lifting, shadow
     from ripshadow.fixtures import annulus_ring_points
 
@@ -245,7 +246,7 @@ def test_hole_words_read_witness_triples(monkeypatch):
 
     scale_points = complexes.scale_points
     monkeypatch.setattr(complexes, "scale_points", counted)
-    monkeypatch.setattr(lifting, "to_triple", no_rational_points)
+    monkeypatch.setattr(lifting, "scale_points", no_rational_points)
     c = build_rips(list(annulus_ring_points()), F(1))
     s = build_shadow(c)
     monkeypatch.setattr(shadow, "from_triple", no_rational_points)
@@ -392,6 +393,10 @@ def _crossing_quasi():
     return build_quasi(pts, interval, policy, dim_cap=2)
 
 
+def _half_square_shadow():
+    return build_shadow(build_rips([(x / 2, y / 2) for x, y in SQUARE], F(1, 2)))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -412,6 +417,9 @@ def _crossing_quasi():
          "edge_choice must be 'min' or 'max'"),
         (lambda c, s: lift_loop([0, 2], s, c), LiftError, "shadow path is not closed"),
         (lambda c, s: walk_word(RipsWalk((0, 1)), c, s), LiftError, "walk must be closed"),
+        # a shadow's witnesses are read on its own complex's integer scale
+        (lambda c, s: walk_word(RipsWalk((0, 1, 3, 2, 0)), c, _half_square_shadow()),
+         LiftError, "the shadow's scale 2 is not the complex's 1"),
         (lambda c, s: is_contractible(RipsWalk((0, 1)), c, s), LiftError,
          "loop must be closed"),
         (lambda c, s: is_contractible(RipsWalk((0, 2, 0)), c, s), LiftError,
@@ -420,7 +428,8 @@ def _crossing_quasi():
     ids=["duplicate_anchors", "no_path_in_span", "empty_path", "empty_loop",
          "negative_edge_id", "edge_id_past_the_end", "broken_first_pair",
          "broken_later_pair", "bad_edge_choice", "open_loop_path",
-         "open_walk_word", "open_contractible", "non_walk_contractible"],
+         "open_walk_word", "shadow_on_another_scale", "open_contractible",
+         "non_walk_contractible"],
 )
 def test_lifting_errors(call, error, message):
     c = build_rips(SQUARE, F(1))
@@ -446,3 +455,43 @@ def test_lifting_refuses_coordinates_that_are_not_planar():
         chaining_sequence((0, 1), (2, 3), c)
     with pytest.raises(LiftError, match=message):
         walk_word(RipsWalk((0, 1, 2, 0)), c, s)
+
+
+def test_loop_word_refuses_points_that_are_not_planar():
+    # a 3-D point is refused by name, not read as its first two coordinates
+    # (which would make both words a1)
+    message = r"^lifting needs 2-D coordinates, got 3-D$"
+    with pytest.raises(LiftError, match=message):
+        loop_word([(0, 0, 5), (1, 0, 7), (1, 1, 0), (0, 1, 0), (0, 0, 5)], [P("1/2", "1/2")])
+    with pytest.raises(LiftError, match=message):
+        loop_word(SQUARE_LOOP, [(F(1, 2), F(1, 2), 9)])
+
+
+def test_hole_words_survive_a_similarity():
+    # scaling every point by 7/3 and translating by (1/5, -2) (the Rips
+    # input and its radius, the polylines and the anchors alike) changes
+    # the integer scale of every conversion but no hole word
+    from ripshadow.fixtures import annulus_ring_points
+
+    def move(points):
+        return [(F(7, 3) * x + F(1, 5), F(7, 3) * y - 2) for x, y in points]
+
+    pts = list(annulus_ring_points())
+    c, moved = build_rips(pts, F(1)), build_rips(move(pts), F(7, 3))
+    s, t = build_shadow(c), build_shadow(moved)
+    assert s.scale != t.scale
+    cycle = tuple(range(12)) + (0,)
+    walks = [RipsWalk(cycle), RipsWalk(cycle[::-1]), RipsWalk(cycle + cycle[1:])]
+    walks += [lift_loop(f.edge_ids, s, c, choice) for f in s.faces for choice in ("min", "max")]
+    anchors = hole_anchors(s)
+    assert len(anchors) == 1
+    for walk in walks:
+        word = walk_word(walk, c, s)
+        polyline = [c.coords[v] for v in walk.vertices]
+        assert walk_word(walk, moved, t) == word
+        assert loop_word(polyline, anchors) == word
+        assert loop_word(move(polyline), move(anchors)) == word
+        assert loop_word(move(polyline), hole_anchors(t)) == word
+    # once around the hole, back, and twice around
+    a, back, twice = (walk_word(w, c, s).letters for w in walks[:3])
+    assert len(a) == 1 and back == (-a[0],) and twice == a + a

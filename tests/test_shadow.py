@@ -429,7 +429,9 @@ def test_witness_interiority():
 
 
 def test_arrangement_edges_interior_disjoint_random():
-    from ripshadow.geometry import to_triple, tr_segment_meet
+    from ripshadow.geometry import tr_segment_meet
+
+    from oracles import to_triple
 
     rng = random.Random(51)
     for _ in range(8):
