@@ -26,7 +26,6 @@ from .homology import (
     integer_h1,
 )
 from .lifting import (
-    HoleWord,
     RipsWalk,
     chaining_sequence,
     is_contractible,
@@ -37,7 +36,6 @@ from .lifting import (
 )
 from .quasi import (
     EdgePolicy,
-    GroupPresentation,
     UncertaintyInterval,
     blowup,
     build_quasi,
@@ -55,6 +53,7 @@ from .shadow import (
     render_svg,
     shadow_betti,
 )
+from .words import GroupPresentation, HoleWord
 
 __version__ = "0.1.0"
 

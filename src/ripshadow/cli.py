@@ -29,13 +29,13 @@ from .homology import SmithDecomposition, betti_numbers, integer_h1
 from .lifting import RipsWalk, walk_word
 from .quasi import (
     EdgePolicy,
-    GroupPresentation,
     UncertaintyInterval,
     pair_image_analysis,
     preset_presentation,
     run_pipeline,
 )
 from .shadow import ShadowError, build_shadow, hole_anchors, render_svg, shadow_betti, svg_view_box
+from .words import GroupPresentation
 
 SCHEMA = "rips-shadow/1"
 

@@ -1,4 +1,4 @@
-"""Chaining sequences, shadow-path lifting, and free-group loop words.
+"""Chaining sequences, shadow-path lifting, and the hole words of loops.
 
 A loop in a finite planar set is null-homotopic iff its signed crossing
 word against one vertical ray per hole reduces to the identity; that fact
@@ -6,6 +6,7 @@ word against one vertical ray per hole reduces to the identity; that fact
 sets) turns the fundamental-group isomorphism into a decision procedure.
 Rays are perturbed symbolically: ties at a ray's x-coordinate resolve as if
 each ray were nudged by its own infinitesimal, ordered by anchor index.
+The word type, its free reduction and its string form live in `words`.
 
 Every point reaches the kernel through `geometry.scale_points`, on one
 integer scale where the rescaled point (X, Y) is the triple (X, Y, 1).  The
@@ -35,6 +36,7 @@ from .geometry import (
     tr_segment_meet,
 )
 from .shadow import ShadowComplex
+from .words import HoleWord, free_reduce
 
 
 class LiftError(ValueError):
@@ -55,40 +57,6 @@ class RipsWalk:
         return all(
             a != b and (min(a, b), max(a, b)) in c.edge_set
             for a, b in zip(self.vertices, self.vertices[1:])
-        )
-
-
-Word = Tuple[int, ...]  # letters +i / -i, 1-based anchor index
-
-
-def free_reduce(letters: Sequence[int]) -> Word:
-    out: List[int] = []
-    for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class HoleWord:
-    """Freely reduced word over the hole-anchor alphabet."""
-
-    letters: Word
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(
-            f"a{abs(l)}" if l > 0 else f"a{abs(l)}^-1" for l in self.letters
         )
 
 

@@ -8,9 +8,10 @@ analysis call it.  A pair analysis resolves the chain R_Q c R_mid c R_Q'
 in one pass over the pairs, with one clique enumeration (of R_Q'; R_mid is
 its filtered levels, stored as an explicit complex, and R_Q is never
 built) and one coboundary reduction, with clearing, of its filtration.
-The pipeline turns a finite group presentation into a properly 3-colored
-2-complex, blows it up so gluings become joins, and embeds the blowup in
-the plane with one small ball per color.  The blowup is a flag complex
+The pipeline turns a finite group presentation, a `words.GroupPresentation`
+validated and parsed there, into a properly 3-colored 2-complex, blows it
+up so gluings become joins, and embeds the blowup in the plane with one
+small ball per color.  The blowup is a flag complex
 stored as its graph, handed on with its vertices' colours; homology reads
 it on its collapse core, so its cliques are never listed.
 `geometry.audit_bands` finds every same-colour pair forced and every
@@ -46,6 +47,7 @@ from .homology import (
     snf_diagonal,
 )
 from .shadow import build_shadow, shadow_betti
+from .words import GroupPresentation
 
 F = Fraction
 
@@ -139,51 +141,8 @@ def build_quasi(
 
 
 # ---------------------------------------------------------------------------
-# group presentations and their 3-colored complexes
+# the 3-colored complexes of group presentations
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupPresentation:
-    """Generators 1..n and relators as signed generator sequences."""
-
-    n_generators: int
-    relators: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if type(self.n_generators) is not int or self.n_generators < 1:
-            raise ValueError(f"generators must be an int >= 1, not {self.n_generators!r}")
-        for rel in self.relators:
-            if not rel:
-                raise ValueError("relators must be nonempty")
-            for a, b in zip(rel, rel[1:]):
-                if a == -b:
-                    raise ValueError(f"relator {rel} is not freely reduced")
-            if any(abs(g) < 1 or abs(g) > self.n_generators for g in rel):
-                raise ValueError(f"relator {rel} uses an unknown generator")
-
-    @classmethod
-    def parse(cls, generators: int, relator_words: Sequence[str]) -> "GroupPresentation":
-        """Parse words like "aba'b'": letters a..z, apostrophe for inverse."""
-        if not isinstance(relator_words, (list, tuple)) or not all(
-            isinstance(word, str) for word in relator_words
-        ):
-            raise ValueError(f"relators must be a list of strings, not {relator_words!r}")
-        rels = []
-        for word in relator_words:
-            rel: List[int] = []
-            for ch in word:
-                if ch == "'":
-                    if not rel:
-                        raise ValueError(f"dangling inverse mark in {word!r}")
-                    rel[-1] = -rel[-1]
-                else:
-                    idx = ord(ch) - ord("a") + 1
-                    if not ("a" <= ch <= "z" and idx <= generators):
-                        raise ValueError(f"unknown generator {ch!r} in {word!r}")
-                    rel.append(idx)
-            rels.append(tuple(rel))
-        return cls(n_generators=generators, relators=tuple(rels))
 
 
 def _third(a: int, b: int) -> int:
@@ -522,6 +481,16 @@ def run_pipeline(
     interval: UncertaintyInterval,
     seed: int = 0,
 ) -> PipelineResult:
+    # a lower bound, read before K is built: each generator's circle gives K
+    # 2 vertices and 3 edges (8 blowup vertices), each relator letter 3
+    # distinct triangles (9 blowup vertices), and the base point one more,
+    # so the blowup has more vertices than generators and relator letters
+    count = p.n_generators + sum(len(rel) for rel in p.relators)
+    if count > BLOWUP_VERTEX_LIMIT:
+        raise ValueError(
+            f"the blowup would have over {count} vertices (at least one per generator "
+            f"and relator letter), above the limit of {BLOWUP_VERTEX_LIMIT}"
+        )
     k, colors = presentation_to_colored_complex(p)
     # one blowup vertex per vertex of each simplex
     size = sum((d + 1) * len(level) for d, level in enumerate(k.simplices))

@@ -118,6 +118,17 @@ def test_shadow_certificate_and_loop(tmp_path):
     assert text.count('class="edge"') == 4
 
 
+def test_shadow_ring_loop_reversed_word(tmp_path):
+    fx = tmp_path / "ring.json"
+    assert run(["fixture", "--name", "ring", "--out", str(fx)]) == 0
+    out = tmp_path / "s.json"
+    assert run(["shadow", "--points", str(fx), "--epsilon", "1",
+                "--loop", "0,11,10,9,8,7,6,5,4,3,2,1,0", "--out", str(out)]) == 0
+    loop = json.loads(out.read_text())["loop"]
+    assert loop["word"] == "a1^-1"
+    assert loop["contractible"] is False
+
+
 def test_shadow_wrong_dimension_exit_4(tmp_path):
     fx = tmp_path / "d1.json"
     fx.write_text(json.dumps({"schema": "rips-shadow/1", "dimension": 1,
@@ -250,6 +261,22 @@ def test_quasi_over_the_blowup_limit_exit_2_before_the_blowup(tmp_path, monkeypa
     monkeypatch.setattr(quasi, "BLOWUP_VERTEX_LIMIT", 105)
     assert run(["quasi", "--preset", "rp2", "--interval", "1,3/2", "--out", str(out)]) == 0
     assert len(built) == 1 and json.loads(out.read_text())["h1_quasi"]["torsion"] == ["2"]
+
+
+def test_quasi_too_many_letters_exit_2_before_k_is_built(tmp_path, monkeypatch, capsys):
+    built = []
+    colored = quasi.presentation_to_colored_complex
+    monkeypatch.setattr(quasi, "presentation_to_colored_complex",
+                        lambda *a: built.append(a) or colored(*a))
+    pf = tmp_path / "free.json"
+    pf.write_text(json.dumps({"generators": 10**6, "relators": []}))
+    out = tmp_path / "q.json"
+    assert run(["quasi", "--presentation", str(pf), "--interval", "1,3/2",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("the blowup would have over 1000000 vertices (at least one per generator "
+            f"and relator letter), above the limit of {quasi.BLOWUP_VERTEX_LIMIT}") in err
+    assert built == [] and not out.exists()
 
 
 def test_pair_ring_and_overlap_exit(tmp_path):

@@ -17,6 +17,7 @@ from ripshadow.lifting import (
     walk_word,
 )
 from ripshadow.shadow import build_shadow, hole_anchors
+from ripshadow.words import HoleWord
 
 from oracles import (
     abelianization,
@@ -55,6 +56,11 @@ def test_free_reduction():
     assert word_inverse((1, -2)) == (2, -1)
     assert word_concat((1, 2), (-2, 3)) == (1, 3)
     assert abelianization((1, 1, -2), 2) == (2, -1)
+
+
+def test_hole_word_string_form():
+    assert str(HoleWord((1, -2, 3))) == "a1 a2^-1 a3"
+    assert str(HoleWord(())) == "1"
 
 
 def test_loop_word_square():

@@ -133,6 +133,11 @@ def test_presentation_parsing_and_validation():
         GroupPresentation(1, ((1, -1),))  # not freely reduced
     with pytest.raises(ValueError):
         GroupPresentation(1, ((),))  # empty relator
+    # a letter is exactly an int: a float, a bool or an integral float is refused
+    for rel in [(1.5,), (True, 2), (1, 2.0)]:
+        with pytest.raises(ValueError, match="uses an unknown generator"):
+            GroupPresentation(2, (rel,))
+    GroupPresentation(2, [[1, 2]])  # a relator given as a list is accepted
 
 
 def test_presentation_complex_h1_oracle_values():
