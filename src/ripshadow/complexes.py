@@ -107,17 +107,25 @@ class SimplicialComplex:
         """Connected components of the 1-skeleton, counted on first read."""
         return component_counts(self.vertices, [self.edges])[0]
 
-    @functools.cached_property
+    @property
     def core(self) -> "SimplicialComplex":
         """A flag complex's collapse core (`_collapse`), the flag complex of
         the graph it leaves, built on first read; an explicit complex, or a
         flag complex the collapse leaves whole, is its own."""
+        core = self._proper_core
+        return self if core is None else core
+
+    @functools.cached_property
+    def _proper_core(self) -> Optional["SimplicialComplex"]:
+        """The core when it is not the complex itself, else None: a complex
+        that kept a reference to itself would be a cycle, which reference
+        counting never frees."""
         if not self.flag:
-            return self
+            return None
         adj = _collapse(self.vertices, self.edges)
         # the collapse only removes: equal counts mean it removed nothing
         if len(adj) == len(self.vertices) and sum(map(len, adj.values())) == 2 * len(self.edges):
-            return self
+            return None
         vertices = sorted(adj)
         edges = tuple((u, v) for u in vertices for v in sorted(adj[u]) if u < v)
         return SimplicialComplex(

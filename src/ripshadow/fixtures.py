@@ -34,6 +34,19 @@ def _approx(value: float, max_den: int = 10**6) -> Fraction:
     return F(value).limit_denominator(max_den)
 
 
+def _antipodal_circle(n: int, r: Fraction) -> List[Point]:
+    """n rational points on the circle of radius r, n even, near the angles
+    2 pi i / n: the first n/2 by the tangent half-angle parametrization at
+    t = tan(pi i / n), rounded to a rational, so exactly on the circle, then
+    their antipodes in the same order."""
+    half: List[Point] = []
+    for i in range(n // 2):
+        t = _approx(math.tan(math.pi * i / n))
+        den = 1 + t * t
+        half.append((r * (1 - t * t) / den, r * 2 * t / den))
+    return half + [(-x, -y) for x, y in half]
+
+
 def hexagon_points(r: Fraction) -> Tuple[Point, ...]:
     """Six rational points with the exact relations of a regular hexagon.
 
@@ -75,12 +88,7 @@ def cross_polytope_points(k: int, r: Fraction | None = None) -> Tuple[Point, ...
     if k < 2:
         raise ValueError("k must be >= 2")
     r = F(r) if r is not None else _default_cross_polytope_radius(k)
-    half: List[Point] = []
-    for i in range(k):
-        t = _approx(math.tan(math.pi * i / (2 * k)))
-        den = 1 + t * t
-        half.append((r * (1 - t * t) / den, r * 2 * t / den))
-    pts = half + [(-x, -y) for x, y in half]
+    pts = _antipodal_circle(2 * k, r)
     audit_cross_polytope(pts, k)
     return tuple(pts)
 
@@ -177,13 +185,7 @@ def annulus_ring_points(n: int = 12, radius: Fraction = F(13, 10)) -> Tuple[Poin
     """
     if n % 2 != 0:
         raise ValueError("n must be even for exact antipodal symmetry")
-    radius = F(radius)
-    half: List[Point] = []
-    for i in range(n // 2):
-        t = _approx(math.tan(math.pi * i / n))
-        den = 1 + t * t
-        half.append((radius * (1 - t * t) / den, radius * 2 * t / den))
-    pts = half + [(-x, -y) for x, y in half]
+    pts = _antipodal_circle(n, F(radius))
     audit_annulus_ring(pts)
     return tuple(pts)
 

@@ -29,6 +29,7 @@ avoiding the cubically many monochromatic triangles.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -312,6 +313,19 @@ class EmbeddedQuasi:
     colors: Tuple[int, ...]
     audit_margin: Fraction  # the least slack of any pair's band
 
+    @functools.cached_property
+    def cross_simplices(
+        self,
+    ) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int, int], ...]]:
+        """`cross_edges_and_triangles`, listed on first read."""
+        adj = self.complex.adjacency()
+        cross = tuple(e for e in self.complex.edges if self.colors[e[0]] != self.colors[e[1]])
+        tris: Set[Tuple[int, int, int]] = set()
+        for i, j in cross:
+            for w in adj[i] & adj[j]:
+                tris.add(tuple(sorted((i, j, w))))  # type: ignore[arg-type]
+        return cross, tuple(sorted(tris))
+
 
 def embed_blowup(
     b: SimplicialComplex,
@@ -387,19 +401,15 @@ def embed_blowup(
 
 def cross_edges_and_triangles(
     eq: EmbeddedQuasi,
-) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int, int]]]:
-    """Bichromatic edges of R_Q and every triangle that contains one.
+) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int, int], ...]]:
+    """Bichromatic edges of R_Q and every triangle that contains one, both
+    sorted.
 
     Those triangles are exactly the non-monochromatic 2-simplices of the
-    quasi-Rips flag complex.
+    quasi-Rips flag complex.  They are listed once per `EmbeddedQuasi`, in
+    its `cross_simplices`, which H1 and the violation count both read.
     """
-    adj = eq.complex.adjacency()
-    cross = [e for e in eq.complex.edges if eq.colors[e[0]] != eq.colors[e[1]]]
-    tris: Set[Tuple[int, int, int]] = set()
-    for i, j in cross:
-        for w in adj[i] & adj[j]:
-            tris.add(tuple(sorted((i, j, w))))  # type: ignore[arg-type]
-    return cross, sorted(tris)
+    return eq.cross_simplices
 
 
 def quasi_integer_h1(eq: EmbeddedQuasi) -> SmithDecomposition:

@@ -49,7 +49,13 @@ order follow the lexicographic order of the points and witnesses, and the
 darts at a vertex go counterclockwise from +x: plain sorts on exact integer
 keys, a point (X, Y, D) by ((X << s) // D, (Y << s) // D) with
 2**s > max(D)**2, a dart by its diamond angle scaled alike
-(`geometry._lex_keys`, `_angle_keys`).
+(`geometry._lex_keys`, `_angle_keys`).  Angle keys are taken per Rips
+edge, two each: its integer direction on the scaled coordinates, run up
+in lexicographic order, and that direction reversed.  Each arrangement
+edge u < v is a piece of its first provenance edge, and lexicographic
+order runs monotonically along a segment, so u -> v points the way that
+edge runs up; a piece's darts take its keys, and no dart's direction is
+computed.
 
 A `ShadowComplex` keeps those triples and the one `scale` of that view,
 and a `ShadowFace` its witness triple; a triple over the scale is the
@@ -318,20 +324,28 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
 
     # -- per-dart tables: dart 2e runs u -> v along edge e, dart 2e + 1 back --
     # Around each vertex its outgoing darts sorted CCW; a walk leaves the
-    # head of dart d by the CCW-predecessor of d's reversal there.
+    # head of dart d by the CCW-predecessor of d's reversal there.  Dart
+    # 2e points the way e's first provenance edge runs up in lexicographic
+    # order (module docstring), so the darts take that edge's angle keys:
+    # rips_keys[2a] is Rips edge a run up, rips_keys[2a + 1] run down.
+    # upward[a]: does Rips edge a run up, i -> j, as the even darts do?
+    upward = [coords[i] < coords[j] for i, j in rips_edges]
+    rips_dirs: List[Tuple[int, int]] = []
+    for (i, j), up in zip(rips_edges, upward):
+        (x0, y0), (x1, y1) = (coords[i], coords[j]) if up else (coords[j], coords[i])
+        rips_dirs += [(x1 - x0, y1 - y0), (x0 - x1, y0 - y1)]
+    rips_keys = _angle_keys(rips_dirs)
     n_darts = 2 * len(sedges)
     tail = [0] * n_darts
-    dirs: List[Tuple[int, int]] = [(0, 0)] * n_darts
+    angles = [0] * n_darts
     out_at: List[List[int]] = [[] for _ in spoints]
     for eid, e in enumerate(sedges):
-        t, h = spoints[e.u], spoints[e.v]
-        dx, dy = h[0] * t[2] - t[0] * h[2], h[1] * t[2] - t[1] * h[2]
+        key = 2 * e.provenance[0]
         tail[2 * eid], tail[2 * eid + 1] = e.u, e.v
-        dirs[2 * eid], dirs[2 * eid + 1] = (dx, dy), (-dx, -dy)
+        angles[2 * eid], angles[2 * eid + 1] = rips_keys[key], rips_keys[key + 1]
         out_at[e.u].append(2 * eid)
         out_at[e.v].append(2 * eid + 1)
     nxt = [0] * n_darts
-    angles = _angle_keys(dirs)
     for darts in out_at:
         darts.sort(key=angles.__getitem__)
         for k, d in enumerate(darts):
@@ -400,15 +414,15 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
     # -- witnesses and coverage --
     # Candidates shrink toward a boundary-edge midpoint on the face side;
     # each is an exact integer triple, reduced only when accepted.
-    def witness(d: int, seg: Tuple[Triple, Triple], bounds: List) -> Triple:
+    def witness(seg: Tuple[Triple, Triple], bounds: List) -> Triple:
         t, h = seg
-        dirv = dirs[d]
-        normal = (-dirv[1], dirv[0])  # left of the dart
+        # the normal left of the dart, t -> h, over t[2] * h[2]
+        nx, ny = t[1] * h[2] - h[1] * t[2], h[0] * t[2] - t[0] * h[2]
         dd = t[2] * h[2]
         midx, midy = t[0] * h[2] + h[0] * t[2], t[1] * h[2] + h[1] * t[2]
         s_shift = 2
         for _ in range(200):
-            cand = (midx * s_shift + normal[0], midy * s_shift + normal[1], 2 * dd * s_shift)
+            cand = (midx * s_shift + nx, midy * s_shift + ny, 2 * dd * s_shift)
             s_shift *= 4
             # 1 in the face; 0 outside it or in a hole, None on a segment
             if tr_locate(bounds, cand):
@@ -417,9 +431,7 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
 
     # A witness is covered iff some triangle holds it.  The inward triangle,
     # read off the side tables, is tried first (module docstring); the rest
-    # go to the grid search over each triangle's first vertex.  upward[a]:
-    # does Rips edge a run up in lexicographic order, as the even darts do?
-    upward = [coords[i] < coords[j] for i, j in rips_edges]
+    # go to the grid search over each triangle's first vertex.
 
     @functools.cache  # filed once, on the first witness no inward triangle holds
     def tris_in() -> Dict[Tuple[int, int], List[Tuple]]:
@@ -431,8 +443,8 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
             grid.setdefault(_cell(p, side), []).append(box)
         return grid
 
-    def inward_holds(darts: Iterable[int], w: Triple) -> bool:
-        # does the inward triangle of the first dart that has one hold w?
+    def inward_ring(darts: Iterable[int]) -> Optional[List]:
+        # the ring of the inward triangle of the first dart that has one.
         # The face lies left of each dart: left of i -> j when the dart runs
         # along it, right of it when the dart runs j -> i
         for d in darts:
@@ -441,18 +453,24 @@ def build_shadow(c: SimplicialComplex, *, boundary_only: bool = False) -> Shadow
                 v = sides[upward[a] == (d & 1)].get((i, j))  # index 1: runs j -> i
                 if v is not None:
                     p, q, r = tcoords[i], tcoords[j], tcoords[v]
-                    return tr_locate(((p, q), (q, r), (r, p)), w) != 0
-        return False
+                    return [(p, q), (q, r), (r, p)]
+        return None
 
     faces: List[ShadowFace] = []
     for (darts, _, ring), hole in zip(positive, holes):
         bounds = ring + hole
-        w1 = witness(darts[0], ring[0], bounds)
-        w2 = witness(darts[-1], ring[-1], bounds)
+        w1 = witness(ring[0], bounds)
+        w2 = witness(ring[-1], bounds)
         # w2 sits by the last dart: its inward triangle is the second try
-        cov1 = inward_holds(darts, w1) or _grid_holds(w1, tris_in(), side)
-        cov2 = (inward_holds(darts, w2) or inward_holds(reversed(darts), w2)
-                or _grid_holds(w2, tris_in(), side))
+        first = inward_ring(darts)
+        if first is None:  # no dart has one
+            cov1 = _grid_holds(w1, tris_in(), side)
+            cov2 = _grid_holds(w2, tris_in(), side)
+        else:
+            cov1 = tr_locate(first, w1) != 0 or _grid_holds(w1, tris_in(), side)
+            cov2 = (tr_locate(first, w2) != 0
+                    or tr_locate(inward_ring(reversed(darts)), w2) != 0
+                    or _grid_holds(w2, tris_in(), side))
         if cov1 != cov2:
             raise ConsistencyError(
                 "coverage flag depends on the witness; arrangement is inconsistent"

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -500,3 +501,48 @@ def test_svg_beyond_float_range_exit_2(tmp_path, capsys, shadow_builds, points):
     # the exact analysis itself takes them
     assert run(argv) == 0
     assert json.loads(out.read_text())["certificate"]["pass"] is True
+
+
+@pytest.mark.parametrize("case", ["shadow_ring", "bad_epsilon", "missing_points", "help"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_main_restores_the_collector_state(tmp_path, capsys, case, enabled):
+    # each exit of `main` the collector pause must undo
+    ring = tmp_path / "ring.json"
+    assert run(["fixture", "--name", "ring", "--out", str(ring)]) == 0
+    argv, code = {
+        "shadow_ring": (["shadow", "--points", str(ring), "--epsilon", "1"], 0),
+        "bad_epsilon": (["shadow", "--points", str(ring), "--epsilon", "zebra"], 2),
+        "missing_points": (["shadow", "--points", str(tmp_path / "no.json"), "--epsilon", "1"], 2),
+        "help": (["shadow", "--help"], 0),
+    }[case]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_shadow_command_runs_no_collection(tmp_path, capsys):
+    # the 4 x 4 lattice of spacing 1/2 at eps 1: with the collector on, its
+    # arrangement's allocations set off about three passes
+    fx = tmp_path / "lattice.json"
+    fx.write_text(json.dumps(_points_doc(
+        [[f"{x}/2", f"{y}/2"] for x in range(4) for y in range(4)]
+    )))
+    argv = ["shadow", "--points", str(fx), "--epsilon", "1"]
+    passes = []
+
+    def hook(phase, info):
+        passes.append((phase, info["generation"]))
+
+    was = gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(hook)
+    try:
+        assert run(argv) == 0
+    finally:
+        gc.callbacks.remove(hook)
+    assert passes == []
+    assert gc.isenabled() is was

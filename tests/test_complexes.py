@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +18,7 @@ from ripshadow.complexes import (
     flag_complex,
     induced_span,
 )
-from ripshadow.fixtures import hexagon_points
+from ripshadow.fixtures import annulus_ring_points, hexagon_points
 from ripshadow.geometry import DimensionMismatch, dist2, make_point
 from ripshadow.homology import betti_numbers, integer_h1
 from ripshadow.quasi import (
@@ -370,6 +372,29 @@ def test_core_census_of_small_graphs(n, edges, core):
     assert c.core.counts() == core
     assert (c.core is c) == (core == c.counts())
     assert c.core.n_components == c.n_components
+
+
+@pytest.mark.parametrize("name", ["ring", "explicit_triangle"])
+def test_a_complex_that_is_its_own_core_is_freed_by_reference_counting(name):
+    """A complex whose core is itself keeps no reference to itself, so with
+    the cyclic collector off it goes with its last reference."""
+    build = {
+        "ring": lambda: build_rips(annulus_ring_points(), F(1), 2),
+        "explicit_triangle": lambda: explicit_complex(
+            3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+        ),
+    }[name]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        c = build()
+        assert c.core is c and c.core.counts() == c.counts()
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_core_is_a_flag_subcomplex_and_ignores_edge_order():

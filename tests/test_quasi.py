@@ -724,6 +724,15 @@ def test_pair_enumerates_the_cliques_of_the_upper_complex_only(monkeypatch):
     assert enumerated == [(high_edges, 2)]
 
 
+def test_pipeline_lists_the_cross_triangles_once():
+    # quasi_integer_h1 and monochromatic_violations both read the listing
+    # the pipeline made on its embedding
+    eq = run_pipeline(preset_presentation("rp2"), UncertaintyInterval(F(1), F(3, 2)), seed=5).embedded
+    listed = vars(eq)["cross_simplices"]
+    assert cross_edges_and_triangles(eq) is listed
+    assert quasi_integer_h1(eq) == quasi_integer_h1(replace(eq))
+
+
 def test_mono_claim_on_presets():
     for name in ("rp2", "torus"):
         p = preset_presentation(name)
