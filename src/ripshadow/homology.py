@@ -39,7 +39,12 @@ entries a g and b g, g their gcd, b col - a other, its content divided out.
 `_reduce_filtration` is that reduction: it takes only K_m and each edge's
 and triangle's birth level, so its caller, the pair analysis, tags the
 births while it resolves its pairs and builds no complex below K_m and no
-boundary matrix.
+boundary matrix.  Nor does it reduce the whole K_m: the filtered collapse
+(`complexes._collapse` given the births) removes or shifts to a later level
+only edges and vertices dominated at the levels they leave, so each level
+keeps its homotopy type, the inclusions between levels commute with those
+of the collapsed levels into the old, and the reduction of the collapsed
+filtration gives the same b1 and the same rank.
 The Smith form stays the routine for what needs the integer diagonal:
 torsion and GF(2) ranks; `_h1` reads integer H1 off d2's diagonal.
 """

@@ -5,9 +5,10 @@ beyond, and lets a policy decide inside the open band.  One resolver,
 `_resolve_links`, applies that rule to a proximity pass and refuses any
 pick outside its band; `build_quasi` and both intervals of the pair
 analysis call it.  A pair analysis resolves the chain R_Q c R_mid c R_Q'
-in one pass over the pairs, with one clique enumeration (of R_Q'; R_mid is
-its filtered levels, stored as an explicit complex, and R_Q is never
-built) and one coboundary reduction, with clearing, of its filtration.
+in one pass over the pairs, tags each edge with its birth, collapses that
+filtered graph (`complexes._collapse`), and lists the cliques of the
+collapsed top level only, for one coboundary reduction, with clearing;
+R_Q and R_Q' are never built, and R_mid only for the midpoint shadow.
 The pipeline turns a finite group presentation, a `words.GroupPresentation`
 validated and parsed there, into a properly 3-colored 2-complex, blows it
 up so gluings become joins, and embeds the blowup in the plane with one
@@ -35,7 +36,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .complexes import SimplicialComplex, component_counts, explicit_complex, flag_complex
+from .complexes import (
+    SimplicialComplex,
+    _collapse,
+    collapsed_complex,
+    component_counts,
+    explicit_complex,
+    flag_complex,
+)
 from .errors import AuditError
 from .geometry import DuplicatePointError, Point, audit_bands, pair_distances, rational_sqrt
 from .homology import (
@@ -75,7 +83,8 @@ class UncertaintyInterval:
 class EdgePolicy:
     """How uncertain-band pairs resolve: an explicit list of picks, or a
     seeded coin tossed for each band pair in (i, j) order.  `all` and
-    `none` are the coins of probability 1 and 0: `random()` lies in [0, 1)."""
+    `none` are the coins of probability 1 and 0: `random()` lies in [0, 1),
+    so those two pick the same with no generator seeded."""
 
     edges: Optional[FrozenSet[Tuple[int, int]]] = None
     seed: int = 0
@@ -103,6 +112,8 @@ class EdgePolicy:
     def select(self, band_pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
         if self.edges is not None:
             return sorted(self.edges)
+        if self.probability in (0, 1):
+            return list(band_pairs) if self.probability else []
         rng = random.Random(self.seed)
         p = float(self.probability)
         return [e for e in band_pairs if rng.random() < p]
@@ -562,17 +573,22 @@ def pair_image_analysis(
     eps'_low <= eps'' <= eps_high, so the chain R_Q c R_eps'' c R_Q' is
     nested by construction, and each edge is tagged with the first level
     holding it.
-    All three are flag complexes, so a triangle is born with its last edge:
-    the cliques of R_Q' are enumerated once, at dim_cap 2 since nothing
-    here reads a 3-simplex, R_eps'' is an explicit complex, the simplices
-    of R_Q' born by level 1, and R_Q is never built.
-    A union-find counts the components of the forced R_eps, and one
-    coboundary reduction of R_Q' with clearing gives the image rank and the
-    three b1 (`homology._reduce_filtration`).
-    The shadow certifies the (b0, b1) of R_eps'' on the arrangement of its
-    boundary edges only (`build_shadow(mid, boundary_only=True)`): an edge
-    with a triangle on each side, or a vertex with only such edges, is
-    interior to the shadow, and on a dense cluster nearly every one is.
+    The filtered collapse of that graph (`complexes._collapse`) trims
+    dominated edges, shifts those dominated only below some level to it and
+    removes dominated vertices; it keeps every level's b1 and the rank of
+    H1(R_Q) -> H1(R_Q'), so R_Q' itself is never built.  All three levels
+    are flag complexes, so a triangle is born with its last edge: the
+    cliques of the collapsed top level are listed once, at dim_cap 2 since
+    nothing here reads a 3-simplex, and one coboundary reduction of them
+    with clearing gives the image rank and the three b1
+    (`homology._reduce_filtration`).  A union-find counts the components
+    of the forced R_eps.
+    Only for planar points is R_eps'' built, as a flag complex, and its
+    cliques listed: the shadow certifies its (b0, b1) on the arrangement
+    of its boundary edges only (`build_shadow(mid, boundary_only=True)`):
+    an edge with a triangle on each side, or a vertex with only such
+    edges, is interior to the shadow, and on a dense cluster nearly every
+    one is.
     """
     li, lp = lower
     ui, up = upper
@@ -586,19 +602,18 @@ def pair_image_analysis(
     forced, low_edges = _resolve_links(pairs, l2, lp2, lp)
     _, high_edges = _resolve_links(pairs, u2, up2, up)
     mid_edges = [(i, j) for i, j, d2 in pairs if d2 <= m2]
-    high = flag_complex(n, high_edges, 2, coords=points, provenance="quasi")
-    birth = dict.fromkeys(high.edges, 2)
+    birth = dict.fromkeys(high_edges, 2)
     birth.update(dict.fromkeys(mid_edges, 1))
     birth.update(dict.fromkeys(low_edges, 0))
-    edge_birth = [birth[e] for e in high.edges]
-    triangles = high.k_simplices(2)
-    triangle_birth = [max(birth[a, b], birth[a, c], birth[b, c]) for a, b, c in triangles]
-    mid_triangles = tuple(t for t, b in zip(triangles, triangle_birth) if b <= 1)
-    mid_levels = (high.k_simplices(0), tuple(mid_edges), mid_triangles)
-    mid = SimplicialComplex(n, mid_levels, 2, False, high.coords, "rips")
-    (lower_b1, mid_b1, upper_b1), rank = _reduce_filtration(high, edge_birth, triangle_birth, 3)
+    adj = _collapse(range(n), birth, list(birth.values()))
+    core = collapsed_complex(n, adj, 2)
+    edge_birth = [adj[u][v] for u, v in core.edges]
+    triangles = core.k_simplices(2)
+    triangle_birth = [max(adj[a][b], adj[a][c], adj[b][c]) for a, b, c in triangles]
+    (lower_b1, mid_b1, upper_b1), rank = _reduce_filtration(core, edge_birth, triangle_birth, 3)
     shadow_mid = None
     if all(len(p) == 2 for p in points):
+        mid = flag_complex(n, mid_edges, 2, coords=points, provenance="rips")
         shadow_mid = shadow_betti(build_shadow(mid, boundary_only=True))
     return PairReport(
         image_rank=rank,

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from ripshadow import cli
 from ripshadow.cli import points_to_document
-from ripshadow.complexes import build_rips, explicit_complex, flag_complex
+from ripshadow.complexes import (
+    _collapse,
+    build_rips,
+    collapsed_complex,
+    explicit_complex,
+    flag_complex,
+)
 from ripshadow.homology import (
     InsufficientDimCap,
     betti_numbers,
@@ -390,6 +396,105 @@ def test_core_homology_ignores_vertex_ids():
         moved = flag_complex(c.n_vertices, [(perm[i], perm[j]) for i, j in c.edges], 3)
         assert betti_numbers(moved, 2) == betti_numbers(c, 2)
         assert integer_h1(moved) == integer_h1(c)
+
+
+def test_one_level_collapse_is_the_core():
+    # births all 0 run the filtered collapse on one level: today's core
+    rng = random.Random(67)
+    for c in _core_cases(rng):
+        adj = _collapse(c.vertices, c.edges, [0] * len(c.edges))
+        assert all(b == 0 for near in adj.values() for b in near.values())
+        core = collapsed_complex(c.n_vertices, adj, c.dim_cap)
+        assert (core.vertices, core.edges) == (c.core.vertices, c.core.edges)
+
+
+def _graph_filtration(n, birth):
+    """The flag filtration, up to triangles, of a graph on range(n) whose
+    edges, written i < j, are born at the levels `birth` maps them to: its
+    top level and each edge's and triangle's birth, in the top's order."""
+    top = flag_complex(n, birth, dim_cap=2)
+    triangle_birth = [max(birth[a, b], birth[a, c], birth[b, c]) for a, b, c in top.k_simplices(2)]
+    return top, [birth[e] for e in top.edges], triangle_birth
+
+
+def _collapsed_filtration(n, edges, births):
+    adj = _collapse(range(n), edges, births)
+    birth = {(u, v): b for u, near in adj.items() for v, b in near.items() if u < v}
+    top, edge_birth, triangle_birth = _graph_filtration(n, birth)
+    # the collapse keeps only vertices it has not removed
+    core = collapsed_complex(n, adj, 2)
+    assert (core.vertices, core.edges) == (tuple(sorted(adj)), top.edges)
+    return adj, (core, edge_birth, triangle_birth)
+
+
+@st.composite
+def _filtered_graphs(draw):
+    """A graph on range(n) with a birth level on each edge, 1-5 levels,
+    its edges given in a random order and orientation."""
+    levels = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    # dense, for many triangles: each pair is an edge with odds 3 to 1
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    level = st.integers(0, levels - 1)
+    born = [(e, draw(level)) for e, k in zip(pairs, keep) if k]
+    born = draw(st.permutations(born))
+    flips = draw(st.lists(st.booleans(), min_size=len(born), max_size=len(born)))
+    edges = [(j, i) if flip else (i, j) for ((i, j), _), flip in zip(born, flips)]
+    return n, edges, [b for _, b in born], levels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_filtered_graphs())
+def test_filtered_collapse_keeps_every_b1_and_the_image_rank(graph):
+    n, edges, births, levels = graph
+    birth = {(min(e), max(e)): b for e, b in zip(edges, births)}
+    adj, collapsed = _collapsed_filtration(n, edges, births)
+    want = homology_order_reduction(*_graph_filtration(n, birth), levels)
+    assert homology_order_reduction(*collapsed, levels) == want
+    assert _reduce_filtration(*collapsed, levels) == want
+    # it only trims and shifts, whatever the order and orientation given
+    for u, near in adj.items():
+        assert all(b >= birth[min(u, v), max(u, v)] for v, b in near.items())
+    assert adj == _collapse(range(n), list(birth), list(birth.values()))
+
+
+def test_filtered_collapse_of_no_edges_a_complete_graph_and_isolated_vertices():
+    assert _collapse(range(3), [], []) == {0: {}, 1: {}, 2: {}}
+    # a complete graph is a cone at every level: one vertex is left
+    complete = list(combinations(range(6), 2))
+    assert _collapse(range(6), complete, [0] * 15) == {5: {}}
+    rng = random.Random(68)
+    for _ in range(20):
+        births = [rng.randrange(4) for _ in complete]
+        _, collapsed = _collapsed_filtration(6, complete, births)
+        assert homology_order_reduction(*collapsed, 4) == homology_order_reduction(
+            *_graph_filtration(6, dict(zip(complete, births))), 4
+        )
+    # a triangle, 3 joining vertex 0 at level 1 and 4 isolated throughout:
+    # 3 and 4 are isolated at level 0, so neither is dominated there
+    edges, births = [(0, 1), (0, 2), (1, 2), (0, 3)], [0, 0, 0, 1]
+    assert _collapse(range(5), edges, births) == {0: {3: 1}, 3: {0: 1}, 4: {}}
+
+
+def test_filtered_collapse_shifts_an_edge_dominated_below_its_top_level():
+    # level 0: the 5-cycle 0-3-1-2-5 with the chord 01, which 3 dominates,
+    # and the leaf 4 on 3; level 1 adds 15, after which 01 lies on the
+    # triangles 013 and 015 and neither 3 nor 5 dominates it.  So 01 is
+    # shifted to level 1, and b1 stays (1, 0).  3 is kept: the leaf keeps
+    # it undominated in the first vertex pass, and after the shift N[3] is
+    # inside N[0] at level 1 only.
+    edges = [(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 5), (3, 4)]
+    births = [0, 0, 0, 0, 0, 1, 0, 0]
+    adj, collapsed = _collapsed_filtration(6, edges, births)
+    assert adj == {
+        0: {1: 1, 3: 0, 5: 0},
+        1: {0: 1, 2: 0, 3: 0, 5: 1},
+        2: {1: 0, 5: 0},
+        3: {0: 0, 1: 0},
+        5: {0: 0, 1: 1, 2: 0},
+    }
+    assert _reduce_filtration(*collapsed, 2) == ((1, 0), 0)
 
 
 def test_cycle_basis_is_made_of_cycles():

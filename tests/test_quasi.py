@@ -704,24 +704,51 @@ def test_none_and_all_are_the_coins_of_probability_0_and_1():
             )
 
 
-def test_pair_enumerates_the_cliques_of_the_upper_complex_only(monkeypatch):
+def test_coins_of_probability_0_and_1_seed_no_generator(monkeypatch):
+    def refuse(seed):
+        raise AssertionError(f"a generator was seeded with {seed}")
+
+    monkeypatch.setattr(quasi.random, "Random", refuse)
+    band = [(0, 1), (0, 2), (1, 2)]
+    for policy in (EdgePolicy.none(), EdgePolicy.seeded_random(5, 0)):
+        assert policy.select(band) == []
+    for policy in (EdgePolicy.all(), EdgePolicy.seeded_random(5, 1)):
+        assert policy.select(band) == band
+
+
+def test_pair_lists_the_cliques_of_its_collapsed_top_level_and_r_mid_only(monkeypatch):
     from ripshadow import complexes
 
-    ring = annulus_ring_points()
-    lower = (UncertaintyInterval(F(7, 10), F(9, 10)), EdgePolicy.none())
-    upper = (UncertaintyInterval(F(19, 10), F(11, 5)), EdgePolicy.all())
-    high_edges = list(build_quasi(ring, *upper, dim_cap=2).edges)
     enumerate_cliques = complexes._cliques_from_graph
     enumerated = []
 
     def counted(vertices, edges, dim_cap):
         edges = list(edges)
-        enumerated.append((sorted(edges), dim_cap))
+        enumerated.append((edges, dim_cap))
         return enumerate_cliques(vertices, edges, dim_cap)
 
     monkeypatch.setattr(complexes, "_cliques_from_graph", counted)
-    pair_image_analysis(ring, lower, upper)
-    assert enumerated == [(high_edges, 2)]
+    ring = annulus_ring_points()
+    # 20 points of the 1/100 lattice in [0, 2/5]^2: R_Q' is complete
+    rng = random.Random(3)
+    cluster = set()
+    while len(cluster) < 20:
+        cluster.add((F(rng.randrange(41), 100), F(rng.randrange(41), 100)))
+    cases = [
+        (ring, (F(7, 10), F(9, 10), EdgePolicy.none()), (F(19, 10), F(11, 5), EdgePolicy.all())),
+        (sorted(cluster), (F(1, 10), F(1, 5), EdgePolicy.all()), (F(2, 5), F(1), EdgePolicy.all())),
+    ]
+    for pts, (a, b, lp), (c, d, up) in cases:
+        high = build_quasi(pts, UncertaintyInterval(c, d), up, dim_cap=2).edges
+        mid = build_rips(pts, (b + c) / 2, 2).edges
+        enumerated.clear()
+        pair_image_analysis(pts, (UncertaintyInterval(a, b), lp), (UncertaintyInterval(c, d), up))
+        # the collapsed top level first, then R_mid for the shadow
+        (top, top_cap), (listed_mid, mid_cap) = enumerated
+        assert (listed_mid, top_cap, mid_cap) == (list(mid), 2, 2)
+        assert set(top) < set(high) and len(top) < len(mid) < len(high)
+        if pts is ring:  # its top level collapses to its 12-cycle
+            assert sorted(top) == sorted([(i, i + 1) for i in range(11)] + [(0, 11)])
 
 
 def test_pipeline_lists_the_cross_triangles_once():
